@@ -12,8 +12,8 @@ from .catalog import (Argument, ExpectedStatus, Identity, IdentityKind,
                       identity_from_dict, identity_to_dict, load_catalog,
                       normalize_identity, parse_scalar, save_catalog)
 from .catalog_data import CORPUS_SIZE, builtin_catalog
-from .cyclotomic import (DEFAULT_ORDER, MAX_ORDER, Cyclotomic,
-                         cyclotomic_polynomial, cyclo_root, exp_pi_i)
+from .cyclotomic import (MAX_ORDER, Cyclotomic, cyclotomic_polynomial,
+                         cyclo_root, exp_pi_i)
 from .divisors import ArithReport, delta, sigma, verify_sigma_convolution
 from .numeric import (PHI_WITNESS, PSI_WITNESS, RESIDUE_WITNESSES, EvalConfig,
                       ResidueWitness, identity_residual, numeric_residue,

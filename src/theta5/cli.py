@@ -71,7 +71,7 @@ def cmd_verify(args):
         if missing:
             raise SystemExit2(f"unknown identity ids: {sorted(missing)}")
     t0 = time.perf_counter()
-    reports = verify_all(cat, Fraction(args.cutoff), jobs=args.jobs)
+    reports = verify_all(cat, Fraction(args.cutoff))
     elapsed = time.perf_counter() - t0
     ok = batch_passed(cat, reports)
     expected = {i.id: i.expected for i in cat}
@@ -255,7 +255,7 @@ def cmd_resultant(args):
 # -- argument parsing -----------------------------------------------------------
 
 _GLOBAL_DEFAULTS = {"cutoff": "4", "tol": 1e-9, "seed": 0, "samples": 3,
-                    "catalog": None, "format": "text", "jobs": 1}
+                    "catalog": None, "format": "text"}
 
 
 def _add_common(parser, top_level):
@@ -277,8 +277,6 @@ def _add_common(parser, top_level):
                         help="path to a JSON catalog (default: built-in corpus)")
     parser.add_argument("--format", choices=("json", "text"),
                         default=d("format"))
-    parser.add_argument("--jobs", type=int, default=d("jobs"),
-                        help="worker threads for batch verification")
 
 
 def build_parser():

@@ -4,7 +4,9 @@ Elements are kept in the cheap group-ring representation Q[z]/(z^N - 1): a
 sparse map from exponent k in [0, N) to a rational coefficient, meaning
 sum_k c_k * zeta_N^k with zeta_N = exp(2*pi*i/N).  Reduction modulo the N-th
 cyclotomic polynomial Phi_N happens lazily, only inside zero tests and
-equality, so additions and multiplications stay cheap.
+equality, so additions and multiplications stay cheap.  reduction_matrix
+gives the same reduction as one integer matrix, for reducing many integer
+group-ring vectors at once.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ import math
 import threading
 from fractions import Fraction
 
+import numpy as np
+
 Rational = Fraction
 
 #: Hard cap on the working order; lcm lifting beyond this raises.
 MAX_ORDER = 400
-
-#: Default working order used by helpers that need "some" big-enough field.
-DEFAULT_ORDER = 200
 
 
 def _divisors(n):
@@ -66,6 +67,25 @@ def cyclotomic_polynomial(n):
             if d != n:
                 poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
         return tuple(poly)
+
+
+@functools.lru_cache(maxsize=None)
+def reduction_matrix(n):
+    """Read-only int64 array of shape (n, phi(n)) whose row k holds the
+    coefficients of zeta_n^k reduced mod Phi_n (degree-0 first), so an
+    integer group-ring vector v reduces to v @ reduction_matrix(n)."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    rows = []
+    row = [1] + [0] * (deg - 1)
+    for _ in range(n):
+        rows.append(row)
+        top = row[-1]  # x * row overflows into degree deg: subtract top*Phi_n
+        row = [-top * phi[0]] + [row[j - 1] - top * phi[j]
+                                 for j in range(1, deg)]
+    out = np.array(rows, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def _lcm(a, b):
@@ -353,23 +373,3 @@ def exp_pi_i(r):
     r = Fraction(r)
     # exp(pi*i*p/q) = zeta_{2q}^p
     return cyclo_root(r.numerator % (2 * r.denominator), 2 * r.denominator)
-
-
-def cyclo_add(a, b):
-    return a + b
-
-
-def cyclo_mul(a, b):
-    return a * b
-
-
-def cyclo_neg(a):
-    return -a
-
-
-def cyclo_is_zero(a):
-    return a.is_zero()
-
-
-def cyclo_embed(a, digits=15):
-    return a.embed(digits)

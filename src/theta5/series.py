@@ -7,13 +7,17 @@ Cyclotomic coefficients.  A series carries an inclusive truncation bound
 Laurent polynomial) and a lower bound `min_x` on the x-exponent of the full
 untruncated series, which makes product truncation sound.
 
-Multiplication is exact on every retained coefficient.  Three lanes:
-
-* a generic Fraction/dict lane (the semantic definition),
-* an integer pairwise-convolution lane (numpy int64, overflow-guarded),
-* an FFT convolution lane for large operands, accepted only when a
-  conservative a-priori rounding bound certifies that nearest-integer
-  rounding recovers the exact integer result; otherwise it falls back.
+Multiplication is exact on every retained coefficient and has one path, the
+packed-integer kernel `packed_mul`.  A `Packed` series is four parallel
+arrays on one integer grid: the exponents `ix`, `iz` (x- and z-exponents
+times `dx`, `dz`), the exponent `k` of w = zeta_N in the group ring
+Z[w]/(w^N - 1), and integer coefficients `c` over a common denominator that
+the caller keeps.  A product takes the outer sums of exponents and outer
+products of coefficients, drops the pairs beyond the cutoff, reduces k mod N,
+then sorts the packed keys and merges duplicates with np.add.reduceat.  It
+runs on int64 when an a-priori bound shows that no sum or product can
+overflow, and otherwise on the same arrays with dtype=object (Python ints).
+Reduction mod Phi_N is left to `nonzero_positions`.
 """
 
 from __future__ import annotations
@@ -24,13 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import MAX_ORDER, Cyclotomic
-
-try:  # scipy's next_fast_len gives nicer FFT sizes; optional
-    from scipy.fft import next_fast_len as _next_fast_len
-except Exception:  # pragma: no cover
-    def _next_fast_len(n, real=False):
-        return 1 << (n - 1).bit_length()
+from .cyclotomic import MAX_ORDER, Cyclotomic, reduction_matrix
 
 
 class ExponentPair(NamedTuple):
@@ -38,13 +36,9 @@ class ExponentPair(NamedTuple):
     zExp: Fraction
 
 
-_PAIRWISE_MAX_PAIRS = 4096
+#: Below this bound int64 sums and products cannot overflow, with room for
+#: the rounding of the float64 norms that estimate it.
 _INT64_SAFE = 1 << 61
-_MAX_DENOM = 10 ** 6
-
-
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
 
 
 class PuiseuxSeries2:
@@ -170,7 +164,9 @@ class PuiseuxSeries2:
         cut = _result_cutoff(self, other)
         if not self.terms or not other.terms:
             return PuiseuxSeries2({}, cut)
-        terms = _mul_terms(self, other, cut)
+        (a, den_a), (b, den_b) = pack(self.terms), pack(other.terms)
+        (a, b), icut = on_common_grid([a, b], cut)
+        terms = unpack(packed_mul(a, b, icut), den_a * den_b)
         return PuiseuxSeries2(terms, cut, self.min_x + other.min_x, _scrub=False)
 
     def __pow__(self, p):
@@ -215,225 +211,147 @@ def _result_cutoff(a, b):
     return min(cands) if cands else None
 
 
-# -- multiplication lanes ------------------------------------------------------
+# -- the packed-integer kernel -------------------------------------------------
 
 
-def _mul_terms(a, b, cut):
-    grids = _int_grids(a, b, cut)
-    if grids is not None:
-        ta, tb, order, dx, dz, denom, icut, bound = grids
-        if bound < _INT64_SAFE:
-            if len(ta) * len(tb) > _PAIRWISE_MAX_PAIRS:
-                out = _fft_lane(ta, tb, order, icut, bound)
-                if out is not None:
-                    return _from_int_grid(out, order, dx, dz, denom)
-            out = _pairwise_lane(ta, tb, order, icut)
-            return _from_int_grid(out, order, dx, dz, denom)
-    return _generic_lane(a, b, cut)
+class Packed(NamedTuple):
+    """sum_i c[i] * w^k[i] * x^(ix[i]/dx) * z^(iz[i]/dz), w = exp(2*pi*i/order),
+    with keys (ix, iz, k) sorted and distinct and no c[i] zero.  ix, iz and k
+    are int64; c is int64, or object (Python ints) when an entry may not fit."""
+    ix: np.ndarray
+    iz: np.ndarray
+    k: np.ndarray
+    c: np.ndarray
+    dx: int
+    dz: int
+    order: int
+
+    def regrid(self, dx, dz, order):
+        """The same series on a finer grid: dx, dz and order are multiples
+        of this one's."""
+        return Packed(self.ix * (dx // self.dx), self.iz * (dz // self.dz),
+                      self.k * (order // self.order), self.c, dx, dz, order)
 
 
-def _int_grids(a, b, cut):
-    """Try to express both operands on a common integer grid.
-
-    Returns term lists [(ix, iz, int64 vector over Z[zeta_order])], the scale
-    factors, the scaled cutoff, and an upper bound on any intermediate or
-    final integer produced by the convolution."""
-    order = 1
-    for s in (a, b):
-        for c in s.terms.values():
-            order = _lcm(order, c.order)
-            if order > MAX_ORDER:
-                return None
-    dx = dz = 1
-    for s in (a, b):
-        for e in s.terms:
-            dx = _lcm(dx, e.xExp.denominator)
-            dz = _lcm(dz, e.zExp.denominator)
-    if cut is not None:
-        dx = _lcm(dx, cut.denominator)
-    if dx > _MAX_DENOM or dz > _MAX_DENOM:
-        return None
-    den_a = _coeff_denom(a)
-    den_b = _coeff_denom(b)
-    if den_a > _MAX_DENOM or den_b > _MAX_DENOM:
-        return None
-    icut = None if cut is None else cut * dx  # integral by construction
-    # prune terms that cannot touch the retained window
-    lim_a = None if cut is None else cut - b.min_x
-    lim_b = None if cut is None else cut - a.min_x
-    ta = _grid_terms(a, dx, dz, order, den_a, lim_a)
-    tb = _grid_terms(b, dx, dz, order, den_b, lim_b)
-    if ta is None or tb is None:
-        return None
-    l1a = sum(int(np.abs(v).sum()) for _, _, v in ta) or 1
-    l1b = sum(int(np.abs(v).sum()) for _, _, v in tb) or 1
-    maxa = max((int(np.abs(v).max()) for _, _, v in ta), default=1)
-    maxb = max((int(np.abs(v).max()) for _, _, v in tb), default=1)
-    bound = min(l1a * maxb, l1b * maxa)
-    return ta, tb, order, dx, dz, den_a * den_b, icut, bound
+def pack(terms):
+    """(Packed, den) for a mapping ExponentPair -> Cyclotomic, on the coarsest
+    grid that holds it; den is the lcm of the coefficient denominators."""
+    dx = math.lcm(*(e[0].denominator for e in terms))
+    dz = math.lcm(*(e[1].denominator for e in terms))
+    order = math.lcm(*(c.order for c in terms.values()))
+    den = math.lcm(*(v.denominator for c in terms.values()
+                     for v in c.coeffs.values()))
+    rows = sorted((e[0].numerator * (dx // e[0].denominator),
+                   e[1].numerator * (dz // e[1].denominator),
+                   k * (order // c.order),
+                   v.numerator * (den // v.denominator))
+                  for e, c in terms.items() for k, v in c.coeffs.items())
+    ix, iz, k, c = zip(*rows) if rows else ((),) * 4
+    big = max(map(abs, c), default=0) >= _INT64_SAFE
+    return Packed(np.array(ix, np.int64), np.array(iz, np.int64),
+                  np.array(k, np.int64), np.array(c, object if big else np.int64),
+                  dx, dz, order), den
 
 
-def _coeff_denom(s):
-    d = 1
-    for c in s.terms.values():
-        for v in c.coeffs.values():
-            d = _lcm(d, v.denominator)
-            if d > _MAX_DENOM:
-                return d
-    return d
+def unpack(p, den):
+    """The mapping ExponentPair -> Cyclotomic of p / den."""
+    coeffs = {}
+    for ix, iz, k, c in zip(p.ix.tolist(), p.iz.tolist(), p.k.tolist(),
+                            p.c.tolist()):
+        coeffs.setdefault((ix, iz), {})[k] = Fraction(c, den)
+    return {ExponentPair(Fraction(ix, p.dx), Fraction(iz, p.dz)):
+            Cyclotomic(p.order, cs) for (ix, iz), cs in coeffs.items()}
 
 
-def _grid_terms(s, dx, dz, order, den, lim):
-    out = []
-    for e, c in s.terms.items():
-        if lim is not None and e.xExp > lim:
-            continue
-        vec = np.zeros(order, dtype=np.int64)
-        f = order // c.order
-        for k, v in c.coeffs.items():
-            q = v * den
-            if q.denominator != 1 or abs(q.numerator) >= _INT64_SAFE:
-                return None
-            vec[k * f] += q.numerator
-        out.append((int(e.xExp * dx), int(e.zExp * dz), vec))
-    return out
+def on_common_grid(packs, cutoff=None):
+    """The packed series regridded to their common grid, and the inclusive
+    x-cutoff on that grid (None stays None)."""
+    dx = math.lcm(*(p.dx for p in packs),
+                  1 if cutoff is None else cutoff.denominator)
+    dz = math.lcm(*(p.dz for p in packs))
+    order = math.lcm(*(p.order for p in packs))
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds MAX_ORDER={MAX_ORDER}")
+    for p in packs:
+        if max(int(np.abs(p.ix).max(initial=0)) * (dx // p.dx),
+               int(np.abs(p.iz).max(initial=0)) * (dz // p.dz)) >= _INT64_SAFE:
+            raise OverflowError("exponent grid too fine for int64")
+    icut = None if cutoff is None else int(cutoff * dx)
+    return [p.regrid(dx, dz, order) for p in packs], icut
 
 
-def _pairwise_lane(ta, tb, order, icut):
-    acc = {}
-    for ix1, iz1, v1 in ta:
-        for ix2, iz2, v2 in tb:
-            ix = ix1 + ix2
-            if icut is not None and ix > icut:
-                continue
-            conv = np.convolve(v1, v2)
-            if order > 1 and conv.shape[0] > order:
-                head = conv[:order].copy()
-                head[: conv.shape[0] - order] += conv[order:]
-                conv = head
-            key = (ix, iz1 + iz2)
-            if key in acc:
-                acc[key] += conv  # in-bound by the caller's overflow guard
-            else:
-                acc[key] = conv
-    return acc
+def packed_mul(a, b, icut=None):
+    """a * b on their common grid, exact on every term with ix <= icut
+    (every term when icut is None)."""
+    if icut is not None and a.c.size and b.c.size:
+        amin, bmin = a.ix.min(), b.ix.min()
+        a, b = _select(a, a.ix <= icut - bmin), _select(b, b.ix <= icut - amin)
+    l1a, maxa = _norms(a.c)
+    l1b, maxb = _norms(b.c)
+    dtype = _dtype(min(l1a * maxb, l1b * maxa))
+    ix = a.ix[:, None] + b.ix
+    i, j = np.nonzero(ix <= icut if icut is not None
+                      else np.ones(ix.shape, bool))
+    return _merge(ix[i, j], a.iz[i] + b.iz[j], (a.k[i] + b.k[j]) % a.order,
+                  a.c[i].astype(dtype) * b.c[j].astype(dtype), a)
 
 
-def _fft_lane(ta, tb, order, icut, bound):
-    """Exact integer convolution via FFT, accepted only when the rounding
-    error bound certifies the result; returns None to signal fallback."""
-    try:
-        from scipy.fft import irfftn, rfftn
-    except Exception:  # pragma: no cover
-        rfftn = irfftn = None
-    xs_a = [t[0] for t in ta]
-    zs_a = [t[1] for t in ta]
-    xs_b = [t[0] for t in tb]
-    zs_b = [t[1] for t in tb]
-    ox = min(xs_a) + min(xs_b)
-    oz = min(zs_a) + min(zs_b)
-    nxa = max(xs_a) - min(xs_a) + 1
-    nxb = max(xs_b) - min(xs_b) + 1
-    nza = max(zs_a) - min(zs_a) + 1
-    nzb = max(zs_b) - min(zs_b) + 1
-    out_x = nxa + nxb - 1
-    if icut is not None:
-        out_x = min(out_x, icut - ox + 1)
-        if out_x <= 0:
-            return {}
-    out_z = nza + nzb - 1
-    size_x = _next_fast_len(nxa + nxb - 1)
-    size_z = _next_fast_len(nza + nzb - 1)
-    # memory guard
-    if size_x * size_z * order > 64_000_000:
-        return None
-    # conservative a-priori rounding bound for double-precision FFT convolution
-    eps = 2.3e-16
-    logf = 4 * (math.log2(size_x * size_z * order) + 8)
-    l1a = sum(int(np.abs(v).sum()) for _, _, v in ta)
-    l1b = sum(int(np.abs(v).sum()) for _, _, v in tb)
-    err = eps * l1a * l1b * logf
-    if err >= 0.25 or rfftn is None:
-        return None
-    A = np.zeros((size_x, size_z, order))
-    B = np.zeros((size_x, size_z, order))
-    for ix, iz, v in ta:
-        A[ix - min(xs_a), iz - min(zs_a), :] += v
-    for ix, iz, v in tb:
-        B[ix - min(xs_b), iz - min(zs_b), :] += v
-    # the zeta-axis transform length is exactly `order`: wraparound there is
-    # the group-ring reduction zeta^order = 1, which is what we want
-    shape = (size_x, size_z, order)
-    prod = irfftn(rfftn(A, s=shape) * rfftn(B, s=shape), s=shape)
-    res = np.rint(prod[:out_x, :out_z, :]).astype(np.int64)
-    # belt-and-braces: observed rounding slack must be far below the bound
-    slack = np.max(np.abs(prod[:out_x, :out_z, :] - res))
-    if slack > 0.25:  # pragma: no cover - excluded by the a-priori bound
-        return None
-    acc = {}
-    nz = np.nonzero(np.any(res, axis=2))
-    for i, j in zip(*nz):
-        acc[(int(i) + ox, int(j) + oz)] = res[i, j, :].astype(object)
-    return acc
+def packed_sum(parts):
+    """Sum of packed series on one grid (at least one)."""
+    dtype = _dtype(sum(_norms(p.c)[1] for p in parts))
+    return _merge(*(np.concatenate([getattr(p, f) for p in parts])
+                    for f in ("ix", "iz", "k")),
+                  np.concatenate([p.c.astype(dtype) for p in parts]), parts[0])
 
 
-def _from_int_grid(acc, order, dx, dz, denom):
-    terms = {}
-    for (ix, iz), vec in acc.items():
-        coeffs = {k: Fraction(int(v), denom) for k, v in enumerate(vec) if v}
-        if coeffs:
-            terms[ExponentPair(Fraction(ix, dx), Fraction(iz, dz))] = \
-                Cyclotomic(order, coeffs)
-    return terms
+def nonzero_positions(p):
+    """Indices of the first entry of each (ix, iz) position of p whose
+    coefficient is nonzero in Q(zeta_order), in key order: one integer
+    matmul against reduction_matrix(order)."""
+    if not p.c.size:
+        return np.zeros(0, np.int64)
+    new = np.concatenate(([True], (p.ix[1:] != p.ix[:-1])
+                          | (p.iz[1:] != p.iz[:-1])))
+    first = np.flatnonzero(new)
+    red = reduction_matrix(p.order)
+    dtype = _dtype(_norms(p.c)[0] * int(np.abs(red).max()))
+    dense = np.zeros((first.size, p.order), dtype)
+    dense[np.cumsum(new) - 1, p.k] = p.c
+    return first[(dense @ red.astype(dtype) != 0).any(axis=1)]
 
 
-def _generic_lane(a, b, cut):
-    small, big = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
-    big_items = sorted(big.terms.items(), key=lambda kv: kv[0].xExp)
-    out = {}
-    for e1, c1 in small.terms.items():
-        lim = None if cut is None else cut - e1.xExp
-        for e2, c2 in big_items:
-            if lim is not None and e2.xExp > lim:
-                break
-            key = ExponentPair(e1.xExp + e2.xExp, e1.zExp + e2.zExp)
-            prod = c1 * c2
-            if key in out:
-                s = out[key] + prod
-                if s.coeffs:
-                    out[key] = s
-                else:
-                    del out[key]
-            elif prod.coeffs:
-                out[key] = prod
-    return out
+def _select(p, mask):
+    return p._replace(ix=p.ix[mask], iz=p.iz[mask], k=p.k[mask], c=p.c[mask])
 
 
-# -- module-level operation names matching the published interface -------------
-
-def series_add(a, b):
-    return a + b
-
-
-def series_mul(a, b):
-    return a * b
-
-
-def series_pow(a, p):
-    return a ** p
+def _norms(v):
+    """(sum |v|, max |v|): exact for object arrays, a float64 sum (relative
+    error far below the margin of _INT64_SAFE) for int64 ones."""
+    a = np.abs(v)
+    if a.dtype == object:
+        return sum(a.tolist()), max(a.tolist(), default=0)
+    return float(a.sum(dtype=np.float64)), int(a.max(initial=0))
 
 
-def series_scale(a, c):
-    return a.scale(c)
+def _dtype(bound):
+    return np.int64 if bound < _INT64_SAFE else object
 
 
-def series_coeff(a, e, z=None):
-    if z is None:
-        x, z = e
-    else:
-        x = e
-    return a.coeff(x, z)
-
-
-def series_is_zero(a):
-    return a.is_zero()
+def _merge(ix, iz, k, c, like):
+    """Packed series of the entries, on the grid of `like`: keys sorted,
+    equal keys summed, zero sums dropped."""
+    if not c.size:
+        return like._replace(ix=ix, iz=iz, k=k, c=c)
+    x0, z0 = int(ix.min()), int(iz.min())
+    nz = int(iz.max()) - z0 + 1
+    span = (int(ix.max()) - x0 + 1) * nz * like.order
+    kt = np.int64 if span < 1 << 63 else object
+    key = ((ix.astype(kt) - x0) * nz + iz.astype(kt) - z0) * like.order \
+        + k.astype(kt)
+    perm = np.argsort(key)
+    key = key[perm]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    sums = np.add.reduceat(c[perm], first)
+    keep = sums != 0
+    rows = perm[first[keep]]
+    return like._replace(ix=ix[rows], iz=iz[rows], k=k[rows], c=sums[keep])

@@ -57,7 +57,6 @@ def _n_range(center, spread_sq):
     return [n for n in range(lo, hi + 1) if (n + center) ** 2 <= spread_sq]
 
 
-@functools.lru_cache(maxsize=None)
 def theta_series(c: Characteristic, mode: ThetaMode, cutoff) -> PuiseuxSeries2:
     """Defining-sum expansion, exact to the inclusive cutoff on x-exponents."""
     cutoff = Fraction(cutoff)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,8 +20,13 @@ from fractions import Fraction
 import numpy as np
 
 from .catalog import Argument, ExpectedStatus
+from .cyclotomic import Cyclotomic
 from .numeric import EvalConfig, theta_eval
+from .series import (ExponentPair, nonzero_positions, on_common_grid, pack,
+                     packed_mul, packed_sum)
 from .theta import ThetaMode, theta_series
+
+_ORIGIN = ExponentPair(Fraction(0), Fraction(0))
 
 
 @dataclass
@@ -65,49 +71,55 @@ class DiscoveredRelation:
 
 
 @functools.lru_cache(maxsize=None)
-def _power_series(char, mode, power, cutoff):
-    s = theta_series(char, mode, cutoff)
-    if not s.terms and not s.is_zero():  # pragma: no cover
-        raise ValueError(f"cutoff {cutoff} excludes every term of {char}")
-    return s if power == 1 else s ** power
+def _theta_factor(char, mode, cutoff):
+    """theta_series(char, mode, cutoff) packed on its own grid: the one cache
+    of exact verification (the corpus asks for each factor dozens of times)."""
+    return pack(theta_series(char, mode, cutoff).terms)[0]
 
 
-def _monomial_series(factors, cutoff):
-    key = tuple(sorted(((f.char, f.argument, f.power) for f in factors)))
-    return _monomial_series_cached(key, Fraction(cutoff))
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial_series_cached(key, cutoff):
-    parts = []
-    for char, arg, power in key:
-        mode = (ThetaMode.FUNCTION if arg is Argument.SYMBOLIC_ZETA
+def _factors(term, cutoff):
+    """[(char, mode, power)] of a term, in a fixed order; raises if the
+    cutoff leaves a factor without terms."""
+    out = []
+    for char, arg, power in sorted((f.char, f.argument.value, f.power)
+                                   for f in term.factors):
+        mode = (ThetaMode.FUNCTION if arg == Argument.SYMBOLIC_ZETA.value
                 else ThetaMode.CONSTANT)
-        base = theta_series(char, mode, cutoff)
-        if not base.terms:
-            raise ValueError(
-                f"cutoff {cutoff} is too small to include any term of "
-                f"theta{char}")
-        parts.append(_power_series(char, mode, power, cutoff))
-    parts.sort(key=lambda s: len(s.terms))
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = acc * p
-    return acc
+        if not _theta_factor(char, mode, cutoff).c.size:
+            raise ValueError(f"cutoff {cutoff} is too small to include any "
+                             f"term of theta{char}")
+        out.append((char, mode, power))
+    return out
 
 
 def verify_exact(ident, cutoff):
-    """Exact cancellation proof of one identity at the given x-cutoff."""
+    """Exact cancellation proof of one identity at the given x-cutoff.
+
+    Every term is built and summed in packed form (series.Packed) on one
+    grid, with the scalars brought to a common denominator; one integer
+    matmul then reduces every position of the sum mod Phi_N."""
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be > 0")
     t0 = time.perf_counter()
-    total = None
-    for term in ident.terms:
-        s = _monomial_series(term.factors, cutoff).scale(term.scalar)
-        total = s if total is None else total + s
-    total = total.scrubbed()
-    residuals = total.items()[:10]
+    factors = [_factors(term, cutoff) for term in ident.terms]
+    den = math.lcm(*(v.denominator for t in ident.terms
+                     for v in t.scalar.coeffs.values()))
+    scalars = [pack({_ORIGIN: t.scalar * den})[0] for t in ident.terms]
+    thetas = {f[:2]: _theta_factor(*f[:2], cutoff) for fs in factors for f in fs}
+    packs, icut = on_common_grid([*thetas.values(), *scalars], cutoff)
+    grid = dict(zip(thetas, packs))
+    terms = []
+    for fs, scalar in zip(factors, packs[len(thetas):]):
+        acc = None
+        for char, mode, power in fs:
+            for _ in range(power):
+                f = grid[char, mode]
+                acc = f if acc is None else packed_mul(acc, f, icut)
+        terms.append(packed_mul(acc, scalar, icut))
+    total = packed_sum(terms)
+    residuals = [_residual(total, i, ident, factors, terms, den, cutoff)
+                 for i in nonzero_positions(total)[:10]]
     elapsed = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         id=ident.id, mode="exact", cutoff=cutoff,
@@ -115,20 +127,45 @@ def verify_exact(ident, cutoff):
         residuals=residuals, elapsed_ms=elapsed)
 
 
-def verify_all(catalog, cutoff, jobs=1):
+def _residual(total, i, ident, factors, terms, den, cutoff):
+    """(ExponentPair, Cyclotomic) of the sum at the position of entry i.
+
+    The coefficient is written over the field order that summing the terms
+    as Cyclotomic series gives it, so reports stay byte-identical: the lcm
+    of the orders of the terms that reach the position, counted from the
+    last partial sum that cancelled term by term.  A term's order is the lcm
+    of its scalar's and its monomial's: the lcm of its factors' orders, or
+    for a single factor of power 1 the order of that theta coefficient."""
+    ix, iz = total.ix[i], total.iz[i]
+    e = ExponentPair(Fraction(int(ix), total.dx), Fraction(int(iz), total.dz))
+    acc, order = {}, 1
+    for term, fs, part in zip(ident.terms, factors, terms):
+        at = (part.ix == ix) & (part.iz == iz)
+        if not at.any():
+            continue
+        for k, c in zip(part.k[at].tolist(), part.c[at].tolist()):
+            acc[k] = acc.get(k, 0) + c
+        acc = {k: c for k, c in acc.items() if c}
+        if not acc:
+            order = 1
+        elif len(fs) == 1 and fs[0][2] == 1:
+            order = math.lcm(order, term.scalar.order,
+                             theta_series(*fs[0][:2], cutoff).terms[e].order)
+        else:
+            order = math.lcm(order, term.scalar.order,
+                             *(_theta_factor(*f[:2], cutoff).order for f in fs))
+    f = total.order // order
+    return e, Cyclotomic(order, {k // f: Fraction(c, den)
+                                 for k, c in acc.items()})
+
+
+def verify_all(catalog, cutoff):
     """One exact report per identity, in deterministic id order.
 
     Entries flagged as suspected misprints are reported but never fail a
     batch; batch_passed() implements that policy.
     """
-    catalog = sorted(catalog, key=lambda i: i.id)
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda i: verify_exact(i, cutoff), catalog))
-    else:
-        reports = [verify_exact(i, cutoff) for i in catalog]
-    return reports
+    return [verify_exact(i, cutoff) for i in sorted(catalog, key=lambda i: i.id)]
 
 
 def batch_passed(catalog, reports):

@@ -1,13 +1,16 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta5.cyclotomic import (MAX_ORDER, Cyclotomic, cyclo_root,
-                               cyclotomic_polynomial, exp_pi_i)
+                               cyclotomic_polynomial, exp_pi_i,
+                               reduction_matrix)
 
 
 # -- Phi_n oracles -------------------------------------------------------------
@@ -36,6 +39,17 @@ def test_phi_105_has_coefficient_minus_two():
     # {-1, 0, 1}; its x^7 coefficient is -2 (checked against direct root
     # product via numpy in development)
     assert cyclotomic_polynomial(105)[7] == -2
+
+
+def test_reduction_matrix_matches_reduced_list():
+    rng = random.Random(120)
+    for n in range(1, 121):
+        red = reduction_matrix(n)
+        assert red.shape == (n, len(cyclotomic_polynomial(n)) - 1)
+        for _ in range(2):
+            v = [rng.choice((-1, 1)) * rng.randint(1, 50) for _ in range(n)]
+            want = Cyclotomic(n, dict(enumerate(v)))._reduced_list()
+            assert (np.array(v) @ red).tolist() == want
 
 
 def test_root_satisfies_phi():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from theta5 import series as ser
 from theta5.cyclotomic import Cyclotomic, cyclo_root
 from theta5.series import ExponentPair, PuiseuxSeries2
 
@@ -126,31 +127,91 @@ def test_mul_is_distributive_within_window(a, b, c):
     assert diff.scrubbed().is_zero()
 
 
-# -- the three multiplication lanes agree ---------------------------------------
+# -- the packed kernel against the Fraction oracle -------------------------------
 
-def _dense(grid_n, order, cutoff):
-    # integer-exponent series with coefficients spanning the zeta-order grid
-    terms = {}
-    for i in range(grid_n):
-        terms[ExponentPair(Fraction(i), Fraction(i % 3 - 1))] = \
-            cyclo_root(i % order, order) * (i + 1)
-    return PuiseuxSeries2(terms, Fraction(cutoff))
+def generic_mul(a, b, cut):
+    """Reference product: Cyclotomic arithmetic term by term, keeping every
+    product with x-exponent at most `cut` (all of them when cut is None)."""
+    small, big = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
+    big_items = sorted(big.terms.items(), key=lambda kv: kv[0].xExp)
+    out = {}
+    for e1, c1 in small.terms.items():
+        lim = None if cut is None else cut - e1.xExp
+        for e2, c2 in big_items:
+            if lim is not None and e2.xExp > lim:
+                break
+            key = ExponentPair(e1.xExp + e2.xExp, e1.zExp + e2.zExp)
+            prod = c1 * c2
+            if key in out:
+                s = out[key] + prod
+                if s.coeffs:
+                    out[key] = s
+                else:
+                    del out[key]
+            elif prod.coeffs:
+                out[key] = prod
+    return out
 
 
-def test_lanes_agree_against_generic():
-    from theta5 import series as ser
-    a = _dense(40, 20, 60)
-    b = _dense(35, 20, 60)
+def assert_matches_oracle(a, b):
     fast = a * b
-    slow_terms = ser._generic_lane(a, b, fast.cutoff)
-    slow = PuiseuxSeries2(slow_terms, fast.cutoff)
+    slow = PuiseuxSeries2(generic_mul(a, b, fast.cutoff), fast.cutoff,
+                          _scrub=False)
+    # same positions (both drop exactly the sums that cancel term by term)
+    # and equal values at each
+    assert set(fast.terms) == set(slow.terms)
     assert (fast - slow).scrubbed().is_zero()
 
 
-def test_huge_coefficients_avoid_int64_lane():
-    big = 10 ** 30
-    a = S([(0, 0, big), (1, 0, big)], 4)
-    b = S([(0, 0, big), (2, 0, -big)], 4)
-    c = a * b
-    assert c.coeff(0, 0) == Fraction(big) ** 2
-    assert c.coeff(3, 0) == -Fraction(big) ** 2
+mixed_orders = st.sampled_from([1, 2, 3, 4, 5, 12, 20])
+signed_exps = st.builds(Fraction, st.integers(-12, 12),
+                        st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def mixed_series(draw, magnitude=9):
+    """Negative and fractional exponents, coefficients over several orders,
+    with or without a cutoff."""
+    cut = draw(st.none() | st.builds(Fraction, st.integers(-4, 16),
+                                     st.sampled_from([1, 2, 3])))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        key = ExponentPair(draw(signed_exps),
+                           Fraction(draw(st.integers(-3, 3)),
+                                    draw(st.sampled_from([1, 2]))))
+        order = draw(mixed_orders)
+        c = cyclo_root(draw(st.integers(0, order - 1)), order) * Fraction(
+            draw(st.integers(-magnitude, magnitude).filter(bool)),
+            draw(st.integers(1, 6)))
+        terms[key] = terms.get(key, Cyclotomic.zero()) + c
+    return PuiseuxSeries2(terms, cut)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_series(), mixed_series(magnitude=2 ** 40))
+def test_kernel_matches_oracle(a, b):
+    assert_matches_oracle(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_series(magnitude=2 ** 70), mixed_series(magnitude=2 ** 70))
+def test_kernel_object_path_matches_oracle(a, b):
+    (pa, _), (pb, _) = ser.pack(a.terms), ser.pack(b.terms)
+    (pa, pb), _ = ser.on_common_grid([pa, pb])
+    big = max((abs(v) for s in (a, b) for c in s.terms.values()
+               for v in c.coeffs.values()), default=0)
+    if a.terms and b.terms and big >= 2 ** 62:
+        assert ser.packed_mul(pa, pb).c.dtype == object
+    assert_matches_oracle(a, b)
+
+
+def test_kernel_matches_oracle_past_4096_pairs():
+    def dense(n, order, cutoff):
+        return PuiseuxSeries2(
+            {ExponentPair(Fraction(i, 2), Fraction(i % 3 - 1)):
+             cyclo_root(i % order, order) * (i + 1) for i in range(n)},
+            Fraction(cutoff))
+    a, b = dense(80, 20, 60), dense(70, 12, 60)
+    assert len(a.terms) * len(b.terms) > 4096
+    assert_matches_oracle(a, b)
+
