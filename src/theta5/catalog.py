@@ -197,11 +197,6 @@ def identity_from_dict(d):
                          f"{d.get('id', '<unnamed>')!r}") from None
 
 
-def parse_identity(text):
-    """Parse one identity from a JSON object fragment."""
-    return identity_from_dict(json.loads(text))
-
-
 def load_catalog(path):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -218,7 +213,3 @@ def save_catalog(catalog, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([identity_to_dict(i) for i in catalog], fh, indent=1)
         fh.write("\n")
-
-
-def catalog_to_json(catalog):
-    return json.dumps([identity_to_dict(i) for i in catalog], indent=1)

@@ -95,10 +95,6 @@ def _bneg(b):
     return [(-s, f) for s, f in b]
 
 
-def _bscale(b, scalar):
-    return [(s * scalar, f) for s, f in b]
-
-
 def _galois(terms):
     """a(k) -> b(k); zeta5^e -> zeta5^(3e) on scalars (orders 1 and 5 only)."""
     out = []

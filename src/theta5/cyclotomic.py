@@ -275,11 +275,8 @@ class Cyclotomic:
 
     # -- embedding / formatting ---------------------------------------------
 
-    def embed(self, digits=15):
-        """Complex floating approximation; relative error below 10^-digits
-        for digits <= 15 (double precision)."""
-        if digits > 15:
-            raise ValueError("double-precision embedding supports <= 15 digits")
+    def embed(self):
+        """Complex double-precision approximation."""
         n = self.order
         out = 0j
         for k, v in self.coeffs.items():

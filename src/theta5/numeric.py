@@ -8,13 +8,15 @@ built from theta quotients.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
+from .catalog import Argument, IdentityKind
 from .theta import Characteristic, theta_zero_point
 
 TWO_PI_I = 2j * math.pi
@@ -24,57 +26,76 @@ TWO_PI_I = 2j * math.pi
 class EvalConfig:
     tol: float = 1e-12
     max_terms: int = 4000
-    digits: int = 15
 
     def __post_init__(self):
         if self.max_terms < 8:
             raise ValueError("max_terms must be >= 8")
+        if not 0.0 <= self.tol < 1.0:
+            raise ValueError("tol must lie in [0, 1)")
+
+
+# one shared default, so cache keys built from it compare by identity
+_DEFAULT_CFG = EvalConfig()
+
+
+def _theta_sum(c, zeta, tau, cfg, deriv):
+    """The defining sum at every point of the complex array zeta.  Terms are
+    exp(pi*i*(n+eps/2)^2*tau) * exp(2*pi*i*(n+eps/2)*(zeta+eps'/2)), summed
+    over one window of n around each point's peak term, widened until both
+    of its edge terms fall below tol/100 (relative to the largest term, when
+    that exceeds 1) at every point."""
+    if tau.imag <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    a = float(c.eps) / 2.0
+    b = float(c.epsp) / 2.0
+    # |term| = exp(-pi*(n+a)^2 Im tau - 2*pi*(n+a) Im zeta) peaks here:
+    center = np.rint(-a - zeta.imag / tau.imag)[:, None]
+    # first guess: where the Gaussian has fallen by tol/100 (with tol 0, the
+    # edge terms must underflow to 0)
+    k_max = (cfg.max_terms - 1) // 2
+    k = min(k_max, math.ceil(math.sqrt(
+        math.log(100.0 / max(cfg.tol, 1e-300)) / (math.pi * tau.imag))))
+    while True:
+        m = (center + np.arange(-k, k + 1)) + a  # integer n, then n + a
+        t = np.exp(1j * math.pi * (m * m * tau + 2 * m * (zeta[:, None] + b)))
+        if deriv:
+            t *= TWO_PI_I * m
+        mag = np.abs(t)
+        edge = np.maximum(mag[:, 0], mag[:, -1])
+        if (edge <= cfg.tol * 1e-2 * np.maximum(mag.max(axis=1), 1.0)).all():
+            return t.sum(axis=1)
+        if k == k_max:
+            raise ValueError(
+                f"theta sum did not converge within {cfg.max_terms} terms")
+        k = min(k_max, 2 * k)
 
 
 @functools.lru_cache(maxsize=1 << 18)
-def _theta_sum(c, zeta, tau, cfg, deriv):
-    """Adaptive defining sum.  Terms are exp(pi*i*(n+eps/2)^2*tau) *
-    exp(2*pi*i*(n+eps/2)*(zeta+eps'/2)), summed in shells outward from the
-    index of slowest decay until a whole shell falls below tol/100."""
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
-    a = float(Fraction(c.eps)) / 2.0
-    b = float(Fraction(c.epsp)) / 2.0
-    # |term| = exp(-pi*(n+a)^2 Im tau - 2*pi*(n+a) Im zeta) peaks here:
-    center = int(round(-a - complex(zeta).imag / tau.imag))
-    total = 0j
-    scale = 0.0
-    n_terms = 0
-    k = 0
-    while True:
-        shell = 0.0
-        for n in ({center} if k == 0 else {center - k, center + k}):
-            m = n + a
-            t = cmath.exp(1j * math.pi * (m * m * tau + 2 * m * (zeta + b)))
-            if deriv:
-                t *= TWO_PI_I * m
-            total += t
-            shell = max(shell, abs(t))
-            scale = max(scale, abs(t))
-            n_terms += 1
-            if n_terms > cfg.max_terms:
-                raise ValueError(
-                    f"theta sum did not converge within {cfg.max_terms} terms")
-        if k > 0 and shell <= cfg.tol * 1e-2 * max(scale, 1.0):
-            return total
-        k += 1
+def _theta_point(c, zeta, tau, cfg, deriv):
+    return complex(_theta_sum(c, np.array([zeta]), tau, cfg, deriv)[0])
+
+
+def _theta_array(c, zeta, tau, cfg, deriv):
+    return _theta_sum(c, zeta.astype(complex).ravel(), complex(tau),
+                      cfg or _DEFAULT_CFG, deriv).reshape(zeta.shape)
 
 
 def theta_eval(c, zeta, tau, cfg=None):
-    """theta[c](zeta, tau) as a complex double."""
-    return _theta_sum(c, complex(zeta), complex(tau), cfg or EvalConfig(),
-                      deriv=False)
+    """theta[c](zeta, tau) as a complex double; for an ndarray zeta, a complex
+    array of its shape (computed in one pass, bypassing the scalar cache)."""
+    if isinstance(zeta, np.ndarray):
+        return _theta_array(c, zeta, tau, cfg, False)
+    return _theta_point(c, complex(zeta), complex(tau), cfg or _DEFAULT_CFG,
+                        False)
 
 
 def theta_deriv_eval(c, zeta, tau, cfg=None):
-    """d/dzeta theta[c](zeta, tau): the true derivative (with its 2*pi*i)."""
-    return _theta_sum(c, complex(zeta), complex(tau), cfg or EvalConfig(),
-                      deriv=True)
+    """d/dzeta theta[c](zeta, tau): the true derivative (with its 2*pi*i),
+    for scalar or ndarray zeta as in theta_eval."""
+    if isinstance(zeta, np.ndarray):
+        return _theta_array(c, zeta, tau, cfg, True)
+    return _theta_point(c, complex(zeta), complex(tau), cfg or _DEFAULT_CFG,
+                        True)
 
 
 def sample_tau(seed, count):
@@ -93,20 +114,22 @@ def sample_zeta(seed, count):
             for _ in range(count)]
 
 
+def monomial_value(factors, zeta, tau, cfg, v=1.0):
+    """v times the product of the theta factors, at a scalar or at every
+    point of an ndarray zeta (constant factors at 0)."""
+    for f in factors:
+        arg = zeta if f.argument is Argument.SYMBOLIC_ZETA else 0.0
+        v *= theta_eval(f.char, arg, tau, cfg) ** f.power
+    return v
+
+
 def identity_residual(ident, tau, zeta=None, cfg=None):
     """Relative residual |sum of terms| / max |term| of an identity at one
     (tau, zeta) point.  Returns 0.0 when every term vanishes."""
-    from .catalog import Argument  # local import to avoid a cycle
-    cfg = cfg or EvalConfig()
-    values = []
-    for term in ident.terms:
-        v = term.scalar.embed(cfg.digits)
-        for f in term.factors:
-            arg = zeta if f.argument is Argument.SYMBOLIC_ZETA else 0.0
-            if arg is None:
-                raise ValueError(f"{ident.id}: function identity needs a zeta")
-            v *= theta_eval(f.char, arg, tau, cfg) ** f.power
-        values.append(v)
+    if zeta is None and ident.kind is IdentityKind.FUNCTION:
+        raise ValueError(f"{ident.id}: function identity needs a zeta")
+    values = [monomial_value(term.factors, zeta, tau, cfg, term.scalar.embed())
+              for term in ident.terms]
     scale = max(abs(v) for v in values)
     if scale == 0.0:
         return 0.0
@@ -115,20 +138,17 @@ def identity_residual(ident, tau, zeta=None, cfg=None):
 
 def numeric_residue(f, pole, radius, samples=4096):
     """Residue of f at pole by the trapezoid rule on a circle of the given
-    radius; spectrally accurate for f meromorphic with only this pole inside."""
+    radius; spectrally accurate for f meromorphic with only this pole inside.
+    f is called once, on the complex ndarray of all `samples` nodes."""
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    total = 0j
-    for j in range(samples):
-        w = radius * cmath.exp(TWO_PI_I * j / samples)
-        total += f(pole + w) * w
-    return total / samples
+    w = radius * np.exp(TWO_PI_I * np.arange(samples) / samples)
+    return complex(np.sum(f(pole + w) * w)) / samples
 
 
 def zero_location_check(c, tau, cfg=None, tol=1e-9):
     """Confirms theta[c] vanishes at its predicted zero (a*tau + b) and that
     the zero is simple (derivative bounded away from 0)."""
-    cfg = cfg or EvalConfig()
     a, b = theta_zero_point(c)
     z0 = float(a) * tau + float(b)
     v = theta_eval(c, z0, tau, cfg)
@@ -157,21 +177,19 @@ class ResidueWitness:
     signs: tuple
 
     def function(self, tau, cfg=None):
-        cfg = cfg or EvalConfig()
+        """The witness at tau, as a function of a scalar or an ndarray z."""
 
         def f(z):
-            num = theta_eval(_C11, z, tau, cfg) ** 5
             den = 1.0 + 0j
             for c in self.denominator_chars:
                 den *= theta_eval(c, z, tau, cfg)
-            return num / den
+            return theta_eval(_C11, z, tau, cfg) ** 5 / den
         return f
 
     def pole_points(self, tau):
         return [float(a) * tau + float(b) for a, b in self.poles]
 
     def closed_form_residues(self, tau, cfg=None):
-        cfg = cfg or EvalConfig()
         den = (theta_deriv_eval(_C11, 0.0, tau, cfg)
                * theta_eval(Characteristic.of(1, Fraction(1, 5)), 0.0, tau, cfg) ** 2
                * theta_eval(Characteristic.of(1, Fraction(3, 5)), 0.0, tau, cfg) ** 2)
@@ -233,7 +251,6 @@ class ResidueReport:
 def residue_report(witness, tau, cfg=None, samples=4096, radius=None):
     """Numeric residues at every pole vs. the closed forms, plus the
     sum-to-zero check (relative to the largest residue)."""
-    cfg = cfg or EvalConfig()
     f = witness.function(tau, cfg)
     r = radius if radius is not None else witness.default_radius(tau)
     numeric = [numeric_residue(f, p, r, samples)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .cyclotomic import Cyclotomic, cyclo_root
-from .numeric import EvalConfig, theta_eval
+from .numeric import theta_eval
 from .theta import Characteristic
 
 
@@ -119,20 +121,17 @@ def theta_quadratics(tau, z, w, cfg=None):
 
     where Ak = theta[1/5; k/5] (A5 meaning theta[1/5; 1]) and w5 = zeta5^2.
     Their shared root forces the resultant to vanish identically in (z, w)."""
-    cfg = cfg or EvalConfig()
-
-    def A(k, arg):
-        return theta_eval(Characteristic.of(Fraction(1, 5), Fraction(k, 5)),
-                          arg, tau, cfg)
-
+    zw = np.array([z, w], dtype=complex)
+    # A[k] = [Ak(z), Ak(w)] as Python complex numbers
+    A = {k: theta_eval(Characteristic.of(Fraction(1, 5), Fraction(k, 5)),
+                       zw, tau, cfg).tolist() for k in (1, 3, 5, 7, 9)}
     w5 = cyclo_root(2, 5).embed()
-    fq = (A(3, z) * A(7, z), -A(5, z) ** 2, -A(1, z) * A(9, z))
-    gq = (w5 * A(5, w) * A(9, w), -w5 * A(7, w) ** 2, A(1, w) * A(3, w))
+    fq = (A[3][0] * A[7][0], -A[5][0] ** 2, -A[1][0] * A[9][0])
+    gq = (w5 * A[5][1] * A[9][1], -w5 * A[7][1] ** 2, A[1][1] * A[3][1])
     return fq, gq
 
 
 def shared_root_ratio(tau, cfg=None):
     """The common root itself: theta[1;1/5] / theta[1;3/5] at zeta = 0."""
-    cfg = cfg or EvalConfig()
     return (theta_eval(Characteristic.of(1, Fraction(1, 5)), 0.0, tau, cfg)
             / theta_eval(Characteristic.of(1, Fraction(3, 5)), 0.0, tau, cfg))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .catalog import Argument, ExpectedStatus
 from .cyclotomic import Cyclotomic
-from .numeric import EvalConfig, theta_eval
+from .numeric import monomial_value
 from .series import (ExponentPair, nonzero_positions, on_common_grid, pack,
                      packed_mul, packed_sum)
 from .theta import ThetaMode, theta_series
@@ -180,14 +180,6 @@ def zeta_grid(z_samples):
             for j in range(z_samples)]
 
 
-def _monomial_value(factors, zeta, tau, cfg):
-    v = complex(1.0)
-    for f in factors:
-        arg = zeta if f.argument is Argument.SYMBOLIC_ZETA else 0.0
-        v *= theta_eval(f.char, arg, tau, cfg) ** f.power
-    return v
-
-
 def discover_relations(monomials, tau, z_samples, threshold=1e-8, cfg=None):
     """Numeric nullspace of the (z_samples x k) sample matrix of the given
     theta-product monomials at fixed tau.  Returns nullity and, if >= 1, one
@@ -197,12 +189,10 @@ def discover_relations(monomials, tau, z_samples, threshold=1e-8, cfg=None):
         raise ValueError("need at least as many zeta samples as monomials")
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    cfg = cfg or EvalConfig()
-    grid = zeta_grid(z_samples)
-    M = np.zeros((z_samples, k), dtype=complex)
-    for j, zeta in enumerate(grid):
-        for i, mono in enumerate(monomials):
-            M[j, i] = _monomial_value(mono, zeta, tau, cfg)
+    grid = np.array(zeta_grid(z_samples))
+    M = np.empty((z_samples, k), dtype=complex)
+    for i, mono in enumerate(monomials):
+        M[:, i] = monomial_value(mono, grid, tau, cfg)
     _, sv, vh = np.linalg.svd(M)
     if not sv[0]:
         raise ValueError("degenerate sampling: all monomials vanish")
@@ -210,8 +200,9 @@ def discover_relations(monomials, tau, z_samples, threshold=1e-8, cfg=None):
     coeffs = []
     if nullity >= 1:
         vec = vh[-1].conj()
-        lead = next(x for x in vec if abs(x) > 1e-12)
-        coeffs = list(vec / lead)
+        lead = next(i for i, x in enumerate(vec) if abs(x) > 1e-12)
+        coeffs = list(vec / vec[lead])
+        coeffs[lead] = 1 + 0j  # exactly, not up to the sign of a zero
     return DiscoveredRelation(monomials=list(monomials), coefficients=coeffs,
                               nullity=nullity, tau=tau,
                               singular_values=[float(s) for s in sv])

@@ -2,14 +2,18 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta5.catalog import IdentityKind
 from theta5.catalog_data import builtin_catalog
-from theta5.numeric import (EvalConfig, PHI_WITNESS, PSI_WITNESS,
+from theta5 import numeric
+from theta5.numeric import (EvalConfig, PHI_WITNESS, PSI_WITNESS, TWO_PI_I,
                             identity_residual, numeric_residue, residue_report,
-                            sample_tau, sample_zeta, theta_eval,
-                            zero_location_check)
+                            sample_tau, sample_zeta, theta_deriv_eval,
+                            theta_eval, zero_location_check)
 from theta5.theta import Characteristic
 
 C = Characteristic.of
@@ -18,6 +22,9 @@ C = Characteristic.of
 def test_eval_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(max_terms=4)
+    for tol in (-1e-12, 1.0):
+        with pytest.raises(ValueError):
+            EvalConfig(tol=tol)
 
 
 def test_sample_tau_deterministic_and_in_range():
@@ -51,6 +58,13 @@ def test_identity_residual_zero_over_zero_guard():
     assert identity_residual(ident, 0.1 + 1.0j) < 1e-12
 
 
+def test_function_identity_needs_zeta():
+    ident = next(i for i in builtin_catalog()
+                 if i.kind is IdentityKind.FUNCTION)
+    with pytest.raises(ValueError, match="needs a zeta"):
+        identity_residual(ident, 0.1 + 1.0j)
+
+
 def test_residuals_small_for_holds_and_large_for_corrupt():
     from theta5.catalog import corrupt_identity
     cat = {i.id: i for i in builtin_catalog()}
@@ -64,8 +78,8 @@ def test_residuals_small_for_holds_and_large_for_corrupt():
 
 
 def test_numeric_residue_on_simple_pole():
-    # f(z) = 3/(z - 0.5) + cos(z): residue 3 at 0.5
-    f = lambda z: 3.0 / (z - 0.5) + cmath.cos(z)
+    # f(z) = 3/(z - 0.5) + cos(z): residue 3 at 0.5; f gets the node array
+    f = lambda z: 3.0 / (z - 0.5) + np.cos(z)
     r = numeric_residue(f, 0.5, 0.05)
     assert abs(r - 3.0) < 1e-12
     with pytest.raises(ValueError):
@@ -94,3 +108,127 @@ def test_zero_location_for_several_chars():
                  C(Fraction(3, 5), 1)):
         ok, z0, v, d = zero_location_check(char, 0.12 + 1.3j)
         assert ok, (char, abs(v))
+
+
+# -- the vectorised kernel against the scalar shell sum -------------------------
+
+def shell_sum(c, zeta, tau, cfg, deriv):
+    """Reference theta[c] (or its zeta-derivative) at one point: terms
+    exp(pi*i*(n+eps/2)^2*tau) * exp(2*pi*i*(n+eps/2)*(zeta+eps'/2)) summed
+    in shells outward from the index of slowest decay until a whole shell
+    falls below tol/100.  Returns the sum and the largest |term|."""
+    if tau.imag <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    a = float(Fraction(c.eps)) / 2.0
+    b = float(Fraction(c.epsp)) / 2.0
+    center = int(round(-a - complex(zeta).imag / tau.imag))
+    total = 0j
+    scale = 0.0
+    n_terms = 0
+    k = 0
+    while True:
+        shell = 0.0
+        for n in ({center} if k == 0 else {center - k, center + k}):
+            m = n + a
+            t = cmath.exp(1j * math.pi * (m * m * tau + 2 * m * (zeta + b)))
+            if deriv:
+                t *= TWO_PI_I * m
+            total += t
+            shell = max(shell, abs(t))
+            scale = max(scale, abs(t))
+            n_terms += 1
+            if n_terms > cfg.max_terms:
+                raise ValueError(
+                    f"theta sum did not converge within {cfg.max_terms} terms")
+        if k > 0 and shell <= cfg.tol * 1e-2 * max(scale, 1.0):
+            return total, scale
+        k += 1
+
+
+fifths = st.integers(-10, 10).map(lambda k: Fraction(k, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(eps=fifths, epsp=fifths, deriv=st.booleans(),
+       tau=st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.3, 3.0)),
+       points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 3.0)),
+                       max_size=10))
+def test_kernel_matches_shell_sum(eps, epsp, deriv, tau, points):
+    # Im zeta in rows of Im tau: the points' peak terms sit at different n
+    rows = [(0.3, -2.5), (-0.2, 2.5)] + points
+    zeta = np.array([complex(x, y * tau.imag) for x, y in rows])
+    c, cfg = C(eps, epsp), EvalConfig()
+    got = (theta_deriv_eval if deriv else theta_eval)(c, zeta, tau, cfg)
+    assert got.shape == zeta.shape
+    for z, g in zip(zeta, got):
+        want, scale = shell_sum(c, complex(z), tau, cfg, deriv)
+        assert abs(g - want) <= 1e-13 * max(scale, 1.0), (z, g, want)
+
+
+def test_scalar_calls_use_the_cache_and_arrays_bypass_it():
+    c, tau, zeta = C(Fraction(1, 5), Fraction(3, 5)), 0.1 + 0.9j, 0.2 + 0.1j
+    numeric._theta_point.cache_clear()
+    v = theta_eval(c, zeta, tau)
+    assert type(v) is complex
+    assert theta_eval(c, zeta, tau) == v
+    assert numeric._theta_point.cache_info()[:2] == (1, 1)
+    arr = theta_eval(c, np.array([[zeta, 0.0]]), tau)
+    assert arr.shape == (1, 2)
+    assert abs(arr[0, 0] - v) <= 1e-15 * abs(v)
+    assert numeric._theta_point.cache_info()[:2] == (1, 1)
+
+
+@pytest.mark.parametrize("fn", [theta_eval, theta_deriv_eval])
+def test_array_raises_like_scalar(fn):
+    def message(zeta, tau, cfg=None):
+        with pytest.raises(ValueError) as e:
+            fn(C(0, 0), zeta, tau, cfg)
+        return str(e.value)
+
+    zetas = np.array([0.0, 0.1 + 0.05j])
+    assert message(zetas, -1j) == message(0.0, -1j)
+    slow = EvalConfig(tol=1e-12, max_terms=8)
+    assert message(zetas, 0.001j, slow) == message(0.0, 0.001j, slow)
+    assert "8 terms" in message(zetas, 0.001j, slow)
+
+
+def test_numeric_residue_calls_f_once_on_all_nodes():
+    calls = []
+
+    def f(z):
+        calls.append(z.shape)
+        return 1.0 / z
+
+    assert abs(numeric_residue(f, 0.0, 0.1, samples=64) - 1.0) < 1e-14
+    assert calls == [(64,)]
+
+
+def reference_residues(witness, tau, cfg, samples=4096):
+    """The trapezoid contour point by point on the shell sum."""
+    def theta(c, z):
+        return shell_sum(c, z, tau, cfg, False)[0]
+
+    def f(z):
+        den = 1.0 + 0j
+        for c in witness.denominator_chars:
+            den *= theta(c, z)
+        return theta(C(1, 1), z) ** 5 / den
+
+    r = witness.default_radius(tau)
+    out = []
+    for p in witness.pole_points(tau):
+        total = 0j
+        for j in range(samples):
+            w = r * cmath.exp(TWO_PI_I * j / samples)
+            total += f(p + w) * w
+        out.append(total / samples)
+    return out
+
+
+@pytest.mark.parametrize("witness", [PHI_WITNESS, PSI_WITNESS])
+def test_residue_report_matches_scalar_contour(witness):
+    tau = 0.21 + 1.3j
+    rep = residue_report(witness, tau)
+    ref = reference_residues(witness, tau, EvalConfig())
+    scale = max(abs(v) for v in ref)
+    assert max(abs(a - b) for a, b in zip(rep.numeric, ref)) <= 1e-12 * scale
