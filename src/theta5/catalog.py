@@ -8,6 +8,7 @@ data model, structural validation, (de)serialization and mutation helpers.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -48,6 +49,11 @@ class ThetaFactor:
 class IdentityTerm:
     scalar: Cyclotomic
     factors: list
+
+    @functools.cached_property
+    def scalar_value(self):
+        """The scalar as a complex double, embedded once per term."""
+        return self.scalar.embed()
 
     @property
     def degree(self):

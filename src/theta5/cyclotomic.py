@@ -6,7 +6,10 @@ sum_k c_k * zeta_N^k with zeta_N = exp(2*pi*i/N).  Reduction modulo the N-th
 cyclotomic polynomial Phi_N happens lazily, only inside zero tests and
 equality, so additions and multiplications stay cheap.  reduction_matrix
 gives the same reduction as one integer matrix, for reducing many integer
-group-ring vectors at once.
+group-ring vectors at once.  Elements of Z[zeta_N] also have a dense form,
+phi(N) Python ints reduced through the rows of that matrix: ring_mul
+multiplies two of them, and norm_adjugate turns exact division into a
+product and an integer division (Cyclotomic.inverse, resultant's Bareiss).
 """
 
 from __future__ import annotations
@@ -14,25 +17,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
 
-Rational = Fraction
-
 #: Hard cap on the working order; lcm lifting beyond this raises.
 MAX_ORDER = 400
-
-
-def _divisors(n):
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
 
 
 def _poly_div_exact(num, den):
@@ -51,22 +41,15 @@ def _poly_div_exact(num, den):
     return out
 
 
-# Phi_N cache: functools.lru_cache already behaves as a write-once-per-key
-# table under the GIL; the explicit lock keeps the iterated construction
-# single-writer even on free-threaded builds.
-_phi_lock = threading.RLock()  # reentrant: the construction recurses on divisors
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
     """Coefficients of Phi_n (degree-0 first), by iterated exact division of
     x^n - 1 by Phi_d over all proper divisors d | n."""
-    with _phi_lock:
-        poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-        for d in _divisors(n):
-            if d != n:
-                poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-        return tuple(poly)
+    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,10 +69,6 @@ def reduction_matrix(n):
     out = np.array(rows, dtype=np.int64)
     out.flags.writeable = False
     return out
-
-
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
 
 
 class Cyclotomic:
@@ -155,7 +134,7 @@ class Cyclotomic:
     def _common(self, other):
         if not isinstance(other, Cyclotomic):
             other = Cyclotomic.from_rational(other)
-        n = _lcm(self.order, other.order)
+        n = math.lcm(self.order, other.order)
         return self.lift(n), other.lift(n)
 
     def __add__(self, other):
@@ -254,24 +233,17 @@ class Cyclotomic:
         return not self.is_zero()
 
     def inverse(self):
-        """Field inverse via extended Euclid against Phi_N."""
+        """Field inverse: with self = v/d for v in Z[zeta_N], it is
+        d * adj(v) / norm(v) (see norm_adjugate)."""
         n = self.order
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        a = self._reduced_list()
-        if not any(a):
+        rows = reduction_matrix(n).tolist()
+        d = math.lcm(*(q.denominator for q in self.coeffs.values()))
+        v = int_vector(self, n, d, rows)
+        if not any(v):
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        # extended gcd over Q[x]: keep r = s*a (mod phi); ends with r constant
-        # because phi is irreducible and a is nonzero mod phi.
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        g = r1[0]
-        if not g:
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        return Cyclotomic(n, {i: c / g for i, c in enumerate(s1)})
+        adj, norm = norm_adjugate(v, rows)
+        return Cyclotomic(n, {i: Fraction(d * c, norm)
+                              for i, c in enumerate(adj)})
 
     # -- embedding / formatting ---------------------------------------------
 
@@ -317,43 +289,52 @@ class Cyclotomic:
         return f"Cyclotomic({self.order}, {self.to_string()!r})"
 
 
-def _trim(p):
-    p = list(p)
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p
+# -- Z[zeta_N] on integer vectors ----------------------------------------------
+# An element of Z[zeta_N] is a list of phi(N) Python ints, its coefficients on
+# 1, zeta_N, ..., zeta_N^(phi-1); `rows` is reduction_matrix(N).tolist().
 
 
-def _poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] / lead
+def _fold(out, terms, rows):
+    """Adds c * zeta_N^k, reduced, to the integer vector out for each (k, c)."""
+    n = len(rows)
+    for k, c in terms:
         if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    return _trim(q), _trim(a[:db] if db else [Fraction(0)])
+            out = [o + c * r for o, r in zip(out, rows[k % n])]
+    return out
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def int_vector(c, n, scale, rows):
+    """scale * c as an integer vector at order n, a multiple of c.order;
+    scale must be a multiple of every denominator of c."""
+    f = n // c.order
+    terms = ((k * f, v.numerator * (scale // v.denominator))
+             for k, v in c.coeffs.items())
+    return _fold([0] * len(rows[0]), terms, rows)
+
+
+def ring_mul(a, b, rows):
+    """Product of two integer vectors: the schoolbook product of length
+    2*phi - 1, its terms of degree phi and up folded back through rows."""
+    phi = len(a)
+    full = [0] * (2 * phi - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
+            full[i:i + phi] = [s + x * y for s, y in zip(full[i:i + phi], b)]
+    return _fold(full[:phi], enumerate(full[phi:], phi), rows)
 
 
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
+def norm_adjugate(a, rows):
+    """(adj, norm) for a nonzero integer vector a: adj is the product of the
+    conjugates sigma_j(a) (zeta_N -> zeta_N^j) over the units j != 1 mod N,
+    and norm = a * adj is a rational integer.  An exact quotient b / a in
+    Z[zeta_N] is therefore b * adj with each coefficient divided by norm."""
+    n, zero = len(rows), [0] * len(a)
+    adj = [1] + zero[1:]
+    for j in range(2, n):
+        if math.gcd(j, n) == 1:
+            conj = _fold(zero, ((i * j, c) for i, c in enumerate(a)), rows)
+            adj = ring_mul(adj, conj, rows)
+    return adj, ring_mul(a, adj, rows)[0]
 
 
 # -- module-level operation names matching the published interface -----------

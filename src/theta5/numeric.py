@@ -38,16 +38,17 @@ class EvalConfig:
 _DEFAULT_CFG = EvalConfig()
 
 
-def _theta_sum(c, zeta, tau, cfg, deriv):
-    """The defining sum at every point of the complex array zeta.  Terms are
+def _theta_sum(eps, epsp, zeta, tau, cfg, deriv):
+    """The defining sum, for the characteristic [eps; epsp] given as floats,
+    at every point of the complex array zeta.  Terms are
     exp(pi*i*(n+eps/2)^2*tau) * exp(2*pi*i*(n+eps/2)*(zeta+eps'/2)), summed
     over one window of n around each point's peak term, widened until both
     of its edge terms fall below tol/100 (relative to the largest term, when
     that exceeds 1) at every point."""
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    a = float(c.eps) / 2.0
-    b = float(c.epsp) / 2.0
+    a = eps / 2.0
+    b = epsp / 2.0
     # |term| = exp(-pi*(n+a)^2 Im tau - 2*pi*(n+a) Im zeta) peaks here:
     center = np.rint(-a - zeta.imag / tau.imag)[:, None]
     # first guess: where the Gaussian has fallen by tol/100 (with tol 0, the
@@ -71,31 +72,31 @@ def _theta_sum(c, zeta, tau, cfg, deriv):
 
 
 @functools.lru_cache(maxsize=1 << 18)
-def _theta_point(c, zeta, tau, cfg, deriv):
-    return complex(_theta_sum(c, np.array([zeta]), tau, cfg, deriv)[0])
+def _theta_point(p, q, r, s, zeta, tau, cfg, deriv):
+    """Keyed on the characteristic [p/q; r/s]'s own ints: no Fraction hash."""
+    return complex(_theta_sum(p / q, r / s, np.array([zeta]), tau, cfg,
+                              deriv)[0])
 
 
-def _theta_array(c, zeta, tau, cfg, deriv):
-    return _theta_sum(c, zeta.astype(complex).ravel(), complex(tau),
-                      cfg or _DEFAULT_CFG, deriv).reshape(zeta.shape)
+def _theta(c, zeta, tau, cfg, deriv):
+    (eps, epsp), cfg = c, cfg or _DEFAULT_CFG
+    if isinstance(zeta, np.ndarray):
+        return _theta_sum(float(eps), float(epsp), zeta.astype(complex).ravel(),
+                          complex(tau), cfg, deriv).reshape(zeta.shape)
+    return _theta_point(eps.numerator, eps.denominator, epsp.numerator,
+                        epsp.denominator, complex(zeta), complex(tau), cfg, deriv)
 
 
 def theta_eval(c, zeta, tau, cfg=None):
     """theta[c](zeta, tau) as a complex double; for an ndarray zeta, a complex
     array of its shape (computed in one pass, bypassing the scalar cache)."""
-    if isinstance(zeta, np.ndarray):
-        return _theta_array(c, zeta, tau, cfg, False)
-    return _theta_point(c, complex(zeta), complex(tau), cfg or _DEFAULT_CFG,
-                        False)
+    return _theta(c, zeta, tau, cfg, False)
 
 
 def theta_deriv_eval(c, zeta, tau, cfg=None):
     """d/dzeta theta[c](zeta, tau): the true derivative (with its 2*pi*i),
     for scalar or ndarray zeta as in theta_eval."""
-    if isinstance(zeta, np.ndarray):
-        return _theta_array(c, zeta, tau, cfg, True)
-    return _theta_point(c, complex(zeta), complex(tau), cfg or _DEFAULT_CFG,
-                        True)
+    return _theta(c, zeta, tau, cfg, True)
 
 
 def sample_tau(seed, count):
@@ -128,7 +129,7 @@ def identity_residual(ident, tau, zeta=None, cfg=None):
     (tau, zeta) point.  Returns 0.0 when every term vanishes."""
     if zeta is None and ident.kind is IdentityKind.FUNCTION:
         raise ValueError(f"{ident.id}: function identity needs a zeta")
-    values = [monomial_value(term.factors, zeta, tau, cfg, term.scalar.embed())
+    values = [monomial_value(term.factors, zeta, tau, cfg, term.scalar_value)
               for term in ident.terms]
     scale = max(abs(v) for v in values)
     if scale == 0.0:

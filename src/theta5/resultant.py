@@ -1,19 +1,23 @@
 """Exact resultants of polynomials with cyclotomic coefficients.
 
 Polynomials are plain lists of Cyclotomic coefficients, degree-0 first.
-The resultant is computed as the determinant of the Sylvester matrix via
-fraction-free Bareiss elimination (exact divisions use field inverses in
-Q(zeta_N)).  A closed 2x2-quadratic formula and the numeric theta quadratics
+The resultant is the determinant of the Sylvester matrix, by fraction-free
+Bareiss elimination over Z[zeta_N] with rows cleared of denominators; the
+exact division by the previous pivot p is a product with adj(p), the product
+of p's other Galois conjugates, and an integer division by the norm
+p * adj(p).  A closed 2x2-quadratic formula and the numeric theta quadratics
 that share the root theta[1;1/5]/theta[1;3/5] round the module out.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, cyclo_root
+from .cyclotomic import (MAX_ORDER, Cyclotomic, cyclo_root, int_vector,
+                         norm_adjugate, reduction_matrix, ring_mul)
 from .numeric import theta_eval
 from .theta import Characteristic
 
@@ -54,30 +58,38 @@ def sylvester_matrix(f, g):
 
 def _bareiss_det(rows):
     """Exact determinant by Bareiss fraction-free elimination with row
-    pivoting; every division is exact in the field."""
+    pivoting, over Z[zeta_N] for N the lcm of the entry orders, each row
+    scaled by the lcm of its denominators (exact division: module docstring)."""
     n = len(rows)
     if n == 0:
         return Cyclotomic.one()
-    m = [list(r) for r in rows]
+    order = math.lcm(*(c.order for r in rows for c in r))
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds MAX_ORDER={MAX_ORDER}")
+    red = reduction_matrix(order).tolist()
+    dens = [math.lcm(*(v.denominator for c in r for v in c.coeffs.values()))
+            for r in rows]
+    m = [[int_vector(c, order, d, red) for c in r] for r, d in zip(rows, dens)]
     sign = 1
-    prev = Cyclotomic.one()
     for k in range(n - 1):
-        if m[k][k].is_zero():
+        if k:
+            adj, norm = norm_adjugate(m[k - 1][k - 1], red)
+        if not any(m[k][k]):
             for i in range(k + 1, n):
-                if not m[i][k].is_zero():
+                if any(m[i][k]):
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
                 return Cyclotomic.zero()
-        inv_prev = prev.inverse()
-        for i in range(k + 1, n):
+        top = m[k]
+        for row in m[k + 1:]:
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) * inv_prev
-            m[i][k] = Cyclotomic.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+                t = [x - y for x, y in zip(ring_mul(row[j], top[k], red),
+                                           ring_mul(row[k], top[j], red))]
+                row[j] = [x // norm for x in ring_mul(t, adj, red)] if k else t
+    return Cyclotomic(order, {i: Fraction(c, sign * math.prod(dens))
+                              for i, c in enumerate(m[n - 1][n - 1])})
 
 
 def resultant(f, g):

@@ -116,6 +116,18 @@ def test_inverse():
     assert g * g.inverse() == 1
 
 
+def test_inverse_at_every_order_up_to_60():
+    rng = random.Random(60)
+    for n in range(1, 61):
+        for _ in range(3):
+            c = Cyclotomic.zero(n)
+            while c.is_zero():
+                c = Cyclotomic(n, {rng.randrange(n): Fraction(rng.randint(-6, 6),
+                                                              rng.randint(1, 5))
+                                   for _ in range(rng.randint(1, 4))})
+            assert c * c.inverse() == 1
+
+
 def test_nontrivial_zero_detection():
     # 1 + zeta5 + ... + zeta5^4 = 0 even though the group-ring dict is full
     s = sum((cyclo_root(k, 5) for k in range(1, 5)), Cyclotomic.one(5))

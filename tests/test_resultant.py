@@ -1,13 +1,20 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from theta5.cyclotomic import Cyclotomic, cyclo_root
+from theta5.cli import main
+from theta5.cyclotomic import Cyclotomic, cyclo_root, cyclotomic_polynomial
 from theta5.numeric import sample_tau, sample_zeta
-from theta5.resultant import (poly_degree, resultant, resultant_2x2,
-                              shared_root_ratio, sylvester_matrix,
-                              theta_quadratics)
+from theta5.resultant import (_bareiss_det, poly_degree, resultant,
+                              resultant_2x2, shared_root_ratio,
+                              sylvester_matrix, theta_quadratics)
+
+DATA = Path(__file__).parent / "data"
 
 
 def _poly_from_roots(roots):
@@ -110,3 +117,152 @@ def test_theta_quadratics_generic_resultant_is_nonzero():
     fq = (fq[0] * 1.01, fq[1], fq[2])
     scale = max(abs(c) for c in (*fq, *gq))
     assert abs(resultant_2x2(fq, gq)) > 1e-6 * scale ** 4
+
+
+# -- the Fraction Bareiss that integer elimination over Z[zeta_N] replaced,
+# kept as the oracle, with the extended-Euclid inverse over Q[x] it divided by
+
+def _trim(p):
+    p = list(p)
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_divmod(a, b):
+    a = list(a)
+    db = len(b) - 1
+    q = [Fraction(0)] * max(1, len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] / b[-1]
+        if c:
+            q[i - db] = c
+            for j in range(db + 1):
+                a[i - db + j] -= c * b[j]
+    return _trim(q), _trim(a[:db] if db else [Fraction(0)])
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _poly_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _trim(out)
+
+
+def euclid_inverse(c):
+    """Field inverse by extended Euclid against Phi_N over Q[x]."""
+    phi = [Fraction(v) for v in cyclotomic_polynomial(c.order)]
+    r0, r1 = phi, _trim(c._reduced_list())
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    return Cyclotomic(c.order, {i: v / r1[0] for i, v in enumerate(s1)})
+
+
+def fraction_bareiss(rows):
+    """Bareiss elimination with row pivoting in Cyclotomic arithmetic, each
+    exact division a product with a field inverse."""
+    n = len(rows)
+    if n == 0:
+        return Cyclotomic.one()
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = Cyclotomic.one()
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not m[i][k].is_zero():
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Cyclotomic.zero()
+        inv_prev = euclid_inverse(prev)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) * inv_prev
+            m[i][k] = Cyclotomic.zero()
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+ORDERS = (1, 2, 3, 4, 5, 8, 10, 12, 15, 20)
+
+
+@st.composite
+def entry(draw, n):
+    """An element of Q(zeta_d) for a divisor d of n, zero a quarter of the
+    time (at order d too), with small rational coefficients."""
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    if draw(st.integers(0, 3)) == 0:
+        return Cyclotomic.zero(d)
+    return Cyclotomic(d, {draw(st.integers(0, d - 1)):
+                          Fraction(draw(st.integers(-5, 5)),
+                                   draw(st.integers(1, 4)))
+                          for _ in range(draw(st.integers(1, 3)))})
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices over Q(zeta_n) with mixed entry orders: generic, with
+    a zero first pivot, with a second pivot that elimination cancels (both
+    need a row swap), or singular (one row a multiple of another)."""
+    n = draw(st.sampled_from(ORDERS))
+    size = draw(st.integers(1, 4))
+    rows = [[draw(entry(n)) for _ in range(size)] for _ in range(size)]
+    shape = draw(st.sampled_from(("generic", "zero-pivot", "late-swap",
+                                  "singular")))
+    if shape == "zero-pivot":
+        rows[0][0] = Cyclotomic.zero()
+    elif shape == "late-swap" and size >= 3:
+        f = draw(entry(n))
+        rows[1][:2] = [rows[0][0] * f, rows[0][1] * f]
+    elif shape == "singular" and size >= 2:
+        i, j = draw(st.permutations(range(size)))[:2]
+        f = draw(entry(n))
+        rows[i] = [c * f for c in rows[j]]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_bareiss_matches_fraction_oracle(rows):
+    got, want = _bareiss_det(rows), fraction_bareiss(rows)
+    assert got == want
+    assert got.order == want.order
+    assert got.to_string() == want.to_string()
+
+
+def test_bareiss_order_cap_matches_oracle():
+    rows = [[cyclo_root(1, 7), Cyclotomic.zero()],
+            [Cyclotomic.zero(), cyclo_root(1, 100)]]
+    with pytest.raises(ValueError) as want:
+        fraction_bareiss(rows)
+    with pytest.raises(ValueError) as got:
+        _bareiss_det(rows)
+    assert str(got.value) == str(want.value)
+
+
+GOLDEN = json.loads((DATA / "resultant_cli.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_exact_resultant_json_is_byte_identical(capsys, name):
+    """`theta5 --format json resultant --f/--g` against the output of the
+    Fraction Bareiss engine, stored in tests/data/resultant_cli.json."""
+    case = GOLDEN[name]
+    assert main(case["argv"]) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
