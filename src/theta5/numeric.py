@@ -22,8 +22,11 @@ from .theta import Characteristic, theta_zero_point
 TWO_PI_I = 2j * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalConfig:
+    """Truncation settings of the numeric theta sum.  Compared and hashed by
+    identity (eq=False): the scalar theta cache keys on the config, and the
+    generated value hash would run in Python on every cache hit."""
     tol: float = 1e-12
     max_terms: int = 4000
 
@@ -34,7 +37,7 @@ class EvalConfig:
             raise ValueError("tol must lie in [0, 1)")
 
 
-# one shared default, so cache keys built from it compare by identity
+# one shared default, so calls without a config share cache entries
 _DEFAULT_CFG = EvalConfig()
 
 

@@ -40,7 +40,7 @@ def _report(n, name, ok):
 
 def test_acceptance_01_corpus_exact_cutoff8():
     from theta5 import verify as v
-    v._theta_factor.cache_clear()
+    v._theta_power.cache_clear()
     cat = [i for i in builtin_catalog() if i.expected is ExpectedStatus.HOLDS]
     t0 = time.perf_counter()
     reports = verify_all(cat, 8)

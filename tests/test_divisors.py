@@ -2,7 +2,20 @@ import time
 
 import pytest
 
+from theta5 import divisors
 from theta5.divisors import delta, sigma, verify_sigma_convolution
+
+
+def _scalar_report(n_max):
+    """The convolution check as a loop over the scalar definitions."""
+    d = [delta(3 * k + 1) for k in range(n_max + 1)]
+    failures = []
+    for n in range(n_max + 1):
+        lhs = sigma(3 * n + 2)
+        rhs = 3 * sum(d[k] * d[n - k] for k in range(n + 1))
+        if lhs != rhs:
+            failures.append((n, lhs, rhs))
+    return n_max + 1, failures
 
 
 def test_sigma_small_values():
@@ -49,3 +62,32 @@ def test_convolution_500_is_fast():
     elapsed = time.perf_counter() - t0
     assert rep.passed
     assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 50, 300])
+def test_vectorised_report_matches_scalar_loop(n_max):
+    rep = verify_sigma_convolution(n_max)
+    checked, failures = _scalar_report(n_max)
+    assert (rep.checked, rep.failures, rep.passed) == \
+        (checked, failures, not failures)
+
+
+def test_sieves_match_scalar_definitions():
+    sig, dlt = divisors._sieves(3 * 300 + 2)
+    assert sig[1:].tolist() == [sigma(n) for n in range(1, 903)]
+    assert dlt[1:].tolist() == [delta(n) for n in range(1, 903)]
+
+
+def test_failures_are_python_ints(monkeypatch):
+    sieves = divisors._sieves
+
+    def off_by_one(m):
+        sig, dlt = sieves(m)
+        sig[5] += 1  # sigma(3*1 + 2)
+        return sig, dlt
+
+    monkeypatch.setattr(divisors, "_sieves", off_by_one)
+    rep = verify_sigma_convolution(10)
+    assert rep.failures == [(1, 7, 6)]
+    assert all(type(x) is int for x in rep.failures[0])
+    assert not rep.passed

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,19 @@ def test_scalar_calls_use_the_cache_and_arrays_bypass_it():
     assert arr.shape == (1, 2)
     assert abs(arr[0, 0] - v) <= 1e-15 * abs(v)
     assert numeric._theta_point.cache_info()[:2] == (1, 1)
+
+
+def test_scalar_cache_hit_runs_no_python_hash():
+    c, tau, zeta, cfg = C(Fraction(1, 5), Fraction(3, 5)), 0.1 + 0.9j, 0.2j, EvalConfig()
+    v = theta_eval(c, zeta, tau, cfg)
+    called = []
+    sys.setprofile(lambda frame, event, arg:
+                   called.append(frame.f_code.co_name) if event == "call" else None)
+    try:
+        assert theta_eval(c, zeta, tau, cfg) == v
+    finally:
+        sys.setprofile(None)
+    assert "__hash__" not in called and "_theta_sum" not in called, called
 
 
 @pytest.mark.parametrize("fn", [theta_eval, theta_deriv_eval])

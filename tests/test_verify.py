@@ -1,13 +1,19 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from theta5.catalog import Argument, ExpectedStatus, ThetaFactor, corrupt_identity
+from theta5 import verify as v
+from theta5.catalog import (Argument, ExpectedStatus, IdentityTerm, ThetaFactor,
+                            corrupt_identity)
 from theta5.catalog_data import builtin_catalog
 from theta5.numeric import theta_eval
-from theta5.theta import Characteristic
+from theta5.series import Packed, on_common_grid, pack, packed_mul, packed_sum
+from theta5.theta import Characteristic, ThetaMode, theta_series
 from theta5.verify import (batch_passed, discover_relations, reports_to_json,
                            verify_all, verify_exact, zeta_grid)
 
@@ -66,6 +72,95 @@ def test_deep_cutoff_verifies():
     assert verify_exact(_by_id("ratio7-15-1-1"), 32).passed
 
 
+def _corpus_factors():
+    """{(key, power): (char, mode)} over every factor of the corpus."""
+    out = {}
+    for ident in builtin_catalog():
+        for term in ident.terms:
+            for f, kp in zip(term.factors, v._factors(term)):
+                mode = (ThetaMode.FUNCTION if f.argument is Argument.SYMBOLIC_ZETA
+                        else ThetaMode.CONSTANT)
+                out[kp] = (f.char, mode)
+    return out
+
+
+def _same(a, b):
+    assert (a.dx, a.dz, a.order) == (b.dx, b.dz, b.order)
+    for name in ("ix", "iz", "k", "c"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("cutoff", [Fraction(1, 2), Fraction(4), Fraction(8)])
+def test_theta_power_matches_sequential_product(cutoff):
+    # the cached power, truncated on the factor's own grid, equals the power
+    # multiplied out one factor at a time on the grid refined by the cutoff
+    cut = cutoff.numerator, cutoff.denominator
+    for (key, power), (char, mode) in _corpus_factors().items():
+        (f,), icut = on_common_grid([pack(theta_series(char, mode, cutoff).terms)[0]],
+                                    cutoff)
+        want = f
+        for _ in range(power - 1):
+            want = packed_mul(want, f, icut)
+        got = v._theta_power(*key, power, *cut)
+        _same(got.regrid(f.dx, f.dz, f.order), want)
+
+
+def _packed(entries, order):
+    ix, iz, k, c = zip(*entries) if entries else ((),) * 4
+    big = max(map(abs, c), default=0) >= 1 << 61
+    return packed_sum([Packed(np.array(ix, np.int64), np.array(iz, np.int64),
+                              np.array(k, np.int64) % order,
+                              np.array(c, object if big else np.int64),
+                              1, 1, order)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(order=st.sampled_from([1, 5, 20, 100]),
+       entries=st.lists(st.tuples(st.integers(0, 8), st.integers(-4, 4),
+                                  st.integers(0, 99),
+                                  st.integers(-(1 << 40), 1 << 40)),
+                        max_size=30),
+       k0=st.integers(0, 99),
+       c0=st.one_of(st.integers(-50, 50),
+                    st.integers(1 << 20, 1 << 70)).filter(bool))
+@example(order=5, entries=[(0, 0, 1, 3), (1, 2, 3, -(1 << 40))], k0=2, c0=1 << 30)
+def test_one_entry_scalar_matches_kernel(order, entries, k0, c0):
+    # mono is a monomial already truncated at the cutoff 8
+    mono = _packed(entries, order)
+    scalar = _packed([(0, 0, k0, c0)], order)
+    got = v._scaled(mono, scalar, 8)
+    _same(packed_sum([got]), packed_mul(mono, scalar, 8))
+    if mono.c.size and int(np.abs(mono.c).max()) * abs(c0) >= 1 << 61:
+        assert got.c.dtype == object
+
+
+def test_corpus_pass_reuses_cached_powers(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return packed_mul(*args)
+
+    monkeypatch.setattr(v, "packed_mul", counted)
+    v._theta_power.cache_clear()
+    reports = verify_all(builtin_catalog(), 8)
+    info = v._theta_power.cache_info()
+    v._theta_power.cache_clear()  # drop the entries built through `counted`
+    assert sum(r.passed for r in reports) == 80
+    assert info.hits > info.misses
+    assert len(calls) <= 1300  # 3,991 when every power was multiplied out
+
+
+@pytest.mark.parametrize("dense_pairs", [0, 10 ** 12])
+def test_dense_split_gives_the_same_reports(monkeypatch, dense_pairs):
+    # every power split into bare factors, or none: the reports do not change
+    idents = [_by_id(i) for i in ("quintic-eps15", "ratio7-15-1-1", "fk-cubic-2")]
+    idents += [corrupt_identity(i, seed) for i in idents for seed in (0, 1)]
+    want = reports_to_json([verify_exact(i, 8) for i in idents])
+    monkeypatch.setattr(v, "_DENSE_PAIRS", dense_pairs)
+    assert reports_to_json([verify_exact(i, 8) for i in idents]) == want
+
+
 def test_report_json_shape():
     rep = verify_exact(corrupt_identity(_by_id("jacobi-quartic"), 0), 4)
     blob = json.loads(reports_to_json([rep]))
@@ -83,6 +178,22 @@ def test_report_json_shape():
 def test_cutoff_validation():
     with pytest.raises(ValueError):
         verify_exact(_by_id("jacobi-quartic"), 0)
+
+
+def test_too_small_cutoff_names_the_smallest_empty_factor():
+    # at cutoff 1/10 only theta[0;0] has a term; the first term with an empty
+    # factor raises, naming its smallest empty characteristic
+    ident = _by_id("jacobi-quartic")
+    F = ThetaFactor
+    scalar = ident.terms[0].scalar
+    bad = dataclasses.replace(ident, terms=[
+        IdentityTerm(scalar, [F(C(0, 0), 2), F(C(1, Fraction(3, 5)), 2)]),
+        IdentityTerm(scalar, [F(C(1, Fraction(3, 5)), 2), F(C(1, Fraction(1, 5)), 2)])])
+    with pytest.raises(ValueError, match=r"term of theta\[1;3/5\]$"):
+        verify_exact(bad, Fraction(1, 10))
+    bad.terms.reverse()
+    with pytest.raises(ValueError, match=r"term of theta\[1;1/5\]$"):
+        verify_exact(bad, Fraction(1, 10))
 
 
 def test_zeta_grid_documented_formula():
