@@ -42,9 +42,16 @@ def _emit(args, payload, text_lines):
 
 
 def _get_catalog(args):
-    if args.catalog:
-        return load_catalog(args.catalog)
-    return list(catalog_data.builtin_catalog())
+    """The catalog, narrowed to args.ids when any are given."""
+    cat = (load_catalog(args.catalog) if args.catalog
+           else list(catalog_data.builtin_catalog()))
+    if args.ids:
+        wanted = set(args.ids)
+        cat = [i for i in cat if i.id in wanted]
+        missing = wanted - {i.id for i in cat}
+        if missing:
+            raise SystemExit2(f"unknown identity ids: {sorted(missing)}")
+    return cat
 
 
 def _parse_char(text):
@@ -64,12 +71,6 @@ class SystemExit2(Exception):
 
 def cmd_verify(args):
     cat = _get_catalog(args)
-    if args.ids:
-        wanted = set(args.ids)
-        cat = [i for i in cat if i.id in wanted]
-        missing = wanted - {i.id for i in cat}
-        if missing:
-            raise SystemExit2(f"unknown identity ids: {sorted(missing)}")
     t0 = time.perf_counter()
     reports = verify_all(cat, Fraction(args.cutoff))
     elapsed = time.perf_counter() - t0
@@ -109,12 +110,6 @@ def cmd_expand(args):
 
 def cmd_eval(args):
     cat = _get_catalog(args)
-    if args.ids:
-        wanted = set(args.ids)
-        cat = [i for i in cat if i.id in wanted]
-        missing = wanted - {i.id for i in cat}
-        if missing:
-            raise SystemExit2(f"unknown identity ids: {sorted(missing)}")
     cfg = EvalConfig(tol=min(args.tol, 1e-12))
     taus = sample_tau(args.seed, args.samples)
     zetas = sample_zeta(args.seed, 5)
@@ -334,6 +329,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.samples < 1:  # zero samples would check nothing and still pass
+        parser.error(f"--samples must be >= 1, got {args.samples}")
     try:
         return args.handler(args)
     except SystemExit2 as e:

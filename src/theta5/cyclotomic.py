@@ -214,8 +214,8 @@ class Cyclotomic:
         return p[:deg]
 
     def is_zero(self):
-        if not self.coeffs:
-            return True
+        if len(self.coeffs) < 2:  # c * zeta_N^k with c != 0 is a unit
+            return not self.coeffs
         return not any(self._reduced_list())
 
     def reduced(self):

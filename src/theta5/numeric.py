@@ -170,15 +170,16 @@ def zero_location_check(c, tau, cfg=None, tol=1e-9):
 # residues sum to zero.
 
 _C11 = Characteristic.of(1, 1)
+#: Sign of the closed-form residue at the pole of each denominator factor.
+_RESIDUE_SIGNS = (-1, 1, -1, 1, -1)
 
 
 @dataclass(frozen=True)
 class ResidueWitness:
+    """Pole k is the zero of denominator factor k, and the closed form of its
+    residue has that factor's theta constant to the fifth as numerator."""
     name: str
     denominator_chars: tuple          # characteristics of the pole factors
-    poles: tuple                      # (coeff of tau, additive constant)
-    numerator_chars: tuple            # closed-form numerators, pole-aligned
-    signs: tuple
 
     def function(self, tau, cfg=None):
         """The witness at tau, as a function of a scalar or an ndarray z."""
@@ -191,14 +192,15 @@ class ResidueWitness:
         return f
 
     def pole_points(self, tau):
-        return [float(a) * tau + float(b) for a, b in self.poles]
+        return [float(a) * tau + float(b)
+                for a, b in map(theta_zero_point, self.denominator_chars)]
 
     def closed_form_residues(self, tau, cfg=None):
         den = (theta_deriv_eval(_C11, 0.0, tau, cfg)
                * theta_eval(Characteristic.of(1, Fraction(1, 5)), 0.0, tau, cfg) ** 2
                * theta_eval(Characteristic.of(1, Fraction(3, 5)), 0.0, tau, cfg) ** 2)
         return [s * theta_eval(c, 0.0, tau, cfg) ** 5 / den
-                for s, c in zip(self.signs, self.numerator_chars)]
+                for s, c in zip(_RESIDUE_SIGNS, self.denominator_chars)]
 
     def default_radius(self, tau):
         pts = self.pole_points(tau)
@@ -207,34 +209,12 @@ class ResidueWitness:
         return 0.02 * dmin
 
 
-def _chars(eps, ks):
-    return tuple(Characteristic.of(eps, Fraction(k, 5)) for k in ks)
+def _chars(eps):
+    return tuple(Characteristic.of(eps, Fraction(k, 5)) for k in (1, 3, 5, 7, 9))
 
 
-PHI_WITNESS = ResidueWitness(
-    name="phi",
-    denominator_chars=_chars(Fraction(1, 5), (1, 3, 5, 7, 9)),
-    poles=((Fraction(2, 5), Fraction(2, 5)),
-           (Fraction(2, 5), Fraction(1, 5)),
-           (Fraction(2, 5), Fraction(0)),
-           (Fraction(2, 5), Fraction(-1, 5)),
-           (Fraction(2, 5), Fraction(-2, 5))),
-    numerator_chars=_chars(Fraction(1, 5), (1, 3, 5, 7, 9)),
-    signs=(-1, 1, -1, 1, -1),
-)
-
-PSI_WITNESS = ResidueWitness(
-    name="psi",
-    denominator_chars=_chars(Fraction(3, 5), (1, 3, 5, 7, 9)),
-    poles=((Fraction(1, 5), Fraction(2, 5)),
-           (Fraction(1, 5), Fraction(1, 5)),
-           (Fraction(1, 5), Fraction(0)),
-           (Fraction(1, 5), Fraction(-1, 5)),
-           (Fraction(1, 5), Fraction(-2, 5))),
-    numerator_chars=_chars(Fraction(3, 5), (1, 3, 5, 7, 9)),
-    signs=(-1, 1, -1, 1, -1),
-)
-
+PHI_WITNESS = ResidueWitness("phi", _chars(Fraction(1, 5)))
+PSI_WITNESS = ResidueWitness("psi", _chars(Fraction(3, 5)))
 RESIDUE_WITNESSES = (PHI_WITNESS, PSI_WITNESS)
 
 

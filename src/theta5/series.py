@@ -83,14 +83,6 @@ class PuiseuxSeries2:
             terms[key] = terms[key] + c if key in terms else c
         return PuiseuxSeries2(terms, cutoff)
 
-    @staticmethod
-    def zero(cutoff=None):
-        return PuiseuxSeries2({}, cutoff)
-
-    @staticmethod
-    def one(cutoff=None):
-        return PuiseuxSeries2.from_terms([(0, 0, 1)], cutoff)
-
     # -- basic structure ------------------------------------------------------
 
     def items(self):

@@ -7,16 +7,19 @@ expanded in x = exp(pi*i*tau) and z = exp(2*pi*i*zeta): the n-th term is
 
     exp(pi*i*(n+eps/2)*eps') * x^((n+eps/2)^2) * z^(n+eps/2)
 
-with an exact root-of-unity coefficient.  Constant mode sets z = 1.  Also
-here: the Jacobi triple-product expansion, the zeta-derivative series
-(normalized as theta'/(2*pi*i) so coefficients stay cyclotomic), the
-characteristic-reduction and quasi-periodicity shift laws, and the zero
-location in the fundamental parallelogram.
+with an exact root-of-unity coefficient.  Constant mode sets z = 1.  One
+function expands this sum at zeta shifted by a half period (j + m*tau)/2
+for integers j and m, optionally with the factor (n+eps/2) of the
+zeta-derivative (normalized as theta'/(2*pi*i) so coefficients stay
+cyclotomic); the plain series, the derivative series and the integer and
+half-period shifts are all calls to it, so the quasi-periodicity laws are
+checked against the defining sum itself.  Also here: the Jacobi
+triple-product expansion, characteristic reduction, and the zero location
+in the fundamental parallelogram.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from enum import Enum
 from fractions import Fraction
@@ -57,41 +60,46 @@ def _n_range(center, spread_sq):
     return [n for n in range(lo, hi + 1) if (n + center) ** 2 <= spread_sq]
 
 
-def theta_series(c: Characteristic, mode: ThetaMode, cutoff) -> PuiseuxSeries2:
-    """Defining-sum expansion, exact to the inclusive cutoff on x-exponents."""
-    cutoff = Fraction(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+def _defining_sum(c, cutoff, function, m=0, n=0, deriv=False):
+    """theta[c](zeta + (n + m*tau)/2) from the defining sum, exact to the
+    inclusive cutoff: for t = k + eps/2 the term has x-exponent t^2 + m*t,
+    z-exponent t (0 unless `function`) and coefficient
+    exp(pi*i*t*(eps' + n)), times t when `deriv`."""
     a = Fraction(c.eps, 2)
+    half_m = Fraction(m, 2)
     terms = {}
-    for n in _n_range(a, cutoff):
-        m = n + a
-        coeff = exp_pi_i(m * c.epsp)
-        key = ExponentPair(m * m, m if mode is ThetaMode.FUNCTION else Fraction(0))
+    # t^2 + m*t <= cutoff  <=>  (t + m/2)^2 <= cutoff + m^2/4
+    for k in _n_range(a + half_m, cutoff + half_m * half_m):
+        t = k + a
+        coeff = exp_pi_i(t * (c.epsp + n))
+        if deriv:
+            coeff = coeff * t
+        key = ExponentPair(t * t + m * t, t if function else Fraction(0))
         terms[key] = terms[key] + coeff if key in terms else coeff
     return PuiseuxSeries2(terms, cutoff)
 
 
-@functools.lru_cache(maxsize=None)
+def _nonnegative(cutoff):
+    cutoff = Fraction(cutoff)
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    return cutoff
+
+
+def theta_series(c: Characteristic, mode: ThetaMode, cutoff) -> PuiseuxSeries2:
+    """Defining-sum expansion, exact to the inclusive cutoff on x-exponents."""
+    return _defining_sum(c, _nonnegative(cutoff), mode is ThetaMode.FUNCTION)
+
+
 def theta_deriv_series(c: Characteristic, cutoff,
                        mode: ThetaMode = ThetaMode.FUNCTION) -> PuiseuxSeries2:
     """Series of theta'/(2*pi*i) (zeta-derivative, normalized to keep the
     coefficients in Q(zeta_N)): each defining-sum term gains a factor
     (n + eps/2)."""
-    cutoff = Fraction(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    a = Fraction(c.eps, 2)
-    terms = {}
-    for n in _n_range(a, cutoff):
-        m = n + a
-        coeff = exp_pi_i(m * c.epsp) * m
-        key = ExponentPair(m * m, m if mode is ThetaMode.FUNCTION else Fraction(0))
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    return PuiseuxSeries2(terms, cutoff)
+    return _defining_sum(c, _nonnegative(cutoff), mode is ThetaMode.FUNCTION,
+                         deriv=True)
 
 
-@functools.lru_cache(maxsize=None)
 def theta_product_series(c: Characteristic, mode: ThetaMode, cutoff) -> PuiseuxSeries2:
     """Jacobi triple-product expansion:
 
@@ -100,33 +108,24 @@ def theta_product_series(c: Characteristic, mode: ThetaMode, cutoff) -> PuiseuxS
                         (1 + e^( pi*i*eps') * x^(2n-1+eps) * z)
                         (1 + e^(-pi*i*eps') * x^(2n-1-eps) / z)
 
-    Requires 0 <= eps < 2 (reduce via reduce_char first).  Expanded over the
-    finitely many n that can touch the retained window, plus one guard factor.
+    Requires 0 <= eps < 2 (reduce via reduce_char first).  Expanded over
+    n = 1 .. N, where N is the first n whose three factors all lie beyond
+    the cutoff (2n - 1 - eps > cutoff).
     """
-    cutoff = Fraction(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+    cutoff = _nonnegative(cutoff)
     if not 0 <= c.eps < 2:
         raise ValueError("triple product needs 0 <= eps < 2; reduce_char first")
     fn = mode is ThetaMode.FUNCTION
     # the single possibly-negative-exponent factor (n=1, eps>1) can pull
     # exponents down by at most 1 - eps > -1, so build with one unit of slack
     work = cutoff + 1
-    prefactor = PuiseuxSeries2.from_terms(
+    acc = PuiseuxSeries2.from_terms(
         [(Fraction(c.eps, 2) ** 2,
           Fraction(c.eps, 2) if fn else 0,
           exp_pi_i(Fraction(c.eps * c.epsp, 2)))])
-    acc = prefactor
     plus = exp_pi_i(c.epsp)
     minus = exp_pi_i(-c.epsp)
-    n = 1
-    guard = 1
-    while True:
-        exps = (2 * n, 2 * n - 1 + c.eps, 2 * n - 1 - c.eps)
-        if min(exps) > cutoff:
-            if guard == 0:
-                break
-            guard -= 1
+    for n in range(1, math.floor((cutoff + 1 + c.eps) / 2) + 2):
         f1 = PuiseuxSeries2.from_terms([(0, 0, 1), (2 * n, 0, -1)])
         f2 = PuiseuxSeries2.from_terms(
             [(0, 0, 1), (2 * n - 1 + c.eps, 1 if fn else 0, plus)])
@@ -134,7 +133,6 @@ def theta_product_series(c: Characteristic, mode: ThetaMode, cutoff) -> PuiseuxS
             [(0, 0, 1), (2 * n - 1 - c.eps, -1 if fn else 0, minus)])
         for f in (f1, f2, f3):
             acc = (acc * f).truncate(work)
-        n += 1
     return acc.truncate(cutoff).scrubbed()
 
 
@@ -155,33 +153,14 @@ def shift_integer(c: Characteristic, m: int, n: int, cutoff) -> PuiseuxSeries2:
     defining sum with the shifted argument (no transformation law applied):
     term k has x-exponent (k+eps/2)^2 + 2m(k+eps/2), z-exponent k+eps/2 and
     coefficient exp(pi*i*(k+eps/2)*(eps'+2n))."""
-    cutoff = Fraction(cutoff)
-    a = Fraction(c.eps, 2)
-    terms = {}
-    # (k+a)^2 + 2m(k+a) <= cutoff  <=>  (k+a+m)^2 <= cutoff + m^2
-    for k in _n_range(a + m, cutoff + m * m):
-        t = k + a
-        key = ExponentPair(t * t + 2 * m * t, t)
-        coeff = exp_pi_i(t * (c.epsp + 2 * n))
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    return PuiseuxSeries2(terms, cutoff)
+    return shift_half_period(c, 2 * m, 2 * n, cutoff)
 
 
 def shift_half_period(c: Characteristic, m: int, n: int, cutoff) -> PuiseuxSeries2:
     """Function-mode series of theta[c](zeta + (n + m*tau)/2) from the
     defining sum: term k has x-exponent (k+eps/2)^2 + m(k+eps/2),
     z-exponent k+eps/2, coefficient exp(pi*i*(k+eps/2)*(eps'+n))."""
-    cutoff = Fraction(cutoff)
-    a = Fraction(c.eps, 2)
-    half_m = Fraction(m, 2)
-    terms = {}
-    # (k+a)^2 + m(k+a) <= cutoff  <=>  (k+a+m/2)^2 <= cutoff + m^2/4
-    for k in _n_range(a + half_m, cutoff + half_m * half_m):
-        t = k + a
-        key = ExponentPair(t * t + m * t, t)
-        coeff = exp_pi_i(t * (c.epsp + n))
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    return PuiseuxSeries2(terms, cutoff)
+    return _defining_sum(c, Fraction(cutoff), True, m, n)
 
 
 def theta_zero_point(c: Characteristic):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from theta5.cli import main
 
 
@@ -79,6 +81,16 @@ def test_residues_subcommand(capsys):
     code, out = run(capsys, "--samples", "1", "residues", "psi")
     assert code == 0
     assert "psi" in out and "phi" not in out
+
+
+@pytest.mark.parametrize("command", ["eval", "residues", "resultant"])
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_samples_below_one_is_usage_error(capsys, command, samples):
+    for argv in (["--samples", samples, command], [command, "--samples", samples]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--samples must be >= 1" in capsys.readouterr().err
 
 
 def test_discover_subcommand(capsys):

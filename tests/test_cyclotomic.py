@@ -135,6 +135,32 @@ def test_nontrivial_zero_detection():
     assert s == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.builds(
+    Cyclotomic, st.just(n),
+    st.dictionaries(st.integers(0, n - 1),
+                    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                                     Fraction(-1, 2)]),
+                    min_size=1, max_size=3))))
+def test_is_zero_matches_the_reduction(a):
+    # one-entry elements c * zeta_N^k are units and skip the reduction
+    assert a.is_zero() == (not any(a._reduced_list()))
+
+
+def test_function_mode_expansion_never_reduces(monkeypatch):
+    # every function-mode theta coefficient is a single root of unity
+    from theta5.catalog_data import builtin_catalog
+    from theta5.theta import ThetaMode, theta_series
+    calls = []
+    reduce = Cyclotomic._reduced_list
+    monkeypatch.setattr(Cyclotomic, "_reduced_list",
+                        lambda self: calls.append(self) or reduce(self))
+    chars = {c for i in builtin_catalog() for c in i.characteristics()}
+    for c in sorted(chars):
+        theta_series(c, ThetaMode.FUNCTION, 16)
+    assert chars and not calls
+
+
 def test_exp_pi_i():
     assert exp_pi_i(1) == -1
     assert exp_pi_i(Fraction(1, 2)) == cyclo_root(1, 4)

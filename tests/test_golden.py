@@ -6,9 +6,20 @@ C = 4, 8 and 1/2, and, at cutoff 1/10, each identity's report or the
 ValueError message it raises.  The sha256 digests are of the JSON reports of
 every sign-flip mutant (seeds 0 and 1) at cutoffs 4 and 8 from that engine.
 Regenerate them only for a deliberate change of report semantics.
+
+expand_c4.json holds the theta expansions themselves, written before the
+expansion code was rebuilt around one defining-sum function: the stdout of
+`theta5 --format json --cutoff 4 expand CHAR [--function]` for the sixteen
+characteristics of acceptance criterion 3, and the cutoff, min_x and
+to_text() of theta_deriv_series (cutoff 4, both modes) and of shift_integer
+and shift_half_period over the shift grids of acceptance criterion 4 at
+cutoff 3 (and at the negative cutoff -1/2, which the shifts accept).
+`python tests/test_golden.py` rewrites that file from the current code.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +31,8 @@ from theta5.catalog import (Argument, ExpectedStatus, Identity, IdentityKind,
 from theta5.catalog_data import builtin_catalog
 from theta5.cli import main
 from theta5.cyclotomic import Cyclotomic, cyclo_root
-from theta5.theta import Characteristic
+from theta5.theta import (Characteristic, ThetaMode, shift_half_period,
+                          shift_integer, theta_deriv_series)
 from theta5.verify import reports_to_json, verify_exact
 
 DATA = Path(__file__).parent / "data"
@@ -105,3 +117,61 @@ def test_terms_that_cancel_term_by_term_leave_the_order():
            for r in verify_exact(ident, 2).to_dict()["residuals"]]
     assert got == [("0/1", "1/1*zeta10^2"), ("1/1", "4/1*zeta10^2"),
                    ("2/1", "4/1*zeta10^2")]
+
+
+# -- expansion goldens -------------------------------------------------------------
+
+def _sixteen_chars():
+    fifths = [Fraction(k, 5) for k in (1, 3, 5, 7, 9)]
+    return ([(e, k) for k in fifths for e in (Fraction(1, 5), Fraction(3, 5))]
+            + [(1, Fraction(1, 5)), (1, Fraction(3, 5)),
+               (0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+def _series_record(s):
+    return {"cutoff": str(s.cutoff), "min_x": str(s.min_x),
+            "text": s.to_text()}
+
+
+def expansion_goldens():
+    """Every expansion golden, keyed by a readable description."""
+    out = {}
+    for eps, epsp in _sixteen_chars():
+        char = f"{eps},{epsp}"
+        for flag in ([], ["--function"]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(["--format", "json", "--cutoff", "4", "expand",
+                             char, *flag])
+            assert code == 0
+            out[" ".join(["expand", char, *flag])] = buf.getvalue()
+        c = Characteristic.of(eps, epsp)
+        for mode in ThetaMode:
+            out[f"deriv {c} {mode.value} 4"] = _series_record(
+                theta_deriv_series(c, 4, mode))
+    shift_chars = [Characteristic.of(Fraction(1, 5), Fraction(3, 5)),
+                   Characteristic.of(Fraction(3, 5), 1),
+                   Characteristic.of(1, 1)]
+    for cut in (Fraction(3), Fraction(-1, 2)):
+        for c in shift_chars:
+            for m in (-1, 0, 1):
+                for n in (-1, 0, 1):
+                    out[f"shift_integer {c} {m} {n} {cut}"] = _series_record(
+                        shift_integer(c, m, n, cut))
+            for m in (0, 1):
+                for n in (0, 1):
+                    out[f"shift_half_period {c} {m} {n} {cut}"] = \
+                        _series_record(shift_half_period(c, m, n, cut))
+    return out
+
+
+def test_expansions_are_byte_identical():
+    want = json.loads((DATA / "expand_c4.json").read_text())
+    got = expansion_goldens()
+    assert sorted(got) == sorted(want)
+    assert not [k for k in want if got[k] != want[k]]
+
+
+if __name__ == "__main__":
+    (DATA / "expand_c4.json").write_text(
+        json.dumps(expansion_goldens(), indent=1, sort_keys=True) + "\n")

@@ -104,6 +104,20 @@ def test_witness_pole_count_and_radius():
     assert math.isclose(r, 0.02 * dmin)
 
 
+# the poles as (coefficient of tau, constant), written out by hand
+WITNESS_POLES = {
+    "phi": [(Fraction(2, 5), Fraction(k, 5)) for k in (2, 1, 0, -1, -2)],
+    "psi": [(Fraction(1, 5), Fraction(k, 5)) for k in (2, 1, 0, -1, -2)],
+}
+
+
+@pytest.mark.parametrize("witness", [PHI_WITNESS, PSI_WITNESS])
+def test_witness_poles_match_the_table(witness):
+    tau = 0.2 + 1.1j
+    assert witness.pole_points(tau) == [
+        float(a) * tau + float(b) for a, b in WITNESS_POLES[witness.name]]
+
+
 def test_zero_location_for_several_chars():
     for char in (C(1, 1), C(Fraction(1, 5), Fraction(7, 5)),
                  C(Fraction(3, 5), 1)):
