@@ -85,8 +85,29 @@ class Identity:
     def degree(self):
         return self.terms[0].degree
 
+    @functools.cached_property
+    def _factor_plan(self):
+        """The terms for numeric evaluation, built once: the distinct
+        factors as ((p, q, r, s), at_zeta) for the characteristic
+        [p/q; r/s], and each term as (scalar value, its (factor index,
+        power) pairs in order)."""
+        factors, powers = _index_factors(t.factors for t in self.terms)
+        return ([((c.eps.numerator, c.eps.denominator, c.epsp.numerator,
+                   c.epsp.denominator), at_zeta) for c, at_zeta in factors],
+                [(t.scalar_value, p) for t, p in zip(self.terms, powers)])
+
     def characteristics(self):
         return sorted({f.char for t in self.terms for f in t.factors})
+
+
+def _index_factors(factor_lists):
+    """The distinct (characteristic, at_zeta) of the factors in the lists,
+    and each list as its [(distinct index, power), ...] in order."""
+    index = {}
+    powers = [[(index.setdefault(
+        (f.char, f.argument is Argument.SYMBOLIC_ZETA), len(index)), f.power)
+        for f in factors] for factors in factor_lists]
+    return list(index), powers
 
 
 def normalize_identity(ident):

@@ -249,8 +249,11 @@ def cmd_resultant(args):
 
 # -- argument parsing -----------------------------------------------------------
 
-_GLOBAL_DEFAULTS = {"cutoff": "4", "tol": 1e-9, "seed": 0, "samples": 3,
+_GLOBAL_DEFAULTS = {"cutoff": "4", "tol": 1e-9, "seed": 0, "samples": None,
                     "catalog": None, "format": "text"}
+#: --samples when not given: 3 tau samples, or for discover a zeta grid of 9
+#: points (it needs one per monomial at least, and each family has four)
+_DEFAULT_SAMPLES = {"discover": 9}
 
 
 def _add_common(parser, top_level):
@@ -267,7 +270,8 @@ def _add_common(parser, top_level):
     parser.add_argument("--seed", type=int, default=d("seed"),
                         help="RNG seed")
     parser.add_argument("--samples", type=int, default=d("samples"),
-                        help="number of tau (or zeta-grid) samples")
+                        help="number of tau (or zeta-grid) samples "
+                             "(default 3; 9 for discover)")
     parser.add_argument("--catalog", default=d("catalog"),
                         help="path to a JSON catalog (default: built-in corpus)")
     parser.add_argument("--format", choices=("json", "text"),
@@ -329,6 +333,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.samples is None:
+        args.samples = _DEFAULT_SAMPLES.get(args.command, 3)
     if args.samples < 1:  # zero samples would check nothing and still pass
         parser.error(f"--samples must be >= 1, got {args.samples}")
     try:

@@ -4,11 +4,18 @@ Complements the exact series engine: identities and residue closed forms are
 checked numerically at sampled tau in the upper half-plane, with contour
 integration (trapezoid rule on a circle) for residues of elliptic functions
 built from theta quotients.
+
+One batched kernel, `_theta_sum`, evaluates every theta value: paired arrays
+of (characteristic, zeta) points at one tau, each point summed over its own
+window of terms, so a value is the same to the bit in any batch.  Scalar
+points go through one point cache (`_POINTS`): an identity residual looks
+up its distinct factors there and sends all misses to one kernel call; the
+relation-discovery grid, the theta quadratics and the residue contours pass
+arrays straight to the kernel.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -16,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catalog import Argument, IdentityKind
+from .catalog import IdentityKind
 from .theta import Characteristic, theta_zero_point
 
 TWO_PI_I = 2j * math.pi
@@ -25,7 +32,7 @@ TWO_PI_I = 2j * math.pi
 @dataclass(frozen=True, eq=False)
 class EvalConfig:
     """Truncation settings of the numeric theta sum.  Compared and hashed by
-    identity (eq=False): the scalar theta cache keys on the config, and the
+    identity (eq=False): the point cache keys on the config, and the
     generated value hash would run in Python on every cache hit."""
     tol: float = 1e-12
     max_terms: int = 4000
@@ -42,57 +49,115 @@ _DEFAULT_CFG = EvalConfig()
 
 
 def _theta_sum(eps, epsp, zeta, tau, cfg, deriv):
-    """The defining sum, for the characteristic [eps; epsp] given as floats,
-    at every point of the complex array zeta.  Terms are
+    """The defining sum at every point of the 1-D complex array zeta, for the
+    characteristic [eps; epsp] given as floats or as float arrays paired
+    with zeta, at one scalar tau.  Terms are
     exp(pi*i*(n+eps/2)^2*tau) * exp(2*pi*i*(n+eps/2)*(zeta+eps'/2)), summed
-    over one window of n around each point's peak term, widened until both
-    of its edge terms fall below tol/100 (relative to the largest term, when
-    that exceeds 1) at every point."""
+    over a window of n around each point's peak term.  Each point has its
+    own window: after a pass, only the points whose edge terms are not both
+    below tol/100 (relative to their largest term, when that exceeds 1) get
+    a doubled one.  A point's value so never depends on the other points of
+    the call: it is the same to the bit as that of a one-point call."""
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    a = eps / 2.0
-    b = epsp / 2.0
+    a, b = eps / 2.0, epsp / 2.0
+    paired = isinstance(a, np.ndarray)
+    if paired:
+        a, b = a[:, None], b[:, None]
+    zeta = zeta[:, None]
     # |term| = exp(-pi*(n+a)^2 Im tau - 2*pi*(n+a) Im zeta) peaks here:
-    center = np.rint(-a - zeta.imag / tau.imag)[:, None]
+    center = np.rint(-a - zeta.imag / tau.imag)
     # first guess: where the Gaussian has fallen by tol/100 (with tol 0, the
     # edge terms must underflow to 0)
     k_max = (cfg.max_terms - 1) // 2
     k = min(k_max, math.ceil(math.sqrt(
         math.log(100.0 / max(cfg.tol, 1e-300)) / (math.pi * tau.imag))))
+    out = at = None  # the result and the rows still open, once a pass splits
     while True:
         m = (center + np.arange(-k, k + 1)) + a  # integer n, then n + a
-        t = np.exp(1j * math.pi * (m * m * tau + 2 * m * (zeta[:, None] + b)))
+        t = np.exp(1j * math.pi * (m * m * tau + 2 * m * (zeta + b)))
         if deriv:
             t *= TWO_PI_I * m
         mag = np.abs(t)
         edge = np.maximum(mag[:, 0], mag[:, -1])
-        if (edge <= cfg.tol * 1e-2 * np.maximum(mag.max(axis=1), 1.0)).all():
-            return t.sum(axis=1)
+        done = edge <= cfg.tol * 1e-2 * np.maximum(mag.max(axis=1), 1.0)
+        if done.all():
+            if out is None:
+                return t.sum(axis=1)
+            out[at] = t.sum(axis=1)
+            return out
         if k == k_max:
             raise ValueError(
                 f"theta sum did not converge within {cfg.max_terms} terms")
+        if done.any():
+            if out is None:
+                out, at = np.empty(len(zeta), complex), np.arange(len(zeta))
+            out[at[done]] = t.sum(axis=1)[done]
+            wide = ~done
+            at, center, zeta = at[wide], center[wide], zeta[wide]
+            if paired:
+                a, b = a[wide], b[wide]
         k = min(k_max, 2 * k)
 
 
-@functools.lru_cache(maxsize=1 << 18)
-def _theta_point(p, q, r, s, zeta, tau, cfg, deriv):
-    """Keyed on the characteristic [p/q; r/s]'s own ints: no Fraction hash."""
-    return complex(_theta_sum(p / q, r / s, np.array([zeta]), tau, cfg,
-                              deriv)[0])
+class _PointCache:
+    """theta values at scalar points, keyed (p, q, r, s, zeta, tau, cfg,
+    deriv) for the characteristic [p/q; r/s] as its own ints, so a lookup
+    runs no Fraction hash.  Holds at most `maxsize` values (when full, it
+    starts over); `hits` and `misses` count the points looked up."""
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self.clear()
+
+    def clear(self):
+        self.table, self.hits, self.misses = {}, 0, 0
+
+    def lookup(self, keys):
+        """theta at the points `keys` (sharing tau, cfg and deriv) as Python
+        complex numbers, with every miss in one kernel call."""
+        vals = list(map(self.table.get, keys))
+        if None not in vals:
+            self.hits += len(vals)
+            return vals
+        miss = [i for i, v in enumerate(vals) if v is None]
+        self.hits += len(vals) - len(miss)
+        self.misses += len(miss)
+        tau, cfg, deriv = keys[0][5:]
+        got = _theta_sum(np.array([keys[i][0] / keys[i][1] for i in miss]),
+                         np.array([keys[i][2] / keys[i][3] for i in miss]),
+                         np.array([keys[i][4] for i in miss]), tau, cfg,
+                         deriv).tolist()
+        if len(self.table) + len(miss) > self.maxsize:
+            self.table = {}
+        for i, v in zip(miss, got):
+            vals[i] = self.table[keys[i]] = v
+        return vals
+
+
+_POINTS = _PointCache(1 << 18)
+
+
+def _theta_at(points, tau, cfg=None, deriv=False):
+    """theta[c](zeta) (or its derivative) at scalar (c, zeta) points, at one
+    tau, through the point cache."""
+    tau, cfg = complex(tau), cfg or _DEFAULT_CFG
+    return _POINTS.lookup([(eps.numerator, eps.denominator, epsp.numerator,
+                           epsp.denominator, complex(zeta), tau, cfg, deriv)
+                          for (eps, epsp), zeta in points])
 
 
 def _theta(c, zeta, tau, cfg, deriv):
-    (eps, epsp), cfg = c, cfg or _DEFAULT_CFG
     if isinstance(zeta, np.ndarray):
-        return _theta_sum(float(eps), float(epsp), zeta.astype(complex).ravel(),
-                          complex(tau), cfg, deriv).reshape(zeta.shape)
-    return _theta_point(eps.numerator, eps.denominator, epsp.numerator,
-                        epsp.denominator, complex(zeta), complex(tau), cfg, deriv)
+        return _theta_sum(float(c.eps), float(c.epsp),
+                          zeta.astype(complex).ravel(), complex(tau),
+                          cfg or _DEFAULT_CFG, deriv).reshape(zeta.shape)
+    return _theta_at([(c, zeta)], tau, cfg, deriv)[0]
 
 
 def theta_eval(c, zeta, tau, cfg=None):
     """theta[c](zeta, tau) as a complex double; for an ndarray zeta, a complex
-    array of its shape (computed in one pass, bypassing the scalar cache)."""
+    array of its shape (computed in one pass, bypassing the point cache)."""
     return _theta(c, zeta, tau, cfg, False)
 
 
@@ -100,6 +165,18 @@ def theta_deriv_eval(c, zeta, tau, cfg=None):
     """d/dzeta theta[c](zeta, tau): the true derivative (with its 2*pi*i),
     for scalar or ndarray zeta as in theta_eval."""
     return _theta(c, zeta, tau, cfg, True)
+
+
+def _theta_rows(chars, zeta, tau, cfg=None):
+    """theta[c] at every point of the sequence zeta for each characteristic
+    c of chars, as a (len(chars), len(zeta)) array from one kernel call."""
+    zeta = np.asarray(zeta, complex)
+    n = len(zeta)
+    eps = np.array([float(e) for e, _ in chars]).repeat(n)
+    epsp = np.array([float(e) for _, e in chars]).repeat(n)
+    return _theta_sum(eps, epsp, zeta[None].repeat(len(chars), 0).ravel(),
+                      complex(tau), cfg or _DEFAULT_CFG,
+                      False).reshape(len(chars), n)
 
 
 def sample_tau(seed, count):
@@ -118,23 +195,23 @@ def sample_zeta(seed, count):
             for _ in range(count)]
 
 
-def monomial_value(factors, zeta, tau, cfg, v=1.0):
-    """v times the product of the theta factors, at a scalar or at every
-    point of an ndarray zeta (constant factors at 0)."""
-    for f in factors:
-        arg = zeta if f.argument is Argument.SYMBOLIC_ZETA else 0.0
-        v *= theta_eval(f.char, arg, tau, cfg) ** f.power
-    return v
-
-
 def identity_residual(ident, tau, zeta=None, cfg=None):
     """Relative residual |sum of terms| / max |term| of an identity at one
-    (tau, zeta) point.  Returns 0.0 when every term vanishes."""
+    (tau, zeta) point.  Returns 0.0 when every term vanishes.  The distinct
+    theta factors come from the point cache, the misses in one kernel call;
+    each term multiplies its factors in order onto its scalar."""
     if zeta is None and ident.kind is IdentityKind.FUNCTION:
         raise ValueError(f"{ident.id}: function identity needs a zeta")
-    values = [monomial_value(term.factors, zeta, tau, cfg, term.scalar_value)
-              for term in ident.terms]
-    scale = max(abs(v) for v in values)
+    factors, terms = ident._factor_plan
+    z, tau, cfg = complex(zeta or 0), complex(tau), cfg or _DEFAULT_CFG
+    theta = _POINTS.lookup([(*key, z if at_zeta else 0j, tau, cfg, False)
+                           for key, at_zeta in factors])
+    values = []
+    for v, powers in terms:
+        for i, p in powers:
+            v *= theta[i] ** p
+        values.append(v)
+    scale = max(map(abs, values))
     if scale == 0.0:
         return 0.0
     return abs(sum(values)) / scale

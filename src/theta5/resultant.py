@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .cyclotomic import (MAX_ORDER, Cyclotomic, cyclo_root, int_vector,
                          norm_adjugate, reduction_matrix, ring_mul)
-from .numeric import theta_eval
+from .numeric import _theta_at, _theta_rows
 from .theta import Characteristic
 
 
@@ -124,6 +122,13 @@ def resultant_2x2(a, b):
             - (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1))
 
 
+_QUADRATIC_KS = (1, 3, 5, 7, 9)
+_QUADRATIC_CHARS = [Characteristic.of(Fraction(1, 5), Fraction(k, 5))
+                    for k in _QUADRATIC_KS]
+_ROOT_POINTS = [(Characteristic.of(1, Fraction(1, 5)), 0.0),
+                (Characteristic.of(1, Fraction(3, 5)), 0.0)]
+
+
 def theta_quadratics(tau, z, w, cfg=None):
     """Numeric coefficient triples (leading-first) of the two quadratics that
     the ratio theta[1;1/5]/theta[1;3/5] satisfies:
@@ -133,10 +138,9 @@ def theta_quadratics(tau, z, w, cfg=None):
 
     where Ak = theta[1/5; k/5] (A5 meaning theta[1/5; 1]) and w5 = zeta5^2.
     Their shared root forces the resultant to vanish identically in (z, w)."""
-    zw = np.array([z, w], dtype=complex)
-    # A[k] = [Ak(z), Ak(w)] as Python complex numbers
-    A = {k: theta_eval(Characteristic.of(Fraction(1, 5), Fraction(k, 5)),
-                       zw, tau, cfg).tolist() for k in (1, 3, 5, 7, 9)}
+    # A[k] = [Ak(z), Ak(w)] as Python complex numbers, all in one kernel call
+    A = dict(zip(_QUADRATIC_KS, _theta_rows(_QUADRATIC_CHARS, [z, w], tau,
+                                            cfg).tolist()))
     w5 = cyclo_root(2, 5).embed()
     fq = (A[3][0] * A[7][0], -A[5][0] ** 2, -A[1][0] * A[9][0])
     gq = (w5 * A[5][1] * A[9][1], -w5 * A[7][1] ** 2, A[1][1] * A[3][1])
@@ -145,5 +149,5 @@ def theta_quadratics(tau, z, w, cfg=None):
 
 def shared_root_ratio(tau, cfg=None):
     """The common root itself: theta[1;1/5] / theta[1;3/5] at zeta = 0."""
-    return (theta_eval(Characteristic.of(1, Fraction(1, 5)), 0.0, tau, cfg)
-            / theta_eval(Characteristic.of(1, Fraction(3, 5)), 0.0, tau, cfg))
+    c1, c3 = _theta_at(_ROOT_POINTS, tau, cfg)
+    return c1 / c3

@@ -23,9 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catalog import Argument, ExpectedStatus
+from .catalog import Argument, ExpectedStatus, _index_factors
 from .cyclotomic import Cyclotomic
-from .numeric import monomial_value
+from .numeric import _theta_rows, theta_eval
 from .series import (ExponentPair, _dtype, _norms, nonzero_positions,
                      on_common_grid, pack, packed_mul, packed_sum)
 from .theta import Characteristic, ThetaMode, theta_series
@@ -248,10 +248,19 @@ def discover_relations(monomials, tau, z_samples, threshold=1e-8, cfg=None):
         raise ValueError("need at least as many zeta samples as monomials")
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    grid = np.array(zeta_grid(z_samples))
+    # the distinct characteristics of the zeta factors on the grid, in one
+    # kernel call
+    chars, cols = _index_factors(monomials)
+    rows = iter(_theta_rows([c for c, at_zeta in chars if at_zeta],
+                            zeta_grid(z_samples), tau, cfg))
+    values = [next(rows) if at_zeta else theta_eval(c, 0.0, tau, cfg)
+              for c, at_zeta in chars]
     M = np.empty((z_samples, k), dtype=complex)
-    for i, mono in enumerate(monomials):
-        M[:, i] = monomial_value(mono, grid, tau, cfg)
+    for i, col in enumerate(cols):
+        v = 1.0
+        for j, power in col:
+            v *= values[j] ** power
+        M[:, i] = v
     _, sv, vh = np.linalg.svd(M)
     if not sv[0]:
         raise ValueError("degenerate sampling: all monomials vanish")

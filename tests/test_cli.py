@@ -99,6 +99,29 @@ def test_discover_subcommand(capsys):
     assert "nullity 1" in out
 
 
+def test_discover_defaults_to_a_nine_point_grid(capsys):
+    code, out = run(capsys, "--format", "json", "discover", "15")
+    assert code == 0
+    assert out == run(capsys, "--format", "json", "--samples", "9",
+                      "discover", "15")[1]
+
+
+def test_discover_explicit_samples_win_before_or_after(capsys):
+    before = run(capsys, "--format", "json", "--samples", "6", "discover", "35")
+    after = run(capsys, "--format", "json", "discover", "35", "--samples", "6")
+    assert before == after
+    assert before[0] == 0
+    assert before[1] != run(capsys, "--format", "json", "discover", "35")[1]
+
+
+def test_discover_with_three_samples_is_usage_error(capsys):
+    for argv in (["--samples", "3", "discover", "15"],
+                 ["discover", "15", "--samples", "3"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: need at least as many zeta samples as monomials\n")
+
+
 def test_sigma_subcommand(capsys):
     code, out = run(capsys, "sigma", "50")
     assert code == 0

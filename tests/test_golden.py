@@ -14,7 +14,14 @@ characteristics of acceptance criterion 3, and the cutoff, min_x and
 to_text() of theta_deriv_series (cutoff 4, both modes) and of shift_integer
 and shift_half_period over the shift grids of acceptance criterion 4 at
 cutoff 3 (and at the negative cutoff -1/2, which the shifts accept).
-`python tests/test_golden.py` rewrites that file from the current code.
+
+numeric_cli.json holds the numeric subcommands' stdout, written before the
+numeric kernel was batched: `theta5 --format json --seed S` with `eval`,
+`residues`, `resultant` (the theta quadratics) and `--samples 9 discover 15`
+and `35`, at seeds 0 and 1.  They print round-off residuals such as
+`rel_resultant 1.203e-16`, so they pin the kernel's bits.
+
+`python tests/test_golden.py` rewrites both files from the current code.
 """
 
 import contextlib
@@ -172,6 +179,33 @@ def test_expansions_are_byte_identical():
     assert not [k for k in want if got[k] != want[k]]
 
 
+# -- numeric goldens ------------------------------------------------------------
+
+def numeric_cli_outputs():
+    """stdout of each numeric subcommand, keyed by its argument line."""
+    out = {}
+    for seed in ("0", "1"):
+        for cmd in (["eval"], ["residues"], ["resultant"],
+                    ["--samples", "9", "discover", "15"],
+                    ["--samples", "9", "discover", "35"]):
+            argv = ["--format", "json", "--seed", seed, *cmd]
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(argv)
+            assert code == 0, argv
+            out[" ".join(argv)] = buf.getvalue()
+    return out
+
+
+def test_numeric_cli_is_byte_identical():
+    want = json.loads((DATA / "numeric_cli.json").read_text())
+    got = numeric_cli_outputs()
+    assert sorted(got) == sorted(want)
+    assert not [k for k in want if got[k] != want[k]]
+
+
 if __name__ == "__main__":
     (DATA / "expand_c4.json").write_text(
         json.dumps(expansion_goldens(), indent=1, sort_keys=True) + "\n")
+    (DATA / "numeric_cli.json").write_text(
+        json.dumps(numeric_cli_outputs(), indent=1, sort_keys=True) + "\n")

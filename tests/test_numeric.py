@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta5.catalog import IdentityKind
+from theta5.catalog import Argument, IdentityKind
 from theta5.catalog_data import builtin_catalog
+from theta5.cli import main
 from theta5 import numeric
 from theta5.numeric import (EvalConfig, PHI_WITNESS, PSI_WITNESS, TWO_PI_I,
                             identity_residual, numeric_residue, residue_report,
@@ -182,15 +183,97 @@ def test_kernel_matches_shell_sum(eps, epsp, deriv, tau, points):
 
 def test_scalar_calls_use_the_cache_and_arrays_bypass_it():
     c, tau, zeta = C(Fraction(1, 5), Fraction(3, 5)), 0.1 + 0.9j, 0.2 + 0.1j
-    numeric._theta_point.cache_clear()
+    numeric._POINTS.clear()
     v = theta_eval(c, zeta, tau)
     assert type(v) is complex
     assert theta_eval(c, zeta, tau) == v
-    assert numeric._theta_point.cache_info()[:2] == (1, 1)
+    assert (numeric._POINTS.hits, numeric._POINTS.misses) == (1, 1)
     arr = theta_eval(c, np.array([[zeta, 0.0]]), tau)
     assert arr.shape == (1, 2)
     assert abs(arr[0, 0] - v) <= 1e-15 * abs(v)
-    assert numeric._theta_point.cache_info()[:2] == (1, 1)
+    assert (numeric._POINTS.hits, numeric._POINTS.misses) == (1, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chars=st.lists(st.tuples(fifths, fifths), min_size=1, max_size=6),
+       deriv=st.booleans(),
+       tau=st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.3, 3.0)),
+       points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 3.0)),
+                       min_size=1, max_size=12))
+def test_batched_kernel_equals_one_point_calls(chars, deriv, tau, points):
+    # Im zeta in rows of Im tau, each point paired with a characteristic:
+    # the peaks sit at different n and some points' windows widen
+    rows = [(0.3, -2.5), (-0.2, 2.5), (0.1, 0.5), (0.1, 0.0)] + points
+    pairs = [(chars[i % len(chars)], complex(x, y * tau.imag))
+             for i, (x, y) in enumerate(rows)]
+    eps = np.array([float(e) for (e, _), _ in pairs])
+    epsp = np.array([float(e) for (_, e), _ in pairs])
+    zeta = np.array([z for _, z in pairs])
+    cfg = EvalConfig()
+    got = numeric._theta_sum(eps, epsp, zeta, tau, cfg, deriv)
+    for i in range(len(zeta)):
+        one = numeric._theta_sum(eps[i], epsp[i], zeta[i:i + 1], tau, cfg, deriv)
+        assert got[i] == one[0], (i, got[i], one[0])
+    # one characteristic over many points: each point keeps its own window
+    same = numeric._theta_sum(eps[0], epsp[0], zeta, tau, cfg, deriv)
+    for i in range(len(zeta)):
+        one = numeric._theta_sum(eps[0], epsp[0], zeta[i:i + 1], tau, cfg, deriv)
+        assert same[i] == one[0]
+
+
+def test_only_the_open_points_widen(monkeypatch):
+    # with Im tau = 0.6446 the first window is 9 terms wide and only just
+    # enough: a peak term at n = 0 closes it, one half-way between two n
+    # (Im zeta = Im tau / 2) does not, so the second pass has one row
+    tau = 0.1 + 0.6446j
+    zeta = np.array([0.1 + 0j, 0.1 + 0.5j * tau.imag])
+    shapes, exp = [], np.exp
+    monkeypatch.setattr(np, "exp", lambda x: shapes.append(x.shape) or exp(x))
+    got = numeric._theta_sum(0.0, 0.0, zeta, tau, EvalConfig(), False)
+    monkeypatch.undo()
+    assert shapes == [(2, 9), (1, 17)]
+    for i in range(2):
+        one = numeric._theta_sum(0.0, 0.0, zeta[i:i + 1], tau, EvalConfig(),
+                                 False)
+        assert got[i] == one[0]
+
+
+def loop_residual(ident, tau, zeta=None):
+    """identity_residual as a product loop over scalar theta_eval calls,
+    factor by factor in each term's order."""
+    values = []
+    for term in ident.terms:
+        v = term.scalar_value
+        for f in term.factors:
+            arg = zeta if f.argument is Argument.SYMBOLIC_ZETA else 0.0
+            v *= theta_eval(f.char, arg, tau) ** f.power
+        values.append(v)
+    scale = max(abs(v) for v in values)
+    if scale == 0.0:
+        return 0.0
+    return abs(sum(values)) / scale
+
+
+def test_identity_residual_equals_the_factor_loop():
+    taus = sample_tau(17, 3)
+    zetas = sample_zeta(17, 2)
+    for ident in builtin_catalog():
+        points = zetas if ident.kind is IdentityKind.FUNCTION else [None]
+        for tau in taus:
+            for zeta in points:
+                # each side computes its own theta values: the loop in
+                # one-point kernel calls, identity_residual in one batch
+                numeric._POINTS.clear()
+                want = loop_residual(ident, tau, zeta)
+                numeric._POINTS.clear()
+                assert identity_residual(ident, tau, zeta) == want, ident.id
+
+
+def test_eval_subcommand_mostly_hits_the_point_cache(capsys):
+    numeric._POINTS.clear()
+    assert main(["--seed", "0", "eval"]) == 0
+    capsys.readouterr()
+    assert numeric._POINTS.hits > numeric._POINTS.misses > 0
 
 
 def test_scalar_cache_hit_runs_no_python_hash():
