@@ -17,4 +17,5 @@ for witness in (PHI_WITNESS, PSI_WITNESS):
     for num, closed in zip(rep.numeric, rep.closed_form):
         print(f"  contour {num:+.9f}   closed form {closed:+.9f}")
     print(f"  max relative error vs closed forms: {rep.max_rel_error:.2e}")
-    print(f"  |sum of residues| (the identity):   {rep.sum_abs:.2e}\n")
+    print(f"  |sum of residues| (the identity):   {rep.sum_abs:.2e}")
+    print(f"  quadrature nodes per pole (adaptive): {rep.samples}\n")

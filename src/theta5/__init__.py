@@ -16,9 +16,10 @@ from .cyclotomic import (MAX_ORDER, Cyclotomic, cyclotomic_polynomial,
                          cyclo_root, exp_pi_i)
 from .divisors import ArithReport, delta, sigma, verify_sigma_convolution
 from .numeric import (PHI_WITNESS, PSI_WITNESS, RESIDUE_WITNESSES, EvalConfig,
-                      ResidueWitness, identity_residual, numeric_residue,
-                      residue_report, sample_tau, sample_zeta,
-                      theta_deriv_eval, theta_eval, zero_location_check)
+                      ResidueWitness, contour_residue, identity_residual,
+                      numeric_residue, residue_report, sample_tau,
+                      sample_zeta, theta_deriv_eval, theta_eval,
+                      zero_location_check)
 from .resultant import (poly_degree, resultant, resultant_2x2,
                         shared_root_ratio, sylvester_matrix, theta_quadratics)
 from .series import ExponentPair, PuiseuxSeries2

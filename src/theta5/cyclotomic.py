@@ -7,9 +7,14 @@ cyclotomic polynomial Phi_N happens lazily, only inside zero tests and
 equality, so additions and multiplications stay cheap.  reduction_matrix
 gives the same reduction as one integer matrix, for reducing many integer
 group-ring vectors at once.  Elements of Z[zeta_N] also have a dense form,
-phi(N) Python ints reduced through the rows of that matrix: ring_mul
-multiplies two of them, and norm_adjugate turns exact division into a
-product and an integer division (Cyclotomic.inverse, resultant's Bareiss).
+phi(N) Python ints reduced through the rows of that matrix.  kron_pack packs
+such a vector (or any integer polynomial) into one Python int, its value at
+X = 2^(8*width), and kron_unpack reads the coefficients back, so a product
+of polynomials is one integer product (Kronecker substitution): ring_mul
+multiplies two vectors that way, and resultant's Bareiss runs whole on
+packed ints.  norm_adjugate, the product of an element's other Galois
+conjugates, is built in O(log phi(N)) products; only Cyclotomic.inverse
+uses it.
 """
 
 from __future__ import annotations
@@ -312,29 +317,126 @@ def int_vector(c, n, scale, rows):
     return _fold([0] * len(rows[0]), terms, rows)
 
 
+def reduce_poly(coeffs, rows):
+    """The integer polynomial coeffs (degree-0 first, any length) reduced
+    mod Phi_N: exponents wrap mod N (zeta_N^N = 1), then the terms of
+    degree phi and up fold back through rows."""
+    n, phi = len(rows), len(rows[0])
+    wrapped = [0] * n
+    for k, c in enumerate(coeffs):
+        wrapped[k % n] += c
+    return _fold(wrapped[:phi], enumerate(wrapped[phi:], phi), rows)
+
+
+def kron_width(bound):
+    """Slot width in bytes for kron_pack/kron_unpack of polynomials whose
+    coefficients are at most bound in absolute value: the smallest with
+    bound < 2^(8*width - 1), so every coefficient is a balanced digit."""
+    return bound.bit_length() // 8 + 1
+
+
+def kron_pack(coeffs, width):
+    """The integer polynomial coeffs (degree-0 first) evaluated at
+    X = 2^(8*width), built from bytes in linear time: each coefficient,
+    below 2^(8*width - 1) in absolute value, is offset by that half into one
+    unsigned slot, and the offsets are subtracted at the end."""
+    half = 1 << (8 * width - 1)
+    offsets = half.to_bytes(width, "little") * len(coeffs)
+    packed = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(packed, "little") - int.from_bytes(offsets, "little")
+
+
+def kron_unpack(v, width):
+    """Coefficients (degree-0 first, possibly with trailing zeros) of the
+    polynomial that kron_pack packed into v: v's balanced base-2^(8*width)
+    digits, exact while every coefficient is below 2^(8*width - 1) in
+    absolute value (kron_width)."""
+    bits = 8 * width
+    raw = v.to_bytes((v.bit_length() // bits + 1) * width, "little",
+                     signed=True)
+    half, full = 1 << (bits - 1), 1 << bits
+    out, carry = [], 0
+    for i in range(0, len(raw), width):
+        d = int.from_bytes(raw[i:i + width], "little") + carry
+        carry = d >= half
+        out.append(d - full if carry else d)
+    return out
+
+
 def ring_mul(a, b, rows):
-    """Product of two integer vectors: the schoolbook product of length
-    2*phi - 1, its terms of degree phi and up folded back through rows."""
-    phi = len(a)
-    full = [0] * (2 * phi - 1)
-    for i, x in enumerate(a):
-        if x:
-            full[i:i + phi] = [s + x * y for s, y in zip(full[i:i + phi], b)]
-    return _fold(full[:phi], enumerate(full[phi:], phi), rows)
+    """Product of two integer vectors: one integer product of the packed
+    vectors, read back and reduced through rows.  No coefficient of a, b or
+    their product exceeds max(1, |a|_1) * max(1, max|b|)."""
+    width = kron_width(max(1, sum(map(abs, a))) * max(1, *map(abs, b)))
+    return reduce_poly(kron_unpack(kron_pack(a, width) * kron_pack(b, width),
+                                   width), rows)
+
+
+def _conjugate(a, j, rows):
+    """sigma_j(a) for a unit j mod N: zeta_N -> zeta_N^j."""
+    n = len(rows)
+    wrapped = [0] * n
+    for i, c in enumerate(a):
+        wrapped[i * j % n] = c
+    return reduce_poly(wrapped, rows)
+
+
+def _orbit_product(a, g, k, rows):
+    """prod sigma_{g^i}(a) over i < k (k >= 1), by binary doubling on k:
+    P_2m = P_m * sigma_{g^m}(P_m) and P_(m+1) = a * sigma_g(P_m)."""
+    n = len(rows)
+    out, m = a, 1
+    for bit in bin(k)[3:]:
+        out = ring_mul(out, _conjugate(out, pow(g, m, n), rows), rows)
+        m *= 2
+        if bit == "1":
+            out = ring_mul(a, _conjugate(out, g, rows), rows)
+            m += 1
+    return out
+
+
+def _unit_group(n):
+    """(generator, order) pairs of cyclic subgroups of (Z/n)^* whose direct
+    product is the whole group: per prime power q = p^e of n, a generator of
+    (Z/q)^* (-1 and 5 for q = 2^e >= 8, where there is none), lifted by the
+    Chinese remainder theorem to 1 mod n / q."""
+    out, rest, p = [], n, 2
+    while rest > 1:
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        units = q - q // p  # phi(q), 1 when p does not divide n
+        if p == 2 and q >= 8:
+            gens = [(q - 1, 2), (5, q // 4)]
+        elif units > 1:
+            gens = [(next(g for g in range(2, q) if g % p and all(
+                pow(g, k, q) != 1 for k in range(1, units))), units)]
+        else:
+            gens = []
+        out += [(((g - 1) * (n // q) * pow(n // q, -1, q) + 1) % n, order)
+                for g, order in gens]
+        p += 1
+    return out
 
 
 def norm_adjugate(a, rows):
     """(adj, norm) for a nonzero integer vector a: adj is the product of the
     conjugates sigma_j(a) (zeta_N -> zeta_N^j) over the units j != 1 mod N,
     and norm = a * adj is a rational integer.  An exact quotient b / a in
-    Z[zeta_N] is therefore b * adj with each coefficient divided by norm."""
-    n, zero = len(rows), [0] * len(a)
-    adj = [1] + zero[1:]
-    for j in range(2, n):
-        if math.gcd(j, n) == 1:
-            conj = _fold(zero, ((i * j, c) for i, c in enumerate(a)), rows)
-            adj = ring_mul(adj, conj, rows)
-    return adj, ring_mul(a, adj, rows)[0]
+    Z[zeta_N] is therefore b * adj with each coefficient divided by norm.
+
+    The unit group is a direct product of cyclic groups C (_unit_group); over
+    the product H x C, adj_HxC(a) = adj_H(a) * adj_C(a * adj_H(a)), and over
+    C = <g> of order m, adj_C(b) = sigma_g(prod_{i < m-1} sigma_{g^i}(b)),
+    so adj takes O(log phi(N)) products instead of phi(N) - 2."""
+    adj = [1] + [0] * (len(a) - 1)
+    full = a
+    for g, order in _unit_group(len(rows)):
+        part = _conjugate(_orbit_product(full, g, order - 1, rows), g, rows)
+        adj = ring_mul(adj, part, rows)
+        full = ring_mul(a, adj, rows)
+    return adj, full[0]
 
 
 # -- module-level operation names matching the published interface -----------

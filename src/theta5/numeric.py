@@ -3,7 +3,12 @@
 Complements the exact series engine: identities and residue closed forms are
 checked numerically at sampled tau in the upper half-plane, with contour
 integration (trapezoid rule on a circle) for residues of elliptic functions
-built from theta quotients.
+built from theta quotients.  The rule is adaptive by default: it starts at
+32 nodes and doubles, evaluating the integrand only on the new half-step
+nodes, until two successive estimates agree to 1e-13 of the integrand's
+mean size on the circle, or 4096 nodes are used (Trefethen and Weideman,
+SIAM Review 56 (2014): the rule converges geometrically for an integrand
+analytic on an annulus around the circle).
 
 One batched kernel, `_theta_sum`, evaluates every theta value: paired arrays
 of (characteristic, zeta) points at one tau, each point summed over its own
@@ -217,14 +222,47 @@ def identity_residual(ident, tau, zeta=None, cfg=None):
     return abs(sum(values)) / scale
 
 
-def numeric_residue(f, pole, radius, samples=4096):
-    """Residue of f at pole by the trapezoid rule on a circle of the given
-    radius; spectrally accurate for f meromorphic with only this pole inside.
-    f is called once, on the complex ndarray of all `samples` nodes."""
+#: Node counts of the adaptive trapezoid rule, and its stopping tolerance
+#: relative to the mean of |f(w) * w| over the nodes used.
+FIRST_NODES, MAX_NODES, RESIDUE_RTOL = 32, 4096, 1e-13
+
+
+def contour_residue(f, pole, radius, samples=None):
+    """(residue, nodes used, last change) for the residue of f at pole by
+    the trapezoid rule on a circle of the given radius; spectrally accurate
+    for f meromorphic with only this pole inside.  f gets complex ndarrays
+    of nodes.
+
+    With an integer `samples`, f is called once, on all `samples` nodes, and
+    the last change is None.  Otherwise the rule is adaptive: FIRST_NODES
+    nodes, then each round doubles the count, calling f only on the new
+    half-step nodes, until an estimate moves by at most RESIDUE_RTOL times
+    the mean |f(w) * w| from the previous one (at least one comparison), or
+    MAX_NODES nodes are used; the last change is that last move."""
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    w = radius * np.exp(TWO_PI_I * np.arange(samples) / samples)
-    return complex(np.sum(f(pole + w) * w)) / samples
+    if samples is not None:
+        w = radius * np.exp(TWO_PI_I * np.arange(samples) / samples)
+        return complex(np.sum(f(pole + w) * w)) / samples, samples, None
+    n = FIRST_NODES
+    w = radius * np.exp(TWO_PI_I * np.arange(n) / n)
+    fw = f(pole + w) * w
+    total, size = complex(np.sum(fw)), float(np.sum(np.abs(fw)))
+    while True:
+        w = radius * np.exp(TWO_PI_I * (np.arange(n) + 0.5) / n)
+        fw = f(pole + w) * w
+        last = total / n
+        total += complex(np.sum(fw))
+        size += float(np.sum(np.abs(fw)))
+        n *= 2
+        change = abs(total / n - last)
+        if change <= RESIDUE_RTOL * size / n or n >= MAX_NODES:
+            return total / n, n, change
+
+
+def numeric_residue(f, pole, radius, samples=None):
+    """The residue of contour_residue(f, pole, radius, samples) alone."""
+    return contour_residue(f, pole, radius, samples)[0]
 
 
 def zero_location_check(c, tau, cfg=None, tol=1e-9):
@@ -297,28 +335,35 @@ RESIDUE_WITNESSES = (PHI_WITNESS, PSI_WITNESS)
 
 @dataclass
 class ResidueReport:
+    """Per pole: the numeric residue, its closed form, the quadrature nodes
+    used (`samples`) and the rule's last change between estimates
+    (`changes`, None under a fixed rule)."""
     name: str
     tau: complex
     numeric: list = field(default_factory=list)
     closed_form: list = field(default_factory=list)
     max_rel_error: float = 0.0
     sum_abs: float = 0.0
+    samples: list = field(default_factory=list)
+    changes: list = field(default_factory=list)
 
     @property
     def passed(self):
         return self.max_rel_error < 1e-8 and self.sum_abs < 1e-8
 
 
-def residue_report(witness, tau, cfg=None, samples=4096, radius=None):
+def residue_report(witness, tau, cfg=None, samples=None, radius=None):
     """Numeric residues at every pole vs. the closed forms, plus the
-    sum-to-zero check (relative to the largest residue)."""
+    sum-to-zero check (relative to the largest residue).  The contour rule
+    is adaptive unless `samples` fixes its node count (contour_residue)."""
     f = witness.function(tau, cfg)
     r = radius if radius is not None else witness.default_radius(tau)
-    numeric = [numeric_residue(f, p, r, samples)
-               for p in witness.pole_points(tau)]
+    numeric, used, changes = zip(*(contour_residue(f, p, r, samples)
+                                   for p in witness.pole_points(tau)))
     closed = witness.closed_form_residues(tau, cfg)
     scale = max(abs(c) for c in closed)
     rel = max(abs(n - c) for n, c in zip(numeric, closed)) / scale
-    return ResidueReport(name=witness.name, tau=tau, numeric=numeric,
+    return ResidueReport(name=witness.name, tau=tau, numeric=list(numeric),
                          closed_form=closed, max_rel_error=rel,
-                         sum_abs=abs(sum(numeric)) / scale)
+                         sum_abs=abs(sum(numeric)) / scale,
+                         samples=list(used), changes=list(changes))

@@ -2,11 +2,15 @@
 
 Polynomials are plain lists of Cyclotomic coefficients, degree-0 first.
 The resultant is the determinant of the Sylvester matrix, by fraction-free
-Bareiss elimination over Z[zeta_N] with rows cleared of denominators; the
-exact division by the previous pivot p is a product with adj(p), the product
-of p's other Galois conjugates, and an integer division by the norm
-p * adj(p).  A closed 2x2-quadratic formula and the numeric theta quadratics
-that share the root theta[1;1/5]/theta[1;3/5] round the module out.
+Bareiss elimination with rows cleared of denominators.  Each entry, an
+element of Z[zeta_N] as an integer polynomial of degree below phi(N), is
+packed into one Python int, its value at X = 2^B (Kronecker substitution),
+and the elimination is plain integer Bareiss: X -> 2^B is a ring map from
+Z[X], so every exact division by the previous pivot stays exact, and B is
+large enough to read every minor back.  Only the pivot tests and the final
+determinant are unpacked and reduced mod Phi_N.  A closed 2x2-quadratic
+formula and the numeric theta quadratics that share the root
+theta[1;1/5]/theta[1;3/5] round the module out.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import math
 from fractions import Fraction
 
 from .cyclotomic import (MAX_ORDER, Cyclotomic, cyclo_root, int_vector,
-                         norm_adjugate, reduction_matrix, ring_mul)
+                         kron_pack, kron_unpack, kron_width, reduce_poly,
+                         reduction_matrix)
 from .numeric import _theta_at, _theta_rows
 from .theta import Characteristic
 
@@ -57,7 +62,15 @@ def sylvester_matrix(f, g):
 def _bareiss_det(rows):
     """Exact determinant by Bareiss fraction-free elimination with row
     pivoting, over Z[zeta_N] for N the lcm of the entry orders, each row
-    scaled by the lcm of its denominators (exact division: module docstring)."""
+    scaled by the lcm of its denominators, on packed ints (module
+    docstring).
+
+    Every value the elimination makes is a minor of the packed matrix, an
+    integer polynomial whose coefficients are at most the product of the
+    rows' L1 norms, so slots of kron_width of that bound read every minor
+    back.  A pivot counts as zero when it is zero in Z[zeta_N], not only as
+    a polynomial: the row swaps, the sign and the early zero (at order 1)
+    are those of elimination on reduced elements."""
     n = len(rows)
     if n == 0:
         return Cyclotomic.one()
@@ -67,27 +80,35 @@ def _bareiss_det(rows):
     red = reduction_matrix(order).tolist()
     dens = [math.lcm(*(v.denominator for c in r for v in c.coeffs.values()))
             for r in rows]
-    m = [[int_vector(c, order, d, red) for c in r] for r, d in zip(rows, dens)]
-    sign = 1
+    vecs = [[int_vector(c, order, d, red) for c in r]
+            for r, d in zip(rows, dens)]
+    width = kron_width(math.prod(max(1, sum(abs(x) for v in r for x in v))
+                                 for r in vecs))
+    m = [[kron_pack(v, width) for v in r] for r in vecs]
+
+    def nonzero(x):
+        return x != 0 and any(reduce_poly(kron_unpack(x, width), red))
+
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if k:
-            adj, norm = norm_adjugate(m[k - 1][k - 1], red)
-        if not any(m[k][k]):
+        if not nonzero(m[k][k]):
             for i in range(k + 1, n):
-                if any(m[i][k]):
+                if nonzero(m[i][k]):
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
                 return Cyclotomic.zero()
         top = m[k]
+        pivot = top[k]
         for row in m[k + 1:]:
+            lead = row[k]
             for j in range(k + 1, n):
-                t = [x - y for x, y in zip(ring_mul(row[j], top[k], red),
-                                           ring_mul(row[k], top[j], red))]
-                row[j] = [x // norm for x in ring_mul(t, adj, red)] if k else t
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    det = reduce_poly(kron_unpack(m[n - 1][n - 1], width), red)
     return Cyclotomic(order, {i: Fraction(c, sign * math.prod(dens))
-                              for i, c in enumerate(m[n - 1][n - 1])})
+                              for i, c in enumerate(det)})
 
 
 def resultant(f, g):

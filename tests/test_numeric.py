@@ -12,7 +12,8 @@ from theta5.catalog import Argument, IdentityKind
 from theta5.catalog_data import builtin_catalog
 from theta5.cli import main
 from theta5 import numeric
-from theta5.numeric import (EvalConfig, PHI_WITNESS, PSI_WITNESS, TWO_PI_I,
+from theta5.numeric import (EvalConfig, MAX_NODES, PHI_WITNESS, PSI_WITNESS,
+                            RESIDUE_RTOL, TWO_PI_I, contour_residue,
                             identity_residual, numeric_residue, residue_report,
                             sample_tau, sample_zeta, theta_deriv_eval,
                             theta_eval, zero_location_check)
@@ -312,6 +313,54 @@ def test_numeric_residue_calls_f_once_on_all_nodes():
 
     assert abs(numeric_residue(f, 0.0, 0.1, samples=64) - 1.0) < 1e-14
     assert calls == [(64,)]
+
+
+# -- the adaptive contour rule against the fixed 4096-node rule -----------------
+
+@pytest.mark.parametrize("witness", [PHI_WITNESS, PSI_WITNESS])
+def test_adaptive_residues_match_fixed_rule(witness):
+    for k in range(6):
+        tau = complex(0.37 * k - 0.9, 0.8 + 0.24 * k)  # Im 0.8 ... 2.0
+        rep = residue_report(witness, tau)
+        fixed = residue_report(witness, tau, samples=4096)
+        scale = max(abs(v) for v in fixed.numeric)
+        assert max(abs(a - b) for a, b in zip(rep.numeric, fixed.numeric)) \
+            <= 1e-13 * scale, tau
+        assert all(n <= 128 for n in rep.samples), (tau, rep.samples)
+        assert fixed.samples == [4096] * 5
+        assert fixed.changes == [None] * 5
+
+
+def _counting(f):
+    nodes = []
+
+    def g(z):
+        nodes.append(len(z))
+        return f(z)
+    return g, nodes
+
+
+def test_adaptive_rule_refines_for_an_off_centre_pole():
+    # a pole at 0.9 radius from the centre: the trapezoid error falls like
+    # 0.9^n, so 64 nodes are far from enough
+    f, nodes = _counting(lambda z: 2.0 / (z - 0.09) + np.cos(z))
+    got, used, change = contour_residue(f, 0.0, 0.1)
+    assert 64 < used < MAX_NODES and sum(nodes) == used
+    assert nodes[:3] == [32, 32, 64]      # only the new half-step nodes
+    assert change <= RESIDUE_RTOL * 21.0  # |f(w) w| < 21 on the circle
+    fixed = numeric_residue(f, 0.0, 0.1, samples=4096)
+    assert abs(got - fixed) <= 1e-13 * 2.0 and abs(got - 2.0) <= 1e-13 * 2.0
+
+
+def test_adaptive_rule_reports_the_cap_when_it_cannot_converge():
+    # a pole 0.9999 radius out: 0.9999^4096 is about 0.66, no node count up
+    # to the cap converges, and the report says so
+    f, nodes = _counting(lambda z: 1.0 / (z - 0.09999))
+    got, used, change = contour_residue(f, 0.0, 0.1)
+    assert used == MAX_NODES == sum(nodes)
+    assert change > 1e-3
+    assert got == pytest.approx(numeric_residue(f, 0.0, 0.1, samples=4096),
+                                rel=1e-12)
 
 
 def reference_residues(witness, tau, cfg, samples=4096):

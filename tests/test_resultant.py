@@ -203,26 +203,27 @@ ORDERS = (1, 2, 3, 4, 5, 8, 10, 12, 15, 20)
 
 
 @st.composite
-def entry(draw, n):
+def entry(draw, n, bound=5):
     """An element of Q(zeta_d) for a divisor d of n, zero a quarter of the
-    time (at order d too), with small rational coefficients."""
+    time (at order d too), with rational coefficients whose numerators are
+    at most bound."""
     d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
     if draw(st.integers(0, 3)) == 0:
         return Cyclotomic.zero(d)
     return Cyclotomic(d, {draw(st.integers(0, d - 1)):
-                          Fraction(draw(st.integers(-5, 5)),
+                          Fraction(draw(st.integers(-bound, bound)),
                                    draw(st.integers(1, 4)))
                           for _ in range(draw(st.integers(1, 3)))})
 
 
 @st.composite
-def square_matrices(draw):
+def square_matrices(draw, max_size=4, bound=5):
     """Square matrices over Q(zeta_n) with mixed entry orders: generic, with
     a zero first pivot, with a second pivot that elimination cancels (both
     need a row swap), or singular (one row a multiple of another)."""
     n = draw(st.sampled_from(ORDERS))
-    size = draw(st.integers(1, 4))
-    rows = [[draw(entry(n)) for _ in range(size)] for _ in range(size)]
+    size = draw(st.integers(1, max_size))
+    rows = [[draw(entry(n, bound)) for _ in range(size)] for _ in range(size)]
     shape = draw(st.sampled_from(("generic", "zero-pivot", "late-swap",
                                   "singular")))
     if shape == "zero-pivot":
@@ -244,6 +245,32 @@ def test_bareiss_matches_fraction_oracle(rows):
     assert got == want
     assert got.order == want.order
     assert got.to_string() == want.to_string()
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_matrices(max_size=6, bound=2 ** 70))
+def test_bareiss_matches_oracle_on_wide_coefficients(rows):
+    # numerators past 2^64 and up to 6 rows: minors whose coefficients need
+    # wide Kronecker slots
+    got, want = _bareiss_det(rows), fraction_bareiss(rows)
+    assert got == want
+    assert got.order == want.order
+    assert got.to_string() == want.to_string()
+
+
+def test_bareiss_pivot_zero_mod_phi_but_not_as_polynomial():
+    # The second pivot is (1)(1 + z) - (z)(-z) = 1 + z + z^2 for z = zeta_3:
+    # a nonzero integer polynomial that is zero in Z[zeta_3].  The rows
+    # below have zeros in that column (an all-zero row, and a multiple of
+    # the first row's head), so elimination stops at an order-1 zero.
+    z, zero, one = cyclo_root(1, 3), Cyclotomic.zero(), Cyclotomic.one()
+    rows = [[one, -z, zero, one],
+            [z, one + z, one, zero],
+            [zero, zero, zero, zero],
+            [one * 2, z * -2, z, one * 3]]
+    got, want = _bareiss_det(rows), fraction_bareiss(rows)
+    assert want.order == 1 and want.is_zero()
+    assert got.order == want.order and got.to_string() == want.to_string()
 
 
 def test_bareiss_order_cap_matches_oracle():
