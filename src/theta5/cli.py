@@ -2,8 +2,9 @@
 
 Subcommands: verify, expand, eval, residues, discover, sigma, resultant.
 Exit codes: 0 = success / all checks pass, 1 = a verification failed,
-2 = usage or input error.  JSON output carries "schema": 1 and is
-byte-identical across identical runs (timings are text-mode only).
+2 = usage or input error, 3 = internal error (an uncaught exception).
+JSON output carries "schema": 1 and is byte-identical across identical runs
+(timings are text-mode only).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .theta import Characteristic, ThetaMode, theta_series
 from .verify import (batch_passed, discover_relations, reports_to_json,
                      verify_all)
 
-EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
 def _fmt_complex(v):
@@ -345,6 +346,10 @@ def main(argv=None):
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:  # a fault of theta5, never a failed identity
+        msg = " ".join(f"{type(e).__name__}: {e}".split())
+        print(f"internal error: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,15 +8,12 @@ Laurent polynomial) and a lower bound `min_x` on the x-exponent of the full
 untruncated series, which makes product truncation sound.
 
 Multiplication is exact on every retained coefficient and has one path, the
-packed-integer kernel `packed_mul`.  A `Packed` series is four parallel
-arrays on one integer grid: the exponents `ix`, `iz` (x- and z-exponents
-times `dx`, `dz`), the exponent `k` of w = zeta_N in the group ring
-Z[w]/(w^N - 1), and integer coefficients `c` over a common denominator that
-the caller keeps.  A product takes the outer sums of exponents and outer
-products of coefficients, drops the pairs beyond the cutoff, reduces k mod N,
-then sorts the packed keys and merges duplicates with np.add.reduceat.  It
-runs on int64 when an a-priori bound shows that no sum or product can
-overflow, and otherwise on the same arrays with dtype=object (Python ints).
+packed-integer kernel `packed_mul` on `Packed` series: one sorted int64 key
+per entry packs the monomial x^(ix/dx) z^(iz/dz) w^k (w = zeta_N) as bit
+fields, so a monomial product is a key sum, next to integer coefficients
+over a common denominator.  A product keeps the outer sums of keys below the
+cutoff's, reduces k mod N, then sorts and merges equal keys; coefficients
+are int64 under an a-priori overflow bound and Python ints beyond it.
 Reduction mod Phi_N is left to `nonzero_positions`.
 """
 
@@ -48,27 +45,16 @@ class PuiseuxSeries2:
         """terms: mapping ExponentPair -> Cyclotomic. Terms above cutoff are
         dropped; structurally zero coefficients are dropped; with _scrub also
         coefficients that reduce to zero mod Phi_N."""
-        clean = {}
-        for e, c in terms.items():
-            if cutoff is not None and e[0] > cutoff:
-                continue
-            if not c.coeffs:
-                continue
-            if _scrub and c.is_zero():
-                continue
-            clean[ExponentPair(Fraction(e[0]), Fraction(e[1]))] = c
-        self.terms = clean
+        self.terms = clean = {
+            ExponentPair(Fraction(e[0]), Fraction(e[1])): c
+            for e, c in terms.items() if (cutoff is None or e[0] <= cutoff)
+            and c.coeffs and not (_scrub and c.is_zero())}
         self.cutoff = None if cutoff is None else Fraction(cutoff)
-        if min_x is not None:
-            self.min_x = Fraction(min_x)
-        elif clean:
-            self.min_x = min(e.xExp for e in clean)
-        elif self.cutoff is not None:
-            # empty truncated series: the true series has nothing at or below
-            # the cutoff, so the cutoff itself is a sound lower bound
-            self.min_x = self.cutoff
-        else:
-            self.min_x = Fraction(0)
+        if min_x is None:
+            # an empty truncated series has nothing at or below its cutoff,
+            # so the cutoff itself is a sound lower bound
+            min_x = min((e.xExp for e in clean), default=self.cutoff or 0)
+        self.min_x = Fraction(min_x)
 
     # -- constructors --------------------------------------------------------
 
@@ -129,14 +115,7 @@ class PuiseuxSeries2:
         cut = min(cuts) if cuts else None
         out = dict(self.terms)
         for e, c in other.terms.items():
-            if e in out:
-                s = out[e] + c
-                if s.coeffs:
-                    out[e] = s
-                else:
-                    del out[e]
-            else:
-                out[e] = c
+            out[e] = out[e] + c if e in out else c  # __init__ drops empty sums
         return PuiseuxSeries2(out, cut, min(self.min_x, other.min_x), _scrub=False)
 
     def __neg__(self):
@@ -158,33 +137,31 @@ class PuiseuxSeries2:
             return PuiseuxSeries2({}, cut)
         (a, den_a), (b, den_b) = pack(self.terms), pack(other.terms)
         (a, b), icut = on_common_grid([a, b], cut)
-        terms = unpack(packed_mul(a, b, icut), den_a * den_b)
+        p, den = packed_mul(a, b, icut), den_a * den_b
+        coeffs = {}
+        for ix, iz, k, c in zip(p.ix.tolist(), p.iz.tolist(), p.k.tolist(),
+                                p.c.tolist()):
+            coeffs.setdefault((ix, iz), {})[k] = Fraction(c, den)
+        terms = {ExponentPair(Fraction(ix, p.dx), Fraction(iz, p.dz)):
+                 Cyclotomic(p.order, cs) for (ix, iz), cs in coeffs.items()}
         return PuiseuxSeries2(terms, cut, self.min_x + other.min_x, _scrub=False)
 
     def __pow__(self, p):
         if p < 1:
             raise ValueError("power must be >= 1")
-        result = None
-        base = self
-        while p:
-            if p & 1:
-                result = base if result is None else result * base
-            p >>= 1
-            if p:
-                base = base * base
+        result = self
+        for bit in bin(p)[3:]:  # the binary digits after the leading 1
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- serialization ---------------------------------------------------------
 
     def to_text(self):
         """One term per line: "xExp zExp coefficient", canonical order."""
-        lines = []
-        for e, c in self.items():
-            r = c.reduced()
-            if not r.coeffs:
-                continue
-            lines.append(f"{e.xExp} {e.zExp} {r.to_string()}")
-        return "\n".join(lines)
+        return "\n".join(f"{e.xExp} {e.zExp} {r.to_string()}"
+                         for e, c in self.items() if (r := c.reduced()).coeffs)
 
     def __repr__(self):
         n = len(self.terms)
@@ -193,36 +170,50 @@ class PuiseuxSeries2:
 
 def _result_cutoff(a, b):
     """Sound inclusive cutoff for a product of truncated series."""
-    cands = []
-    if a.cutoff is not None:
-        cands.append(a.cutoff + b.min_x)
-        if b.cutoff is not None:
-            cands.append(min(a.cutoff, b.cutoff))
-    if b.cutoff is not None:
-        cands.append(b.cutoff + a.min_x)
-    return min(cands) if cands else None
+    cands = [cut + s.min_x for cut, s in ((a.cutoff, b), (b.cutoff, a))
+             if cut is not None]
+    if len(cands) == 2:
+        cands.append(min(a.cutoff, b.cutoff))
+    return min(cands, default=None)
 
 
 # -- the packed-integer kernel -------------------------------------------------
 
+#: Field widths of a key ((ix << _ZB) + iz) << _KB | k: |iz| < _ZHALF, and
+#: k < 2^_KB holds the sum of two exponents below MAX_ORDER.  |ix| < _XLIM
+#: keeps |key| < 2^62, so that two keys add without wrapping.
+_KB, _ZB = (2 * MAX_ORDER - 1).bit_length(), 20
+_ZHALF, _XLIM = 1 << _ZB - 1, 1 << 62 - _ZB - _KB
+
 
 class Packed(NamedTuple):
     """sum_i c[i] * w^k[i] * x^(ix[i]/dx) * z^(iz[i]/dz), w = exp(2*pi*i/order),
-    with keys (ix, iz, k) sorted and distinct and no c[i] zero.  ix, iz and k
-    are int64; c is int64, or object (Python ints) when an entry may not fit."""
-    ix: np.ndarray
-    iz: np.ndarray
-    k: np.ndarray
+    with no c[i] zero, as one int64 key per entry, sorted and distinct.  Key
+    order is (ix, iz, k) order, and the sum of two keys is the key of the
+    product of their monomials, up to reducing k mod order.  zb bounds |iz|;
+    c is int64, or object (Python ints) when an entry may not fit."""
+    key: np.ndarray
     c: np.ndarray
     dx: int
     dz: int
     order: int
+    zb: int
+
+    ix = property(lambda self: _split(self.key)[0])
+    iz = property(lambda self: _split(self.key)[1])
+    k = property(lambda self: self.key & (1 << _KB) - 1)
 
     def regrid(self, dx, dz, order):
         """The same series on a finer grid: dx, dz and order are multiples
-        of this one's."""
-        return Packed(self.ix * (dx // self.dx), self.iz * (dz // self.dz),
-                      self.k * (order // self.order), self.c, dx, dz, order)
+        of this one's.  Scaling each field keeps the keys sorted."""
+        if not self.c.size or (dx, dz, order) == self[2:5]:
+            return self._replace(dx=dx, dz=dz, order=order)
+        fx, fz = dx // self.dx, dz // self.dz
+        _fits(fx * max(-_split(int(self.key[0]))[0],
+                       _split(int(self.key[-1]))[0]), fz * self.zb, order)
+        ix, iz = _split(self.key)
+        return Packed(_key(ix * fx, iz * fz, self.k * (order // self.order)),
+                      self.c, dx, dz, order, fz * self.zb)
 
 
 def pack(terms):
@@ -239,20 +230,12 @@ def pack(terms):
                    v.numerator * (den // v.denominator))
                   for e, c in terms.items() for k, v in c.coeffs.items())
     ix, iz, k, c = zip(*rows) if rows else ((),) * 4
+    zb = max(map(abs, iz), default=0)
+    _fits(max(map(abs, ix), default=0), zb, order)
     big = max(map(abs, c), default=0) >= _INT64_SAFE
-    return Packed(np.array(ix, np.int64), np.array(iz, np.int64),
-                  np.array(k, np.int64), np.array(c, object if big else np.int64),
-                  dx, dz, order), den
-
-
-def unpack(p, den):
-    """The mapping ExponentPair -> Cyclotomic of p / den."""
-    coeffs = {}
-    for ix, iz, k, c in zip(p.ix.tolist(), p.iz.tolist(), p.k.tolist(),
-                            p.c.tolist()):
-        coeffs.setdefault((ix, iz), {})[k] = Fraction(c, den)
-    return {ExponentPair(Fraction(ix, p.dx), Fraction(iz, p.dz)):
-            Cyclotomic(p.order, cs) for (ix, iz), cs in coeffs.items()}
+    key = _key(*(np.array(v, np.int64) for v in (ix, iz, k)))
+    return Packed(key, np.array(c, object if big else np.int64), dx, dz,
+                  order, zb), den
 
 
 def on_common_grid(packs, cutoff=None):
@@ -262,12 +245,6 @@ def on_common_grid(packs, cutoff=None):
                   1 if cutoff is None else cutoff.denominator)
     dz = math.lcm(*(p.dz for p in packs))
     order = math.lcm(*(p.order for p in packs))
-    if order > MAX_ORDER:
-        raise ValueError(f"order {order} exceeds MAX_ORDER={MAX_ORDER}")
-    for p in packs:
-        if max(int(np.abs(p.ix).max(initial=0)) * (dx // p.dx),
-               int(np.abs(p.iz).max(initial=0)) * (dz // p.dz)) >= _INT64_SAFE:
-            raise OverflowError("exponent grid too fine for int64")
     icut = None if cutoff is None else int(cutoff * dx)
     return [p.regrid(dx, dz, order) for p in packs], icut
 
@@ -275,50 +252,78 @@ def on_common_grid(packs, cutoff=None):
 def packed_mul(a, b, icut=None):
     """a * b on their common grid, exact on every term with ix <= icut
     (every term when icut is None)."""
-    if icut is not None and a.c.size and b.c.size:
-        amin, bmin = a.ix.min(), b.ix.min()
-        a, b = _select(a, a.ix <= icut - bmin), _select(b, b.ix <= icut - amin)
-    l1a, maxa = _norms(a.c)
-    l1b, maxb = _norms(b.c)
+    if not a.c.size or not b.c.size:
+        return a._replace(key=a.key[:0], c=a.c[:0])
+    (a0, a1), (b0, b1) = ((int(p.key[0]), int(p.key[-1])) for p in (a, b))
+    lo, top = _split(a0)[0] + _split(b0)[0], _split(a1)[0] + _split(b1)[0]
+    hi = top if icut is None else min(icut, top)
+    if hi < lo:
+        return a._replace(key=a.key[:0], c=a.c[:0])
+    _fits(max(-lo, hi), a.zb + b.zb, a.order)
+    kmax = (hi << _ZB) + _ZHALF << _KB   # the keys with ix <= hi lie below
+    ka = a.key[:np.searchsorted(a.key, kmax - b0)]
+    kb = b.key[:np.searchsorted(b.key, kmax - a0)]
+    ca, cb = a.c[:ka.size], b.c[:kb.size]
+    (l1a, maxa), (l1b, maxb) = _norms(ca), _norms(cb)
     dtype = _dtype(min(l1a * maxb, l1b * maxa))
-    ix = a.ix[:, None] + b.ix
-    i, j = np.nonzero(ix <= icut if icut is not None
-                      else np.ones(ix.shape, bool))
-    return _merge(ix[i, j], a.iz[i] + b.iz[j], (a.k[i] + b.k[j]) % a.order,
-                  a.c[i].astype(dtype) * b.c[j].astype(dtype), a)
+    key = np.add.outer(ka, kb).ravel()
+    c = np.multiply.outer(ca.astype(dtype, copy=False),
+                          cb.astype(dtype, copy=False)).ravel()
+    if hi < top:
+        keep = key < kmax
+        key, c = key[keep], c[keep]
+    _fold(key, a.order)
+    return _merge(key, c, a._replace(zb=a.zb + b.zb))
 
 
 def packed_sum(parts):
     """Sum of packed series on one grid (at least one)."""
     dtype = _dtype(sum(_norms(p.c)[1] for p in parts))
-    return _merge(*(np.concatenate([getattr(p, f) for p in parts])
-                    for f in ("ix", "iz", "k")),
-                  np.concatenate([p.c.astype(dtype) for p in parts]), parts[0])
+    return _merge(np.concatenate([p.key for p in parts]),
+                  np.concatenate([p.c.astype(dtype) for p in parts]),
+                  parts[0]._replace(zb=max(p.zb for p in parts)))
 
 
 def nonzero_positions(p):
-    """Indices of the first entry of each (ix, iz) position of p whose
-    coefficient is nonzero in Q(zeta_order), in key order: one integer
-    matmul against reduction_matrix(order)."""
-    if not p.c.size:
-        return np.zeros(0, np.int64)
-    new = np.concatenate(([True], (p.ix[1:] != p.ix[:-1])
-                          | (p.iz[1:] != p.iz[:-1])))
-    first = np.flatnonzero(new)
+    """Indices of the first entry of each (ix, iz) position (key >> _KB) of
+    p whose coefficient is nonzero in Q(zeta_order), in key order: one
+    integer matmul against reduction_matrix(order)."""
+    _, first, row = np.unique(p.key >> _KB, return_index=True,
+                              return_inverse=True)
     red = reduction_matrix(p.order)
     dtype = _dtype(_norms(p.c)[0] * int(np.abs(red).max()))
     dense = np.zeros((first.size, p.order), dtype)
-    dense[np.cumsum(new) - 1, p.k] = p.c
+    dense[row, p.k] = p.c
     return first[(dense @ red.astype(dtype) != 0).any(axis=1)]
 
 
-def _select(p, mask):
-    return p._replace(ix=p.ix[mask], iz=p.iz[mask], k=p.k[mask], c=p.c[mask])
+def _key(ix, iz, k):
+    return ((ix << _ZB) + iz << _KB) + k
+
+
+def _split(key):
+    """(ix, iz) of a key, or of an array of them."""
+    pos = key >> _KB
+    ix = pos + _ZHALF >> _ZB
+    return ix, pos - (ix << _ZB)
+
+
+def _fits(xmax, zb, order):
+    """Raises unless keys with |ix| <= xmax, |iz| <= zb and k < order fit."""
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds MAX_ORDER={MAX_ORDER}")
+    if xmax >= _XLIM or zb >= _ZHALF:
+        raise OverflowError("exponents too large for an int64 key")
+
+
+def _fold(key, order):
+    """Reduces each key's k field (below 2 * order) mod order, in place."""
+    key -= (key & (1 << _KB) - 1 >= order) * order
 
 
 def _norms(v):
-    """(sum |v|, max |v|): exact for object arrays, a float64 sum (relative
-    error far below the margin of _INT64_SAFE) for int64 ones."""
+    """(sum |v|, max |v|), the sum in float64 for int64 v: its relative
+    error is far below the margin of _INT64_SAFE."""
     a = np.abs(v)
     if a.dtype == object:
         return sum(a.tolist()), max(a.tolist(), default=0)
@@ -329,21 +334,14 @@ def _dtype(bound):
     return np.int64 if bound < _INT64_SAFE else object
 
 
-def _merge(ix, iz, k, c, like):
+def _merge(key, c, like):
     """Packed series of the entries, on the grid of `like`: keys sorted,
     equal keys summed, zero sums dropped."""
     if not c.size:
-        return like._replace(ix=ix, iz=iz, k=k, c=c)
-    x0, z0 = int(ix.min()), int(iz.min())
-    nz = int(iz.max()) - z0 + 1
-    span = (int(ix.max()) - x0 + 1) * nz * like.order
-    kt = np.int64 if span < 1 << 63 else object
-    key = ((ix.astype(kt) - x0) * nz + iz.astype(kt) - z0) * like.order \
-        + k.astype(kt)
+        return like._replace(key=key, c=c)
     perm = np.argsort(key)
     key = key[perm]
     first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     sums = np.add.reduceat(c[perm], first)
     keep = sums != 0
-    rows = perm[first[keep]]
-    return like._replace(ix=ix[rows], iz=iz[rows], k=k[rows], c=sums[keep])
+    return like._replace(key=key[first[keep]], c=sums[keep])

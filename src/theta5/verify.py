@@ -5,7 +5,9 @@ over Q(zeta_N) and checking that the sum cancels coefficient-by-coefficient.
 A term is a product of powers of theta factors; each power is built once per
 cutoff and cached (_theta_power), so a term costs one kernel call per factor
 after the first, whatever the powers, until the operands grow dense
-(_DENSE_PAIRS).
+(_DENSE_PAIRS).  Terms and their sum stay packed, one int64 key per entry
+(series.Packed): a scalar is a key add, the sum one merge of keys, and only
+the reported positions are decoded back to exponents.
 discover_relations rediscovers linear relations among products of theta
 functions numerically: sample the functions in zeta at a fixed tau, and read
 the relation off the nullspace of the sample matrix (the dimension count
@@ -26,8 +28,9 @@ import numpy as np
 from .catalog import Argument, ExpectedStatus, _index_factors
 from .cyclotomic import Cyclotomic
 from .numeric import _theta_rows, theta_eval
-from .series import (ExponentPair, _dtype, _norms, nonzero_positions,
-                     on_common_grid, pack, packed_mul, packed_sum)
+from .series import (ExponentPair, _KB, _dtype, _fold, _norms, _split,
+                     nonzero_positions, on_common_grid, pack, packed_mul,
+                     packed_sum)
 from .theta import Characteristic, ThetaMode, theta_series
 
 _ORIGIN = ExponentPair(Fraction(0), Fraction(0))
@@ -35,9 +38,9 @@ _ORIGIN = ExponentPair(Fraction(0), Fraction(0))
 #: The most operand pairs for which a monomial takes a factor's cached power
 #: in one kernel call.  Past it both operands are dense, and multiplying by
 #: the bare factor `power` times makes far fewer pairs (each step merges its
-#: duplicates) for power - 1 more calls.  On the corpus this splits powers
-#: only past cutoff 16: at cutoff 32 it cuts 11.9M pairs in 1,199 calls to
-#: 6.7M in 1,719 (about 1.3 s -> 0.8 s on a 2-core x86 host).
+#: duplicates) for power - 1 more calls.  It splits corpus powers only past
+#: cutoff 16: at cutoff 32, 18.2M pairs in 1,199 calls become 10.7M in 1,719
+#: (exact-deep pass_s 0.81 -> 0.63 s, 2-core x86 host).
 _DENSE_PAIRS = 20_000
 
 
@@ -108,12 +111,9 @@ def _series(key, cutoff):
 def _factors(term):
     """[(key, power)] of a term's factors, key the ints that _theta_power is
     keyed on besides the power and the cutoff."""
-    out = []
-    for f in term.factors:
-        e, ep = f.char
-        out.append(((e.numerator, e.denominator, ep.numerator, ep.denominator,
-                     f.argument is Argument.SYMBOLIC_ZETA), f.power))
-    return out
+    return [((f.char[0].numerator, f.char[0].denominator, f.char[1].numerator,
+              f.char[1].denominator, f.argument is Argument.SYMBOLIC_ZETA),
+             f.power) for f in term.factors]
 
 
 def _require_terms(term, fs, powers, cutoff):
@@ -128,24 +128,25 @@ def _require_terms(term, fs, powers, cutoff):
 
 def _scaled(mono, scalar, icut):
     """mono * scalar.  The corpus's scalars are one entry c0 * w^k0 at the
-    origin, applied elementwise without the kernel (on Python ints when a
-    product may pass int64); the keys are then no longer sorted."""
+    origin, applied as a key add (on Python ints when a product may pass
+    int64), which leaves the keys sorted by position but not by k."""
     if scalar.c.size != 1:
         return packed_mul(mono, scalar, icut)
-    k0, c0 = int(scalar.k[0]), int(scalar.c[0])
+    c0 = int(scalar.c[0])
     dtype = _dtype(max(_norms(mono.c)[1], 1) * abs(c0))
-    return mono._replace(k=(mono.k + k0) % mono.order,
-                         c=mono.c.astype(dtype) * c0)
+    key = mono.key + scalar.key[0]
+    _fold(key, mono.order)
+    return mono._replace(key=key, c=mono.c.astype(dtype) * c0)
 
 
 def verify_exact(ident, cutoff):
     """Exact cancellation proof of one identity at the given x-cutoff.
 
-    Every term is built and summed in packed form (series.Packed) on one
-    grid, from the cached powers of its factors (largest first; a power
-    whose product with the rest would pass _DENSE_PAIRS goes in as its bare
-    factor, repeated), with the scalars brought to a common denominator;
-    one integer matmul then reduces every position of the sum mod Phi_N."""
+    Every term is built and summed in packed form on one grid, from the
+    cached powers of its factors (largest first; a power whose product with
+    the rest would pass _DENSE_PAIRS goes in as its bare factor, repeated),
+    with the scalars over a common denominator; one integer matmul then
+    reduces every position of the sum mod Phi_N."""
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be > 0")
@@ -162,26 +163,23 @@ def verify_exact(ident, cutoff):
     scalars = [pack({_ORIGIN: t.scalar * den})[0] for t in ident.terms]
     packs, icut = on_common_grid([*powers.values(), *scalars], cutoff)
     grid = dict(zip(powers, packs))
-    # terms keep the keys _scaled leaves unsorted; packed_sum merges them
+    # packed_sum sorts the k fields that _scaled leaves unsorted
     terms = []
     for fs, scalar in zip(factors, packs[len(powers):]):
         fs = sorted(fs, key=lambda f: -grid[f].c.size)
         mono = grid[fs[0]]
         for key, power in fs[1:]:
-            if mono.c.size * grid[key, power].c.size <= _DENSE_PAIRS:
-                mono = packed_mul(mono, grid[key, power], icut)
-            else:
-                for _ in range(power):
-                    mono = packed_mul(mono, grid[key, 1], icut)
+            dense = mono.c.size * grid[key, power].c.size > _DENSE_PAIRS
+            for f in [grid[key, 1]] * power if dense else [grid[key, power]]:
+                mono = packed_mul(mono, f, icut)
         terms.append(_scaled(mono, scalar, icut))
     total = packed_sum(terms)
     residuals = [_residual(total, i, ident, factors, terms, den, cutoff)
                  for i in nonzero_positions(total)[:10]]
-    elapsed = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         id=ident.id, mode="exact", cutoff=cutoff,
-        status="pass" if not residuals else "fail",
-        residuals=residuals, elapsed_ms=elapsed)
+        status="pass" if not residuals else "fail", residuals=residuals,
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def _residual(total, i, ident, factors, terms, den, cutoff):
@@ -193,12 +191,13 @@ def _residual(total, i, ident, factors, terms, den, cutoff):
     last partial sum that cancelled term by term.  A term's order is the lcm
     of its scalar's and its monomial's: the lcm of its factors' orders, or
     for a single factor of power 1 the order of that theta coefficient."""
-    ix, iz = total.ix[i], total.iz[i]
-    e = ExponentPair(Fraction(int(ix), total.dx), Fraction(int(iz), total.dz))
+    ix, iz = _split(int(total.key[i]))
+    pos = total.key[i] >> _KB
+    e = ExponentPair(Fraction(ix, total.dx), Fraction(iz, total.dz))
     cut = cutoff.numerator, cutoff.denominator
     acc, order = {}, 1
     for term, fs, part in zip(ident.terms, factors, terms):
-        at = (part.ix == ix) & (part.iz == iz)
+        at = part.key >> _KB == pos
         if not at.any():
             continue
         for k, c in zip(part.k[at].tolist(), part.c[at].tolist()):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from theta5 import cli
 from theta5.cli import main
 
 
@@ -158,3 +159,16 @@ def test_import_does_not_load_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    # an uncaught exception is not a failed identity (1) or a usage error (2)
+    def broken(args):
+        raise RuntimeError("kernel\nfault")
+
+    monkeypatch.setattr(cli, "cmd_sigma", broken)
+    code = main(["sigma", "10"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 3
+    assert captured.err == "internal error: RuntimeError: kernel fault\n"
+    assert captured.out == ""

@@ -5,7 +5,10 @@ packed-integer kernel replaced: `theta5 --format json --cutoff C verify` for
 C = 4, 8 and 1/2, and, at cutoff 1/10, each identity's report or the
 ValueError message it raises.  The sha256 digests are of the JSON reports of
 every sign-flip mutant (seeds 0 and 1) at cutoffs 4 and 8 from that engine.
-Regenerate them only for a deliberate change of report semantics.
+verify_c16.json and the cutoff-16 digest were written the same way at commit
+bd2cc0d, from the array-per-field packed kernel, before entries became one
+sorted int64 key.  Regenerate them only for a deliberate change of report
+semantics.
 
 expand_c4.json holds the theta expansions themselves, written before the
 expansion code was rebuilt around one defining-sum function: the stdout of
@@ -47,6 +50,7 @@ DATA = Path(__file__).parent / "data"
 MUTANT_SHA256 = {
     4: "cbff335eb8d83c13eba011d542e7ec3576422b9751c4dc8218a019818819979d",
     8: "5bfece194a38802b4afc12fb3c959c76022e5e71ebda7daa26cac49c458ed8ac",
+    16: "190c086ef3c6af6b4b7924f2165d097e248e8355884e709fbda965728f65cde8",
 }
 
 
@@ -54,7 +58,7 @@ def _corpus():
     return sorted(builtin_catalog(), key=lambda i: i.id)
 
 
-@pytest.mark.parametrize("cutoff", ["4", "8", "1/2"])
+@pytest.mark.parametrize("cutoff", ["4", "8", "16", "1/2"])
 def test_cli_json_is_byte_identical(capsys, cutoff):
     assert main(["--format", "json", "--cutoff", cutoff, "verify"]) == 0
     name = f"verify_c{cutoff.replace('/', '_')}.json"
@@ -72,7 +76,7 @@ def test_tiny_cutoff_reports_and_errors_match():
         == (DATA / "verify_c1_10.json").read_text()
 
 
-@pytest.mark.parametrize("cutoff", [4, 8])
+@pytest.mark.parametrize("cutoff", [4, 8, 16])
 def test_every_sign_flip_mutant_fails(cutoff):
     reports = [verify_exact(corrupt_identity(i, seed), cutoff)
                for i in _corpus() for seed in (0, 1)]

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,7 +170,7 @@ signed_exps = st.builds(Fraction, st.integers(-12, 12),
 
 
 @st.composite
-def mixed_series(draw, magnitude=9):
+def mixed_series(draw, magnitude=9, orders=mixed_orders):
     """Negative and fractional exponents, coefficients over several orders,
     with or without a cutoff."""
     cut = draw(st.none() | st.builds(Fraction, st.integers(-4, 16),
@@ -179,7 +180,7 @@ def mixed_series(draw, magnitude=9):
         key = ExponentPair(draw(signed_exps),
                            Fraction(draw(st.integers(-3, 3)),
                                     draw(st.sampled_from([1, 2]))))
-        order = draw(mixed_orders)
+        order = draw(orders)
         c = cyclo_root(draw(st.integers(0, order - 1)), order) * Fraction(
             draw(st.integers(-magnitude, magnitude).filter(bool)),
             draw(st.integers(1, 6)))
@@ -215,3 +216,143 @@ def test_kernel_matches_oracle_past_4096_pairs():
     assert len(a.terms) * len(b.terms) > 4096
     assert_matches_oracle(a, b)
 
+
+# -- the int64-key kernel --------------------------------------------------------
+
+key_orders = st.sampled_from([1, 5, 100, 397, 400])
+
+
+def as_series(p):
+    """The PuiseuxSeries2 (no cutoff) of a Packed series, entry by entry."""
+    terms = {}
+    for ix, iz, k, c in zip(p.ix.tolist(), p.iz.tolist(), p.k.tolist(),
+                            p.c.tolist()):
+        e = ExponentPair(Fraction(ix, p.dx), Fraction(iz, p.dz))
+        terms.setdefault(e, {})[k] = Fraction(c)
+    return PuiseuxSeries2({e: Cyclotomic(p.order, cs)
+                           for e, cs in terms.items()}, None, _scrub=False)
+
+
+def build(entries, order, dx=2, dz=3):
+    """The Packed series of entries (ix, iz, k, c), equal ones summed."""
+    ix, iz, k = (np.array([e[i] for e in entries], np.int64) for i in range(3))
+    c = [e[3] for e in entries]
+    big = max(map(abs, c), default=0) >= 1 << 61
+    return ser.packed_sum([ser.Packed(
+        ser._key(ix, iz, k), np.array(c, object if big else np.int64),
+        dx, dz, order, int(np.abs(iz).max(initial=0)))])
+
+
+@st.composite
+def packed_operands(draw):
+    """(a, b, icut) on one grid: negative ix and iz, k near the top of the
+    order so that sums wrap past it, coefficients past 2^62 in some draws,
+    and, with a cutoff, entries of b that land exactly on the cutoff and
+    one step past it."""
+    order = draw(key_orders)
+    ks = st.integers(0, order - 1) | st.integers(max(order - 3, 0), order - 1)
+    cs = st.integers(-9, 9).filter(bool)
+    if draw(st.booleans()):
+        cs = cs | st.integers(1 << 62, 1 << 70) | st.integers(-(1 << 70),
+                                                               -(1 << 62))
+    entry = st.tuples(st.integers(-6, 6), st.integers(-5, 5), ks, cs)
+    a = draw(st.lists(entry, max_size=10))
+    b = draw(st.lists(entry, max_size=10))
+    icut = draw(st.none() | st.integers(-10, 10))
+    if icut is not None and a:
+        x = draw(st.sampled_from(a))[0]
+        b += [(icut - x + d, draw(st.integers(-5, 5)), draw(ks), draw(cs))
+              for d in (0, 1)]
+    return build(a, order), build(b, order), icut
+
+
+def key_entries(p):
+    """{(xExp, zExp): {k: c}} of a Packed series, read off its decoded
+    fields as they are (no Cyclotomic, which would reduce k mod order)."""
+    out = {}
+    for ix, iz, k, c in zip(p.ix.tolist(), p.iz.tolist(), p.k.tolist(),
+                            p.c.tolist()):
+        out.setdefault((Fraction(ix, p.dx), Fraction(iz, p.dz)), {})[k] = c
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_operands())
+def test_key_kernel_matches_oracle(ops):
+    a, b, icut = ops
+    got = ser.packed_mul(a, b, icut)
+    assert got.key.dtype == np.int64
+    assert (np.diff(got.key) > 0).all()        # sorted and distinct
+    assert got.c.size == 0 or (got.c != 0).all()
+    if a.c.dtype == object and b.c.size and icut is None:
+        assert got.c.dtype == object           # while the keys stay int64
+    cut = None if icut is None else Fraction(icut, a.dx)
+    want = generic_mul(as_series(a), as_series(b), cut)
+    assert key_entries(got) == {tuple(e): c.coeffs for e, c in want.items()}
+    assert ((0 <= got.k) & (got.k < got.order)).all()
+
+
+def test_key_kernel_cutoff_is_inclusive():
+    # x^icut is kept and x^(icut + 1) dropped, with k = 4 + 3 wrapping to 2
+    a = build([(0, 0, 4, 1), (-2, 1, 0, 2)], 5, dx=1, dz=1)
+    b = build([(3, -1, 3, 1), (4, 0, 0, 1), (6, 0, 0, 1)], 5, dx=1, dz=1)
+    got = ser.packed_mul(a, b, 3)
+    assert list(zip(got.ix.tolist(), got.iz.tolist(), got.k.tolist(),
+                    got.c.tolist())) == [(1, 0, 3, 2), (2, 1, 0, 2),
+                                         (3, -1, 2, 1)]
+
+
+def test_key_kernel_empty_operands():
+    a = build([(1, -1, 2, 5)], 5)
+    empty = build([], 5)
+    for x, y in ((a, empty), (empty, a), (empty, empty)):
+        for icut in (None, 0, 10):
+            got = ser.packed_mul(x, y, icut)
+            assert got.key.size == got.c.size == 0
+    assert ser.packed_mul(a, a, 1).key.size == 0   # everything past the cutoff
+
+
+@st.composite
+def one_order_pair(draw):
+    """Two mixed series over one order of key_orders, with coefficients
+    past 2^62: their product wraps k past the order in about half the pairs."""
+    order = st.just(draw(key_orders))
+    return [draw(mixed_series(2 ** 66, order)) for _ in range(2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_order_pair())
+def test_series_product_wraps_k_like_the_oracle(ab):
+    assert_matches_oracle(*ab)
+
+
+def test_key_range_guard_raises_before_keys_wrap():
+    top = ser._XLIM - 1
+    near = S([(top // 2, 0, 1), (-(top // 2), 1, 3)])
+    sq = near * near                           # fits: keys decode exactly
+    assert sq.coeff(2 * (top // 2), 0) == 1
+    assert sq.coeff(-2 * (top // 2), 2) == 9
+    assert sq.coeff(0, 1) == 6
+    with pytest.raises(OverflowError):
+        S([(top, 0, 1)]) * S([(1, 0, 1)])       # x-exponent past the key field
+    with pytest.raises(OverflowError):
+        S([(-top, 0, 1)]) * S([(-1, 0, 1)])
+    zmax = ser._ZHALF - 1
+    with pytest.raises(OverflowError):
+        S([(0, zmax, 1)]) * S([(0, 1, 1)])      # z-exponent past its field
+    with pytest.raises(OverflowError):
+        ser.pack({ExponentPair(Fraction(0), Fraction(zmax + 1)):
+                  Cyclotomic.one()})
+    # a k field past MAX_ORDER would spill into the z field
+    with pytest.raises(ValueError):
+        ser.pack(S([(0, 0, cyclo_root(1, 397)), (1, 0, cyclo_root(1, 5))]).terms)
+    with pytest.raises(ValueError):
+        S([(0, 0, cyclo_root(1, 397))]) * S([(0, 0, cyclo_root(1, 5))])
+    # a finer common grid scales the exponents past the key range
+    (a, _), (b, _) = (ser.pack(S([(x, 0, 1)]).terms)
+                      for x in (top, Fraction(1, 3)))
+    with pytest.raises(OverflowError):
+        ser.on_common_grid([a, b])
+    # the guard is on the kept range: a cutoff below every product is fine
+    p, _ = ser.pack(S([(top, 0, 1)]).terms)
+    assert ser.packed_mul(p, p, 0).key.size == 0

@@ -12,7 +12,8 @@ from theta5.catalog import (Argument, ExpectedStatus, IdentityTerm, ThetaFactor,
                             corrupt_identity)
 from theta5.catalog_data import builtin_catalog
 from theta5.numeric import theta_eval
-from theta5.series import Packed, on_common_grid, pack, packed_mul, packed_sum
+from theta5.series import (Packed, _key, on_common_grid, pack, packed_mul,
+                           packed_sum)
 from theta5.theta import Characteristic, ThetaMode, theta_series
 from theta5.verify import (batch_passed, discover_relations, reports_to_json,
                            verify_all, verify_exact, zeta_grid)
@@ -108,10 +109,10 @@ def test_theta_power_matches_sequential_product(cutoff):
 def _packed(entries, order):
     ix, iz, k, c = zip(*entries) if entries else ((),) * 4
     big = max(map(abs, c), default=0) >= 1 << 61
-    return packed_sum([Packed(np.array(ix, np.int64), np.array(iz, np.int64),
-                              np.array(k, np.int64) % order,
+    return packed_sum([Packed(_key(np.array(ix, np.int64), np.array(iz, np.int64),
+                                   np.array(k, np.int64) % order),
                               np.array(c, object if big else np.int64),
-                              1, 1, order)])
+                              1, 1, order, max(map(abs, iz), default=0))])
 
 
 @settings(max_examples=80, deadline=None)
