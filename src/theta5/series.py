@@ -13,8 +13,9 @@ per entry packs the monomial x^(ix/dx) z^(iz/dz) w^k (w = zeta_N) as bit
 fields, so a monomial product is a key sum, next to integer coefficients
 over a common denominator.  A product keeps the outer sums of keys below the
 cutoff's, reduces k mod N, then sorts and merges equal keys; coefficients
-are int64 under an a-priori overflow bound and Python ints beyond it.
-Reduction mod Phi_N is left to `nonzero_positions`.
+are int64 while the bounds on sum |c| and max |c| that each Packed carries
+prove it safe (exact norms are taken only when they cannot), and Python
+ints beyond.  Reduction mod Phi_N is left to `nonzero_positions`.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class ExponentPair(NamedTuple):
     zExp: Fraction
 
 
-#: Below this bound int64 sums and products cannot overflow, with room for
-#: the rounding of the float64 norms that estimate it.
+#: Coefficients are int64 while a bound on every sum and product they form
+#: stays below this.
 _INT64_SAFE = 1 << 61
 
 
@@ -190,14 +191,17 @@ class Packed(NamedTuple):
     """sum_i c[i] * w^k[i] * x^(ix[i]/dx) * z^(iz[i]/dz), w = exp(2*pi*i/order),
     with no c[i] zero, as one int64 key per entry, sorted and distinct.  Key
     order is (ix, iz, k) order, and the sum of two keys is the key of the
-    product of their monomials, up to reducing k mod order.  zb bounds |iz|;
-    c is int64, or object (Python ints) when an entry may not fit."""
+    product of their monomials, up to reducing k mod order.  zb bounds |iz|,
+    l1 and mx bound sum |c| and max |c|; c is int64, or object (Python ints)
+    when an entry may not fit."""
     key: np.ndarray
     c: np.ndarray
     dx: int
     dz: int
     order: int
     zb: int
+    l1: int
+    mx: int
 
     ix = property(lambda self: _split(self.key)[0])
     iz = property(lambda self: _split(self.key)[1])
@@ -212,8 +216,9 @@ class Packed(NamedTuple):
         _fits(fx * max(-_split(int(self.key[0]))[0],
                        _split(int(self.key[-1]))[0]), fz * self.zb, order)
         ix, iz = _split(self.key)
-        return Packed(_key(ix * fx, iz * fz, self.k * (order // self.order)),
-                      self.c, dx, dz, order, fz * self.zb)
+        return self._replace(key=_key(ix * fx, iz * fz,
+                                      self.k * (order // self.order)),
+                             dx=dx, dz=dz, order=order, zb=fz * self.zb)
 
 
 def pack(terms):
@@ -232,10 +237,10 @@ def pack(terms):
     ix, iz, k, c = zip(*rows) if rows else ((),) * 4
     zb = max(map(abs, iz), default=0)
     _fits(max(map(abs, ix), default=0), zb, order)
-    big = max(map(abs, c), default=0) >= _INT64_SAFE
+    mx = max(map(abs, c), default=0)
     key = _key(*(np.array(v, np.int64) for v in (ix, iz, k)))
-    return Packed(key, np.array(c, object if big else np.int64), dx, dz,
-                  order, zb), den
+    return Packed(key, np.array(c, _dtype(mx)), dx, dz, order, zb,
+                  sum(map(abs, c)), mx), den
 
 
 def on_common_grid(packs, cutoff=None):
@@ -264,24 +269,29 @@ def packed_mul(a, b, icut=None):
     ka = a.key[:np.searchsorted(a.key, kmax - b0)]
     kb = b.key[:np.searchsorted(b.key, kmax - a0)]
     ca, cb = a.c[:ka.size], b.c[:kb.size]
-    (l1a, maxa), (l1b, maxb) = _norms(ca), _norms(cb)
-    dtype = _dtype(min(l1a * maxb, l1b * maxa))
+    (l1a, mxa), (l1b, mxb) = (a.l1, a.mx), (b.l1, b.mx)
+    if min(l1a * mxb, l1b * mxa) >= _INT64_SAFE:   # too loose: measure
+        (l1a, mxa), (l1b, mxb) = _norms(ca), _norms(cb)
+    mx = min(l1a * mxb, l1b * mxa)
     key = np.add.outer(ka, kb).ravel()
-    c = np.multiply.outer(ca.astype(dtype, copy=False),
-                          cb.astype(dtype, copy=False)).ravel()
+    c = np.multiply.outer(ca.astype(_dtype(mx), copy=False),
+                          cb.astype(_dtype(mx), copy=False)).ravel()
     if hi < top:
         keep = key < kmax
         key, c = key[keep], c[keep]
     _fold(key, a.order)
-    return _merge(key, c, a._replace(zb=a.zb + b.zb))
+    return _merge(key, c, a._replace(zb=a.zb + b.zb, l1=l1a * l1b, mx=mx))
 
 
 def packed_sum(parts):
-    """Sum of packed series on one grid (at least one)."""
-    dtype = _dtype(sum(_norms(p.c)[1] for p in parts))
+    """Sum of packed series on one grid (at least one), each with distinct
+    keys, so that no entry of the sum passes the sum of their mx."""
+    l1, mx = sum(p.l1 for p in parts), sum(p.mx for p in parts)
+    if mx >= _INT64_SAFE:   # too loose: measure
+        l1, mx = map(sum, zip(*(_norms(p.c) for p in parts)))
     return _merge(np.concatenate([p.key for p in parts]),
-                  np.concatenate([p.c.astype(dtype) for p in parts]),
-                  parts[0]._replace(zb=max(p.zb for p in parts)))
+                  np.concatenate([p.c.astype(_dtype(mx)) for p in parts]),
+                  parts[0]._replace(zb=max(p.zb for p in parts), l1=l1, mx=mx))
 
 
 def nonzero_positions(p):
@@ -291,7 +301,9 @@ def nonzero_positions(p):
     _, first, row = np.unique(p.key >> _KB, return_index=True,
                               return_inverse=True)
     red = reduction_matrix(p.order)
-    dtype = _dtype(_norms(p.c)[0] * int(np.abs(red).max()))
+    rmax = int(np.abs(red).max())
+    l1 = p.l1 if p.l1 * rmax < _INT64_SAFE else _norms(p.c)[0]
+    dtype = _dtype(l1 * rmax)
     dense = np.zeros((first.size, p.order), dtype)
     dense[row, p.k] = p.c
     return first[(dense @ red.astype(dtype) != 0).any(axis=1)]
@@ -322,12 +334,11 @@ def _fold(key, order):
 
 
 def _norms(v):
-    """(sum |v|, max |v|), the sum in float64 for int64 v: its relative
-    error is far below the margin of _INT64_SAFE."""
+    """Exact (sum |v|, max |v|) in Python ints."""
     a = np.abs(v)
-    if a.dtype == object:
-        return sum(a.tolist()), max(a.tolist(), default=0)
-    return float(a.sum(dtype=np.float64)), int(a.max(initial=0))
+    mx = int(a.max(initial=0))   # an int64 sum may wrap from size * mx on
+    big = a.dtype == object or mx * a.size >= 1 << 63
+    return (sum(a.tolist()) if big else int(a.sum())), mx
 
 
 def _dtype(bound):

@@ -3,11 +3,11 @@
 verify_exact proves an identity by expanding every term as a truncated series
 over Q(zeta_N) and checking that the sum cancels coefficient-by-coefficient.
 A term is a product of powers of theta factors; each power is built once per
-cutoff and cached (_theta_power), so a term costs one kernel call per factor
-after the first, whatever the powers, until the operands grow dense
-(_DENSE_PAIRS).  Terms and their sum stay packed, one int64 key per entry
-(series.Packed): a scalar is a key add, the sum one merge of keys, and only
-the reported positions are decoded back to exponents.
+cutoff and cached on the identity's grid (_theta_power), so a term costs one
+kernel call per factor after the first, whatever the powers, until operands
+grow dense (_DENSE_PAIRS).  Terms and their sum stay packed (series.Packed):
+a one-entry scalar is read off as two ints and applied as a key add, the sum
+is one merge of keys, and only the reported positions are decoded.
 discover_relations rediscovers linear relations among products of theta
 functions numerically: sample the functions in zeta at a fixed tau, and read
 the relation off the nullspace of the sample matrix (the dimension count
@@ -28,9 +28,8 @@ import numpy as np
 from .catalog import Argument, ExpectedStatus, _index_factors
 from .cyclotomic import Cyclotomic
 from .numeric import _theta_rows, theta_eval
-from .series import (ExponentPair, _KB, _dtype, _fold, _norms, _split,
-                     nonzero_positions, on_common_grid, pack, packed_mul,
-                     packed_sum)
+from .series import (_INT64_SAFE, ExponentPair, _KB, _dtype, _fold, _norms,
+                     _split, nonzero_positions, pack, packed_mul, packed_sum)
 from .theta import Characteristic, ThetaMode, theta_series
 
 _ORIGIN = ExponentPair(Fraction(0), Fraction(0))
@@ -86,17 +85,24 @@ class DiscoveredRelation:
 
 
 @functools.lru_cache(maxsize=None)
-def _theta_power(p, q, r, s, function, power, cn, cd):
+def _theta_power(p, q, r, s, function, power, cn, cd, grid=None, step=False):
     """theta[p/q; r/s]^power (of symbolic zeta when `function`, else at
-    zeta = 0) up to the x-exponent cn/cd, packed on the factor's own grid:
-    the one cache of exact verification.  It is keyed on ints, so a hit
-    hashes no Fraction.  Power p is power p-1 times the factor, truncated on
-    that grid; theta exponents are >= 0, so this keeps exactly the entries
-    that truncating on any finer grid keeps."""
+    zeta = 0) up to the x-exponent cn/cd, packed on `grid` (dx, dz, order)
+    or, when None, on the factor's own grid: the one cache of exact
+    verification, keyed on ints, so a hit hashes no Fraction.  The `step`
+    entries, on the factor's grid, are power p-1 times the factor truncated
+    on that grid (theta exponents are >= 0, so this keeps exactly the
+    entries that truncating on any finer grid keeps); they are looked up
+    bottom up, one cache hit per step, so no call recurses deeper."""
+    args = p, q, r, s, function
+    if not step:
+        for n in range(1, power + 1):
+            f = _theta_power(*args, n, cn, cd, None, True)
+        return f if grid is None else f.regrid(*grid)
     if power == 1:
-        return pack(_series((p, q, r, s, function), Fraction(cn, cd)).terms)[0]
-    f = _theta_power(p, q, r, s, function, 1, cn, cd)
-    return packed_mul(_theta_power(p, q, r, s, function, power - 1, cn, cd),
+        return pack(_series(args, Fraction(cn, cd)).terms)[0]
+    f = _theta_power(*args, 1, cn, cd, None, True)
+    return packed_mul(_theta_power(*args, power - 1, cn, cd, None, True),
                       f, cn * f.dx // cd)
 
 
@@ -116,63 +122,66 @@ def _factors(term):
              f.power) for f in term.factors]
 
 
-def _require_terms(term, fs, powers, cutoff):
-    """Raises if the cutoff leaves a factor of the term without terms,
-    naming the first such factor in (char, argument, power) order."""
-    empty = [(f.char, f.argument.value, f.power)
-             for f, (key, _) in zip(term.factors, fs) if not powers[key, 1].c.size]
-    if empty:
-        raise ValueError(f"cutoff {cutoff} is too small to include any "
-                         f"term of theta{min(empty)[0]}")
-
-
-def _scaled(mono, scalar, icut):
-    """mono * scalar.  The corpus's scalars are one entry c0 * w^k0 at the
-    origin, applied as a key add (on Python ints when a product may pass
-    int64), which leaves the keys sorted by position but not by k."""
-    if scalar.c.size != 1:
-        return packed_mul(mono, scalar, icut)
-    c0 = int(scalar.c[0])
-    dtype = _dtype(max(_norms(mono.c)[1], 1) * abs(c0))
-    key = mono.key + scalar.key[0]
+def _scaled(mono, scalar, den, icut):
+    """mono * scalar * den, for a Cyclotomic scalar whose order divides
+    mono's and whose denominators divide den.  The corpus's scalars are one
+    entry c0 * w^k0, read off as the ints (k0, c0 * den) and applied as a
+    key add (on Python ints when a product may pass int64), which leaves
+    the keys sorted by position but not by k."""
+    if len(scalar.coeffs) != 1:
+        s = pack({_ORIGIN: scalar * den})[0].regrid(*mono[2:5])
+        return packed_mul(mono, s, icut)
+    (k0, v), = scalar.coeffs.items()
+    c0 = v.numerator * (den // v.denominator)
+    (l1, mx), a0 = (mono.l1, mono.mx), abs(c0)
+    if mx * a0 >= _INT64_SAFE:   # too loose: measure
+        l1, mx = _norms(mono.c)
+    key = mono.key + k0 * (mono.order // scalar.order)
     _fold(key, mono.order)
-    return mono._replace(key=key, c=mono.c.astype(dtype) * c0)
+    c = mono.c.astype(_dtype(max(mx, 1) * a0)) * c0
+    return mono._replace(key=key, c=c, l1=l1 * a0, mx=mx * a0)
 
 
 def verify_exact(ident, cutoff):
     """Exact cancellation proof of one identity at the given x-cutoff.
 
     Every term is built and summed in packed form on one grid, from the
-    cached powers of its factors (largest first; a power whose product with
-    the rest would pass _DENSE_PAIRS goes in as its bare factor, repeated),
-    with the scalars over a common denominator; one integer matmul then
-    reduces every position of the sum mod Phi_N."""
+    cached powers of its factors on that grid (largest first; a power whose
+    product with the rest would pass _DENSE_PAIRS goes in as its bare
+    factor, repeated), with the scalars over a common denominator; one
+    integer matmul then reduces every position of the sum mod Phi_N."""
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be > 0")
     t0 = time.perf_counter()
     cut = cutoff.numerator, cutoff.denominator
     factors = [_factors(term) for term in ident.terms]
-    # every factor's bare series and the powers the terms use, looked up once
-    powers = {f: _theta_power(*f[0], f[1], *cut) for f in dict.fromkeys(
-        g for fs in factors for key, power in fs for g in ((key, 1), (key, power)))}
-    for term, fs in zip(ident.terms, factors):
-        _require_terms(term, fs, powers, cutoff)
+    bare = {k: _theta_power(*k, 1, *cut) for fs in factors for k, _ in fs}
+    for term, fs in zip(ident.terms, factors):   # no factor may be empty
+        empty = [(f.char, f.argument.value, f.power)
+                 for f, (k, _) in zip(term.factors, fs) if not bare[k].c.size]
+        if empty:
+            raise ValueError(f"cutoff {cutoff} is too small to include any "
+                             f"term of theta{min(empty)[0]}")
     den = math.lcm(*(v.denominator for t in ident.terms
                      for v in t.scalar.coeffs.values()))
-    scalars = [pack({_ORIGIN: t.scalar * den})[0] for t in ident.terms]
-    packs, icut = on_common_grid([*powers.values(), *scalars], cutoff)
-    grid = dict(zip(powers, packs))
+    # the common (dx, dz, order) of the factors, the cutoff and the scalars
+    grid = tuple(map(math.lcm, (cut[1], 1, 1), *(f[2:5] for f in bare.values()),
+                     *((1, 1, t.scalar.order) for t in ident.terms)))
+    icut = cut[0] * grid[0] // cut[1]
+    # every factor's bare series and the powers the terms use, looked up once
+    powers = {f: _theta_power(*f[0], f[1], *cut, grid) for f in dict.fromkeys(
+        g for fs in factors for key, power in fs for g in ((key, 1), (key, power)))}
     # packed_sum sorts the k fields that _scaled leaves unsorted
     terms = []
-    for fs, scalar in zip(factors, packs[len(powers):]):
-        fs = sorted(fs, key=lambda f: -grid[f].c.size)
-        mono = grid[fs[0]]
+    for fs, term in zip(factors, ident.terms):
+        fs = sorted(fs, key=lambda f: -powers[f].c.size)
+        mono = powers[fs[0]]
         for key, power in fs[1:]:
-            dense = mono.c.size * grid[key, power].c.size > _DENSE_PAIRS
-            for f in [grid[key, 1]] * power if dense else [grid[key, power]]:
+            dense = mono.c.size * powers[key, power].c.size > _DENSE_PAIRS
+            for f in [powers[key, 1]] * power if dense else [powers[key, power]]:
                 mono = packed_mul(mono, f, icut)
-        terms.append(_scaled(mono, scalar, icut))
+        terms.append(_scaled(mono, term.scalar, den, icut))
     total = packed_sum(terms)
     residuals = [_residual(total, i, ident, factors, terms, den, cutoff)
                  for i in nonzero_positions(total)[:10]]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from theta5 import series as ser
 from theta5.cyclotomic import Cyclotomic, cyclo_root
 from theta5.series import ExponentPair, PuiseuxSeries2
+from theta5.verify import _scaled
 
 
 def S(terms, cutoff=None):
@@ -238,9 +239,10 @@ def build(entries, order, dx=2, dz=3):
     ix, iz, k = (np.array([e[i] for e in entries], np.int64) for i in range(3))
     c = [e[3] for e in entries]
     big = max(map(abs, c), default=0) >= 1 << 61
+    l1 = sum(map(abs, c))   # equal entries may sum to it: it bounds max |c| too
     return ser.packed_sum([ser.Packed(
         ser._key(ix, iz, k), np.array(c, object if big else np.int64),
-        dx, dz, order, int(np.abs(iz).max(initial=0)))])
+        dx, dz, order, int(np.abs(iz).max(initial=0)), l1, l1)])
 
 
 @st.composite
@@ -356,3 +358,93 @@ def test_key_range_guard_raises_before_keys_wrap():
     # the guard is on the kept range: a cutoff below every product is fine
     p, _ = ser.pack(S([(top, 0, 1)]).terms)
     assert ser.packed_mul(p, p, 0).key.size == 0
+
+
+# -- carried coefficient bounds --------------------------------------------------
+
+def entries_of(p):
+    """{key: c} of a Packed series, in Python ints."""
+    return dict(zip(p.key.tolist(), p.c.tolist()))
+
+
+def ref_fold(key, order):
+    return key - order if key & (1 << ser._KB) - 1 >= order else key
+
+
+def ref_mul(a, b, icut, order):
+    """{key: c} of a * b in Python ints, kept to ix <= icut."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            if icut is None or ser._split(ka + kb)[0] <= icut:
+                key = ref_fold(ka + kb, order)
+                out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_sum(parts):
+    out = {}
+    for p in parts:
+        for k, c in p.items():
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def packed(entries, by_pack, order):
+    """The Packed series of entries (ix, iz, k, c) on the grid of build,
+    through pack (exact bounds) or build (loose ones)."""
+    if not by_pack:
+        return build(entries, order)
+    terms = {}
+    for ix, iz, k, c in entries:
+        e = ExponentPair(Fraction(ix, 2), Fraction(iz, 3))
+        terms[e] = terms.get(e, Cyclotomic.zero(order)) + cyclo_root(k, order) * c
+    return ser.pack({e: c for e, c in terms.items() if c.coeffs})[0].regrid(
+        2, 3, order)
+
+
+@st.composite
+def bound_chains(draw):
+    """(order, start, steps): a packed series and products, one-entry
+    scalings and sums to apply to it in turn, with mixed signs and
+    coefficients around 2^31 (products near 2^62) or past 2^62."""
+    order = draw(key_orders)
+    cs = (st.integers(-9, 9) | st.integers(-(1 << 32), 1 << 32)
+          | st.integers(1 << 62, 1 << 66) | st.integers(-(1 << 66), -(1 << 62)))
+    entry = st.tuples(st.integers(-3, 3), st.integers(-2, 2),
+                      st.integers(0, order - 1), cs.filter(bool))
+    series = st.tuples(st.lists(entry, max_size=6), st.booleans()).map(
+        lambda eb: packed(*eb, order))
+    step = st.one_of(
+        st.tuples(st.just("mul"), series, st.none() | st.integers(-2, 6)),
+        st.tuples(st.just("scale"), st.integers(0, order - 1),
+                  cs.filter(bool), st.integers(1, 3)),
+        st.tuples(st.just("sum"), series))
+    return order, draw(series), draw(st.lists(step, min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_chains())
+def test_carried_bounds_are_sound(chain):
+    order, p, steps = chain
+    want = entries_of(p)
+    for op, *args in steps:
+        if op == "mul":
+            q, icut = args
+            p, want = ser.packed_mul(p, q, icut), ref_mul(want, entries_of(q),
+                                                         icut, order)
+        elif op == "scale":
+            k0, c0, den = args
+            # c0 / den * w^k0 times the common denominator den
+            scalar = Cyclotomic(order, {k0: Fraction(c0, den)})
+            p = ser.packed_sum([_scaled(p, scalar, den, None)])
+            want = ref_mul(want, {k0: c0}, None, order)
+        else:
+            p, want = (ser.packed_sum([p, args[0]]),
+                       ref_sum([want, entries_of(args[0])]))
+        assert entries_of(p) == want
+        l1, mx = sum(map(abs, want.values())), max(map(abs, want.values()),
+                                                   default=0)
+        assert p.l1 >= l1 and p.mx >= mx
+        if mx >= 1 << 61:
+            assert p.c.dtype == object

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from theta5 import verify as v
-from theta5.catalog import (Argument, ExpectedStatus, IdentityTerm, ThetaFactor,
-                            corrupt_identity)
+from theta5.catalog import (Argument, ExpectedStatus, Identity, IdentityKind,
+                            IdentityTerm, ThetaFactor, corrupt_identity)
 from theta5.catalog_data import builtin_catalog
+from theta5.cyclotomic import Cyclotomic, cyclo_root
 from theta5.numeric import theta_eval
 from theta5.series import (Packed, _key, on_common_grid, pack, packed_mul,
                            packed_sum)
@@ -109,10 +111,11 @@ def test_theta_power_matches_sequential_product(cutoff):
 def _packed(entries, order):
     ix, iz, k, c = zip(*entries) if entries else ((),) * 4
     big = max(map(abs, c), default=0) >= 1 << 61
+    l1 = sum(map(abs, c))   # equal entries may sum to it: it bounds max |c| too
     return packed_sum([Packed(_key(np.array(ix, np.int64), np.array(iz, np.int64),
                                    np.array(k, np.int64) % order),
                               np.array(c, object if big else np.int64),
-                              1, 1, order, max(map(abs, iz), default=0))])
+                              1, 1, order, max(map(abs, iz), default=0), l1, l1)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -123,14 +126,16 @@ def _packed(entries, order):
                         max_size=30),
        k0=st.integers(0, 99),
        c0=st.one_of(st.integers(-50, 50),
-                    st.integers(1 << 20, 1 << 70)).filter(bool))
-@example(order=5, entries=[(0, 0, 1, 3), (1, 2, 3, -(1 << 40))], k0=2, c0=1 << 30)
-def test_one_entry_scalar_matches_kernel(order, entries, k0, c0):
-    # mono is a monomial already truncated at the cutoff 8
+                    st.integers(1 << 20, 1 << 70)).filter(bool),
+       den=st.integers(1, 3))
+@example(order=5, entries=[(0, 0, 1, 3), (1, 2, 3, -(1 << 40))], k0=2, c0=1 << 30,
+         den=1)
+def test_one_entry_scalar_matches_kernel(order, entries, k0, c0, den):
+    # mono is a monomial already truncated at the cutoff 8; the scalar
+    # c0/den * w^k0 times the common denominator den is c0 * w^k0
     mono = _packed(entries, order)
-    scalar = _packed([(0, 0, k0, c0)], order)
-    got = v._scaled(mono, scalar, 8)
-    _same(packed_sum([got]), packed_mul(mono, scalar, 8))
+    got = v._scaled(mono, Cyclotomic(order, {k0: Fraction(c0, den)}), den, 8)
+    _same(packed_sum([got]), packed_mul(mono, _packed([(0, 0, k0, c0)], order), 8))
     if mono.c.size and int(np.abs(mono.c).max()) * abs(c0) >= 1 << 61:
         assert got.c.dtype == object
 
@@ -150,6 +155,70 @@ def test_corpus_pass_reuses_cached_powers(monkeypatch):
     assert sum(r.passed for r in reports) == 80
     assert info.hits > info.misses
     assert len(calls) <= 1300  # 3,991 when every power was multiplied out
+
+
+def test_grid_keyed_powers_get_hits(monkeypatch):
+    # over a cold corpus pass, the powers asked for on an identity's grid
+    # repeat more often than not, and each is the power on the factor's own
+    # grid, regridded
+    cached, calls = v._theta_power, []
+
+    def counted(*args):
+        if len(args) > 8 and args[8] is not None:   # a grid-keyed entry
+            calls.append(args)
+        return cached(*args)
+
+    cached.cache_clear()
+    monkeypatch.setattr(v, "_theta_power", counted)
+    reports = verify_all(builtin_catalog(), 8)
+    monkeypatch.undo()
+    misses = set(calls)
+    assert sum(r.passed for r in reports) == 80
+    assert len(calls) - len(misses) > len(misses)
+    for args in misses:
+        *own, grid = args
+        _same(cached(*args), cached(*own).regrid(*grid))
+
+
+def test_deep_factor_power_builds_bottom_up():
+    # power p is power p - 1 times the factor, but no call recurses p deep
+    v._theta_power.cache_clear()
+    p = v._theta_power(0, 1, 0, 1, False, 2000, 1, 1)   # (1 + 2x)^2000
+    assert (p.ix.tolist(), p.c.tolist()) == ([0, 1], [1, 4000])
+    v._theta_power.cache_clear()
+    power = [ThetaFactor(C(0, 0), 2000)]
+    ident = Identity("deep", IdentityKind.CONSTANT, [
+        IdentityTerm(Cyclotomic.one(), power), IdentityTerm(-Cyclotomic.one(), power)])
+    assert verify_exact(ident, 1).passed
+    got = verify_exact(corrupt_identity(ident, 1), 1).to_dict()["residuals"]
+    assert [(r["x"], r["coeff"]) for r in got] == [("0/1", "2/1"), ("1/1", "8000/1")]
+
+
+def _two_entry_scalar_identity():
+    """(1 + w5) theta^2 - theta^2 - w5 theta^2 = 0, theta = theta[1; 1/5]
+    of symbolic zeta: its first scalar has two entries."""
+    sq = [ThetaFactor(C(1, Fraction(1, 5)), 2, Argument.SYMBOLIC_ZETA)]
+    w5 = cyclo_root(1, 5)
+    return Identity("two-entry", IdentityKind.FUNCTION, [
+        IdentityTerm(Cyclotomic.one() + w5, sq), IdentityTerm(-Cyclotomic.one(), sq),
+        IdentityTerm(-w5, sq)])
+
+
+#: sha256 of the JSON reports of the sign-flip mutants (seeds 0, 1, 2) of
+#: _two_entry_scalar_identity at cutoff 8, written before term scalars
+#: became key adds.
+TWO_ENTRY_MUTANTS_SHA256 = \
+    "362c75359abf662458dbad24d2f6668a8521c9eb8b1fcd1e997501697e5bc927"
+
+
+def test_multi_entry_scalar_keeps_the_kernel_path():
+    ident = _two_entry_scalar_identity()
+    assert len(ident.terms[0].scalar.coeffs) == 2
+    assert verify_exact(ident, 8).passed
+    reports = [verify_exact(corrupt_identity(ident, seed), 8) for seed in range(3)]
+    assert not [r.id for r in reports if r.passed]
+    blob = reports_to_json(reports).encode()
+    assert hashlib.sha256(blob).hexdigest() == TWO_ENTRY_MUTANTS_SHA256
 
 
 @pytest.mark.parametrize("dense_pairs", [0, 10 ** 12])
