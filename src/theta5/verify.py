@@ -92,8 +92,8 @@ def _theta_power(p, q, r, s, function, power, cn, cd, grid=None, step=False):
     verification, keyed on ints, so a hit hashes no Fraction.  The `step`
     entries, on the factor's grid, are power p-1 times the factor truncated
     on that grid (theta exponents are >= 0, so this keeps exactly the
-    entries that truncating on any finer grid keeps); they are looked up
-    bottom up, one cache hit per step, so no call recurses deeper."""
+    entries that truncating on any finer grid keeps); a call without `step`
+    looks them up bottom up, one cache hit each, so none recurses twice."""
     args = p, q, r, s, function
     if not step:
         for n in range(1, power + 1):
