@@ -88,26 +88,31 @@ class Identity:
     @functools.cached_property
     def _factor_plan(self):
         """The terms for numeric evaluation, built once: the distinct
-        factors as ((p, q, r, s), at_zeta) for the characteristic
-        [p/q; r/s], and each term as (scalar value, its (factor index,
-        power) pairs in order)."""
+        factors as _index_factors keys, and each term as (scalar value, its
+        (factor index, power) pairs in order)."""
         factors, powers = _index_factors(t.factors for t in self.terms)
-        return ([((c.eps.numerator, c.eps.denominator, c.epsp.numerator,
-                   c.epsp.denominator), at_zeta) for c, at_zeta in factors],
-                [(t.scalar_value, p) for t, p in zip(self.terms, powers)])
+        return factors, [(t.scalar_value, p)
+                         for t, p in zip(self.terms, powers)]
 
     def characteristics(self):
         return sorted({f.char for t in self.terms for f in t.factors})
 
 
 def _index_factors(factor_lists):
-    """The distinct (characteristic, at_zeta) of the factors in the lists,
-    and each list as its [(distinct index, power), ...] in order."""
+    """The distinct factors in the lists as (p, q, r, s, at_zeta), for
+    theta[p/q; r/s] at symbolic zeta or at 0 (integers hash faster than the
+    characteristic's Fractions), and each list as its [(distinct index,
+    power), ...] in order."""
     index = {}
-    powers = [[(index.setdefault(
-        (f.char, f.argument is Argument.SYMBOLIC_ZETA), len(index)), f.power)
-        for f in factors] for factors in factor_lists]
+    powers = [[(index.setdefault(_factor_key(f), len(index)), f.power)
+               for f in factors] for factors in factor_lists]
     return list(index), powers
+
+
+def _factor_key(f):
+    (eps, epsp), at_zeta = f.char, f.argument is Argument.SYMBOLIC_ZETA
+    return (eps.numerator, eps.denominator, epsp.numerator, epsp.denominator,
+            at_zeta)
 
 
 def normalize_identity(ident):

@@ -2,7 +2,9 @@
 
 Subcommands: verify, expand, eval, residues, discover, sigma, resultant.
 Exit codes: 0 = success / all checks pass, 1 = a verification failed,
-2 = usage or input error, 3 = internal error (an uncaught exception).
+2 = usage or input error, 3 = internal error (an uncaught exception),
+4 = verify failed nothing but compared nothing for some identity (every
+term of it is empty at the cutoff); suspected misprints count for neither.
 JSON output carries "schema": 1 and is byte-identical across identical runs
 (timings are text-mode only).
 """
@@ -23,10 +25,11 @@ from .numeric import (EvalConfig, RESIDUE_WITNESSES, identity_residual,
                       residue_report, sample_tau, sample_zeta)
 from .resultant import resultant, resultant_2x2, shared_root_ratio, theta_quadratics
 from .theta import Characteristic, ThetaMode, theta_series
-from .verify import (batch_passed, discover_relations, reports_to_json,
+from .verify import (batch_status, discover_relations, reports_to_json,
                      verify_all)
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
+EXIT_INCONCLUSIVE = 4
 
 
 def _fmt_complex(v):
@@ -75,7 +78,7 @@ def cmd_verify(args):
     t0 = time.perf_counter()
     reports = verify_all(cat, Fraction(args.cutoff))
     elapsed = time.perf_counter() - t0
-    ok = batch_passed(cat, reports)
+    status = batch_status(cat, reports)
     expected = {i.id: i.expected for i in cat}
     lines = []
     for r in reports:
@@ -83,10 +86,11 @@ def cmd_verify(args):
         if expected.get(r.id) is ExpectedStatus.SUSPECT_TYPO:
             tag += " (suspect, not counted)"
         lines.append(f"{r.id:40s} {tag}  [{r.elapsed_ms:.0f} ms]")
-    lines.append(f"batch: {'PASS' if ok else 'FAIL'} "
+    lines.append(f"batch: {status.upper()} "
                  f"({len(reports)} identities, {elapsed:.1f} s)")
     _emit(args, json.loads(reports_to_json(reports)), lines)
-    return EXIT_OK if ok else EXIT_FAIL
+    return {"pass": EXIT_OK, "fail": EXIT_FAIL,
+            "inconclusive": EXIT_INCONCLUSIVE}[status]
 
 
 def cmd_expand(args):

@@ -3,18 +3,19 @@
 Elements are kept in the cheap group-ring representation Q[z]/(z^N - 1): a
 sparse map from exponent k in [0, N) to a rational coefficient, meaning
 sum_k c_k * zeta_N^k with zeta_N = exp(2*pi*i/N).  Reduction modulo the N-th
-cyclotomic polynomial Phi_N happens lazily, only inside zero tests and
-equality, so additions and multiplications stay cheap.  reduction_matrix
-gives the same reduction as one integer matrix, for reducing many integer
-group-ring vectors at once.  Elements of Z[zeta_N] also have a dense form,
-phi(N) Python ints reduced through the rows of that matrix.  kron_pack packs
-such a vector (or any integer polynomial) into one Python int, its value at
-X = 2^(8*width), and kron_unpack reads the coefficients back, so a product
-of polynomials is one integer product (Kronecker substitution): ring_mul
-multiplies two vectors that way, and resultant's Bareiss runs whole on
-packed ints.  norm_adjugate, the product of an element's other Galois
-conjugates, is built in O(log phi(N)) products; only Cyclotomic.inverse
-uses it.
+cyclotomic polynomial Phi_N happens lazily, only inside zero tests, equality
+and printing, so additions and multiplications stay cheap.  It has one form,
+the integer matrix reduction_matrix whose row k is zeta_N^k reduced: an
+element reduces as an integer vector over its common denominator, and many
+integer group-ring vectors at once by one matmul.  Elements of Z[zeta_N]
+also have a dense form, phi(N) Python ints reduced through the same rows.
+kron_pack packs such a vector (or any integer polynomial) into one Python
+int, its value at X = 2^(8*width), and kron_unpack reads the coefficients
+back, so a product of polynomials is one integer product (Kronecker
+substitution): ring_mul multiplies two vectors that way, and resultant's
+Bareiss runs whole on packed ints.  norm_adjugate, the product of an
+element's other Galois conjugates, is built in O(log phi(N)) products; only
+Cyclotomic.inverse uses it.
 """
 
 from __future__ import annotations
@@ -203,20 +204,11 @@ class Cyclotomic:
     # -- reduction / zero test ---------------------------------------------
 
     def _reduced_list(self):
-        """Dense coefficient list after reduction mod Phi_N (degree < phi(N))."""
-        n = self.order
-        phi = cyclotomic_polynomial(n)
-        deg = len(phi) - 1
-        p = [Fraction(0)] * n
-        for k, v in self.coeffs.items():
-            p[k] += v
-        for i in range(n - 1, deg - 1, -1):
-            c = p[i]
-            if c:
-                p[i] = Fraction(0)
-                for j in range(deg):
-                    p[i - deg + j] -= c * phi[j]
-        return p[:deg]
+        """Dense coefficient list after reduction mod Phi_N (degree < phi(N)):
+        the integer vector over the common denominator (int_vector)."""
+        d = math.lcm(*(v.denominator for v in self.coeffs.values()))
+        rows = reduction_matrix(self.order).tolist()
+        return [Fraction(c, d) for c in int_vector(self, self.order, d, rows)]
 
     def is_zero(self):
         if len(self.coeffs) < 2:  # c * zeta_N^k with c != 0 is a unit

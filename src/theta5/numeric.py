@@ -209,8 +209,8 @@ def identity_residual(ident, tau, zeta=None, cfg=None):
         raise ValueError(f"{ident.id}: function identity needs a zeta")
     factors, terms = ident._factor_plan
     z, tau, cfg = complex(zeta or 0), complex(tau), cfg or _DEFAULT_CFG
-    theta = _POINTS.lookup([(*key, z if at_zeta else 0j, tau, cfg, False)
-                           for key, at_zeta in factors])
+    theta = _POINTS.lookup([(p, q, r, s, z if at_zeta else 0j, tau, cfg, False)
+                           for p, q, r, s, at_zeta in factors])
     values = []
     for v, powers in terms:
         for i, p in powers:

@@ -1,13 +1,16 @@
 """Exact identity verification and numeric relation discovery.
 
 verify_exact proves an identity by expanding every term as a truncated series
-over Q(zeta_N) and checking that the sum cancels coefficient-by-coefficient.
-A term is a product of powers of theta factors; each power is built once per
-cutoff and cached on the identity's grid (_theta_power), so a term costs one
+over Q(zeta_N) and checking that the sum cancels coefficient-by-coefficient,
+from the identity's exact data computed once per cutoff (_plan).  A term is
+a product of powers of theta factors; each power is built once per cutoff
+and cached on the identity's grid (_theta_power), so a term costs one
 kernel call per factor after the first, whatever the powers, until operands
 grow dense (_DENSE_PAIRS).  Terms and their sum stay packed (series.Packed):
-a one-entry scalar is read off as two ints and applied as a key add, the sum
-is one merge of keys, and only the reported positions are decoded.
+each entry of a scalar is a key add, the sum is one merge of keys, and only
+the reported positions are decoded.  A term with no entry up to the cutoff
+is 0 there (theta exponents are >= 0); when every term is, nothing is
+compared and the report is "inconclusive".
 discover_relations rediscovers linear relations among products of theta
 functions numerically: sample the functions in zeta at a fixed tau, and read
 the relation off the nullspace of the sample matrix (the dimension count
@@ -22,17 +25,16 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import Argument, ExpectedStatus, _index_factors
+from .catalog import ExpectedStatus, _index_factors
 from .cyclotomic import Cyclotomic
 from .numeric import _theta_rows, theta_eval
 from .series import (_INT64_SAFE, ExponentPair, _KB, _dtype, _fold, _norms,
                      _split, nonzero_positions, pack, packed_mul, packed_sum)
 from .theta import Characteristic, ThetaMode, theta_series
-
-_ORIGIN = ExponentPair(Fraction(0), Fraction(0))
 
 #: The most operand pairs for which a monomial takes a factor's cached power
 #: in one kernel call.  Past it both operands are dense, and multiplying by
@@ -48,7 +50,7 @@ class VerificationReport:
     id: str
     mode: str                 # "exact" | "numeric"
     cutoff: Fraction | None
-    status: str               # "pass" | "fail"
+    status: str               # "pass" | "fail" | "inconclusive"
     residuals: list = field(default_factory=list)  # [(ExponentPair, Cyclotomic)]
     elapsed_ms: float = 0.0
 
@@ -114,98 +116,110 @@ def _series(key, cutoff):
                         cutoff)
 
 
-def _factors(term):
-    """[(key, power)] of a term's factors, key the ints that _theta_power is
-    keyed on besides the power and the cutoff."""
-    return [((f.char[0].numerator, f.char[0].denominator, f.char[1].numerator,
-              f.char[1].denominator, f.argument is Argument.SYMBOLIC_ZETA),
-             f.power) for f in term.factors]
+class _Plan(NamedTuple):
+    """An identity's exact data at one cutoff, computed once by _plan."""
+    cut: tuple       # the cutoff as (numerator, denominator)
+    keys: list       # the distinct factors' _theta_power keys
+    terms: list      # each term's factors, [(index into keys, power)]
+    scalars: list    # each term's scalar times den, [(k, c)] on grid[2]
+    orders: list     # each term's field order (_residual); a lone factor's
+                     # term holds its scalar's, joined per position
+    grid: tuple      # (dx, dz, order) of the factors, cutoff and scalars
+    icut: int        # the cutoff on the grid
+    den: int         # the scalars' common denominator
 
 
-def _scaled(mono, scalar, den, icut):
-    """mono * scalar * den, for a Cyclotomic scalar whose order divides
-    mono's and whose denominators divide den.  The corpus's scalars are one
-    entry c0 * w^k0, read off as the ints (k0, c0 * den) and applied as a
-    key add (on Python ints when a product may pass int64), which leaves
-    the keys sorted by position but not by k."""
-    if len(scalar.coeffs) != 1:
-        s = pack({_ORIGIN: scalar * den})[0].regrid(*mono[2:5])
-        return packed_mul(mono, s, icut)
-    (k0, v), = scalar.coeffs.items()
-    c0 = v.numerator * (den // v.denominator)
-    (l1, mx), a0 = (mono.l1, mono.mx), abs(c0)
-    if mx * a0 >= _INT64_SAFE:   # too loose: measure
-        l1, mx = _norms(mono.c)
-    key = mono.key + k0 * (mono.order // scalar.order)
-    _fold(key, mono.order)
-    c = mono.c.astype(_dtype(max(mx, 1) * a0)) * c0
-    return mono._replace(key=key, c=c, l1=l1 * a0, mx=mx * a0)
+def _plan(ident, cutoff):
+    cut = cutoff.numerator, cutoff.denominator
+    keys, terms = _index_factors(t.factors for t in ident.terms)
+    bare = [_theta_power(*key, 1, *cut) for key in keys]
+    scalars = [t.scalar for t in ident.terms]
+    den = math.lcm(*(v.denominator for s in scalars
+                     for v in s.coeffs.values()))
+    grid = tuple(map(math.lcm, (cut[1], 1, 1), *(f[2:5] for f in bare),
+                     *((1, 1, s.order) for s in scalars)))
+    ints = [[(k * (grid[2] // s.order), v.numerator * (den // v.denominator))
+             for k, v in s.coeffs.items()] for s in scalars]
+    orders = [math.lcm(s.order, *(() if _lone(fs) else
+                                  (bare[j].order for j, _ in fs)))
+              for s, fs in zip(scalars, terms)]
+    return _Plan(cut, keys, terms, ints, orders, grid,
+                 cut[0] * grid[0] // cut[1], den)
+
+
+def _lone(factors):
+    """Whether a term's factors are one factor to the first power."""
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+def _scaled(mono, scalar):
+    """mono times a scalar [(k0, c0)] on its order: a key add per entry
+    c0 * w^k0 (on Python ints when a product may pass int64), summed when
+    there are several.  A key add leaves the keys sorted by position but
+    not by k; packed_sum sorts them."""
+    parts = []
+    for k0, c0 in scalar:
+        (l1, mx), a0 = (mono.l1, mono.mx), abs(c0)
+        if mx * a0 >= _INT64_SAFE:   # too loose: measure
+            l1, mx = _norms(mono.c)
+        key = mono.key + k0
+        _fold(key, mono.order)
+        c = mono.c.astype(_dtype(max(mx, 1) * a0)) * c0
+        parts.append(mono._replace(key=key, c=c, l1=l1 * a0, mx=mx * a0))
+    return parts[0] if len(parts) == 1 else packed_sum(parts)
 
 
 def verify_exact(ident, cutoff):
     """Exact cancellation proof of one identity at the given x-cutoff.
 
-    Every term is built and summed in packed form on one grid, from the
-    cached powers of its factors on that grid (largest first; a power whose
-    product with the rest would pass _DENSE_PAIRS goes in as its bare
-    factor, repeated), with the scalars over a common denominator; one
-    integer matmul then reduces every position of the sum mod Phi_N."""
+    Every term is built and summed in packed form on the plan's grid, from
+    the cached powers of its factors on that grid (largest first; a power
+    whose product with the rest would pass _DENSE_PAIRS goes in as its bare
+    factor, repeated), times its scalar; one integer matmul then reduces
+    every position of the sum mod Phi_N.  With every term empty up to the
+    cutoff the report is "inconclusive", not "pass"."""
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be > 0")
     t0 = time.perf_counter()
-    cut = cutoff.numerator, cutoff.denominator
-    factors = [_factors(term) for term in ident.terms]
-    bare = {k: _theta_power(*k, 1, *cut) for fs in factors for k, _ in fs}
-    for term, fs in zip(ident.terms, factors):   # no factor may be empty
-        empty = [(f.char, f.argument.value, f.power)
-                 for f, (k, _) in zip(term.factors, fs) if not bare[k].c.size]
-        if empty:
-            raise ValueError(f"cutoff {cutoff} is too small to include any "
-                             f"term of theta{min(empty)[0]}")
-    den = math.lcm(*(v.denominator for t in ident.terms
-                     for v in t.scalar.coeffs.values()))
-    # the common (dx, dz, order) of the factors, the cutoff and the scalars
-    grid = tuple(map(math.lcm, (cut[1], 1, 1), *(f[2:5] for f in bare.values()),
-                     *((1, 1, t.scalar.order) for t in ident.terms)))
-    icut = cut[0] * grid[0] // cut[1]
+    plan = _plan(ident, cutoff)
     # every factor's bare series and the powers the terms use, looked up once
-    powers = {f: _theta_power(*f[0], f[1], *cut, grid) for f in dict.fromkeys(
-        g for fs in factors for key, power in fs for g in ((key, 1), (key, power)))}
-    # packed_sum sorts the k fields that _scaled leaves unsorted
-    terms = []
-    for fs, term in zip(factors, ident.terms):
+    powers = {f: _theta_power(*plan.keys[f[0]], f[1], *plan.cut, plan.grid)
+              for f in dict.fromkeys(g for fs in plan.terms for j, power in fs
+                                     for g in ((j, 1), (j, power)))}
+    terms = []   # packed_sum sorts the k fields that _scaled leaves unsorted
+    for fs, scalar in zip(plan.terms, plan.scalars):
         fs = sorted(fs, key=lambda f: -powers[f].c.size)
         mono = powers[fs[0]]
-        for key, power in fs[1:]:
-            dense = mono.c.size * powers[key, power].c.size > _DENSE_PAIRS
-            for f in [powers[key, 1]] * power if dense else [powers[key, power]]:
-                mono = packed_mul(mono, f, icut)
-        terms.append(_scaled(mono, term.scalar, den, icut))
+        for j, power in fs[1:]:
+            dense = mono.c.size * powers[j, power].c.size > _DENSE_PAIRS
+            for f in [powers[j, 1]] * power if dense else [powers[j, power]]:
+                mono = packed_mul(mono, f, plan.icut)
+        terms.append(_scaled(mono, scalar))
     total = packed_sum(terms)
-    residuals = [_residual(total, i, ident, factors, terms, den, cutoff)
+    residuals = [_residual(plan, terms, total, i)
                  for i in nonzero_positions(total)[:10]]
+    status = ("inconclusive" if not any(t.c.size for t in terms)
+              else "fail" if residuals else "pass")
     return VerificationReport(
-        id=ident.id, mode="exact", cutoff=cutoff,
-        status="pass" if not residuals else "fail", residuals=residuals,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+        id=ident.id, mode="exact", cutoff=cutoff, status=status,
+        residuals=residuals, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def _residual(total, i, ident, factors, terms, den, cutoff):
+def _residual(plan, terms, total, i):
     """(ExponentPair, Cyclotomic) of the sum at the position of entry i.
 
     The coefficient is written over the field order that summing the terms
     as Cyclotomic series gives it, so reports stay byte-identical: the lcm
     of the orders of the terms that reach the position, counted from the
     last partial sum that cancelled term by term.  A term's order is the lcm
-    of its scalar's and its monomial's: the lcm of its factors' orders, or
-    for a single factor of power 1 the order of that theta coefficient."""
+    of its scalar's and its factors', or for a lone factor of its scalar's
+    and that theta coefficient's."""
     ix, iz = _split(int(total.key[i]))
     pos = total.key[i] >> _KB
     e = ExponentPair(Fraction(ix, total.dx), Fraction(iz, total.dz))
-    cut = cutoff.numerator, cutoff.denominator
     acc, order = {}, 1
-    for term, fs, part in zip(ident.terms, factors, terms):
+    for fs, part, term_order in zip(plan.terms, terms, plan.orders):
         at = part.key >> _KB == pos
         if not at.any():
             continue
@@ -214,15 +228,13 @@ def _residual(total, i, ident, factors, terms, den, cutoff):
         acc = {k: c for k, c in acc.items() if c}
         if not acc:
             order = 1
-        elif len(fs) == 1 and fs[0][1] == 1:
-            order = math.lcm(order, term.scalar.order,
-                             _series(fs[0][0], cutoff).terms[e].order)
+        elif _lone(fs):
+            series = _series(plan.keys[fs[0][0]], Fraction(*plan.cut))
+            order = math.lcm(order, term_order, series.terms[e].order)
         else:
-            order = math.lcm(order, term.scalar.order,
-                             *(_theta_power(*key, 1, *cut).order
-                               for key, _ in fs))
+            order = math.lcm(order, term_order)
     f = total.order // order
-    return e, Cyclotomic(order, {k // f: Fraction(c, den)
+    return e, Cyclotomic(order, {k // f: Fraction(c, plan.den)
                                  for k, c in acc.items()})
 
 
@@ -230,15 +242,23 @@ def verify_all(catalog, cutoff):
     """One exact report per identity, in deterministic id order.
 
     Entries flagged as suspected misprints are reported but never fail a
-    batch; batch_passed() implements that policy.
+    batch; batch_status() implements that policy.
     """
     return [verify_exact(i, cutoff) for i in sorted(catalog, key=lambda i: i.id)]
 
 
+def batch_status(catalog, reports):
+    """The batch's status: "fail" if a counted report fails, else
+    "inconclusive" if one is, else "pass".  Reports of suspected misprints
+    never count."""
+    suspect = {i.id for i in catalog
+               if i.expected is ExpectedStatus.SUSPECT_TYPO}
+    counted = {r.status for r in reports if r.id not in suspect}
+    return next((s for s in ("fail", "inconclusive") if s in counted), "pass")
+
+
 def batch_passed(catalog, reports):
-    expected = {i.id: i.expected for i in catalog}
-    return all(r.passed or expected.get(r.id) is ExpectedStatus.SUSPECT_TYPO
-               for r in reports)
+    return batch_status(catalog, reports) == "pass"
 
 
 def zeta_grid(z_samples):
@@ -258,7 +278,9 @@ def discover_relations(monomials, tau, z_samples, threshold=1e-8, cfg=None):
         raise ValueError("tau must lie in the upper half-plane")
     # the distinct characteristics of the zeta factors on the grid, in one
     # kernel call
-    chars, cols = _index_factors(monomials)
+    keys, cols = _index_factors(monomials)
+    chars = [(Characteristic(Fraction(p, q), Fraction(r, s)), at_zeta)
+             for p, q, r, s, at_zeta in keys]
     rows = iter(_theta_rows([c for c, at_zeta in chars if at_zeta],
                             zeta_grid(z_samples), tau, cfg))
     values = [next(rows) if at_zeta else theta_eval(c, 0.0, tau, cfg)

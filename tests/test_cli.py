@@ -44,6 +44,40 @@ def test_verify_corrupted_catalog_fails(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_verify_exit_code_matrix(capsys, tmp_path, monkeypatch):
+    # pass 0, fail 1, usage 2, internal 3, inconclusive 4; a counted
+    # failure wins over an inconclusive report, and a suspected misprint
+    # counts toward neither
+    import dataclasses
+    from theta5.catalog import (ExpectedStatus, corrupt_identity,
+                                save_catalog)
+    from theta5.catalog_data import builtin_catalog
+    by_id = {i.id: i for i in builtin_catalog()}
+    empty = by_id["two-theta-15-2"]   # every term empty at cutoff 1/2
+    mixed, suspect = tmp_path / "mixed.json", tmp_path / "suspect.json"
+    save_catalog([corrupt_identity(by_id["jacobi-quartic"], 0), empty], mixed)
+    save_catalog([by_id["jacobi-quartic"], dataclasses.replace(
+        empty, expected=ExpectedStatus.SUSPECT_TYPO)], suspect)
+    cases = [
+        (["--cutoff", "2", "verify", "jacobi-quartic"], 0, "batch: PASS"),
+        (["--cutoff", "2", "--catalog", str(mixed), "verify"], 1,
+         "batch: FAIL"),
+        (["--cutoff", "1/2", "--catalog", str(mixed), "verify"], 1,
+         "batch: FAIL"),
+        (["--cutoff", "1/2", "--catalog", str(suspect), "verify"], 0,
+         "batch: PASS"),
+        (["verify", "no-such-identity"], 2, None),
+        (["--cutoff", "1/2", "verify"], 4, "batch: INCONCLUSIVE"),
+    ]
+    for argv, want, batch in cases:
+        code, out = run(capsys, *argv)
+        assert code == want, argv
+        assert batch is None or out.splitlines()[-1].startswith(batch), argv
+    assert cli.EXIT_INCONCLUSIVE == 4
+    monkeypatch.setattr(cli, "verify_all", lambda *args: 1 / 0)
+    assert main(["verify"]) == cli.EXIT_INTERNAL == 3
+
+
 def test_json_output_is_byte_identical_across_runs(capsys):
     args = ("--cutoff", "2", "--format", "json", "verify",
             "fk-cubic-1", "three-theta-15-1")

@@ -43,6 +43,25 @@ def test_phi_105_has_coefficient_minus_two():
     assert cyclotomic_polynomial(105)[7] == -2
 
 
+def long_division(c):
+    """c's dense coefficient list mod Phi_N (degree < phi(N)) by Fraction
+    long division of its group-ring polynomial: the oracle of the integer
+    reduction through reduction_matrix."""
+    n = c.order
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    p = [Fraction(0)] * n
+    for k, v in c.coeffs.items():
+        p[k] += v
+    for i in range(n - 1, deg - 1, -1):
+        q = p[i]
+        if q:
+            p[i] = Fraction(0)
+            for j in range(deg):
+                p[i - deg + j] -= q * phi[j]
+    return p[:deg]
+
+
 def test_reduction_matrix_matches_reduced_list():
     rng = random.Random(120)
     for n in range(1, 121):
@@ -50,7 +69,7 @@ def test_reduction_matrix_matches_reduced_list():
         assert red.shape == (n, len(cyclotomic_polynomial(n)) - 1)
         for _ in range(2):
             v = [rng.choice((-1, 1)) * rng.randint(1, 50) for _ in range(n)]
-            want = Cyclotomic(n, dict(enumerate(v)))._reduced_list()
+            want = long_division(Cyclotomic(n, dict(enumerate(v))))
             assert (np.array(v) @ red).tolist() == want
 
 
@@ -213,6 +232,29 @@ def test_nontrivial_zero_detection():
 def test_is_zero_matches_the_reduction(a):
     # one-entry elements c * zeta_N^k are units and skip the reduction
     assert a.is_zero() == (not any(a._reduced_list()))
+
+
+@st.composite
+def reducible(draw):
+    """An element of order up to MAX_ORDER, with at times a multiple
+    q * zeta_N^s * Phi_N(zeta_N) of zero added to it."""
+    n = draw(st.integers(1, MAX_ORDER))
+    a = Cyclotomic(n, draw(st.dictionaries(st.integers(0, n - 1), rationals,
+                                           max_size=4)))
+    if draw(st.booleans()):
+        s, q = draw(st.integers(0, n - 1)), draw(rationals)
+        a = a + Cyclotomic(n, {s + j: q * c for j, c
+                               in enumerate(cyclotomic_polynomial(n))})
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(reducible())
+def test_reduction_matches_long_division(a):
+    want = long_division(a)
+    assert a.reduced().coeffs \
+        == Cyclotomic(a.order, dict(enumerate(want))).coeffs
+    assert a.is_zero() == (not any(want))
 
 
 def test_function_mode_expansion_never_reduces(monkeypatch):

@@ -2,13 +2,17 @@
 
 The files in tests/data hold the output of the Fraction/dict engine that the
 packed-integer kernel replaced: `theta5 --format json --cutoff C verify` for
-C = 4, 8 and 1/2, and, at cutoff 1/10, each identity's report or the
-ValueError message it raises.  The sha256 digests are of the JSON reports of
-every sign-flip mutant (seeds 0 and 1) at cutoffs 4 and 8 from that engine.
-verify_c16.json and the cutoff-16 digest were written the same way at commit
-bd2cc0d, from the array-per-field packed kernel, before entries became one
-sorted int64 key.  Regenerate them only for a deliberate change of report
-semantics.
+C = 4 and 8.  The sha256 digests are of the JSON reports of every sign-flip
+mutant (seeds 0 and 1) at cutoffs 4 and 8 from that engine.  verify_c16.json
+and the cutoff-16 digest were written the same way at commit bd2cc0d, from
+the array-per-field packed kernel, before entries became one sorted int64
+key.  Regenerate them only for a deliberate change of report semantics.
+
+verify_c1_2.json (the same command at cutoff 1/2) and verify_c1_10.json
+(each identity's report at cutoff 1/10) were rewritten when a report whose
+every term is empty up to its cutoff became "inconclusive": before, such an
+identity passed with nothing compared, or raised a ValueError for the whole
+batch when a factor was empty.  Every other report in them is unchanged.
 
 expand_c4.json holds the theta expansions themselves, written before the
 expansion code was rebuilt around one defining-sum function: the stdout of
@@ -24,7 +28,8 @@ numeric kernel was batched: `theta5 --format json --seed S` with `eval`,
 and `35`, at seeds 0 and 1.  They print round-off residuals such as
 `rel_resultant 1.203e-16`, so they pin the kernel's bits.
 
-`python tests/test_golden.py` rewrites both files from the current code.
+`python tests/test_golden.py` rewrites expand_c4.json, numeric_cli.json,
+verify_c1_2.json and verify_c1_10.json from the current code.
 """
 
 import contextlib
@@ -58,22 +63,42 @@ def _corpus():
     return sorted(builtin_catalog(), key=lambda i: i.id)
 
 
+def _stdout(argv):
+    """(exit code, stdout) of one CLI run."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def verify_json(cutoff):
+    return _stdout(["--format", "json", "--cutoff", cutoff, "verify"])
+
+
+def _verify_file(cutoff):
+    return DATA / f"verify_c{cutoff.replace('/', '_')}.json"
+
+
+#: the exit code of `verify` over the corpus: at cutoff 1/2 no term of 35
+#: identities reaches the cutoff, so they are inconclusive
+VERIFY_EXIT = {"4": 0, "8": 0, "16": 0, "1/2": 4}
+
+
 @pytest.mark.parametrize("cutoff", ["4", "8", "16", "1/2"])
-def test_cli_json_is_byte_identical(capsys, cutoff):
-    assert main(["--format", "json", "--cutoff", cutoff, "verify"]) == 0
-    name = f"verify_c{cutoff.replace('/', '_')}.json"
-    assert capsys.readouterr().out == (DATA / name).read_text()
+def test_cli_json_is_byte_identical(cutoff):
+    assert verify_json(cutoff) == (VERIFY_EXIT[cutoff],
+                                   _verify_file(cutoff).read_text())
+
+
+def tiny_cutoff_reports():
+    """Each identity's report at cutoff 1/10, as the JSON of verify_c1_10."""
+    got = {i.id: verify_exact(i, Fraction(1, 10)).to_dict() for i in _corpus()}
+    return json.dumps(got, indent=1, sort_keys=True) + "\n"
 
 
 def test_tiny_cutoff_reports_and_errors_match():
-    got = {}
-    for ident in _corpus():
-        try:
-            got[ident.id] = verify_exact(ident, Fraction(1, 10)).to_dict()
-        except ValueError as e:
-            got[ident.id] = {"error": str(e)}
-    assert json.dumps(got, indent=1, sort_keys=True) + "\n" \
-        == (DATA / "verify_c1_10.json").read_text()
+    # no identity raises: an empty factor empties its term, not the batch
+    assert tiny_cutoff_reports() == (DATA / "verify_c1_10.json").read_text()
 
 
 @pytest.mark.parametrize("cutoff", [4, 8, 16])
@@ -150,12 +175,9 @@ def expansion_goldens():
     for eps, epsp in _sixteen_chars():
         char = f"{eps},{epsp}"
         for flag in ([], ["--function"]):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = main(["--format", "json", "--cutoff", "4", "expand",
-                             char, *flag])
+            code, out[" ".join(["expand", char, *flag])] = _stdout(
+                ["--format", "json", "--cutoff", "4", "expand", char, *flag])
             assert code == 0
-            out[" ".join(["expand", char, *flag])] = buf.getvalue()
         c = Characteristic.of(eps, epsp)
         for mode in ThetaMode:
             out[f"deriv {c} {mode.value} 4"] = _series_record(
@@ -193,11 +215,8 @@ def numeric_cli_outputs():
                     ["--samples", "9", "discover", "15"],
                     ["--samples", "9", "discover", "35"]):
             argv = ["--format", "json", "--seed", seed, *cmd]
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = main(argv)
+            code, out[" ".join(argv)] = _stdout(argv)
             assert code == 0, argv
-            out[" ".join(argv)] = buf.getvalue()
     return out
 
 
@@ -213,3 +232,5 @@ if __name__ == "__main__":
         json.dumps(expansion_goldens(), indent=1, sort_keys=True) + "\n")
     (DATA / "numeric_cli.json").write_text(
         json.dumps(numeric_cli_outputs(), indent=1, sort_keys=True) + "\n")
+    _verify_file("1/2").write_text(verify_json("1/2")[1])
+    (DATA / "verify_c1_10.json").write_text(tiny_cutoff_reports())

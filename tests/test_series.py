@@ -405,9 +405,10 @@ def packed(entries, by_pack, order):
 
 @st.composite
 def bound_chains(draw):
-    """(order, start, steps): a packed series and products, one-entry
-    scalings and sums to apply to it in turn, with mixed signs and
-    coefficients around 2^31 (products near 2^62) or past 2^62."""
+    """(order, start, steps): a packed series and products, scalings by
+    one to three entries c * w^k and sums to apply to it in turn, with
+    mixed signs and coefficients around 2^31 (products near 2^62) or past
+    2^62."""
     order = draw(key_orders)
     cs = (st.integers(-9, 9) | st.integers(-(1 << 32), 1 << 32)
           | st.integers(1 << 62, 1 << 66) | st.integers(-(1 << 66), -(1 << 62)))
@@ -417,8 +418,9 @@ def bound_chains(draw):
         lambda eb: packed(*eb, order))
     step = st.one_of(
         st.tuples(st.just("mul"), series, st.none() | st.integers(-2, 6)),
-        st.tuples(st.just("scale"), st.integers(0, order - 1),
-                  cs.filter(bool), st.integers(1, 3)),
+        st.tuples(st.just("scale"), st.dictionaries(
+            st.integers(0, order - 1), cs.filter(bool), min_size=1,
+            max_size=3)),
         st.tuples(st.just("sum"), series))
     return order, draw(series), draw(st.lists(step, min_size=1, max_size=4))
 
@@ -434,11 +436,10 @@ def test_carried_bounds_are_sound(chain):
             p, want = ser.packed_mul(p, q, icut), ref_mul(want, entries_of(q),
                                                          icut, order)
         elif op == "scale":
-            k0, c0, den = args
-            # c0 / den * w^k0 times the common denominator den
-            scalar = Cyclotomic(order, {k0: Fraction(c0, den)})
-            p = ser.packed_sum([_scaled(p, scalar, den, None)])
-            want = ref_mul(want, {k0: c0}, None, order)
+            # the scalar sum of c * w^k over its {k: c}
+            scalar, = args
+            p = ser.packed_sum([_scaled(p, list(scalar.items()))])
+            want = ref_mul(want, scalar, None, order)
         else:
             p, want = (ser.packed_sum([p, args[0]]),
                        ref_sum([want, entries_of(args[0])]))

@@ -76,14 +76,16 @@ def test_deep_cutoff_verifies():
 
 
 def _corpus_factors():
-    """{(key, power): (char, mode)} over every factor of the corpus."""
+    """{(key, power): (char, mode)} over every factor of the corpus, key the
+    factor's _theta_power key in the plan."""
     out = {}
     for ident in builtin_catalog():
-        for term in ident.terms:
-            for f, kp in zip(term.factors, v._factors(term)):
+        plan = v._plan(ident, Fraction(1))
+        for term, fs in zip(ident.terms, plan.terms):
+            for f, (j, power) in zip(term.factors, fs):
                 mode = (ThetaMode.FUNCTION if f.argument is Argument.SYMBOLIC_ZETA
                         else ThetaMode.CONSTANT)
-                out[kp] = (f.char, mode)
+                out[plan.keys[j], power] = (f.char, mode)
     return out
 
 
@@ -126,15 +128,14 @@ def _packed(entries, order):
                         max_size=30),
        k0=st.integers(0, 99),
        c0=st.one_of(st.integers(-50, 50),
-                    st.integers(1 << 20, 1 << 70)).filter(bool),
-       den=st.integers(1, 3))
-@example(order=5, entries=[(0, 0, 1, 3), (1, 2, 3, -(1 << 40))], k0=2, c0=1 << 30,
-         den=1)
-def test_one_entry_scalar_matches_kernel(order, entries, k0, c0, den):
-    # mono is a monomial already truncated at the cutoff 8; the scalar
-    # c0/den * w^k0 times the common denominator den is c0 * w^k0
+                    st.integers(1 << 20, 1 << 70)).filter(bool))
+@example(order=5, entries=[(0, 0, 1, 3), (1, 2, 3, -(1 << 40))], k0=2,
+         c0=1 << 30)
+def test_one_entry_scalar_matches_kernel(order, entries, k0, c0):
+    # mono is a monomial already truncated at the cutoff 8, the scalar
+    # c0 * w^k0 one entry on its order
     mono = _packed(entries, order)
-    got = v._scaled(mono, Cyclotomic(order, {k0: Fraction(c0, den)}), den, 8)
+    got = v._scaled(mono, [(k0 % order, c0)])
     _same(packed_sum([got]), packed_mul(mono, _packed([(0, 0, k0, c0)], order), 8))
     if mono.c.size and int(np.abs(mono.c).max()) * abs(c0) >= 1 << 61:
         assert got.c.dtype == object
@@ -212,6 +213,8 @@ TWO_ENTRY_MUTANTS_SHA256 = \
 
 
 def test_multi_entry_scalar_keeps_the_kernel_path():
+    # a two-entry scalar is two key adds, summed: its reports are those it
+    # had when the scalar went through packed_mul
     ident = _two_entry_scalar_identity()
     assert len(ident.terms[0].scalar.coeffs) == 2
     assert verify_exact(ident, 8).passed
@@ -250,20 +253,56 @@ def test_cutoff_validation():
         verify_exact(_by_id("jacobi-quartic"), 0)
 
 
-def test_too_small_cutoff_names_the_smallest_empty_factor():
-    # at cutoff 1/10 only theta[0;0] has a term; the first term with an empty
-    # factor raises, naming its smallest empty characteristic
+def test_too_small_cutoff_is_inconclusive():
+    # at cutoff 1/10 only theta[0;0] has a term, so every term with another
+    # factor is 0 up to the cutoff: with every term empty nothing is
+    # compared, and beside a non-empty term the latter's positions decide
     ident = _by_id("jacobi-quartic")
     F = ThetaFactor
     scalar = ident.terms[0].scalar
     bad = dataclasses.replace(ident, terms=[
         IdentityTerm(scalar, [F(C(0, 0), 2), F(C(1, Fraction(3, 5)), 2)]),
         IdentityTerm(scalar, [F(C(1, Fraction(3, 5)), 2), F(C(1, Fraction(1, 5)), 2)])])
-    with pytest.raises(ValueError, match=r"term of theta\[1;3/5\]$"):
-        verify_exact(bad, Fraction(1, 10))
-    bad.terms.reverse()
-    with pytest.raises(ValueError, match=r"term of theta\[1;1/5\]$"):
-        verify_exact(bad, Fraction(1, 10))
+    rep = verify_exact(bad, Fraction(1, 10))
+    assert (rep.status, rep.residuals) == ("inconclusive", [])
+    # the quartic's empty theta[1;0]^4 is 0 there, and the rest cancels
+    assert verify_exact(ident, Fraction(1, 10)).passed
+    half = Identity("half-empty", IdentityKind.CONSTANT, [
+        IdentityTerm(Cyclotomic.one(), [F(C(0, 0), 2)]),
+        IdentityTerm(-Cyclotomic.one(), [F(C(1, Fraction(1, 5)), 2)])])
+    got = verify_exact(half, Fraction(1, 10)).to_dict()
+    assert got["status"] == "fail"
+    assert [(r["x"], r["z"], r["coeff"]) for r in got["residuals"]] \
+        == [("0/1", "0/1", "1/1")]
+
+
+def _empty_term(term, cutoff):
+    """Whether a term has no entry up to the cutoff, from its factors'
+    expansions: theta exponents are >= 0, so a product starts at the sum of
+    its factors' least x-exponents (a product of nonzero coefficients)."""
+    low = 0
+    for f in term.factors:
+        mode = (ThetaMode.FUNCTION if f.argument is Argument.SYMBOLIC_ZETA
+                else ThetaMode.CONSTANT)
+        exps = [e.xExp for e in theta_series(f.char, mode, cutoff).terms]
+        if not exps:
+            return True
+        low += f.power * min(exps)
+    return low > cutoff
+
+
+@pytest.mark.parametrize("cutoff, inconclusive",
+                         [(Fraction(1, 2), 35), (Fraction(1), 5)])
+def test_no_pass_rests_on_empty_terms(cutoff, inconclusive):
+    # a report is inconclusive exactly when every term is empty, so no
+    # pass compares nothing
+    statuses = []
+    for ident in builtin_catalog():
+        rep = verify_exact(ident, cutoff)
+        empty = all(_empty_term(t, cutoff) for t in ident.terms)
+        assert (rep.status == "inconclusive") == empty, ident.id
+        statuses.append(rep.status)
+    assert statuses.count("inconclusive") == inconclusive
 
 
 def test_zeta_grid_documented_formula():
