@@ -67,6 +67,12 @@ class Identity:
     terms: list
     paper_ref: str = ""
     expected: ExpectedStatus = ExpectedStatus.HOLDS
+    #: (representative, m, j): this identity is sigma_m T^j of the
+    #: representative Identity up to a global scalar, a claim that
+    #: verify.verify_exact checks before it derives a verdict from it.
+    #: Only the built-in corpus sets it; it is never serialized.
+    derived_from: tuple | None = field(default=None, compare=False,
+                                       repr=False)
 
     def __post_init__(self):
         if not self.terms:

@@ -11,7 +11,10 @@ function-kind entries, theta functions of a symbolic zeta) vanishes.
 
 The eps = 3/5 families are generated from the eps = 1/5 families by the
 substitution a(k) -> b(k) together with the Galois twist zeta5 -> zeta5^3 on
-all scalars; the exact verifier confirms every generated entry independently.
+all scalars.  The exact verifier confirms each of the 21 orbit
+representatives (_ORBITS) independently; each other entry holds through its
+claim to be the image of its representative under zeta -> zeta^m and
+tau -> tau + 1, which the verifier checks exactly on every call.
 """
 
 from __future__ import annotations
@@ -443,6 +446,80 @@ def _mixed_product_entries():
     return out
 
 
+# -- orbits -------------------------------------------------------------------
+
+#: One claim per line, "member representative m j": the member is
+#: sigma_m T^j of its representative up to a global scalar, where
+#: sigma_m: zeta -> zeta^m acts on coefficients and T: tau -> tau + 1
+#: (Identity.derived_from).  The 81 entries fall into 21 orbits; each
+#: representative is its orbit's first id, so a corpus pass in id order
+#: verifies it before its members.  verify.verify_exact checks a claim on
+#: every call before relying on it.  (Text rather than a dict display: the
+#: display raised the peak RSS of a cold corpus pass at cutoff 16 by 0.3 MiB.)
+_ORBITS = """
+cube-product-15-2         cube-product-15-1    1 2
+cube-product-15-3         cube-product-15-1    1 4
+cube-product-15-4         cube-product-15-1    1 1
+cube-product-15-5         cube-product-15-1    1 3
+cube-product-35-2         cube-product-35-1    1 4
+cube-product-35-3         cube-product-35-1    1 3
+cube-product-35-4         cube-product-35-1    1 2
+cube-product-35-5         cube-product-35-1    1 1
+cubic-ratio-c1-a7         cubic-ratio-c1-a3    1 4
+cubic-ratio-c1-b7         cubic-ratio-c1-b3    1 3
+cubic-ratio-c3-a1         cubic-ratio-c1-a3   13 4
+cubic-ratio-c3-a9         cubic-ratio-c1-a3   13 0
+cubic-ratio-c3-b1         cubic-ratio-c1-b3   13 3
+cubic-ratio-c3-b9         cubic-ratio-c1-b3   13 0
+mixed-product-del3        mixed-product-del1  13 0
+mixed-product-del7        mixed-product-del1   7 0
+mixed-product-del9        mixed-product-del1  19 0
+quintic-epsp35-corrected  quintic-epsp15      13 0
+ratio-15-del3             ratio-15-del1        1 2
+ratio-15-del5             ratio-15-del1        1 4
+ratio-15-del7             ratio-15-del1        1 1
+ratio-15-del9             ratio-15-del1        1 3
+ratio-35-del3             ratio-35-del1        1 4
+ratio-35-del5             ratio-35-del1        1 3
+ratio-35-del7             ratio-35-del1        1 2
+ratio-35-del9             ratio-35-del1        1 1
+ratio7-15-1-2             ratio7-15-1-1        7 2
+ratio7-15-3-1             ratio7-15-1-1        7 3
+ratio7-15-3-2             ratio7-15-1-1        1 2
+ratio7-15-5-1             ratio7-15-1-1        1 4
+ratio7-15-5-2             ratio7-15-1-1        7 4
+ratio7-15-7-1             ratio7-15-1-1        7 0
+ratio7-15-7-2             ratio7-15-1-1        1 1
+ratio7-15-9-1             ratio7-15-1-1        1 3
+ratio7-15-9-2             ratio7-15-1-1        7 1
+ratio7-35-1-2             ratio7-35-1-1        7 4
+ratio7-35-3-1             ratio7-35-1-1        7 1
+ratio7-35-3-2             ratio7-35-1-1        1 4
+ratio7-35-5-1             ratio7-35-1-1        1 3
+ratio7-35-5-2             ratio7-35-1-1        7 3
+ratio7-35-7-1             ratio7-35-1-1        7 0
+ratio7-35-7-2             ratio7-35-1-1        1 2
+ratio7-35-9-1             ratio7-35-1-1        1 1
+ratio7-35-9-2             ratio7-35-1-1        7 2
+three-theta-15-3          three-theta-15-1     1 4
+three-theta-15-5          three-theta-15-1     1 3
+three-theta-15-7          three-theta-15-1     1 2
+three-theta-15-9          three-theta-15-1     1 1
+three-theta-35-3          three-theta-35-1     1 3
+three-theta-35-5          three-theta-35-1     1 1
+three-theta-35-7          three-theta-35-1     1 4
+three-theta-35-9          three-theta-35-1     1 2
+two-theta-15-2            two-theta-15-10      1 1
+two-theta-15-4            two-theta-15-10      1 2
+two-theta-15-6            two-theta-15-10      1 3
+two-theta-15-8            two-theta-15-10      1 4
+two-theta-35-2            two-theta-35-10      1 2
+two-theta-35-4            two-theta-35-10      1 4
+two-theta-35-6            two-theta-35-10      1 1
+two-theta-35-8            two-theta-35-10      1 3
+"""
+
+
 @functools.lru_cache(maxsize=1)
 def _catalog():
     cat = (_intro_entries() + _quintic_entries() + _three_theta_entries()
@@ -450,8 +527,10 @@ def _catalog():
            + _septic_entries() + _cube_product_entries()
            + _mixed_product_entries())
     cat = [normalize_identity(i) for i in cat]
-    ids = [i.id for i in cat]
-    assert len(set(ids)) == len(ids)
+    by_id = {i.id: i for i in cat}
+    assert len(by_id) == len(cat)
+    for member, rep, m, j in map(str.split, _ORBITS.strip().splitlines()):
+        by_id[member].derived_from = (by_id[rep], int(m), int(j))
     return tuple(cat)
 
 

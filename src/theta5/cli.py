@@ -85,7 +85,9 @@ def cmd_verify(args):
         tag = r.status.upper()
         if expected.get(r.id) is ExpectedStatus.SUSPECT_TYPO:
             tag += " (suspect, not counted)"
-        lines.append(f"{r.id:40s} {tag}  [{r.elapsed_ms:.0f} ms]")
+        lines.append(f"{r.id:40s} {tag}  [{r.elapsed_ms:.0f} ms]"
+                     + (f"  derived from {r.derived_from['id']}"
+                        if r.derived_from else ""))
     lines.append(f"batch: {status.upper()} "
                  f"({len(reports)} identities, {elapsed:.1f} s)")
     _emit(args, json.loads(reports_to_json(reports)), lines)

@@ -6,7 +6,8 @@ sum_k c_k * zeta_N^k with zeta_N = exp(2*pi*i/N).  Reduction modulo the N-th
 cyclotomic polynomial Phi_N happens lazily, only inside zero tests, equality
 and printing, so additions and multiplications stay cheap.  It has one form,
 the integer matrix reduction_matrix whose row k is zeta_N^k reduced: an
-element reduces as an integer vector over its common denominator, and many
+element reduces as an integer vector over its common denominator (through
+the rows as Python ints, reduction_rows, converted once per order), and many
 integer group-ring vectors at once by one matmul.  Elements of Z[zeta_N]
 also have a dense form, phi(N) Python ints reduced through the same rows.
 kron_pack packs such a vector (or any integer polynomial) into one Python
@@ -75,6 +76,13 @@ def reduction_matrix(n):
     out = np.array(rows, dtype=np.int64)
     out.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def reduction_rows(n):
+    """reduction_matrix(n) as rows of Python ints, converted once per order:
+    the `rows` that the integer-vector functions below take."""
+    return tuple(map(tuple, reduction_matrix(n).tolist()))
 
 
 class Cyclotomic:
@@ -207,8 +215,8 @@ class Cyclotomic:
         """Dense coefficient list after reduction mod Phi_N (degree < phi(N)):
         the integer vector over the common denominator (int_vector)."""
         d = math.lcm(*(v.denominator for v in self.coeffs.values()))
-        rows = reduction_matrix(self.order).tolist()
-        return [Fraction(c, d) for c in int_vector(self, self.order, d, rows)]
+        return [Fraction(c, d) for c in int_vector(self, self.order, d,
+                                                   reduction_rows(self.order))]
 
     def is_zero(self):
         if len(self.coeffs) < 2:  # c * zeta_N^k with c != 0 is a unit
@@ -233,7 +241,7 @@ class Cyclotomic:
         """Field inverse: with self = v/d for v in Z[zeta_N], it is
         d * adj(v) / norm(v) (see norm_adjugate)."""
         n = self.order
-        rows = reduction_matrix(n).tolist()
+        rows = reduction_rows(n)
         d = math.lcm(*(q.denominator for q in self.coeffs.values()))
         v = int_vector(self, n, d, rows)
         if not any(v):
@@ -288,7 +296,7 @@ class Cyclotomic:
 
 # -- Z[zeta_N] on integer vectors ----------------------------------------------
 # An element of Z[zeta_N] is a list of phi(N) Python ints, its coefficients on
-# 1, zeta_N, ..., zeta_N^(phi-1); `rows` is reduction_matrix(N).tolist().
+# 1, zeta_N, ..., zeta_N^(phi-1); `rows` is reduction_rows(N).
 
 
 def _fold(out, terms, rows):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .cyclotomic import (MAX_ORDER, Cyclotomic, cyclo_root, int_vector,
                          kron_pack, kron_unpack, kron_width, reduce_poly,
-                         reduction_matrix)
+                         reduction_rows)
 from .numeric import _theta_at, _theta_rows
 from .theta import Characteristic
 
@@ -77,7 +77,7 @@ def _bareiss_det(rows):
     order = math.lcm(*(c.order for r in rows for c in r))
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds MAX_ORDER={MAX_ORDER}")
-    red = reduction_matrix(order).tolist()
+    red = reduction_rows(order)
     dens = [math.lcm(*(v.denominator for c in r for v in c.coeffs.values()))
             for r in rows]
     vecs = [[int_vector(c, order, d, red) for c in r]

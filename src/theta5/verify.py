@@ -11,6 +11,13 @@ each entry of a scalar is a key add, the sum is one merge of keys, and only
 the reported positions are decoded.  A term with no entry up to the cutoff
 is 0 there (theta exponents are >= 0); when every term is, nothing is
 compared and the report is "inconclusive".
+An identity may claim to be sigma_m T^j of a representative up to a global
+scalar (Identity.derived_from; sigma_m: zeta -> zeta^m, T: tau -> tau + 1).
+verify_exact checks the claim exactly, in integers, on every call
+(_claimed); when it holds and the representative passes at the cutoff
+(remembered by content in _PASSES, or verified now), the identity passes
+too and its report names the claim.  Only passes are derived: a failing or
+inconclusive report is always computed directly.
 discover_relations rediscovers linear relations among products of theta
 functions numerically: sample the functions in zeta at a fixed tau, and read
 the relation off the nullspace of the sample matrix (the dimension count
@@ -53,6 +60,7 @@ class VerificationReport:
     status: str               # "pass" | "fail" | "inconclusive"
     residuals: list = field(default_factory=list)  # [(ExponentPair, Cyclotomic)]
     elapsed_ms: float = 0.0
+    derived_from: dict | None = None  # {"id", "m", "j"} of a derived pass
 
     @property
     def passed(self):
@@ -60,7 +68,8 @@ class VerificationReport:
 
     def to_dict(self):
         # elapsed_ms is serialized as null so identical runs produce
-        # byte-identical reports; wall-clock timing is a text-output affair
+        # byte-identical reports; wall-clock timing and derived_from are
+        # text-output affairs
         return {
             "id": self.id,
             "mode": self.mode,
@@ -172,16 +181,30 @@ def _scaled(mono, scalar):
 def verify_exact(ident, cutoff):
     """Exact cancellation proof of one identity at the given x-cutoff.
 
-    Every term is built and summed in packed form on the plan's grid, from
-    the cached powers of its factors on that grid (largest first; a power
-    whose product with the rest would pass _DENSE_PAIRS goes in as its bare
-    factor, repeated), times its scalar; one integer matmul then reduces
-    every position of the sum mod Phi_N.  With every term empty up to the
-    cutoff the report is "inconclusive", not "pass"."""
+    An identity whose claim (Identity.derived_from) checks (_claimed)
+    passes when its representative passes at the cutoff, as remembered in
+    _PASSES or verified now; the report names the claim.  Every other
+    report is computed directly: every term is built and summed in packed
+    form on the plan's grid, from the cached powers of its factors on that
+    grid (largest first; a power whose product with the rest would pass
+    _DENSE_PAIRS goes in as its bare factor, repeated), times its scalar;
+    one integer matmul then reduces every position of the sum mod Phi_N.
+    With every term empty up to the cutoff the report is "inconclusive",
+    not "pass"."""
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be > 0")
     t0 = time.perf_counter()
+    if ident.derived_from is not None:
+        rep, m, j = ident.derived_from
+        form = _claimed(ident)
+        if form is not None and (
+                (form, (cutoff.numerator, cutoff.denominator)) in _PASSES
+                or verify_exact(rep, cutoff).passed):
+            return VerificationReport(
+                id=ident.id, mode="exact", cutoff=cutoff, status="pass",
+                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+                derived_from={"id": rep.id, "m": m, "j": j})
     plan = _plan(ident, cutoff)
     # every factor's bare series and the powers the terms use, looked up once
     powers = {f: _theta_power(*plan.keys[f[0]], f[1], *plan.cut, plan.grid)
@@ -197,16 +220,22 @@ def verify_exact(ident, cutoff):
                 mono = packed_mul(mono, f, plan.icut)
         terms.append(_scaled(mono, scalar))
     total = packed_sum(terms)
-    residuals = [_residual(plan, terms, total, i)
+    lone = functools.cache(lambda key: _series(key, cutoff).terms)
+    residuals = [_residual(plan, terms, total, i, lone)
                  for i in nonzero_positions(total)[:10]]
     status = ("inconclusive" if not any(t.c.size for t in terms)
               else "fail" if residuals else "pass")
+    if status == "pass":
+        form = _canonical(plan.keys, plan.terms,
+                          [t.scalar for t in ident.terms])
+        if form is not None:
+            _PASSES.add((form, plan.cut))
     return VerificationReport(
         id=ident.id, mode="exact", cutoff=cutoff, status=status,
         residuals=residuals, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def _residual(plan, terms, total, i):
+def _residual(plan, terms, total, i, lone):
     """(ExponentPair, Cyclotomic) of the sum at the position of entry i.
 
     The coefficient is written over the field order that summing the terms
@@ -214,7 +243,8 @@ def _residual(plan, terms, total, i):
     of the orders of the terms that reach the position, counted from the
     last partial sum that cancelled term by term.  A term's order is the lcm
     of its scalar's and its factors', or for a lone factor of its scalar's
-    and that theta coefficient's."""
+    and that theta coefficient's, read off lone(key), the factor's
+    expansion, built once per report."""
     ix, iz = _split(int(total.key[i]))
     pos = total.key[i] >> _KB
     e = ExponentPair(Fraction(ix, total.dx), Fraction(iz, total.dz))
@@ -229,13 +259,107 @@ def _residual(plan, terms, total, i):
         if not acc:
             order = 1
         elif _lone(fs):
-            series = _series(plan.keys[fs[0][0]], Fraction(*plan.cut))
-            order = math.lcm(order, term_order, series.terms[e].order)
+            order = math.lcm(order, term_order,
+                             lone(plan.keys[fs[0][0]])[e].order)
         else:
             order = math.lcm(order, term_order)
     f = total.order // order
     return e, Cyclotomic(order, {k // f: Fraction(c, plan.den)
                                  for k, c in acc.items()})
+
+
+# -- orbits: verdicts carried by sigma_m: zeta -> zeta^m and T: tau -> tau+1
+# Both are ring automorphisms of the series that keep every exponent
+# (sigma_m acts on the coefficients, T multiplies the coefficient at x^r by
+# e^(pi i r)), so they commute with truncation: an identity passes at a
+# cutoff exactly when its image does.
+
+#: The direct passes of this process, each as (the identity's _canonical
+#: form, the cutoff as ints).  Content keys it, never an id or an object,
+#: so an identity edited in place is not credited with an old pass.
+_PASSES = set()
+
+
+def _image(keys, terms, scalars, den, m=1, j=0):
+    """sigma_m T^j of an identity (keys and terms as _index_factors gives
+    them), as {sorted factor list: (c, d, a)}, the term's scalar being
+    c/d e^(pi i a/den) with 0 <= a < den (the sign folded into c); None
+    unless every scalar is one entry c zeta_N^k and the factor lists are
+    distinct.  T sends theta[e; e'] to e^(-pi i e(e+2)/4) theta[e; e'+e+1],
+    sigma_m sends theta[e; e'] to theta[e; m e'], and the even shift
+    theta[e; e'+2n] = e^(pi i e n) theta[e; e'] brings e' into [0, 2).  den
+    must be a multiple of every 4q^2 (e = p/q) and every scalar order, and
+    m a unit mod every root of unity the identity holds."""
+    images = []
+    for p, q, r, s, at_zeta in keys:
+        n, num = divmod(m * (r * q + j * (p + q) * s), 2 * q * s)
+        g = math.gcd(num, q * s)
+        images.append(((p, q, num // g, q * s // g, at_zeta),
+                       (4 * q * n - m * j * (p + 2 * q)) * p
+                       * (den // (4 * q * q))))
+    out = {}
+    for fs, scalar in zip(terms, scalars):
+        if len(scalar.coeffs) != 1:
+            return None
+        (k, c), = scalar.coeffs.items()
+        a, factors = 2 * k * m * (den // scalar.order), {}
+        for i, power in fs:
+            key, phase = images[i]
+            factors[key] = factors.get(key, 0) + power
+            a += power * phase
+        a %= 2 * den
+        c = c if a < den else -c
+        out[tuple(sorted(factors.items()))] = (c.numerator, c.denominator,
+                                               a % den)
+    return out if len(out) == len(terms) else None
+
+
+def _phase_den(keys, scalars):
+    """The least den that _image takes for these factors and scalars."""
+    return math.lcm(*(4 * q * q for _, q, _, _, _ in keys),
+                    *(s.order for s in scalars))
+
+
+def _canonical(keys, terms, scalars):
+    """An identity's content up to the order of its terms and factors and
+    the form of its scalars: its _image on its own _phase_den, or None when
+    _image rejects it."""
+    den = _phase_den(keys, scalars)
+    image = _image(keys, terms, scalars, den)
+    return None if image is None else (den, frozenset(image.items()))
+
+
+def _claimed(ident):
+    """The _canonical form of the representative in ident.derived_from =
+    (representative, m, j) when the claim checks, else None.  It checks
+    when m is a unit mod 4qs and 8q^2 for every factor theta[p/q; r/s] of
+    the representative and mod its scalar orders (every root of unity its
+    series, the T factors and its scalars hold), the representative claims
+    no orbit itself, and ident's terms are those of sigma_m T^j of it times
+    one global scalar (_image).  Integers only."""
+    rep, m, j = ident.derived_from
+    if rep.derived_from is not None:
+        return None
+    rkeys, rterms = _index_factors(t.factors for t in rep.terms)
+    rscalars = [t.scalar for t in rep.terms]
+    if math.gcd(m, math.lcm(*(math.lcm(4 * q * s, 8 * q * q)
+                              for _, q, _, s, _ in rkeys),
+                            *(c.order for c in rscalars))) != 1:
+        return None
+    keys, terms = _index_factors(t.factors for t in ident.terms)
+    scalars = [t.scalar for t in ident.terms]
+    den = math.lcm(_phase_den(rkeys, rscalars), _phase_den(keys, scalars))
+    image = _image(rkeys, rterms, rscalars, den, m, j)
+    own = _image(keys, terms, scalars, den)
+    if image is None or own is None or image.keys() != own.keys():
+        return None
+    ratios = set()   # own / image per term, as (c, d, a) like the scalars
+    for f, (c0, d0, a0) in own.items():
+        c1, d1, a1 = image[f]
+        num, d, a = c0 * d1, d0 * c1, (a0 - a1) % (2 * den)
+        g = math.gcd(num, d) * (1 if d > 0 else -1)
+        ratios.add(((num if a < den else -num) // g, d // g, a % den))
+    return _canonical(rkeys, rterms, rscalars) if len(ratios) == 1 else None
 
 
 def verify_all(catalog, cutoff):

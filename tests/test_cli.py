@@ -90,6 +90,18 @@ def test_json_output_is_byte_identical_across_runs(capsys):
     assert all(r["elapsed_ms"] is None for r in blob["reports"])
 
 
+def test_verify_text_names_a_derived_pass(capsys):
+    # a member's line names its representative; the JSON does not
+    args = ("--cutoff", "4", "verify", "ratio-15-del3", "ratio-15-del1")
+    code, out = run(capsys, *args)
+    assert code == 0
+    lines = {line.split()[0]: line for line in out.splitlines()}
+    assert lines["ratio-15-del3"].endswith("  derived from ratio-15-del1")
+    assert "derived" not in lines["ratio-15-del1"]
+    code, out = run(capsys, "--format", "json", *args)
+    assert code == 0 and "derived" not in out
+
+
 def test_expand_text_and_json(capsys):
     code, out = run(capsys, "--cutoff", "1", "expand", "0/1,0/1")
     assert code == 0

@@ -4,8 +4,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from theta5.cyclotomic import cyclo_root, exp_pi_i
+from theta5.cyclotomic import Cyclotomic, cyclo_root, exp_pi_i
 from theta5.numeric import EvalConfig, theta_deriv_eval, theta_eval
+from theta5.series import PuiseuxSeries2
 from theta5.theta import (Characteristic, ThetaMode, reduce_char,
                           shift_half_period, shift_integer,
                           theta_deriv_series, theta_product_series,
@@ -158,6 +159,34 @@ def test_parity_law():
     lhs = theta_series(c0, FUN, cut).scale(mu)
     rhs = theta_series(c, FUN, cut).map_z_negate()
     assert (lhs - rhs).scrubbed().is_zero()
+
+
+#: characteristics in [0, 2) x [0, 2) over the denominators 1, 3 and 5 (one
+#: per characteristic, so a T image stays within MAX_ORDER)
+_ORBIT_CHARS = sorted({C(Fraction(a, d), Fraction(b, d)) for d in (1, 3, 5)
+                       for a in range(2 * d) for b in range(2 * d)})
+
+
+@pytest.mark.parametrize("mode", [CON, FUN])
+def test_automorphism_laws(mode):
+    # the two laws every derived verdict rests on (verify._image), against
+    # the defining sum: T (tau -> tau + 1) multiplies the coefficient at x^r
+    # by e^(pi i r), so T theta[e; e'] = e^(-pi i e(e+2)/4) theta[e; e'+e+1];
+    # sigma_m (zeta -> zeta^m on coefficients) gives theta[e; m e']
+    cut = Fraction(12)
+    for c in _ORBIT_CHARS:
+        s = theta_series(c, mode, cut)
+        t = PuiseuxSeries2({e: v * exp_pi_i(e.xExp) for e, v in s.terms.items()},
+                           cut)
+        rhs = theta_series(C(c.eps, c.epsp + c.eps + 1), mode, cut) \
+            .scale(exp_pi_i(-c.eps * (c.eps + 2) / 4))
+        assert (t - rhs).scrubbed().is_zero(), c
+        for m in (7, 11, 13, 19):
+            sigma = PuiseuxSeries2(
+                {e: Cyclotomic(v.order, {k * m: q for k, q in v.coeffs.items()})
+                 for e, v in s.terms.items()}, cut)
+            rhs = theta_series(C(c.eps, m * c.epsp), mode, cut)
+            assert (sigma - rhs).scrubbed().is_zero(), (c, m)
 
 
 def test_zero_point():

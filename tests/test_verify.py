@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 from theta5 import verify as v
 from theta5.catalog import (Argument, ExpectedStatus, Identity, IdentityKind,
-                            IdentityTerm, ThetaFactor, corrupt_identity)
+                            IdentityTerm, ThetaFactor, corrupt_identity,
+                            load_catalog, normalize_identity, save_catalog)
 from theta5.catalog_data import builtin_catalog
-from theta5.cyclotomic import Cyclotomic, cyclo_root
+from theta5.cyclotomic import Cyclotomic, cyclo_root, exp_pi_i
 from theta5.numeric import theta_eval
 from theta5.series import (Packed, _key, on_common_grid, pack, packed_mul,
                            packed_sum)
@@ -353,3 +355,186 @@ def test_discover_independent_monomials_have_zero_nullity():
     rel = discover_relations(monos, 0.1 + 1.2j, 8)
     assert rel.nullity == 0
     assert rel.coefficients == []
+
+
+# -- orbits: derived verdicts ---------------------------------------------------
+
+def _oracle_image(rep, m, j):
+    """sigma_m T^j of rep in Cyclotomic arithmetic, normalized: the
+    reference for verify._image (test_theta.py checks both laws)."""
+    terms = []
+    for t in rep.terms:
+        scalar = Cyclotomic(t.scalar.order,
+                            {k * m: q for k, q in t.scalar.coeffs.items()})
+        factors = []
+        for f in t.factors:
+            eps, epsp = f.char
+            scalar = scalar * exp_pi_i(-m * j * eps * (eps + 2) / 4) ** f.power
+            factors.append(ThetaFactor(C(eps, m * (epsp + j * (eps + 1))),
+                                       f.power, f.argument))
+        terms.append(IdentityTerm(scalar, factors))
+    return normalize_identity(Identity(rep.id, rep.kind, terms))
+
+
+def _factor_set(factors):
+    return tuple(sorted((f.char, f.argument.value, f.power) for f in factors))
+
+
+def _oracle_holds(member, rep, m, j):
+    """Whether member is sigma_m T^j of rep times one global scalar."""
+    def by_factors(ident):
+        return {_factor_set(t.factors): t.scalar for t in ident.terms}
+    own, image = by_factors(member), by_factors(_oracle_image(rep, m, j))
+    if own.keys() != image.keys():
+        return False
+    f0 = next(iter(own))
+    return all(own[f] * image[f0] == own[f0] * image[f] for f in own)
+
+
+def _members():
+    return [i for i in builtin_catalog() if i.derived_from is not None]
+
+
+def test_corpus_claims_hold():
+    # 60 members in 21 orbits; each claim checks, by the integer check and
+    # by the Cyclotomic oracle, and so does no claim with the next j
+    members = _members()
+    assert len(members) == 60
+    assert len({i.derived_from[0].id for i in members}) == 14   # + 7 alone
+    for ident in members:
+        rep, m, j = ident.derived_from
+        assert v._claimed(ident) is not None, ident.id
+        assert _oracle_holds(ident, rep, m, j), ident.id
+        wrong = dataclasses.replace(ident, derived_from=(rep, m, (j + 1) % 5))
+        assert v._claimed(wrong) is None, ident.id
+        assert not _oracle_holds(ident, rep, m, (j + 1) % 5), ident.id
+
+
+@pytest.mark.parametrize("cutoff", [4, 8, 16])
+def test_derived_verdicts_match_direct(cutoff):
+    for ident in _members():
+        got = verify_exact(ident, cutoff)
+        assert got.derived_from == dict(zip(("id", "m", "j"), (
+            ident.derived_from[0].id, *ident.derived_from[1:])))
+        direct = verify_exact(dataclasses.replace(ident, derived_from=None),
+                              cutoff)
+        assert direct.derived_from is None
+        assert got.to_dict() == direct.to_dict(), ident.id
+
+
+def test_corpus_pass_derives_sixty_reports():
+    reports = verify_all(builtin_catalog(), 8)
+    derived = [r for r in reports if r.derived_from is not None]
+    assert len(derived) == 60 and all(r.passed for r in derived)
+    assert not any(r.derived_from for r in reports if not r.passed)
+
+
+def test_wrong_claims_are_computed_directly():
+    ident = _by_id("ratio7-15-3-1")
+    rep, m, j = ident.derived_from
+    want = verify_exact(dataclasses.replace(ident, derived_from=None), 8)
+    # m = 5 is no unit mod 5; (1, 3) differs from the claim (7, 3)
+    assert not _oracle_holds(ident, rep, 1, j)
+    for claim in ((rep, 5, j), (rep, 1, j)):
+        probe = dataclasses.replace(ident, derived_from=claim)
+        assert v._claimed(probe) is None
+        got = verify_exact(probe, 8)
+        assert got.derived_from is None and got.to_dict() == want.to_dict()
+    # a mutant keeps no claim, and fails
+    assert not verify_exact(corrupt_identity(ident, 0), 8).passed
+
+
+def test_edited_representative_is_not_credited():
+    # a representative's pass is remembered by content.  With one term
+    # negated in place in it, no claim checks and the members pass directly;
+    # with the image term negated in each member too, every claim checks,
+    # but the old pass is not reused: all five fail
+    orbit = sorted((i for i in builtin_catalog() if i.id == "ratio-15-del1"
+                    or i.derived_from and i.derived_from[0].id == "ratio-15-del1"),
+                   key=lambda i: i.id)
+    orbit = copy.deepcopy(orbit)   # members point at the copied representative
+    rep = orbit[0]
+    assert verify_exact(rep, 8).passed
+    assert all(verify_exact(i, 8).derived_from for i in orbit[1:])
+    rep.terms[0].scalar = -rep.terms[0].scalar
+    assert not any(v._claimed(i) for i in orbit[1:])
+    reports = verify_all(orbit, 8)
+    assert [r.status for r in reports] == ["fail"] + ["pass"] * 4
+    assert not any(r.derived_from for r in reports)
+    for ident in orbit[1:]:
+        _, m, j = ident.derived_from
+        image = _factor_set(_oracle_image(rep, m, j).terms[0].factors)
+        term = next(t for t in ident.terms if _factor_set(t.factors) == image)
+        term.scalar = -term.scalar
+    assert all(v._claimed(i) for i in orbit[1:])
+    reports = verify_all(orbit, 8)
+    assert [r.status for r in reports] == ["fail"] * 5
+    assert not any(r.derived_from for r in reports)
+
+
+def test_claim_needs_a_unit_m():
+    # zeta -> zeta^2 is no automorphism at level 5: the formal image of
+    # quintic-eps15 under it is no identity, so its claim must not check
+    rep = _by_id("quintic-eps15")
+    probe = dataclasses.replace(_oracle_image(rep, 2, 0), id="sigma2",
+                                derived_from=(rep, 2, 0))
+    assert _oracle_holds(probe, rep, 2, 0)
+    assert v._claimed(probe) is None
+    assert verify_exact(probe, 4).status == "fail"
+
+
+def test_claim_needs_distinct_factor_lists():
+    # theta^4 - theta^4 passes, but matched one factor list to one term,
+    # theta^4 - 2 theta^4 would look like a multiple of it
+    power = [ThetaFactor(C(0, 0), 4)]
+    one = Cyclotomic.one()
+    rep = Identity("twice", IdentityKind.CONSTANT, [
+        IdentityTerm(one, power), IdentityTerm(-one, power)])
+    probe = Identity("unequal", IdentityKind.CONSTANT, [
+        IdentityTerm(one, power), IdentityTerm(-2 * one, power)],
+        derived_from=(rep, 1, 0))
+    assert verify_exact(rep, 4).passed
+    assert v._claimed(probe) is None
+    assert verify_exact(probe, 4).status == "fail"
+
+
+def test_claims_are_not_chained():
+    # two identities that claim each other are both verified directly
+    a, b = (dataclasses.replace(_by_id("jacobi-quartic"), id=name)
+            for name in "ab")
+    a.derived_from, b.derived_from = (b, 1, 0), (a, 1, 0)
+    assert v._claimed(a) is None
+    reports = verify_all([a, b], 4)
+    assert [(r.status, r.derived_from) for r in reports] == [("pass", None)] * 2
+
+
+def test_saved_catalog_carries_no_claims(tmp_path):
+    path = tmp_path / "corpus.json"
+    save_catalog(builtin_catalog(), path)
+    loaded = load_catalog(path)
+    assert all(i.derived_from is None for i in loaded)
+    reports = verify_all(loaded, 8)
+    assert not any(r.derived_from for r in reports)
+    assert reports_to_json(reports) == reports_to_json(
+        verify_all(builtin_catalog(), 8))
+
+
+def test_lone_factor_expands_once_per_report(monkeypatch):
+    # the residual orders of a lone factor read its expansion, built once
+    # per report and not once per reported position
+    lone = Identity("lone", IdentityKind.FUNCTION, [
+        IdentityTerm(Cyclotomic.one(),
+                     [ThetaFactor(C(1, Fraction(1, 5)), 1, Argument.SYMBOLIC_ZETA)]),
+        IdentityTerm(-Cyclotomic.one(),
+                     [ThetaFactor(C(0, 0), 1, Argument.SYMBOLIC_ZETA)])])
+    verify_exact(lone, 7)   # the factors' powers are cached from here on
+    calls = []
+
+    def counted(key, cutoff):
+        calls.append(key)
+        return series(key, cutoff)
+
+    series = v._series
+    monkeypatch.setattr(v, "_series", counted)
+    assert len(verify_exact(lone, 7).residuals) == 10
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 2
