@@ -8,7 +8,6 @@ data model, structural validation, (de)serialization and mutation helpers.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -50,11 +49,6 @@ class IdentityTerm:
     scalar: Cyclotomic
     factors: list
 
-    @functools.cached_property
-    def scalar_value(self):
-        """The scalar as a complex double, embedded once per term."""
-        return self.scalar.embed()
-
     @property
     def degree(self):
         return sum(f.power for f in self.factors)
@@ -91,14 +85,24 @@ class Identity:
     def degree(self):
         return self.terms[0].degree
 
-    @functools.cached_property
+    @property
     def _factor_plan(self):
-        """The terms for numeric evaluation, built once: the distinct
-        factors as _index_factors keys, and each term as (scalar value, its
-        (factor index, power) pairs in order)."""
+        """The terms for numeric evaluation: the distinct factors as
+        _index_factors keys, and each term as (scalar value, its (factor
+        index, power) pairs in order).  Built again once a term's scalar or
+        factor list is not the object it was built from (terms are mutable)."""
+        sources, plan = getattr(self, "_numeric_plan", ((), None))
+        if len(sources) == len(self.terms):
+            for t, (s, f) in zip(self.terms, sources):
+                if t.scalar is not s or t.factors is not f:
+                    break
+            else:
+                return plan
         factors, powers = _index_factors(t.factors for t in self.terms)
-        return factors, [(t.scalar_value, p)
+        plan = factors, [(t.scalar.embed(), p)
                          for t, p in zip(self.terms, powers)]
+        self._numeric_plan = [(t.scalar, t.factors) for t in self.terms], plan
+        return plan
 
     def characteristics(self):
         return sorted({f.char for t in self.terms for f in t.factors})
@@ -123,16 +127,19 @@ def _factor_key(f):
 
 def normalize_identity(ident):
     """Reduce every factor's characteristic into [0,2) x [0,2), folding the
-    even-shift scalars (raised to the factor power) into the term scalar."""
+    even-shift scalars (raised to the factor power) into the term scalar.
+    A factor already in range is kept as it is (ThetaFactor is frozen)."""
     new_terms = []
     for t in ident.terms:
         scalar = t.scalar
         factors = []
         for f in t.factors:
-            c0, mu = reduce_char(f.char)
-            if c0 != f.char:
+            p, q, r, s, _ = _factor_key(f)
+            if not (0 <= p < 2 * q and 0 <= r < 2 * s):
+                c0, mu = reduce_char(f.char)
                 scalar = scalar * mu ** f.power
-            factors.append(ThetaFactor(c0, f.power, f.argument))
+                f = ThetaFactor(c0, f.power, f.argument)
+            factors.append(f)
         new_terms.append(IdentityTerm(scalar, factors))
     return Identity(ident.id, ident.kind, new_terms, ident.paper_ref,
                     ident.expected)

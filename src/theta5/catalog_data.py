@@ -15,6 +15,9 @@ all scalars.  The exact verifier confirms each of the 21 orbit
 representatives (_ORBITS) independently; each other entry holds through its
 claim to be the image of its representative under zeta -> zeta^m and
 tau -> tau + 1, which the verifier checks exactly on every call.
+
+The bracket algebra (_bmul) keys factors on catalog's integers (p, q, r, s,
+at_zeta), not on hashed Fractions, and _a and _b build each factor once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import functools
 from fractions import Fraction as F
 
 from .catalog import (Argument, ExpectedStatus, Identity, IdentityKind,
-                      IdentityTerm, ThetaFactor, normalize_identity)
+                      IdentityTerm, ThetaFactor, _factor_key,
+                      normalize_identity)
 from .cyclotomic import Cyclotomic, cyclo_root
 from .theta import Characteristic
 
@@ -39,10 +43,12 @@ def _fac(eps, epsp, power=1, zeta=False):
                        Argument.SYMBOLIC_ZETA if zeta else Argument.AT_ZERO)
 
 
+@functools.cache
 def _a(k, power=1, zeta=False):
     return _fac(F(1, 5), F(k, 5), power, zeta)
 
 
+@functools.cache
 def _b(k, power=1, zeta=False):
     return _fac(F(3, 5), F(k, 5), power, zeta)
 
@@ -59,26 +65,31 @@ def _t(scalar, *facs):
     return (scalar, list(facs))
 
 
+def _order(key):
+    """Sort key of a _factor_key (p, q, r, s, at_zeta): eps, eps', then at
+    zero first; the quotients order exactly for denominators up to 5."""
+    p, q, r, s, at_zeta = key
+    return p / q, r / s, at_zeta
+
+
 def _merge_factors(f1, f2):
+    """Two factor lists multiplied: the factors in _order, one per key (rebuilt
+    only when its power changes), and the (key, power) pairs as the key."""
     d = {}
     for f in (*f1, *f2):
-        key = (f.char, f.argument)
-        d[key] = d.get(key, 0) + f.power
-    return [ThetaFactor(c, p, arg)
-            for (c, arg), p in sorted(d.items(),
-                                      key=lambda kv: (kv[0][0], kv[0][1].value))]
-
-
-def _fkey(facs):
-    return tuple((f.char, f.argument, f.power) for f in facs)
+        key = _factor_key(f)
+        g = d.get(key)
+        d[key] = f if g is None else ThetaFactor(g.char, g.power + f.power,
+                                                 g.argument)
+    keys = sorted(d, key=_order)
+    return [d[k] for k in keys], tuple((k, d[k].power) for k in keys)
 
 
 def _bmul(b1, b2):
     acc = {}
     for s1, f1 in b1:
         for s2, f2 in b2:
-            facs = _merge_factors(f1, f2)
-            key = _fkey(facs)
+            facs, key = _merge_factors(f1, f2)
             s = s1 * s2
             if key in acc:
                 acc[key] = (acc[key][0] + s, facs)
@@ -101,6 +112,7 @@ def _bneg(b):
 def _galois(terms):
     """a(k) -> b(k); zeta5^e -> zeta5^(3e) on scalars (orders 1 and 5 only)."""
     out = []
+    eps_b = F(3, 5)
     for s, facs in terms:
         if s.order == 1:
             s2 = s
@@ -108,13 +120,9 @@ def _galois(terms):
             s2 = Cyclotomic(5, {(3 * k) % 5: v for k, v in s.coeffs.items()})
         else:  # pragma: no cover - corpus scalars are order 1 or 5
             raise ValueError("unexpected scalar order in corpus")
-        nf = []
-        for f in facs:
-            if f.char.eps == F(1, 5):
-                nf.append(ThetaFactor(Characteristic.of(F(3, 5), f.char.epsp),
-                                      f.power, f.argument))
-            else:
-                nf.append(f)
+        nf = [ThetaFactor(Characteristic(eps_b, f.char.epsp), f.power,
+                          f.argument) if _factor_key(f)[:2] == (1, 5) else f
+              for f in facs]
         out.append((s2, nf))
     return out
 
@@ -211,7 +219,7 @@ def _three_theta_entries():
             for s, cname, xs in data[k]:
                 cfac = _C1 if cname == "c1" else _C3
                 facs = [cfac] + [mk(kk, p, zeta=True) for _, kk, p in xs]
-                terms.append((s, _merge_factors(facs, [])))
+                terms.append((s, _merge_factors(facs, [])[0]))
             out.append(_ident(
                 f"three-theta-{j}5-{k}", IdentityKind.FUNCTION, terms,
                 f"four-term relation among triple products, eps={j}/5 family, "
@@ -305,7 +313,7 @@ def _two_theta_entries():
                 _t(w, _C1, _C3, X(9, 2))],
         }
         for k, raw in rows.items():
-            terms = [(s, _merge_factors(f, [])) for s, f in raw]
+            terms = [(s, _merge_factors(f, [])[0]) for s, f in raw]
             out.append(_ident(
                 f"two-theta-{j}5-{k}", IdentityKind.FUNCTION, terms,
                 f"three-term relation among double products, eps={j}/5 "

@@ -103,7 +103,7 @@ class Cyclotomic:
         clean = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = Fraction(v)
+                v = v if v.__class__ is Fraction else Fraction(v)
                 if v:
                     k %= order
                     prev = clean.get(k)

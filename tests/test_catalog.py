@@ -1,7 +1,11 @@
+import cmath
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from theta5.catalog import (Argument, ExpectedStatus, Identity, IdentityKind,
                             IdentityTerm, ThetaFactor, corrupt_identity,
@@ -9,7 +13,8 @@ from theta5.catalog import (Argument, ExpectedStatus, Identity, IdentityKind,
                             normalize_identity, parse_scalar, save_catalog)
 from theta5.catalog_data import CORPUS_COUNTS, CORPUS_SIZE, builtin_catalog
 from theta5.cyclotomic import Cyclotomic, cyclo_root
-from theta5.theta import Characteristic
+from theta5.numeric import theta_eval
+from theta5.theta import Characteristic, reduce_char
 
 C = Characteristic.of
 
@@ -119,6 +124,70 @@ def test_normalize_folds_even_shift_scalar():
     assert norm.terms[0].scalar == cyclo_root(1, 5)
 
 
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@given(eps=rationals, epsp=rationals, power=st.integers(1, 3),
+       at_zeta=st.booleans(), k=st.integers(0, 4))
+@example(eps=Fraction(2), epsp=Fraction(1, 3), power=2, at_zeta=False, k=1)
+@example(eps=Fraction(1, 2), epsp=Fraction(2), power=3, at_zeta=True, k=0)
+@example(eps=Fraction(-12, 5), epsp=Fraction(-1, 6), power=1, at_zeta=True,
+         k=4)
+def test_normalize_obeys_the_even_shift_law(eps, epsp, power, at_zeta, k):
+    """theta[eps+2m; eps'+2n] = exp(pi i eps n) theta[eps; eps'] with eps,
+    eps' in [0, 2): normalize_identity moves a factor there and multiplies
+    the term scalar by that root of unity to the factor's power, and a
+    factor already there comes back as the same object."""
+    arg = Argument.SYMBOLIC_ZETA if at_zeta else Argument.AT_ZERO
+    f = ThetaFactor(C(eps, epsp), power, arg)
+    scalar = cyclo_root(k, 5)
+    ident = Identity("t", IdentityKind.FUNCTION, [IdentityTerm(scalar, [f])])
+    (term,) = normalize_identity(ident).terms
+    (g,) = term.factors
+    m, n = eps // 2, epsp // 2
+    eps0, epsp0 = eps - 2 * m, epsp - 2 * n
+    assert g.char == C(eps0, epsp0) and 0 <= eps0 < 2 and 0 <= epsp0 < 2
+    assert (g.power, g.argument) == (power, arg)
+    x = eps0 * n * power  # exp(pi i x) = zeta_{2q}^p for x = p/q
+    unit = Cyclotomic(2 * x.denominator, {x.numerator: 1})
+    assert term.scalar == scalar * unit
+    assert reduce_char(f.char) == (g.char, Cyclotomic(
+        2 * (eps0 * n).denominator, {(eps0 * n).numerator: 1}))
+    if (m, n) == (0, 0):
+        assert g is f
+    # the law itself, at one point: theta[eps; eps'] against the reduced
+    # factor times its unit
+    tau, z = 0.13 + 1.1j, (0.21 + 0.05j if at_zeta else 0.0)
+    lhs = theta_eval(f.char, z, tau) ** power
+    rhs = cmath.exp(1j * cmath.pi * x) * theta_eval(g.char, z, tau) ** power
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
 def test_missing_field_is_value_error():
     with pytest.raises(ValueError):
         identity_from_dict({"id": "x", "kind": "constant"})
+
+
+CORPUS_GOLDEN = Path(__file__).parent / "data" / "catalog.json"
+
+
+def _corpus_text():
+    """The built corpus as written to tests/data/catalog.json: every entry's
+    identity_to_dict in builtin_catalog() order, then every orbit claim as
+    [member, representative, m, j]."""
+    cat = builtin_catalog()
+    claims = [[i.id, i.derived_from[0].id, *i.derived_from[1:]]
+              for i in cat if i.derived_from]
+    return json.dumps({"identities": [identity_to_dict(i) for i in cat],
+                       "derived_from": claims}, indent=1) + "\n"
+
+
+def test_corpus_matches_golden():
+    """Term order, factor order and scalar form of every entry, byte for
+    byte.  `python tests/test_catalog.py` rewrites the file; do so only for
+    a deliberate change of the corpus."""
+    assert _corpus_text() == CORPUS_GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    CORPUS_GOLDEN.write_text(_corpus_text(), encoding="utf-8")

@@ -1,4 +1,5 @@
 import cmath
+import copy
 import math
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from theta5.numeric import (EvalConfig, MAX_NODES, PHI_WITNESS, PSI_WITNESS,
                             sample_tau, sample_zeta, theta_deriv_eval,
                             theta_eval, zero_location_check)
 from theta5.theta import Characteristic
+from theta5.verify import verify_exact
 
 C = Characteristic.of
 
@@ -244,7 +246,7 @@ def loop_residual(ident, tau, zeta=None):
     factor by factor in each term's order."""
     values = []
     for term in ident.terms:
-        v = term.scalar_value
+        v = term.scalar.embed()
         for f in term.factors:
             arg = zeta if f.argument is Argument.SYMBOLIC_ZETA else 0.0
             v *= theta_eval(f.char, arg, tau) ** f.power
@@ -268,6 +270,24 @@ def test_identity_residual_equals_the_factor_loop():
                 want = loop_residual(ident, tau, zeta)
                 numeric._POINTS.clear()
                 assert identity_residual(ident, tau, zeta) == want, ident.id
+
+
+def test_edited_terms_are_evaluated_afresh():
+    """An identity's terms edited in place after an evaluation: the residual
+    is that of a fresh copy of the edited identity, not of the old terms."""
+    tau = 0.1 + 1j
+    ident = copy.deepcopy(builtin_catalog()[0])
+    assert ident.id == "jacobi-quartic"
+    assert identity_residual(ident, tau) < 1e-12
+    ident.terms[0].scalar = -ident.terms[0].scalar
+    assert verify_exact(ident, 8).status == "fail"
+    flipped = identity_residual(ident, tau)
+    assert flipped == identity_residual(copy.deepcopy(ident), tau)
+    assert abs(flipped - 2.0) < 1e-12
+    # a replaced factor list is seen too: theta[0;0]^4 -> theta[1;0]^4
+    ident.terms[0].factors = list(ident.terms[1].factors)
+    assert identity_residual(ident, tau) == \
+        identity_residual(copy.deepcopy(ident), tau) != flipped
 
 
 def test_eval_subcommand_mostly_hits_the_point_cache(capsys):
