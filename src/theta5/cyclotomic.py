@@ -155,7 +155,7 @@ class Cyclotomic:
         a, b = self._common(other)
         out = dict(a.coeffs)
         for k, v in b.coeffs.items():
-            s = out.get(k, Fraction(0)) + v
+            s = out[k] + v if k in out else v
             if s:
                 out[k] = s
             else:
@@ -188,7 +188,7 @@ class Cyclotomic:
                 k = k1 + k2
                 if k >= n:
                     k -= n
-                s = out.get(k, Fraction(0)) + v1 * v2
+                s = out[k] + v1 * v2 if k in out else v1 * v2
                 if s:
                     out[k] = s
                 else:

@@ -173,12 +173,13 @@ def theta_deriv_eval(c, zeta, tau, cfg=None):
 
 
 def _theta_rows(chars, zeta, tau, cfg=None):
-    """theta[c] at every point of the sequence zeta for each characteristic
-    c of chars, as a (len(chars), len(zeta)) array from one kernel call."""
+    """theta[eps; eps'] at every point of the sequence zeta for each float
+    pair (eps, eps') of chars, as a (len(chars), len(zeta)) array from one
+    kernel call."""
     zeta = np.asarray(zeta, complex)
     n = len(zeta)
-    eps = np.array([float(e) for e, _ in chars]).repeat(n)
-    epsp = np.array([float(e) for _, e in chars]).repeat(n)
+    eps = np.array([e for e, _ in chars]).repeat(n)
+    epsp = np.array([e for _, e in chars]).repeat(n)
     return _theta_sum(eps, epsp, zeta[None].repeat(len(chars), 0).ravel(),
                       complex(tau), cfg or _DEFAULT_CFG,
                       False).reshape(len(chars), n)

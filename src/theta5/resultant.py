@@ -2,15 +2,15 @@
 
 Polynomials are plain lists of Cyclotomic coefficients, degree-0 first.
 The resultant is the determinant of the Sylvester matrix, by fraction-free
-Bareiss elimination with rows cleared of denominators.  Each entry, an
-element of Z[zeta_N] as an integer polynomial of degree below phi(N), is
-packed into one Python int, its value at X = 2^B (Kronecker substitution),
-and the elimination is plain integer Bareiss: X -> 2^B is a ring map from
-Z[X], so every exact division by the previous pivot stays exact, and B is
-large enough to read every minor back.  Only the pivot tests and the final
-determinant are unpacked and reduced mod Phi_N.  A closed 2x2-quadratic
-formula and the numeric theta quadratics that share the root
-theta[1;1/5]/theta[1;3/5] round the module out.
+Bareiss elimination with rows cleared of denominators.  Each distinct
+entry, an element of Z[zeta_N] as an integer polynomial of degree below
+phi(N), is packed once into one Python int, its value at X = 2^B
+(Kronecker substitution), and the elimination is plain integer Bareiss:
+X -> 2^B is a ring map from Z[X], so every exact division by the previous
+pivot stays exact, and B is large enough to read every minor back.  Only
+the pivot tests and the final determinant are unpacked and reduced mod
+Phi_N.  A closed 2x2-quadratic formula and the numeric theta quadratics
+that share the root theta[1;1/5]/theta[1;3/5] round the module out.
 """
 
 from __future__ import annotations
@@ -74,17 +74,23 @@ def _bareiss_det(rows):
     n = len(rows)
     if n == 0:
         return Cyclotomic.one()
-    order = math.lcm(*(c.order for r in rows for c in r))
+    # Sylvester rows repeat one polynomial's coefficients and shared zeros:
+    # read each distinct entry once, convert and pack it once per row scale
+    entries = {id(c): c for r in rows for c in r}
+    order = math.lcm(*(c.order for c in entries.values()))
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds MAX_ORDER={MAX_ORDER}")
     red = reduction_rows(order)
-    dens = [math.lcm(*(v.denominator for c in r for v in c.coeffs.values()))
-            for r in rows]
-    vecs = [[int_vector(c, order, d, red) for c in r]
-            for r, d in zip(rows, dens)]
-    width = kron_width(math.prod(max(1, sum(abs(x) for v in r for x in v))
-                                 for r in vecs))
-    m = [[kron_pack(v, width) for v in r] for r in vecs]
+    den = {i: math.lcm(*(v.denominator for v in c.coeffs.values()))
+           for i, c in entries.items()}
+    dens = [math.lcm(*(den[id(c)] for c in r)) for r in rows]
+    keys = [[(id(c), d) for c in r] for r, d in zip(rows, dens)]
+    vecs = {(i, d): int_vector(entries[i], order, d, red)
+            for i, d in set().union(*keys)}
+    l1 = {k: sum(map(abs, v)) for k, v in vecs.items()}
+    width = kron_width(math.prod(max(1, sum(map(l1.get, ks))) for ks in keys))
+    packed = {k: kron_pack(v, width) for k, v in vecs.items()}
+    m = [list(map(packed.get, ks)) for ks in keys]
 
     def nonzero(x):
         return x != 0 and any(reduce_poly(kron_unpack(x, width), red))
@@ -144,8 +150,8 @@ def resultant_2x2(a, b):
 
 
 _QUADRATIC_KS = (1, 3, 5, 7, 9)
-_QUADRATIC_CHARS = [Characteristic.of(Fraction(1, 5), Fraction(k, 5))
-                    for k in _QUADRATIC_KS]
+_QUADRATIC_CHARS = [(1 / 5, k / 5) for k in _QUADRATIC_KS]  # [1/5; k/5]
+_W5 = cyclo_root(2, 5).embed()
 _ROOT_POINTS = [(Characteristic.of(1, Fraction(1, 5)), 0.0),
                 (Characteristic.of(1, Fraction(3, 5)), 0.0)]
 
@@ -162,9 +168,8 @@ def theta_quadratics(tau, z, w, cfg=None):
     # A[k] = [Ak(z), Ak(w)] as Python complex numbers, all in one kernel call
     A = dict(zip(_QUADRATIC_KS, _theta_rows(_QUADRATIC_CHARS, [z, w], tau,
                                             cfg).tolist()))
-    w5 = cyclo_root(2, 5).embed()
     fq = (A[3][0] * A[7][0], -A[5][0] ** 2, -A[1][0] * A[9][0])
-    gq = (w5 * A[5][1] * A[9][1], -w5 * A[7][1] ** 2, A[1][1] * A[3][1])
+    gq = (_W5 * A[5][1] * A[9][1], -_W5 * A[7][1] ** 2, A[1][1] * A[3][1])
     return fq, gq
 
 

@@ -401,14 +401,13 @@ def discover_relations(monomials, tau, z_samples, threshold=1e-8, cfg=None):
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
     # the distinct characteristics of the zeta factors on the grid, in one
-    # kernel call
+    # kernel call, as the doubles p / q and r / s of their integer keys
     keys, cols = _index_factors(monomials)
-    chars = [(Characteristic(Fraction(p, q), Fraction(r, s)), at_zeta)
-             for p, q, r, s, at_zeta in keys]
-    rows = iter(_theta_rows([c for c, at_zeta in chars if at_zeta],
-                            zeta_grid(z_samples), tau, cfg))
-    values = [next(rows) if at_zeta else theta_eval(c, 0.0, tau, cfg)
-              for c, at_zeta in chars]
+    rows = iter(_theta_rows([(p / q, r / s) for p, q, r, s, at_zeta in keys
+                             if at_zeta], zeta_grid(z_samples), tau, cfg))
+    values = [next(rows) if at_zeta else theta_eval(Characteristic(
+                  Fraction(p, q), Fraction(r, s)), 0.0, tau, cfg)
+              for p, q, r, s, at_zeta in keys]
     M = np.empty((z_samples, k), dtype=complex)
     for i, col in enumerate(cols):
         v = 1.0

@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -76,6 +77,25 @@ def test_sieves_match_scalar_definitions():
     sig, dlt = divisors._sieves(3 * 300 + 2)
     assert sig[1:].tolist() == [sigma(n) for n in range(1, 903)]
     assert dlt[1:].tolist() == [delta(n) for n in range(1, 903)]
+
+
+def test_sieves_at_every_small_size():
+    # every isqrt boundary up to 40: squares, r*(r+1) and the edges of the
+    # cofactor range m // (r+1), where the split at r = isqrt(m) moves
+    for m in range(41):
+        sig, dlt = divisors._sieves(m)
+        assert len(sig) == len(dlt) == m + 1
+        assert sig[1:].tolist() == [sigma(n) for n in range(1, m + 1)], m
+        assert dlt[1:].tolist() == [delta(n) for n in range(1, m + 1)], m
+
+
+def test_sieves_near_squares_at_the_lab_size():
+    m = 3 * 4000 + 2
+    sig, dlt = divisors._sieves(m)
+    near = sorted({n for r in range(1, math.isqrt(m) + 2)
+                   for n in range(r * r - 3, r * r + 4) if 1 <= n <= m})
+    assert [sig[n] for n in near] == [sigma(n) for n in near]
+    assert [dlt[n] for n in near] == [delta(n) for n in near]
 
 
 def test_failures_are_python_ints(monkeypatch):

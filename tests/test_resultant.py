@@ -258,6 +258,49 @@ def test_bareiss_matches_oracle_on_wide_coefficients(rows):
     assert got.to_string() == want.to_string()
 
 
+@st.composite
+def shared_entry_matrices(draw, max_size=5, bound=5):
+    """Square matrices filled from a small pool of entry objects, the way
+    Sylvester rows share one polynomial's coefficients and their zeros.  One
+    object sits in the first two rows, whose denominators differ (a 1/3 in
+    the first, a (7k+1)/7 in the second; pool denominators are at most 4),
+    and the third row holds a distinct object equal to it.  Singular draws
+    repeat the first row's objects in the last row."""
+    n = draw(st.sampled_from(ORDERS))
+    size = draw(st.integers(3, max_size))
+    pool = draw(st.lists(entry(n, bound), min_size=1, max_size=4))
+    shared = pool[0]
+    twin = Cyclotomic(shared.order, shared.coeffs)
+    pool += [twin, Cyclotomic.zero()]
+    rows = [[draw(st.sampled_from(pool)) for _ in range(size)]
+            for _ in range(size)]
+    rows[0][:2] = [shared, Cyclotomic.from_rational(Fraction(1, 3))]
+    seventh = Fraction(7 * draw(st.integers(0, bound)) + 1, 7)
+    rows[1][:2] = [seventh * cyclo_root(1, n), shared]
+    rows[2][-1] = twin
+    if size > 3 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return [rows[i] for i in draw(st.permutations(range(size)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_entry_matrices())
+def test_bareiss_matches_oracle_on_shared_entries(rows):
+    got, want = _bareiss_det(rows), fraction_bareiss(rows)
+    assert got == want
+    assert got.order == want.order
+    assert got.to_string() == want.to_string()
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_entry_matrices(bound=2 ** 70))
+def test_bareiss_matches_oracle_on_wide_shared_entries(rows):
+    got, want = _bareiss_det(rows), fraction_bareiss(rows)
+    assert got == want
+    assert got.order == want.order
+    assert got.to_string() == want.to_string()
+
+
 def test_bareiss_pivot_zero_mod_phi_but_not_as_polynomial():
     # The second pivot is (1)(1 + z) - (z)(-z) = 1 + z + z^2 for z = zeta_3:
     # a nonzero integer polynomial that is zero in Z[zeta_3].  The rows

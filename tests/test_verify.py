@@ -16,6 +16,7 @@ from theta5.catalog import (Argument, ExpectedStatus, Identity, IdentityKind,
 from theta5.catalog_data import builtin_catalog
 from theta5.cyclotomic import Cyclotomic, cyclo_root, exp_pi_i
 from theta5.numeric import theta_eval
+from theta5.resultant import theta_quadratics
 from theta5.series import (Packed, _key, on_common_grid, pack, packed_mul,
                            packed_sum)
 from theta5.theta import Characteristic, ThetaMode, theta_series
@@ -355,6 +356,73 @@ def test_discover_independent_monomials_have_zero_nullity():
     rel = discover_relations(monos, 0.1 + 1.2j, 8)
     assert rel.nullity == 0
     assert rel.coefficients == []
+
+
+def _mixed_monomials():
+    """The eps = 1/5 quartic family with theta constants (zeta = 0) mixed
+    in before, between and after its zeta factors; one constant is shared
+    by two monomials and one characteristic is both a constant and a zeta
+    factor."""
+    def zeta(k, power):
+        return ThetaFactor(C(Fraction(1, 5), Fraction(k, 5)), power,
+                           Argument.SYMBOLIC_ZETA)
+
+    def const(eps, k, power):
+        return ThetaFactor(C(eps, Fraction(k, 5)), power, Argument.AT_ZERO)
+
+    return [[const(1, 1, 2), zeta(1, 2), zeta(3, 1)],
+            [zeta(3, 2), const(1, 3, 1), zeta(9, 1)],
+            [zeta(9, 2), zeta(7, 1), const(1, 1, 2)],
+            [const(Fraction(1, 5), 7, 1), zeta(7, 2), zeta(1, 1),
+             const(1, 3, 3)]]
+
+
+def test_discover_mixed_factors_match_a_scalar_loop(monkeypatch):
+    # the sample matrix, bit for bit, against one from scalar theta_eval
+    # calls in the same factor order: the zeta factors come from one batched
+    # kernel call on float characteristics, the constants from the point
+    # cache on exact ones
+    tau, z_samples = 0.13 + 0.97j, 9
+    monos = _mixed_monomials()
+    want = np.empty((z_samples, len(monos)), dtype=complex)
+    for i, mono in enumerate(monos):
+        col = 1.0
+        for f in mono:
+            if f.argument is Argument.SYMBOLIC_ZETA:
+                value = np.array([theta_eval(f.char, z, tau)
+                                  for z in zeta_grid(z_samples)])
+            else:
+                value = theta_eval(f.char, 0.0, tau)
+            col *= value ** f.power
+        want[:, i] = col
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda M: seen.append(M.copy()) or svd(M))
+    rel = discover_relations(monos, tau, z_samples)
+    assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+    assert rel.nullity == 1  # each monomial scaled by a nonzero constant
+
+
+def test_discovery_and_quadratics_construct_no_fraction(monkeypatch):
+    # at warm caches, characteristics travel as the integers of their keys
+    # and as floats: no Fraction is built on the way to the kernel
+    monos = _quartic_monomials(Fraction(1, 5))
+    tau, z, w = 0.2 + 1.1j, 0.1 + 0.05j, 0.3 + 0.1j
+    discover_relations(monos, tau, 9)
+    theta_quadratics(tau, z, w)
+    made, new = [], Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert Fraction(1, 5) and made == [(1, 5)]  # the count sees every Fraction
+    made.clear()
+    discover_relations(monos, tau, 9)
+    theta_quadratics(tau, z, w)
+    assert made == []
 
 
 # -- orbits: derived verdicts ---------------------------------------------------
