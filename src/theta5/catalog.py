@@ -42,6 +42,12 @@ class ThetaFactor:
     def __post_init__(self):
         if self.power < 1:
             raise ValueError("factor power must be >= 1")
+        # key: (p, q, r, s, at_zeta) for theta[p/q; r/s] at symbolic zeta or
+        # at 0, built once (integers hash faster than the Fractions)
+        (eps, epsp), zeta = self.char, self.argument is Argument.SYMBOLIC_ZETA
+        object.__setattr__(self, "key", (eps.numerator, eps.denominator,
+                                         epsp.numerator, epsp.denominator,
+                                         zeta))
 
 
 @dataclass
@@ -85,44 +91,46 @@ class Identity:
     def degree(self):
         return self.terms[0].degree
 
-    @property
-    def _factor_plan(self):
-        """The terms for numeric evaluation: the distinct factors as
-        _index_factors keys, and each term as (scalar value, its (factor
-        index, power) pairs in order).  Built again once a term's scalar or
-        factor list is not the object it was built from (terms are mutable)."""
-        sources, plan = getattr(self, "_numeric_plan", ((), None))
-        if len(sources) == len(self.terms):
-            for t, (s, f) in zip(self.terms, sources):
-                if t.scalar is not s or t.factors is not f:
+    def _cached(self, name, build):
+        """build(self), kept under `name` until a term's scalar is not the
+        object it was built from or its factors differ from a copy taken
+        then (terms are mutable; equal factors, being frozen, agree)."""
+        then, value = getattr(self, name, ((), None))
+        if len(then) == len(self.terms):
+            for t, (s, f) in zip(self.terms, then):
+                if t.scalar is not s or t.factors != f:
                     break
             else:
-                return plan
-        factors, powers = _index_factors(t.factors for t in self.terms)
-        plan = factors, [(t.scalar.embed(), p)
-                         for t, p in zip(self.terms, powers)]
-        self._numeric_plan = [(t.scalar, t.factors) for t in self.terms], plan
-        return plan
+                return value
+        value = build(self)
+        setattr(self, name, ([(t.scalar, list(t.factors)) for t in self.terms],
+                             value))
+        return value
+
+    @property
+    def _factor_plan(self):
+        """The terms for numeric evaluation (_cached): the distinct factors
+        as _index_factors keys, and each term as (scalar value, its (factor
+        index, power) pairs in order)."""
+        return self._cached("_numeric_plan", _numeric_plan)
 
     def characteristics(self):
         return sorted({f.char for t in self.terms for f in t.factors})
 
 
 def _index_factors(factor_lists):
-    """The distinct factors in the lists as (p, q, r, s, at_zeta), for
-    theta[p/q; r/s] at symbolic zeta or at 0 (integers hash faster than the
-    characteristic's Fractions), and each list as its [(distinct index,
-    power), ...] in order."""
+    """The distinct factors in the lists by ThetaFactor.key, and each list
+    as its [(distinct index, power), ...] in order."""
     index = {}
-    powers = [[(index.setdefault(_factor_key(f), len(index)), f.power)
+    powers = [[(index.setdefault(f.key, len(index)), f.power)
                for f in factors] for factors in factor_lists]
     return list(index), powers
 
 
-def _factor_key(f):
-    (eps, epsp), at_zeta = f.char, f.argument is Argument.SYMBOLIC_ZETA
-    return (eps.numerator, eps.denominator, epsp.numerator, epsp.denominator,
-            at_zeta)
+def _numeric_plan(ident):
+    factors, powers = _index_factors(t.factors for t in ident.terms)
+    return factors, [(t.scalar.embed(), p)
+                     for t, p in zip(ident.terms, powers)]
 
 
 def normalize_identity(ident):
@@ -134,7 +142,7 @@ def normalize_identity(ident):
         scalar = t.scalar
         factors = []
         for f in t.factors:
-            p, q, r, s, _ = _factor_key(f)
+            p, q, r, s, _ = f.key
             if not (0 <= p < 2 * q and 0 <= r < 2 * s):
                 c0, mu = reduce_char(f.char)
                 scalar = scalar * mu ** f.power

@@ -16,8 +16,9 @@ representatives (_ORBITS) independently; each other entry holds through its
 claim to be the image of its representative under zeta -> zeta^m and
 tau -> tau + 1, which the verifier checks exactly on every call.
 
-The bracket algebra (_bmul) keys factors on catalog's integers (p, q, r, s,
-at_zeta), not on hashed Fractions, and _a and _b build each factor once.
+The bracket algebra (_bmul) keys factors on their integer ThetaFactor.key
+(p, q, r, s, at_zeta), not on hashed Fractions, and _a and _b build each
+factor once.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import functools
 from fractions import Fraction as F
 
 from .catalog import (Argument, ExpectedStatus, Identity, IdentityKind,
-                      IdentityTerm, ThetaFactor, _factor_key,
-                      normalize_identity)
+                      IdentityTerm, ThetaFactor, normalize_identity)
 from .cyclotomic import Cyclotomic, cyclo_root
 from .theta import Characteristic
 
@@ -66,7 +66,7 @@ def _t(scalar, *facs):
 
 
 def _order(key):
-    """Sort key of a _factor_key (p, q, r, s, at_zeta): eps, eps', then at
+    """Sort key of a ThetaFactor.key (p, q, r, s, at_zeta): eps, eps', then at
     zero first; the quotients order exactly for denominators up to 5."""
     p, q, r, s, at_zeta = key
     return p / q, r / s, at_zeta
@@ -77,7 +77,7 @@ def _merge_factors(f1, f2):
     only when its power changes), and the (key, power) pairs as the key."""
     d = {}
     for f in (*f1, *f2):
-        key = _factor_key(f)
+        key = f.key
         g = d.get(key)
         d[key] = f if g is None else ThetaFactor(g.char, g.power + f.power,
                                                  g.argument)
@@ -121,7 +121,7 @@ def _galois(terms):
         else:  # pragma: no cover - corpus scalars are order 1 or 5
             raise ValueError("unexpected scalar order in corpus")
         nf = [ThetaFactor(Characteristic(eps_b, f.char.epsp), f.power,
-                          f.argument) if _factor_key(f)[:2] == (1, 5) else f
+                          f.argument) if f.key[:2] == (1, 5) else f
               for f in facs]
         out.append((s2, nf))
     return out

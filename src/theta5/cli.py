@@ -62,9 +62,16 @@ def _parse_char(text):
     try:
         eps, epsp = text.split(",")
         return Characteristic.of(Fraction(eps), Fraction(epsp))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise SystemExit2(f"bad characteristic {text!r}; expected eps,epsp "
                           "as rationals, e.g. 1/5,3/5")
+
+
+def _parse_cutoff(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SystemExit2(f"bad cutoff {text!r}; expected a rational p/q")
 
 
 class SystemExit2(Exception):
@@ -76,7 +83,7 @@ class SystemExit2(Exception):
 def cmd_verify(args):
     cat = _get_catalog(args)
     t0 = time.perf_counter()
-    reports = verify_all(cat, Fraction(args.cutoff))
+    reports = verify_all(cat, _parse_cutoff(args.cutoff))
     elapsed = time.perf_counter() - t0
     status = batch_status(cat, reports)
     expected = {i.id: i.expected for i in cat}
@@ -99,11 +106,12 @@ def cmd_expand(args):
     c = _parse_char(args.char)
     mode = (ThetaMode.FUNCTION if args.function_mode
             else ThetaMode.CONSTANT)
-    s = theta_series(c, mode, Fraction(args.cutoff))
+    cutoff = _parse_cutoff(args.cutoff)
+    s = theta_series(c, mode, cutoff)
     payload = {
         "char": {"eps": str(c.eps), "epsp": str(c.epsp)},
         "mode": mode.value,
-        "cutoff": str(Fraction(args.cutoff)),
+        "cutoff": str(cutoff),
         "terms": [
             {"x": f"{e.xExp.numerator}/{e.xExp.denominator}",
              "z": f"{e.zExp.numerator}/{e.zExp.denominator}",

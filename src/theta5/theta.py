@@ -8,14 +8,15 @@ expanded in x = exp(pi*i*tau) and z = exp(2*pi*i*zeta): the n-th term is
     exp(pi*i*(n+eps/2)*eps') * x^((n+eps/2)^2) * z^(n+eps/2)
 
 with an exact root-of-unity coefficient.  Constant mode sets z = 1.  One
-function expands this sum at zeta shifted by a half period (j + m*tau)/2
-for integers j and m, optionally with the factor (n+eps/2) of the
-zeta-derivative (normalized as theta'/(2*pi*i) so coefficients stay
-cyclotomic); the plain series, the derivative series and the integer and
-half-period shifts are all calls to it, so the quasi-periodicity laws are
-checked against the defining sum itself.  Also here: the Jacobi
-triple-product expansion, characteristic reduction, and the zero location
-in the fundamental parallelogram.
+integer enumeration (_terms) lists the terms, for this module's series and
+for the verifier's packed factors alike, and one function expands this sum at
+zeta shifted by a half period (j + m*tau)/2 for integers j and m, optionally
+with the factor (n+eps/2) of the zeta-derivative (normalized as
+theta'/(2*pi*i) so coefficients stay cyclotomic); the plain series, the
+derivative series and the integer and half-period shifts are all calls to it,
+so the quasi-periodicity laws are checked against the defining sum itself.
+Also here: the Jacobi triple-product expansion, characteristic reduction, and
+the zero location in the fundamental parallelogram.
 """
 
 from __future__ import annotations
@@ -46,31 +47,26 @@ class ThetaMode(Enum):
     FUNCTION = "function"  # symbolic zeta: series carries z-powers
 
 
-def _n_range(center, spread_sq):
-    """All integers n with (n + center)^2 <= spread_sq, exactly."""
-    if spread_sq < 0:
-        return range(0)
-    # sqrt bound via integer square roots on p/q: n must satisfy
-    # -center - sqrt(s) <= n <= -center + sqrt(s)
-    p, q = spread_sq.numerator, spread_sq.denominator
-    # floor(sqrt(p/q)) and a safe +1 margin, then filter exactly
-    r = math.isqrt(p * q) // q + 2
-    lo = math.floor(-center) - r
-    hi = math.ceil(-center) + r
-    return [n for n in range(lo, hi + 1) if (n + center) ** 2 <= spread_sq]
+def _terms(p, q, cn, cd, m=0):
+    """The u = 2qk + p over all integers k, ascending, whose t = u/(2q) =
+    k + eps/2 (eps = p/q) has t^2 + m*t <= cn/cd: exactly the u with
+    (u + q*m)^2 * cd <= q^2 * (4*cn + m^2*cd), from one integer square
+    root.  Every exact expansion of theta[eps; .] reads its terms off it."""
+    b = q * q * (4 * cn + m * m * cd)
+    r = math.isqrt(b // cd) if b >= 0 else -1
+    lo = -r - q * m
+    return range(lo + (p - lo) % (2 * q), r - q * m + 1, 2 * q)
 
 
 def _defining_sum(c, cutoff, function, m=0, n=0, deriv=False):
     """theta[c](zeta + (n + m*tau)/2) from the defining sum, exact to the
-    inclusive cutoff: for t = k + eps/2 the term has x-exponent t^2 + m*t,
-    z-exponent t (0 unless `function`) and coefficient
-    exp(pi*i*t*(eps' + n)), times t when `deriv`."""
-    a = Fraction(c.eps, 2)
-    half_m = Fraction(m, 2)
+    inclusive cutoff: for t = k + eps/2 = u/2q (u from _terms) the term has
+    x-exponent t^2 + m*t, z-exponent t (0 unless `function`) and
+    coefficient exp(pi*i*t*(eps' + n)), times t when `deriv`."""
+    p, q = c.eps.numerator, c.eps.denominator
     terms = {}
-    # t^2 + m*t <= cutoff  <=>  (t + m/2)^2 <= cutoff + m^2/4
-    for k in _n_range(a + half_m, cutoff + half_m * half_m):
-        t = k + a
+    for u in _terms(p, q, cutoff.numerator, cutoff.denominator, m):
+        t = Fraction(u, 2 * q)
         coeff = exp_pi_i(t * (c.epsp + n))
         if deriv:
             coeff = coeff * t

@@ -2,22 +2,24 @@
 
 verify_exact proves an identity by expanding every term as a truncated series
 over Q(zeta_N) and checking that the sum cancels coefficient-by-coefficient,
-from the identity's exact data computed once per cutoff (_plan).  A term is
-a product of powers of theta factors; each power is built once per cutoff
-and cached on the identity's grid (_theta_power), so a term costs one
-kernel call per factor after the first, whatever the powers, until operands
-grow dense (_DENSE_PAIRS).  Terms and their sum stay packed (series.Packed):
-each entry of a scalar is a key add, the sum is one merge of keys, and only
-the reported positions are decoded.  A term with no entry up to the cutoff
-is 0 there (theta exponents are >= 0); when every term is, nothing is
-compared and the report is "inconclusive".
+from the identity's exact data computed once per cutoff (_plan).  A term is a
+product of powers of theta factors; each power is built once per cutoff and
+cached on the identity's grid (_theta_power), the bare factor packed in
+integers from the enumeration that theta's defining sum reads (_bare), so a
+term costs one kernel call per factor after the first, whatever the powers,
+until operands grow dense (_DENSE_PAIRS).  Terms and their sum stay packed
+(series.Packed): each entry of a scalar is a key add, the sum is one merge of
+keys, and only the reported positions are decoded.  A term with no entry up
+to the cutoff is 0 there (theta exponents are >= 0); when every term is,
+nothing is compared and the report is "inconclusive".
 An identity may claim to be sigma_m T^j of a representative up to a global
 scalar (Identity.derived_from; sigma_m: zeta -> zeta^m, T: tau -> tau + 1).
-verify_exact checks the claim exactly, in integers, on every call
-(_claimed); when it holds and the representative passes at the cutoff
-(remembered by content in _PASSES, or verified now), the identity passes
-too and its report names the claim.  Only passes are derived: a failing or
-inconclusive report is always computed directly.
+verify_exact checks the claim exactly, in integers, on every call (_claimed),
+from the representative's side built once (_claim_data); when it holds and
+the representative passes at the cutoff (remembered by content in _PASSES, or
+verified now), the identity passes too and its report names the claim.  Only
+passes are derived: a failing or inconclusive report is always computed
+directly.
 discover_relations rediscovers linear relations among products of theta
 functions numerically: sample the functions in zeta at a fixed tau, and read
 the relation off the nullspace of the sample matrix (the dimension count
@@ -39,9 +41,10 @@ import numpy as np
 from .catalog import ExpectedStatus, _index_factors
 from .cyclotomic import Cyclotomic
 from .numeric import _theta_rows, theta_eval
-from .series import (_INT64_SAFE, ExponentPair, _KB, _dtype, _fold, _norms,
-                     _split, nonzero_positions, pack, packed_mul, packed_sum)
-from .theta import Characteristic, ThetaMode, theta_series
+from .series import (_INT64_SAFE, ExponentPair, _KB, Packed, _dtype, _fits,
+                     _fold, _key, _norms, _split, nonzero_positions,
+                     packed_mul, packed_sum)
+from .theta import Characteristic, ThetaMode, _terms, theta_series
 
 #: The most operand pairs for which a monomial takes a factor's cached power
 #: in one kernel call.  Past it both operands are dense, and multiplying by
@@ -101,7 +104,7 @@ def _theta_power(p, q, r, s, function, power, cn, cd, grid=None, step=False):
     zeta = 0) up to the x-exponent cn/cd, packed on `grid` (dx, dz, order)
     or, when None, on the factor's own grid: the one cache of exact
     verification, keyed on ints, so a hit hashes no Fraction.  The `step`
-    entries, on the factor's grid, are power p-1 times the factor truncated
+    entries, on the factor's grid, are _bare or power p-1 times it truncated
     on that grid (theta exponents are >= 0, so this keeps exactly the
     entries that truncating on any finer grid keeps); a call without `step`
     looks them up bottom up, one cache hit each, so none recurses twice."""
@@ -111,10 +114,43 @@ def _theta_power(p, q, r, s, function, power, cn, cd, grid=None, step=False):
             f = _theta_power(*args, n, cn, cd, None, True)
         return f if grid is None else f.regrid(*grid)
     if power == 1:
-        return pack(_series(args, Fraction(cn, cd)).terms)[0]
+        return _bare(*args, cn, cd)
     f = _theta_power(*args, 1, cn, cd, None, True)
     return packed_mul(_theta_power(*args, power - 1, cn, cd, None, True),
                       f, cn * f.dx // cd)
+
+
+def _bare(p, q, r, s, function, cn, cd):
+    """pack(theta_series(...).terms)[0] of theta[p/q; r/s] up to cn/cd, in
+    integers: term u of theta._terms is exp_pi_i(ur/2qs) x^(u^2/4q^2)
+    z^(u/2q) (z^0 unless `function`), and g = gcd(u, 2q) is the same for
+    every u, so on the grid dx = e^2, dz = e (e = 2q/g) its key has ix =
+    (u/g)^2.  The key range is checked before any term is listed."""
+    g, us = math.gcd(p, 2 * q), _terms(p, q, cn, cd)
+    w = max(-us[0], us[-1]) // g if us else 0
+    zb = w if function else 0   # function mode drops no term
+    try:
+        _fits(w * w, zb, 1)
+    except OverflowError:
+        raise ValueError(f"cutoff {Fraction(cn, cd)} puts theta exponents "
+                         "past the int64 key range") from None
+    at = {}   # (ix, iz, order) -> {k: c}, the roots of unity zeta_order^k
+    for u in us:
+        h, w = math.gcd(u * r, 2 * q * s), u // g
+        ks = at.setdefault((w * w, w if function else 0, 4 * q * s // h), {})
+        k = u * r // h % (4 * q * s // h)
+        ks[k] = ks.get(k, 0) + 1
+    # a position has one root, or u and -u (integer eps, constant mode) two
+    # of one order, scrubbed as in PuiseuxSeries2 when w^k + w^k' = 0
+    rows = [(ix, iz, o, k, c) for (ix, iz, o), ks in at.items()
+            if 2 * (min(ks) - max(ks)) % (2 * o) != o for k, c in ks.items()]
+    order = math.lcm(*(row[2] for row in rows))
+    _fits(0, 0, order)
+    e = 2 * q // g if rows else 1
+    key, c = zip(*sorted((_key(ix, iz, k * (order // o)), c)
+                         for ix, iz, o, k, c in rows)) if rows else ((), ())
+    return Packed(np.array(key, np.int64), np.array(c, np.int64), e * e,
+                  e if function else 1, order, zb, sum(c), max(c, default=0))
 
 
 def _series(key, cutoff):
@@ -226,8 +262,7 @@ def verify_exact(ident, cutoff):
     status = ("inconclusive" if not any(t.c.size for t in terms)
               else "fail" if residuals else "pass")
     if status == "pass":
-        form = _canonical(plan.keys, plan.terms,
-                          [t.scalar for t in ident.terms])
+        form = ident._cached("_claim", _claim_data)[-1]
         if form is not None:
             _PASSES.add((form, plan.cut))
     return VerificationReport(
@@ -274,7 +309,7 @@ def _residual(plan, terms, total, i, lone):
 # e^(pi i r)), so they commute with truncation: an identity passes at a
 # cutoff exactly when its image does.
 
-#: The direct passes of this process, each as (the identity's _canonical
+#: The direct passes of this process, each as (the identity's canonical
 #: form, the cutoff as ints).  Content keys it, never an id or an object,
 #: so an identity edited in place is not credited with an old pass.
 _PASSES = set()
@@ -320,31 +355,34 @@ def _phase_den(keys, scalars):
                     *(s.order for s in scalars))
 
 
-def _canonical(keys, terms, scalars):
-    """An identity's content up to the order of its terms and factors and
-    the form of its scalars: its _image on its own _phase_den, or None when
-    _image rejects it."""
+def _claim_data(rep):
+    """What every claim on rep reads of it, built once (Identity._cached):
+    its _index_factors keys and terms, its scalars, the modulus m must be
+    prime to (every root of unity its series, T factors and scalars hold:
+    4qs and 8q^2 per theta[p/q; r/s], and the scalar orders) and its
+    canonical form, its _image on its own _phase_den (None if rejected)."""
+    keys, terms = _index_factors(t.factors for t in rep.terms)
+    scalars = [t.scalar for t in rep.terms]
+    unit = math.lcm(*(math.lcm(4 * q * s, 8 * q * q)
+                      for _, q, _, s, _ in keys), *(c.order for c in scalars))
     den = _phase_den(keys, scalars)
     image = _image(keys, terms, scalars, den)
-    return None if image is None else (den, frozenset(image.items()))
+    form = None if image is None else (den, frozenset(image.items()))
+    return keys, terms, scalars, unit, form
 
 
 def _claimed(ident):
-    """The _canonical form of the representative in ident.derived_from =
+    """The canonical form of the representative in ident.derived_from =
     (representative, m, j) when the claim checks, else None.  It checks
-    when m is a unit mod 4qs and 8q^2 for every factor theta[p/q; r/s] of
-    the representative and mod its scalar orders (every root of unity its
-    series, the T factors and its scalars hold), the representative claims
-    no orbit itself, and ident's terms are those of sigma_m T^j of it times
-    one global scalar (_image).  Integers only."""
+    when m is prime to the representative's unit modulus, the
+    representative claims no orbit itself, and ident's terms are those of
+    sigma_m T^j of it times one global scalar (_image).  Integers only; the
+    representative's side is its cached _claim_data."""
     rep, m, j = ident.derived_from
     if rep.derived_from is not None:
         return None
-    rkeys, rterms = _index_factors(t.factors for t in rep.terms)
-    rscalars = [t.scalar for t in rep.terms]
-    if math.gcd(m, math.lcm(*(math.lcm(4 * q * s, 8 * q * q)
-                              for _, q, _, s, _ in rkeys),
-                            *(c.order for c in rscalars))) != 1:
+    rkeys, rterms, rscalars, unit, form = rep._cached("_claim", _claim_data)
+    if math.gcd(m, unit) != 1:
         return None
     keys, terms = _index_factors(t.factors for t in ident.terms)
     scalars = [t.scalar for t in ident.terms]
@@ -359,7 +397,7 @@ def _claimed(ident):
         num, d, a = c0 * d1, d0 * c1, (a0 - a1) % (2 * den)
         g = math.gcd(num, d) * (1 if d > 0 else -1)
         ratios.add(((num if a < den else -num) // g, d // g, a % den))
-    return _canonical(rkeys, rterms, rscalars) if len(ratios) == 1 else None
+    return form if len(ratios) == 1 else None
 
 
 def verify_all(catalog, cutoff):

@@ -1,4 +1,6 @@
 import cmath
+import copy
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +39,24 @@ def test_corpus_is_normalized():
         for t in ident.terms:
             for f in t.factors:
                 assert 0 <= f.char.eps < 2 and 0 <= f.char.epsp < 2, ident.id
+
+
+def test_factor_keys_are_the_characteristic_integers():
+    # the key is computed once per factor and follows it through a copy;
+    # a replaced factor computes its own
+    def integers(f):
+        (eps, epsp), zeta = f.char, f.argument is Argument.SYMBOLIC_ZETA
+        return (eps.numerator, eps.denominator, epsp.numerator,
+                epsp.denominator, zeta)
+
+    factors = {f for i in builtin_catalog() for t in i.terms for f in t.factors}
+    for f in factors:
+        assert f.key == integers(f) == copy.deepcopy(f).key
+        other = dataclasses.replace(f, char=C(f.char.epsp, f.char.eps))
+        assert other.key == integers(other)
+        flipped = dataclasses.replace(f, argument=Argument.AT_ZERO
+                                      if f.key[4] else Argument.SYMBOLIC_ZETA)
+        assert flipped.key == integers(flipped) != f.key
 
 
 def test_homogeneity_enforced():

@@ -68,6 +68,9 @@ def test_verify_exit_code_matrix(capsys, tmp_path, monkeypatch):
          "batch: PASS"),
         (["verify", "no-such-identity"], 2, None),
         (["--cutoff", "1/2", "verify"], 4, "batch: INCONCLUSIVE"),
+        (["--cutoff", "1/0", "verify"], 2, None),
+        (["--cutoff", "10000000000", "verify"], 2, None),
+        (["--cutoff", "100000000000000000000000", "verify"], 2, None),
     ]
     for argv, want, batch in cases:
         code, out = run(capsys, *argv)
@@ -113,8 +116,10 @@ def test_expand_text_and_json(capsys):
 
 
 def test_expand_bad_char(capsys):
-    code, _ = run(capsys, "expand", "nonsense")
-    assert code == 2
+    for argv in (["expand", "nonsense"], ["expand", "1/0,1"],
+                 ["--cutoff", "1/0", "expand", "0,1"]):
+        code, _ = run(capsys, *argv)
+        assert code == 2, argv
 
 
 def test_eval_subcommand(capsys):

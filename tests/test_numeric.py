@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta5.catalog import Argument, IdentityKind
+from theta5.catalog import Argument, IdentityKind, ThetaFactor
 from theta5.catalog_data import builtin_catalog
 from theta5.cli import main
 from theta5 import numeric
@@ -288,6 +288,12 @@ def test_edited_terms_are_evaluated_afresh():
     ident.terms[0].factors = list(ident.terms[1].factors)
     assert identity_residual(ident, tau) == \
         identity_residual(copy.deepcopy(ident), tau) != flipped
+    # and a factor replaced inside its list: theta[0;0]^4 -> theta[0;1]^4
+    ident = copy.deepcopy(builtin_catalog()[0])
+    assert identity_residual(ident, tau) < 1e-12
+    ident.terms[0].factors[0] = ThetaFactor(C(0, 1), 4)
+    assert identity_residual(ident, tau) == \
+        identity_residual(copy.deepcopy(ident), tau) > 0.5
 
 
 def test_eval_subcommand_mostly_hits_the_point_cache(capsys):

@@ -113,6 +113,76 @@ def test_theta_power_matches_sequential_product(cutoff):
         _same(got.regrid(f.dx, f.dz, f.order), want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(-14, 27), q=st.integers(1, 7), r=st.integers(-14, 27),
+       s=st.integers(1, 7), function=st.booleans(),
+       cutoff=st.fractions(Fraction(1, 10), 64, max_denominator=12))
+@example(p=1, q=1, r=1, s=1, function=False, cutoff=Fraction(8))    # empty
+@example(p=0, q=1, r=0, s=1, function=False, cutoff=Fraction(16))   # +-t collide
+@example(p=1, q=1, r=0, s=1, function=False, cutoff=Fraction(16))
+@example(p=1, q=1, r=1, s=5, function=False, cutoff=Fraction(33, 2))
+@example(p=1, q=5, r=3, s=5, function=True, cutoff=Fraction(1, 101))  # below
+@example(p=-3, q=5, r=-7, s=3, function=True, cutoff=Fraction(64))
+def test_bare_factor_matches_packed_series(p, q, r, s, function, cutoff):
+    # the bare factor built in integers is the packed defining sum, field for
+    # field: keys, coefficients and their dtypes, grid, zb and norm bounds
+    char = Characteristic(Fraction(p, q), Fraction(r, s))
+    mode = ThetaMode.FUNCTION if function else ThetaMode.CONSTANT
+    want = pack(theta_series(char, mode, cutoff).terms)[0]
+    eps, epsp = char
+    got = v._bare(eps.numerator, eps.denominator, epsp.numerator,
+                  epsp.denominator, function, cutoff.numerator,
+                  cutoff.denominator)
+    for a, b in ((got.key, want.key), (got.c, want.c)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got[2:] == want[2:]
+
+
+def test_bare_factors_construct_no_fraction(monkeypatch):
+    # a cold build of every corpus factor at cutoff 16 lists its terms in
+    # integers: no Fraction, no theta_series
+    keys = {key for key, power in _corpus_factors()}
+    assert len(keys) == 29
+    made, new, series = [], Fraction.__new__, []
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    v._theta_power.cache_clear()
+    monkeypatch.setattr(v, "theta_series", lambda *a: series.append(a))
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for key in keys:
+        v._theta_power(*key, 1, 16, 1)
+    monkeypatch.undo()
+    v._theta_power.cache_clear()
+    assert made == [] and series == []
+
+
+@pytest.mark.parametrize("cutoff", [10 ** 10, 10 ** 23])
+def test_over_range_cutoff_lists_no_term(monkeypatch, cutoff):
+    # the key range is checked on the first and last terms, before the
+    # others are listed (about 6 * 10^11 of them at 10^23)
+    class Unlisted:
+        def __init__(self, us):
+            self.us = us
+
+        def __bool__(self):
+            return bool(self.us)
+
+        def __getitem__(self, i):
+            return self.us[i]
+
+        def __iter__(self):
+            raise AssertionError("terms listed")
+
+    terms = v._terms
+    monkeypatch.setattr(v, "_terms", lambda *args: Unlisted(terms(*args)))
+    for ident in (_by_id("jacobi-quartic"), _by_id("ratio7-15-3-1")):
+        with pytest.raises(ValueError, match=f"cutoff {cutoff} "):
+            verify_exact(ident, cutoff)
+
+
 def _packed(entries, order):
     ix, iz, k, c = zip(*entries) if entries else ((),) * 4
     big = max(map(abs, c), default=0) >= 1 << 61
@@ -537,6 +607,27 @@ def test_edited_representative_is_not_credited():
     assert all(v._claimed(i) for i in orbit[1:])
     reports = verify_all(orbit, 8)
     assert [r.status for r in reports] == ["fail"] * 5
+    assert not any(r.derived_from for r in reports)
+
+
+def test_edited_representative_factor_is_seen():
+    # the claim data is built once per representative, and again once one
+    # of its factors is replaced inside its list: theta[1/5; 3/5]^2 ->
+    # theta[1/5; 1/5]^2 in the first term makes every member's claim fail,
+    # and the members are verified directly
+    orbit = copy.deepcopy(sorted(
+        (i for i in builtin_catalog() if i.id == "ratio-15-del1"
+         or i.derived_from and i.derived_from[0].id == "ratio-15-del1"),
+        key=lambda i: i.id))
+    rep = orbit[0]
+    assert all(v._claimed(i) for i in orbit[1:])
+    factors = rep.terms[0].factors
+    assert factors[0].char == C(Fraction(1, 5), Fraction(3, 5))
+    factors[0] = dataclasses.replace(factors[0], char=C(Fraction(1, 5),
+                                                        Fraction(1, 5)))
+    assert not any(v._claimed(i) for i in orbit[1:])
+    reports = verify_all(orbit, 8)
+    assert [r.status for r in reports] == ["fail"] + ["pass"] * 4
     assert not any(r.derived_from for r in reports)
 
 
