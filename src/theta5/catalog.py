@@ -110,8 +110,9 @@ class Identity:
     @property
     def _factor_plan(self):
         """The terms for numeric evaluation (_cached): the distinct factors
-        as _index_factors keys, and each term as (scalar value, its (factor
-        index, power) pairs in order)."""
+        as ((p, q, r, s), at_zeta) from their keys, the distinct (factor
+        index, power) pairs, and each term as (scalar value, the indices of
+        its pairs in order)."""
         return self._cached("_numeric_plan", _numeric_plan)
 
     def characteristics(self):
@@ -129,8 +130,10 @@ def _index_factors(factor_lists):
 
 def _numeric_plan(ident):
     factors, powers = _index_factors(t.factors for t in ident.terms)
-    return factors, [(t.scalar.embed(), p)
-                     for t, p in zip(ident.terms, powers)]
+    pairs = {}
+    terms = [(t.scalar.embed(), [pairs.setdefault(p, len(pairs)) for p in ps])
+             for t, ps in zip(ident.terms, powers)]
+    return [(k[:4], k[4]) for k in factors], list(pairs), terms
 
 
 def normalize_identity(ident):

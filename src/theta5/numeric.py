@@ -11,16 +11,21 @@ SIAM Review 56 (2014): the rule converges geometrically for an integrand
 analytic on an annulus around the circle).
 
 One batched kernel, `_theta_sum`, evaluates every theta value: paired arrays
-of (characteristic, zeta) points at one tau, each point summed over its own
-window of terms, so a value is the same to the bit in any batch.  Scalar
-points go through one point cache (`_POINTS`): an identity residual looks
-up its distinct factors there and sends all misses to one kernel call; the
+of (characteristic, zeta) points at one tau or at a tau per point, each
+point summed over its own window of terms, so a value is the same to the bit
+in any batch.  Scalar points go through one point cache (`_POINTS`): an
+identity residual looks up its distinct factors there and sends all misses
+to one kernel call.  A characteristic the cache meets for the first time is
+filled in, in that same call, at every point of its kind the cache holds,
+so a sweep of identities over fixed sampled points (`theta5 eval`) pays one
+call per new characteristic rather than one per point.  The
 relation-discovery grid, the theta quadratics and the residue contours pass
 arrays straight to the kernel.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import random
 from dataclasses import dataclass, field
@@ -53,30 +58,62 @@ class EvalConfig:
 _DEFAULT_CFG = EvalConfig()
 
 
+#: Rows per kernel block: a call with a tau per point (a fill of many held
+#: points) is summed in blocks of at most this many, which bounds its arrays.
+_BLOCK_ROWS = 4096
+
+
+def _first_k(tau, cfg):
+    """Half-width of the first window at tau: where the Gaussian has fallen
+    by tol/100 (with tol 0, the edge terms must underflow to 0)."""
+    return min((cfg.max_terms - 1) // 2, math.ceil(math.sqrt(
+        math.log(100.0 / max(cfg.tol, 1e-300)) / (math.pi * tau.imag))))
+
+
 def _theta_sum(eps, epsp, zeta, tau, cfg, deriv):
     """The defining sum at every point of the 1-D complex array zeta, for the
     characteristic [eps; epsp] given as floats or as float arrays paired
-    with zeta, at one scalar tau.  Terms are
+    with zeta, at tau given as a complex scalar or as a complex array paired
+    with zeta.  Terms are
     exp(pi*i*(n+eps/2)^2*tau) * exp(2*pi*i*(n+eps/2)*(zeta+eps'/2)), summed
     over a window of n around each point's peak term.  Each point has its
-    own window: after a pass, only the points whose edge terms are not both
-    below tol/100 (relative to their largest term, when that exceeds 1) get
-    a doubled one.  A point's value so never depends on the other points of
-    the call: it is the same to the bit as that of a one-point call."""
-    if tau.imag <= 0:
+    own window: its first half-width comes from its tau (_first_k), and
+    after a pass only the points whose edge terms are not both below tol/100
+    (relative to their largest term, when that exceeds 1) get a doubled one.
+    With a tau per point, points are summed in groups that share a first
+    window, in blocks of at most _BLOCK_ROWS.  A point's value so never
+    depends on the other points of the call: it is the same to the bit as
+    that of a one-point call."""
+    per_point = isinstance(tau, np.ndarray)
+    if (tau.imag <= 0).any() if per_point else tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
     a, b = eps / 2.0, epsp / 2.0
-    paired = isinstance(a, np.ndarray)
+    if not per_point:
+        return _window_sum(a, b, zeta, tau, _first_k(tau, cfg), cfg, deriv)
+    ks = {t: _first_k(t, cfg) for t in set(tau.tolist())}
+    first = np.array([ks[t] for t in tau.tolist()])
+    out = np.empty(len(zeta), complex)
+    for k in np.unique(first).tolist():
+        rows = np.flatnonzero(first == k)
+        for at in np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS)):
+            out[at] = _window_sum(*(v[at] if isinstance(v, np.ndarray) else v
+                                    for v in (a, b, zeta, tau)),
+                                  k, cfg, deriv)
+    return out
+
+
+def _window_sum(a, b, zeta, tau, k, cfg, deriv):
+    """_theta_sum at points that share the first half-width k; a = eps/2,
+    b = eps'/2 and tau are scalars or arrays paired with zeta."""
+    k_max = (cfg.max_terms - 1) // 2
+    paired, per_point = isinstance(a, np.ndarray), isinstance(tau, np.ndarray)
     if paired:
         a, b = a[:, None], b[:, None]
+    if per_point:
+        tau = tau[:, None]
     zeta = zeta[:, None]
     # |term| = exp(-pi*(n+a)^2 Im tau - 2*pi*(n+a) Im zeta) peaks here:
     center = np.rint(-a - zeta.imag / tau.imag)
-    # first guess: where the Gaussian has fallen by tol/100 (with tol 0, the
-    # edge terms must underflow to 0)
-    k_max = (cfg.max_terms - 1) // 2
-    k = min(k_max, math.ceil(math.sqrt(
-        math.log(100.0 / max(cfg.tol, 1e-300)) / (math.pi * tau.imag))))
     out = at = None  # the result and the rows still open, once a pass splits
     while True:
         m = (center + np.arange(-k, k + 1)) + a  # integer n, then n + a
@@ -102,54 +139,116 @@ def _theta_sum(eps, epsp, zeta, tau, cfg, deriv):
             at, center, zeta = at[wide], center[wide], zeta[wide]
             if paired:
                 a, b = a[wide], b[wide]
+            if per_point:
+                tau = tau[wide]
         k = min(k_max, 2 * k)
 
 
 class _PointCache:
-    """theta values at scalar points, keyed (p, q, r, s, zeta, tau, cfg,
-    deriv) for the characteristic [p/q; r/s] as its own ints, so a lookup
-    runs no Fraction hash.  Holds at most `maxsize` values (when full, it
-    starts over); `hits` and `misses` count the points looked up."""
+    """theta values at scalar points, in rows keyed (zeta, tau, cfg, deriv)
+    that map a characteristic [p/q; r/s], as its own ints (p, q, r, s), to
+    its value, so a lookup runs no Fraction hash.
+
+    Fill rule: a characteristic is new to a kind of row, (zeta == 0, cfg,
+    deriv), until a lookup misses it at a row of that kind.  That lookup
+    also computes it at every row of the kind the cache holds, in the same
+    kernel call as its misses (one tau per point), so a sweep that visits
+    the same points identity after identity finds it at each of them.  If
+    that call raises (say a filled point does not converge), the misses are
+    computed alone, and the lookup fails only if one of them does.
+
+    Holds at most `maxsize` values (when full, it starts over); `hits` and
+    `misses` count the points looked up, `filled` the values computed for
+    no lookup."""
 
     def __init__(self, maxsize):
         self.maxsize = maxsize
         self.clear()
 
     def clear(self):
-        self.table, self.hits, self.misses = {}, 0, 0
+        self._empty()
+        self.hits = self.misses = self.filled = 0
 
-    def lookup(self, keys):
-        """theta at the points `keys` (sharing tau, cfg and deriv) as Python
-        complex numbers, with every miss in one kernel call."""
-        vals = list(map(self.table.get, keys))
-        if None not in vals:
-            self.hits += len(vals)
+    def _empty(self):
+        # rows, and per kind the characteristics met and the rows held
+        self.rows, self.size = {}, 0
+        self.kinds = collections.defaultdict(lambda: (set(), []))
+
+    def lookup(self, factors, z, tau, cfg, deriv):
+        """theta[p/q; r/s] for the factors [((p, q, r, s), at_zeta)], at
+        zeta = z when at_zeta and 0 when not, at one tau, as Python complex
+        numbers; the misses and any fill in one kernel call."""
+        rows = self.rows
+        key_0, key_z = (0j, tau, cfg, deriv), (z, tau, cfg, deriv)
+        at_0, at_z = rows.get(key_0, _NO_ROW).get, rows.get(key_z, _NO_ROW).get
+        vals = [(at_z if at_zeta else at_0)(c) for c, at_zeta in factors]
+        missed = vals.count(None)
+        self.hits += len(vals) - missed
+        if not missed:
             return vals
-        miss = [i for i, v in enumerate(vals) if v is None]
-        self.hits += len(vals) - len(miss)
-        self.misses += len(miss)
-        tau, cfg, deriv = keys[0][5:]
-        got = _theta_sum(np.array([keys[i][0] / keys[i][1] for i in miss]),
-                         np.array([keys[i][2] / keys[i][3] for i in miss]),
-                         np.array([keys[i][4] for i in miss]), tau, cfg,
-                         deriv).tolist()
-        if len(self.table) + len(miss) > self.maxsize:
-            self.table = {}
-        for i, v in zip(miss, got):
-            vals[i] = self.table[keys[i]] = v
-        return vals
+        self.misses += missed
+        asked = dict.fromkeys((c, key_z if at_zeta else key_0)
+                              for (c, at_zeta), v in zip(factors, vals)
+                              if v is None)
+        if self.size + len(asked) > self.maxsize:
+            self._empty()
+            rows = self.rows
+        kinds, new, fill = self.kinds, [], []
+        for c, row in asked:
+            known, held = kinds[row[0] == 0, cfg, deriv]
+            if c not in known:
+                new.append((known, c))
+                fill += [(c, r) for r in held if (c, r) not in asked]
+        if self.size + len(asked) + len(fill) > self.maxsize:
+            fill = []
+        todo = [*asked, *fill]
+        try:
+            got = _point_sums(todo, None if fill else tau, cfg, deriv)
+        except ValueError:
+            if not fill:
+                raise
+            todo = list(asked)
+            got = _point_sums(todo, tau, cfg, deriv)
+        self.filled += len(todo) - len(asked)
+        self.size += len(todo)
+        for known, c in new:
+            known.add(c)
+        for (c, row), v in zip(todo, got):
+            held = rows.get(row)
+            if held is None:
+                held = rows[row] = {}
+                kinds[row[0] == 0, cfg, deriv][1].append(row)
+            held[c] = v
+        # the hits come from vals: a cache that started over holds no more
+        at_0, at_z = rows.get(key_0, _NO_ROW).get, rows.get(key_z, _NO_ROW).get
+        return [(at_z if at_zeta else at_0)(c) if v is None else v
+                for v, (c, at_zeta) in zip(vals, factors)]
+
+
+_NO_ROW = {}
+
+
+def _point_sums(todo, tau, cfg, deriv):
+    """_theta_sum at the (char, row) pairs of todo as Python complex numbers,
+    at one tau, or with tau None at each row's own tau."""
+    return _theta_sum(
+        np.array([c[0] / c[1] for c, _ in todo]),
+        np.array([c[2] / c[3] for c, _ in todo]),
+        np.array([row[0] for _, row in todo]),
+        np.array([row[1] for _, row in todo]) if tau is None else tau,
+        cfg, deriv).tolist()
 
 
 _POINTS = _PointCache(1 << 18)
 
 
-def _theta_at(points, tau, cfg=None, deriv=False):
-    """theta[c](zeta) (or its derivative) at scalar (c, zeta) points, at one
-    tau, through the point cache."""
-    tau, cfg = complex(tau), cfg or _DEFAULT_CFG
-    return _POINTS.lookup([(eps.numerator, eps.denominator, epsp.numerator,
-                           epsp.denominator, complex(zeta), tau, cfg, deriv)
-                          for (eps, epsp), zeta in points])
+def _theta_at(chars, zeta, tau, cfg=None, deriv=False):
+    """theta[c](zeta) (or its derivative) for each characteristic c of chars,
+    at one scalar zeta and tau, through the point cache."""
+    return _POINTS.lookup([((eps.numerator, eps.denominator, epsp.numerator,
+                            epsp.denominator), True) for eps, epsp in chars],
+                          complex(zeta), complex(tau), cfg or _DEFAULT_CFG,
+                          deriv)
 
 
 def _theta(c, zeta, tau, cfg, deriv):
@@ -157,7 +256,7 @@ def _theta(c, zeta, tau, cfg, deriv):
         return _theta_sum(float(c.eps), float(c.epsp),
                           zeta.astype(complex).ravel(), complex(tau),
                           cfg or _DEFAULT_CFG, deriv).reshape(zeta.shape)
-    return _theta_at([(c, zeta)], tau, cfg, deriv)[0]
+    return _theta_at([c], zeta, tau, cfg, deriv)[0]
 
 
 def theta_eval(c, zeta, tau, cfg=None):
@@ -205,17 +304,18 @@ def identity_residual(ident, tau, zeta=None, cfg=None):
     """Relative residual |sum of terms| / max |term| of an identity at one
     (tau, zeta) point.  Returns 0.0 when every term vanishes.  The distinct
     theta factors come from the point cache, the misses in one kernel call;
-    each term multiplies its factors in order onto its scalar."""
+    each distinct (factor, power) is raised once, and each term multiplies
+    its powers in its own order onto its scalar."""
     if zeta is None and ident.kind is IdentityKind.FUNCTION:
         raise ValueError(f"{ident.id}: function identity needs a zeta")
-    factors, terms = ident._factor_plan
+    factors, powers, terms = ident._factor_plan
     z, tau, cfg = complex(zeta or 0), complex(tau), cfg or _DEFAULT_CFG
-    theta = _POINTS.lookup([(p, q, r, s, z if at_zeta else 0j, tau, cfg, False)
-                           for p, q, r, s, at_zeta in factors])
+    theta = _POINTS.lookup(factors, z, tau, cfg, False)
+    power = [theta[i] ** p for i, p in powers]
     values = []
-    for v, powers in terms:
-        for i, p in powers:
-            v *= theta[i] ** p
+    for v, slots in terms:
+        for j in slots:
+            v *= power[j]
         values.append(v)
     scale = max(map(abs, values))
     if scale == 0.0:

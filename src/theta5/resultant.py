@@ -152,8 +152,8 @@ def resultant_2x2(a, b):
 _QUADRATIC_KS = (1, 3, 5, 7, 9)
 _QUADRATIC_CHARS = [(1 / 5, k / 5) for k in _QUADRATIC_KS]  # [1/5; k/5]
 _W5 = cyclo_root(2, 5).embed()
-_ROOT_POINTS = [(Characteristic.of(1, Fraction(1, 5)), 0.0),
-                (Characteristic.of(1, Fraction(3, 5)), 0.0)]
+_ROOT_CHARS = [Characteristic.of(1, Fraction(1, 5)),
+               Characteristic.of(1, Fraction(3, 5))]
 
 
 def theta_quadratics(tau, z, w, cfg=None):
@@ -175,5 +175,5 @@ def theta_quadratics(tau, z, w, cfg=None):
 
 def shared_root_ratio(tau, cfg=None):
     """The common root itself: theta[1;1/5] / theta[1;3/5] at zeta = 0."""
-    c1, c3 = _theta_at(_ROOT_POINTS, tau, cfg)
+    c1, c3 = _theta_at(_ROOT_CHARS, 0.0, tau, cfg)
     return c1 / c3

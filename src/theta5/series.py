@@ -296,17 +296,20 @@ def packed_sum(parts):
 
 def nonzero_positions(p):
     """Indices of the first entry of each (ix, iz) position (key >> _KB) of
-    p whose coefficient is nonzero in Q(zeta_order), in key order: one
-    integer matmul against reduction_matrix(order)."""
-    _, first, row = np.unique(p.key >> _KB, return_index=True,
-                              return_inverse=True)
+    p whose coefficient is nonzero in Q(zeta_order), in key order: each
+    entry's c times its row of reduction_matrix(order), summed per run of
+    one position in the sorted keys."""
+    if not p.c.size:
+        return np.zeros(0, np.intp)
+    pos = p.key >> _KB
+    first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
     red = reduction_matrix(p.order)
     rmax = int(np.abs(red).max())
     l1 = p.l1 if p.l1 * rmax < _INT64_SAFE else _norms(p.c)[0]
     dtype = _dtype(l1 * rmax)
-    dense = np.zeros((first.size, p.order), dtype)
-    dense[row, p.k] = p.c
-    return first[(dense @ red.astype(dtype) != 0).any(axis=1)]
+    terms = red[p.k].astype(dtype, copy=False)   # a copy: red is shared
+    terms *= p.c.astype(dtype, copy=False)[:, None]
+    return first[(np.add.reduceat(terms, first) != 0).any(axis=1)]
 
 
 def _key(ix, iz, k):

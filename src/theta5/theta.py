@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic import exp_pi_i
-from .series import ExponentPair, PuiseuxSeries2
+from .series import ExponentPair, PuiseuxSeries2, _fits
 
 
 class Characteristic(NamedTuple):
@@ -51,11 +51,21 @@ def _terms(p, q, cn, cd, m=0):
     """The u = 2qk + p over all integers k, ascending, whose t = u/(2q) =
     k + eps/2 (eps = p/q) has t^2 + m*t <= cn/cd: exactly the u with
     (u + q*m)^2 * cd <= q^2 * (4*cn + m^2*cd), from one integer square
-    root.  Every exact expansion of theta[eps; .] reads its terms off it."""
+    root.  Every exact expansion of theta[eps; .] reads its terms off it.
+    Raises ValueError, before any term is listed, when the extreme u/g (g =
+    gcd(p, 2q)) puts a packed key (ix = (u/g)^2, iz = u/g) past the int64
+    range."""
     b = q * q * (4 * cn + m * m * cd)
     r = math.isqrt(b // cd) if b >= 0 else -1
     lo = -r - q * m
-    return range(lo + (p - lo) % (2 * q), r - q * m + 1, 2 * q)
+    us = range(lo + (p - lo) % (2 * q), r - q * m + 1, 2 * q)
+    w = max(-us[0], us[-1]) // math.gcd(p, 2 * q) if us else 0
+    try:
+        _fits(w * w, w, 1)
+    except OverflowError:
+        raise ValueError(f"cutoff {Fraction(cn, cd)} puts theta exponents "
+                         "past the int64 key range") from None
+    return us
 
 
 def _defining_sum(c, cutoff, function, m=0, n=0, deriv=False):

@@ -125,15 +125,9 @@ def _bare(p, q, r, s, function, cn, cd):
     integers: term u of theta._terms is exp_pi_i(ur/2qs) x^(u^2/4q^2)
     z^(u/2q) (z^0 unless `function`), and g = gcd(u, 2q) is the same for
     every u, so on the grid dx = e^2, dz = e (e = 2q/g) its key has ix =
-    (u/g)^2.  The key range is checked before any term is listed."""
+    (u/g)^2.  _terms checks the key range before any term is listed."""
     g, us = math.gcd(p, 2 * q), _terms(p, q, cn, cd)
-    w = max(-us[0], us[-1]) // g if us else 0
-    zb = w if function else 0   # function mode drops no term
-    try:
-        _fits(w * w, zb, 1)
-    except OverflowError:
-        raise ValueError(f"cutoff {Fraction(cn, cd)} puts theta exponents "
-                         "past the int64 key range") from None
+    zb = max(-us[0], us[-1]) // g if us and function else 0   # drops no term
     at = {}   # (ix, iz, order) -> {k: c}, the roots of unity zeta_order^k
     for u in us:
         h, w = math.gcd(u * r, 2 * q * s), u // g

@@ -30,3 +30,10 @@ def test_part_reports_its_setup(args):
         assert out[key] > 0, key
     if args[0] != "setup":
         assert out["attempted"] == 81 and out["failed"] == 0, out["failures"]
+
+
+@pytest.mark.parametrize("part", ["eval", "relations"])
+def test_numeric_part_answers_every_operation(part):
+    # the benchmark's own path through the point cache and its fills
+    out = run_part(part, "--size", "smoke")
+    assert out["attempted"] > 0 and out["failed"] == 0, out["failures"]

@@ -71,6 +71,7 @@ def test_verify_exit_code_matrix(capsys, tmp_path, monkeypatch):
         (["--cutoff", "1/0", "verify"], 2, None),
         (["--cutoff", "10000000000", "verify"], 2, None),
         (["--cutoff", "100000000000000000000000", "verify"], 2, None),
+        (["--cutoff", "100000000000000000000000", "expand", "0,0"], 2, None),
     ]
     for argv, want, batch in cases:
         code, out = run(capsys, *argv)

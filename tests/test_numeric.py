@@ -224,6 +224,42 @@ def test_batched_kernel_equals_one_point_calls(chars, deriv, tau, points):
         assert same[i] == one[0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(chars=st.lists(st.tuples(fifths, fifths), max_size=4),
+       taus=st.lists(st.builds(complex, st.floats(-0.5, 0.5),
+                               st.floats(0.3, 3.0)), max_size=3),
+       deriv=st.booleans(), block=st.sampled_from([1, 2, 5, 4096]),
+       points=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                 st.floats(-1.0, 1.0), st.floats(-3.0, 3.0)),
+                       max_size=12))
+def test_multi_tau_batch_equals_one_point_calls(chars, taus, deriv, block,
+                                                points):
+    # each point at its own tau and with its own characteristic: the three
+    # fixed taus have first half-widths 4, 3 and 6, and at 0.1 + 0.6446j
+    # theta[0;0] half-way between two peaks (Im zeta = Im tau / 2) needs a
+    # second pass; blocks as small as one row
+    chars = [(0, 0), (Fraction(1, 5), Fraction(3, 5))] + chars
+    taus = [0.1 + 0.6446j, -0.2 + 2.5j, 0.3 + 0.4j] + taus
+    rows = [(0, 0, 0.1, 0.5), (0, 0, 0.1, 0.0), (1, 1, 0.3, -2.5),
+            (2, 1, -0.2, 2.5)] + points
+    tau = np.array([taus[t % len(taus)] for t, _, _, _ in rows])
+    pair = [chars[c % len(chars)] for _, c, _, _ in rows]
+    eps = np.array([float(e) for e, _ in pair])
+    epsp = np.array([float(e) for _, e in pair])
+    zeta = np.array([complex(x, y * t.imag)
+                     for (_, _, x, y), t in zip(rows, tau)])
+    cfg, kept = EvalConfig(), numeric._BLOCK_ROWS
+    numeric._BLOCK_ROWS = block
+    try:
+        got = numeric._theta_sum(eps, epsp, zeta, tau, cfg, deriv)
+    finally:
+        numeric._BLOCK_ROWS = kept
+    for i in range(len(zeta)):
+        one = numeric._theta_sum(eps[i], epsp[i], zeta[i:i + 1],
+                                 complex(tau[i]), cfg, deriv)
+        assert got[i] == one[0], (i, got[i], one[0])
+
+
 def test_only_the_open_points_widen(monkeypatch):
     # with Im tau = 0.6446 the first window is 9 terms wide and only just
     # enough: a peak term at n = 0 closes it, one half-way between two n
@@ -301,6 +337,110 @@ def test_eval_subcommand_mostly_hits_the_point_cache(capsys):
     assert main(["--seed", "0", "eval"]) == 0
     capsys.readouterr()
     assert numeric._POINTS.hits > numeric._POINTS.misses > 0
+
+
+def test_eval_sweep_fills_each_new_characteristic_in_one_call(monkeypatch,
+                                                            capsys):
+    # without fills the sweep makes 87 kernel calls for 207 points; with
+    # them 29 calls for the same 207 points, so it computes no value that
+    # it does not read
+    calls, kernel = [], numeric._theta_sum
+    monkeypatch.setattr(numeric, "_theta_sum", lambda eps, epsp, zeta, *a:
+                        calls.append(len(zeta)) or kernel(eps, epsp, zeta, *a))
+    numeric._POINTS.clear()
+    assert main(["--seed", "0", "eval"]) == 0
+    capsys.readouterr()
+    assert (len(calls), sum(calls)) == (29, 207)
+    cache = numeric._POINTS
+    assert cache.misses + cache.filled == 207 and cache.filled > 0
+    assert cache.hits + cache.misses == 2913
+
+
+def _one_point(char, zeta, tau, cfg, deriv):
+    p, q, r, s = char
+    return numeric._theta_sum(p / q, r / s, np.array([zeta]), tau, cfg,
+                              deriv)[0]
+
+
+def test_a_fill_answers_only_its_own_kind():
+    # rows of four kinds hold theta[0;0]; theta[1/5;3/5] is new to the kind
+    # (zeta == 0, cfg, no derivative) alone, so it is filled at that row
+    # alone, and a lookup of it at each other row is a miss of its own
+    cache = numeric._PointCache(1 << 10)
+    a, b = (0, 1, 0, 1), (1, 5, 3, 5)
+    cfg, other = EvalConfig(), EvalConfig()
+    tau, z = 0.1 + 0.9j, 0.2 + 0.1j
+    held = [(0j, cfg, False), (z, cfg, False), (0j, cfg, True),
+            (0j, other, False)]
+    for zeta, c, deriv in held:
+        cache.lookup([(a, True)], zeta, tau, c, deriv)
+    assert cache.lookup([(b, True)], 0j, -0.2 + 1.3j, cfg, False)[0] == \
+        _one_point(b, 0j, -0.2 + 1.3j, cfg, False)
+    assert cache.filled == 1
+    assert cache.rows[0j, tau, cfg, False][b] == _one_point(b, 0j, tau, cfg,
+                                                            False)
+    for zeta, c, deriv in held[1:]:
+        assert b not in cache.rows[zeta, tau, c, deriv]
+        hits = cache.hits
+        assert cache.lookup([(b, True)], zeta, tau, c, deriv)[0] == \
+            _one_point(b, zeta, tau, c, deriv)
+        assert cache.hits == hits
+    assert cache.filled == 1
+
+
+def test_a_fill_that_cannot_converge_leaves_the_lookup_good():
+    # with 8 terms theta[1;0] converges at 3i but not at 1.3i, where
+    # theta[0;0] does: its fill at the held 1.3i row fails, the lookup at
+    # 3i is computed alone and answers, and only asking at 1.3i raises
+    cache, cfg = numeric._PointCache(1 << 10), EvalConfig(max_terms=8)
+    c00, c10 = (0, 1, 0, 1), (1, 1, 0, 1)
+    cache.lookup([(c00, True)], 0j, 1.3j, cfg, False)
+    assert cache.lookup([(c10, True)], 0j, 3j, cfg, False)[0] == \
+        _one_point(c10, 0j, 3j, cfg, False)
+    assert cache.filled == 0 and c10 not in cache.rows[0j, 1.3j, cfg, False]
+    with pytest.raises(ValueError, match="within 8 terms"):
+        cache.lookup([(c10, True)], 0j, 1.3j, cfg, False)
+
+
+def test_a_full_cache_skips_the_fill_then_starts_over():
+    # three rows held in a cache of four values: a new characteristic fits
+    # alone but not with its fill at the three rows, so it is not filled;
+    # the next miss does not fit and the cache starts over
+    cache, cfg, c00, c15 = numeric._PointCache(4), EvalConfig(), \
+        (0, 1, 0, 1), (1, 5, 3, 5)
+    for tau in (1j, 1.1j, 1.2j):
+        cache.lookup([(c00, True)], 0j, tau, cfg, False)
+    assert cache.lookup([(c15, True)], 0j, 1.3j, cfg, False)[0] == \
+        _one_point(c15, 0j, 1.3j, cfg, False)
+    assert (cache.size, cache.filled) == (4, 0)
+    assert cache.lookup([(c15, True)], 0j, 1j, cfg, False)[0] == \
+        _one_point(c15, 0j, 1j, cfg, False)
+    assert cache.size == 1 and list(cache.rows) == [(0j, 1j, cfg, False)]
+
+
+def test_a_lookup_that_starts_the_cache_over_keeps_its_hits():
+    # two values held in a cache of two: a lookup of one of them (at zeta =
+    # 0) and of a new one (at zeta) does not fit, so the cache starts over,
+    # and the value that was a hit still answers
+    cache, cfg, c00, c15 = numeric._PointCache(2), EvalConfig(), \
+        (0, 1, 0, 1), (1, 5, 3, 5)
+    for tau in (1j, 1.1j):
+        cache.lookup([(c00, False)], 0.3j, tau, cfg, False)
+    assert cache.lookup([(c00, False), (c15, True)], 0.3j, 1j, cfg,
+                        False) == [_one_point(c00, 0j, 1j, cfg, False),
+                                   _one_point(c15, 0.3j, 1j, cfg, False)]
+    assert (cache.hits, cache.misses, cache.size) == (1, 3, 1)
+    assert list(cache.rows) == [(0.3j, 1j, cfg, False)]
+
+
+def test_residual_raises_each_distinct_power_once():
+    ident = next(i for i in builtin_catalog() if i.id == "cube-product-15-1")
+    factors, powers, terms = ident._factor_plan
+    assert len(powers) == len(set(powers)) == 32
+    assert sum(len(slots) for _, slots in terms) == 56
+    for term, (_, slots) in zip(ident.terms, terms):
+        assert [(factors[i], p) for i, p in (powers[j] for j in slots)] == [
+            ((f.key[:4], f.key[4]), f.power) for f in term.factors]
 
 
 def test_scalar_cache_hit_runs_no_python_hash():

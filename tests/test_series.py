@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta5 import series as ser
-from theta5.cyclotomic import Cyclotomic, cyclo_root
+from theta5.cyclotomic import Cyclotomic, cyclo_root, reduction_matrix
 from theta5.series import ExponentPair, PuiseuxSeries2
 from theta5.verify import _scaled
 
@@ -449,3 +449,66 @@ def test_carried_bounds_are_sound(chain):
         assert p.l1 >= l1 and p.mx >= mx
         if mx >= 1 << 61:
             assert p.c.dtype == object
+
+
+# -- nonzero positions against the dense matmul -----------------------------------
+
+def dense_nonzero_positions(p):
+    """The dense form, in Python ints: one (positions x order) row per
+    (ix, iz) position, times reduction_matrix(order)."""
+    _, first, row = np.unique(p.key >> ser._KB, return_index=True,
+                              return_inverse=True)
+    dense = np.zeros((first.size, p.order), object)
+    dense[row, p.k] = p.c
+    red = reduction_matrix(p.order).astype(object)
+    return first[(dense @ red != 0).any(axis=1)]
+
+
+@st.composite
+def reducible_series(draw):
+    """Packed series whose positions hold random roots of unity, and in some
+    draws c * (w^k + w^(k + N/d) + ... ) over a prime d | N, which is zero
+    in Q(zeta_N): positions that vanish only after reduction.  Coefficients
+    pass 2^62 in some draws (the object path)."""
+    order = draw(st.sampled_from([1, 2, 5, 6, 12, 20, 100]))
+    cs = st.integers(-9, 9).filter(bool)
+    if draw(st.booleans()):
+        cs = cs | st.integers(1 << 62, 1 << 70)
+    pos = st.tuples(st.integers(-4, 4), st.integers(-3, 3))
+    entries = {(ix, iz, k): c for (ix, iz), k, c in draw(st.lists(
+        st.tuples(pos, st.integers(0, order - 1), cs), max_size=12))}
+    for (ix, iz), k, c in draw(st.lists(st.tuples(pos, st.integers(
+            0, order - 1), cs), max_size=3)):
+        d = draw(st.sampled_from([q for q in (2, 3, 5) if order % q == 0]
+                                 or [1]))
+        for j in range(d):
+            entries[ix, iz, (k + j * order // d) % order] = c
+    return build([(*e, c) for e, c in entries.items()], order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reducible_series())
+def test_nonzero_positions_match_the_dense_matmul(p):
+    got = ser.nonzero_positions(p)
+    assert got.tolist() == dense_nonzero_positions(p).tolist()
+    assert got.dtype == np.intp
+
+
+def test_nonzero_positions_of_empty_and_object_series():
+    assert ser.nonzero_positions(build([], 5)).tolist() == []
+    # 2^70 (1 + w + ... + w^4) is zero mod Phi_5; 2^70 w^0 + 1 w^1 is not
+    big = build([(0, 0, k, 1 << 70) for k in range(5)]
+                + [(1, 0, 0, 1 << 70), (1, 0, 1, 1)], 5)
+    assert big.c.dtype == object
+    assert ser.nonzero_positions(big).tolist() == [5]
+
+
+def test_nonzero_positions_after_big_entries_cancel():
+    # the sum keeps the object dtype that its bounds chose, though only small
+    # entries are left once the 2^62 ones cancel
+    a = build([(0, 0, 0, 1 << 62), (0, 0, 1, 3), (1, 0, 2, 1)], 5)
+    b = build([(0, 0, 0, -(1 << 62)), (1, 0, 2, -1), (2, 1, 3, 7)], 5)
+    s = ser.packed_sum([a, b])
+    assert s.c.dtype == object and max(map(abs, s.c)) < 8
+    got = ser.nonzero_positions(s)
+    assert got.tolist() == dense_nonzero_positions(s).tolist() == [0, 1]

@@ -195,3 +195,17 @@ def test_zero_point():
     from theta5.numeric import zero_location_check
     ok, z0, v, d = zero_location_check(c, 0.15 + 1.05j)
     assert ok and abs(v) < 1e-9 * abs(d)
+
+
+@pytest.mark.parametrize("expand", [
+    lambda c, cut: theta_series(c, CON, cut),
+    lambda c, cut: theta_deriv_series(c, cut),
+    lambda c, cut: shift_integer(c, 1, 0, cut),
+    lambda c, cut: shift_half_period(c, 1, 1, cut)],
+    ids=["series", "deriv", "shift_integer", "shift_half_period"])
+def test_over_range_cutoff_is_refused_before_listing(expand):
+    # about 6 * 10^11 terms at 10^23: the key range is checked on the end
+    # points of the range of terms, so this returns at once
+    for c in (C(0, 0), C(Fraction(1, 5), Fraction(3, 5))):
+        with pytest.raises(ValueError, match="past the int64 key range"):
+            expand(c, 10 ** 23)
