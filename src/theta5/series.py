@@ -2,24 +2,21 @@
 
 The ambient ring for exact verification: series in x = exp(pi*i*tau) and
 z = exp(2*pi*i*zeta) with exact rational exponents (negative allowed) and
-Cyclotomic coefficients.  A series carries an inclusive truncation bound
-`cutoff` on the x-exponent (None means the series is exact, i.e. a genuine
-Laurent polynomial) and a lower bound `min_x` on the x-exponent of the full
-untruncated series, which makes product truncation sound.
-
-Multiplication is exact on every retained coefficient and has one path, the
-packed-integer kernel `packed_mul` on `Packed` series: one sorted int64 key
-per entry packs the monomial x^(ix/dx) z^(iz/dz) w^k (w = zeta_N) as bit
-fields, so a monomial product is a key sum, next to integer coefficients
-over a common denominator.  A product keeps the outer sums of keys below the
-cutoff's, reduces k mod N, then sorts and merges equal keys; coefficients
-are int64 while the bounds on sum |c| and max |c| that each Packed carries
-prove it safe (exact norms are taken only when they cannot), and Python
-ints beyond.  Reduction mod Phi_N is left to `nonzero_positions`.
+coefficients in Q(zeta_N), in one representation, `Packed`: one sorted
+int64 key per entry packs the monomial x^(ix/dx) z^(iz/dz) w^k (w = zeta_N)
+as bit fields, so a monomial product is a key sum, next to integer
+coefficients.  A product (`packed_mul`) keeps the outer sums of keys below
+the cutoff's, reduces k mod N, then sorts and merges equal keys; a sum
+(`packed_sum`) is one merge.  Coefficients are int64 while the bounds on
+sum |c| and max |c| that each Packed carries prove it safe (exact norms are
+taken only when they cannot), and Python ints beyond.  Reduction mod Phi_N
+is left to `nonzero_positions`.  `PuiseuxSeries2` is a view over one Packed
+series and one common denominator.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -40,22 +37,26 @@ _INT64_SAFE = 1 << 61
 
 
 class PuiseuxSeries2:
-    __slots__ = ("cutoff", "terms", "min_x")
+    """A view over a Packed series and one common denominator den, with an
+    inclusive truncation bound `cutoff` on the x-exponent (None means the
+    series is exact, i.e. a genuine Laurent polynomial) and a lower bound
+    `min_x` on the x-exponent of the full untruncated series, which makes
+    product truncation sound.  Its arithmetic is the kernel's; only terms,
+    items, coeff and to_text decode coefficients to Cyclotomic.  A position
+    is kept unless its entries cancel key by key; one that is zero mod Phi_N
+    is dropped only by scrubbed()."""
+    __slots__ = ("packed", "den", "cutoff", "min_x", "_terms")
 
-    def __init__(self, terms, cutoff, min_x=None, _scrub=True):
+    def __init__(self, terms, cutoff, _scrub=True):
         """terms: mapping ExponentPair -> Cyclotomic. Terms above cutoff are
         dropped; structurally zero coefficients are dropped; with _scrub also
         coefficients that reduce to zero mod Phi_N."""
-        self.terms = clean = {
-            ExponentPair(Fraction(e[0]), Fraction(e[1])): c
-            for e, c in terms.items() if (cutoff is None or e[0] <= cutoff)
-            and c.coeffs and not (_scrub and c.is_zero())}
-        self.cutoff = None if cutoff is None else Fraction(cutoff)
-        if min_x is None:
-            # an empty truncated series has nothing at or below its cutoff,
-            # so the cutoff itself is a sound lower bound
-            min_x = min((e.xExp for e in clean), default=self.cutoff or 0)
-        self.min_x = Fraction(min_x)
+        cutoff = None if cutoff is None else Fraction(cutoff)
+        p, den = pack({e: c for e, c in terms.items() if c.coeffs and (
+            cutoff is None or e[0] <= cutoff)})
+        s = _view(_nonzero_only(p) if _scrub else p, den, cutoff)
+        self.packed, self.den, self.cutoff, self.min_x, self._terms = (
+            s.packed, s.den, s.cutoff, s.min_x, None)
 
     # -- constructors --------------------------------------------------------
 
@@ -72,9 +73,23 @@ class PuiseuxSeries2:
 
     # -- basic structure ------------------------------------------------------
 
+    @property
+    def terms(self):
+        """{ExponentPair: Cyclotomic} in key order, decoded on first use."""
+        if self._terms is None:
+            p, self._terms = self.packed, {}
+            rows = zip(*(a.tolist() for a in (*_split(p.key), p.k, p.c)))
+            for (ix, iz), run in itertools.groupby(rows, lambda r: r[:2]):
+                run = [row[2:] for row in run]
+                o = even_order(p.order, [k for k, _ in run])
+                e = ExponentPair(Fraction(ix, p.dx), Fraction(iz, p.dz))
+                self._terms[e] = Cyclotomic(o, {k * o // p.order: Fraction(
+                    c, self.den) for k, c in run})
+        return self._terms
+
     def items(self):
-        """Terms in canonical lexicographic (xExp, zExp) order."""
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].xExp, kv[0].zExp))
+        """Terms in canonical lexicographic (xExp, zExp) order (key order)."""
+        return list(self.terms.items())
 
     def coeff(self, x, z=Fraction(0)):
         x, z = Fraction(x), Fraction(z)
@@ -83,69 +98,67 @@ class PuiseuxSeries2:
         return self.terms.get(ExponentPair(x, z), Cyclotomic.zero())
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.terms.values())
+        return not nonzero_positions(self.packed).size
 
     def scrubbed(self):
         """Copy with coefficients that reduce to zero removed."""
-        return PuiseuxSeries2(self.terms, self.cutoff, self.min_x, _scrub=True)
+        return _view(_nonzero_only(self.packed), self.den, self.cutoff,
+                     self.min_x)
 
     def truncate(self, cutoff):
-        cutoff = Fraction(cutoff)
+        cutoff, p = Fraction(cutoff), self.packed
         if self.cutoff is not None and self.cutoff <= cutoff:
             return self
-        return PuiseuxSeries2(self.terms, cutoff, self.min_x, _scrub=False)
+        hi = min(max(math.floor(cutoff * p.dx), -_XLIM), _XLIM - 1)
+        n = int(np.searchsorted(p.key, (hi << _ZB) + _ZHALF << _KB))
+        return _view(p._replace(key=p.key[:n], c=p.c[:n]), self.den, cutoff,
+                     self.min_x)
 
     def map_z_negate(self):
         """z -> 1/z (the series of f(-zeta))."""
-        return PuiseuxSeries2({ExponentPair(e.xExp, -e.zExp): c
-                               for e, c in self.terms.items()},
-                              self.cutoff, self.min_x, _scrub=False)
+        p = self.packed
+        ix, iz = _split(p.key)
+        return _view(_merge(_key(ix, -iz, p.k), p.c, p), self.den,
+                     self.cutoff, self.min_x)
 
     def shift_exponents(self, dx, dz):
         """Multiply by the monomial x^dx * z^dz."""
-        dx, dz = Fraction(dx), Fraction(dz)
-        cut = None if self.cutoff is None else self.cutoff + dx
-        return PuiseuxSeries2({ExponentPair(e.xExp + dx, e.zExp + dz): c
-                               for e, c in self.terms.items()},
-                              cut, self.min_x + dx, _scrub=False)
+        return self * PuiseuxSeries2.from_terms([(dx, dz, 1)])
 
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
+        den = math.lcm(self.den, other.den)
+        parts, _ = on_common_grid([_scaled(s.packed, [(0, den // s.den)])
+                                   for s in (self, other)])
+        s = _view(packed_sum(parts), den, None, min(self.min_x, other.min_x))
         cuts = [c for c in (self.cutoff, other.cutoff) if c is not None]
-        cut = min(cuts) if cuts else None
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c  # __init__ drops empty sums
-        return PuiseuxSeries2(out, cut, min(self.min_x, other.min_x), _scrub=False)
+        return s.truncate(min(cuts)) if cuts else s
 
     def __neg__(self):
-        return PuiseuxSeries2({e: -c for e, c in self.terms.items()},
-                              self.cutoff, self.min_x, _scrub=False)
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
+        # unscrubbed: a scalar zero mod Phi_N keeps the positions it meets
         if not isinstance(c, Cyclotomic):
             c = Cyclotomic.from_rational(c)
-        return PuiseuxSeries2({e: v * c for e, v in self.terms.items()},
-                              self.cutoff, self.min_x, _scrub=False)
+        return self * PuiseuxSeries2({ExponentPair(0, 0): c}, None,
+                                     _scrub=False)
 
     def __mul__(self, other):
-        cut = _result_cutoff(self, other)
-        if not self.terms or not other.terms:
-            return PuiseuxSeries2({}, cut)
-        (a, den_a), (b, den_b) = pack(self.terms), pack(other.terms)
-        (a, b), icut = on_common_grid([a, b], cut)
-        p, den = packed_mul(a, b, icut), den_a * den_b
-        coeffs = {}
-        for ix, iz, k, c in zip(p.ix.tolist(), p.iz.tolist(), p.k.tolist(),
-                                p.c.tolist()):
-            coeffs.setdefault((ix, iz), {})[k] = Fraction(c, den)
-        terms = {ExponentPair(Fraction(ix, p.dx), Fraction(iz, p.dz)):
-                 Cyclotomic(p.order, cs) for (ix, iz), cs in coeffs.items()}
-        return PuiseuxSeries2(terms, cut, self.min_x + other.min_x, _scrub=False)
+        # sound cutoff for a product of truncated series
+        cuts = [cut + s.min_x for cut, s in ((self.cutoff, other),
+                                             (other.cutoff, self))
+                if cut is not None]
+        if len(cuts) == 2:
+            cuts.append(min(self.cutoff, other.cutoff))
+        cut = min(cuts, default=None)
+        (a, b), icut = on_common_grid([self.packed, other.packed], cut)
+        return _view(packed_mul(a, b, icut), self.den * other.den, cut,
+                     self.min_x + other.min_x)
 
     def __pow__(self, p):
         if p < 1:
@@ -161,21 +174,37 @@ class PuiseuxSeries2:
 
     def to_text(self):
         """One term per line: "xExp zExp coefficient", canonical order."""
-        return "\n".join(f"{e.xExp} {e.zExp} {r.to_string()}"
-                         for e, c in self.items() if (r := c.reduced()).coeffs)
+        return "\n".join(f"{e.xExp} {e.zExp} {text}" for e, c in self.items()
+                         if (text := c.to_string()) != "0")
 
     def __repr__(self):
         n = len(self.terms)
         return f"PuiseuxSeries2(<{n} terms>, cutoff={self.cutoff})"
 
 
-def _result_cutoff(a, b):
-    """Sound inclusive cutoff for a product of truncated series."""
-    cands = [cut + s.min_x for cut, s in ((a.cutoff, b), (b.cutoff, a))
-             if cut is not None]
-    if len(cands) == 2:
-        cands.append(min(a.cutoff, b.cutoff))
-    return min(cands, default=None)
+def _view(p, den, cutoff, min_x=None):
+    """The PuiseuxSeries2 of a Packed p over den, exact to the inclusive
+    cutoff (a Fraction, or None); min_x defaults to p's least x-exponent, or
+    to the cutoff when p is empty (it has nothing at or below it)."""
+    s = object.__new__(PuiseuxSeries2)
+    s.packed, s.den, s.cutoff, s._terms = p, den, cutoff, None
+    s.min_x = Fraction(min_x if min_x is not None else Fraction(
+        _split(int(p.key[0]))[0], p.dx) if p.c.size else cutoff or 0)
+    return s
+
+
+def even_order(order, ks):
+    """The order a coefficient sum c_k zeta_order^k (k in ks) decodes to:
+    the least that holds it, and of those the least even one when order is
+    even, as exp_pi_i writes a root of unity."""
+    return order // math.gcd(order, *ks, 0 if order % 2 else order // 2)
+
+
+def _nonzero_only(p):
+    """p without the positions whose coefficient is zero in Q(zeta_order)."""
+    pos = p.key >> _KB
+    keep = np.isin(pos, pos[nonzero_positions(p)])
+    return p._replace(key=p.key[keep], c=p.c[keep])
 
 
 # -- the packed-integer kernel -------------------------------------------------
@@ -229,18 +258,25 @@ def pack(terms):
     order = math.lcm(*(c.order for c in terms.values()))
     den = math.lcm(*(v.denominator for c in terms.values()
                      for v in c.coeffs.values()))
-    rows = sorted((e[0].numerator * (dx // e[0].denominator),
-                   e[1].numerator * (dz // e[1].denominator),
-                   k * (order // c.order),
-                   v.numerator * (den // v.denominator))
-                  for e, c in terms.items() for k, v in c.coeffs.items())
+    return packed_rows(sorted((e[0].numerator * (dx // e[0].denominator),
+                               e[1].numerator * (dz // e[1].denominator),
+                               k * (order // c.order),
+                               v.numerator * (den // v.denominator))
+                              for e, c in terms.items()
+                              for k, v in c.coeffs.items()),
+                       dx, dz, order), den
+
+
+def packed_rows(rows, dx, dz, order):
+    """The Packed series of rows (ix, iz, k, c) on the grid (dx, dz, order),
+    sorted and distinct, with no c zero."""
     ix, iz, k, c = zip(*rows) if rows else ((),) * 4
     zb = max(map(abs, iz), default=0)
     _fits(max(map(abs, ix), default=0), zb, order)
     mx = max(map(abs, c), default=0)
     key = _key(*(np.array(v, np.int64) for v in (ix, iz, k)))
     return Packed(key, np.array(c, _dtype(mx)), dx, dz, order, zb,
-                  sum(map(abs, c)), mx), den
+                  sum(map(abs, c)), mx)
 
 
 def on_common_grid(packs, cutoff=None):
@@ -292,6 +328,23 @@ def packed_sum(parts):
     return _merge(np.concatenate([p.key for p in parts]),
                   np.concatenate([p.c.astype(_dtype(mx)) for p in parts]),
                   parts[0]._replace(zb=max(p.zb for p in parts), l1=l1, mx=mx))
+
+
+def _scaled(mono, scalar):
+    """mono times a scalar [(k0, c0)] on its order: a key add per entry
+    c0 * w^k0 (on Python ints when a product may pass int64), summed when
+    there are several.  A key add leaves the keys sorted by position but
+    not by k; packed_sum sorts them."""
+    parts = []
+    for k0, c0 in scalar:
+        (l1, mx), a0 = (mono.l1, mono.mx), abs(c0)
+        if mx * a0 >= _INT64_SAFE:   # too loose: measure
+            l1, mx = _norms(mono.c)
+        key = mono.key + k0
+        _fold(key, mono.order)
+        c = mono.c.astype(_dtype(max(mx, 1) * a0)) * c0
+        parts.append(mono._replace(key=key, c=c, l1=l1 * a0, mx=mx * a0))
+    return parts[0] if len(parts) == 1 else packed_sum(parts)
 
 
 def nonzero_positions(p):

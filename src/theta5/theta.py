@@ -8,15 +8,16 @@ expanded in x = exp(pi*i*tau) and z = exp(2*pi*i*zeta): the n-th term is
     exp(pi*i*(n+eps/2)*eps') * x^((n+eps/2)^2) * z^(n+eps/2)
 
 with an exact root-of-unity coefficient.  Constant mode sets z = 1.  One
-integer enumeration (_terms) lists the terms, for this module's series and
-for the verifier's packed factors alike, and one function expands this sum at
-zeta shifted by a half period (j + m*tau)/2 for integers j and m, optionally
-with the factor (n+eps/2) of the zeta-derivative (normalized as
-theta'/(2*pi*i) so coefficients stay cyclotomic); the plain series, the
-derivative series and the integer and half-period shifts are all calls to it,
-so the quasi-periodicity laws are checked against the defining sum itself.
-Also here: the Jacobi triple-product expansion, characteristic reduction, and
-the zero location in the fundamental parallelogram.
+integer enumeration (_terms) lists the terms, and one function
+(_defining_sum) expands the sum from it in integers, as a series.Packed over
+one denominator, at zeta shifted by a half period (j + m*tau)/2 for integers
+j and m, optionally with the factor (n+eps/2) of the zeta-derivative
+(normalized as theta'/(2*pi*i) so coefficients stay cyclotomic).  The plain
+series, the derivative series, the integer and half-period shifts and the
+verifier's bare factors are all calls to it, so the quasi-periodicity laws
+are checked against the defining sum itself.  Also here: the Jacobi
+triple-product expansion, characteristic reduction, and the zero location in
+the fundamental parallelogram.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic import exp_pi_i
-from .series import ExponentPair, PuiseuxSeries2, _fits
+from .series import PuiseuxSeries2, _fits, _view, packed_rows
 
 
 class Characteristic(NamedTuple):
@@ -68,21 +69,42 @@ def _terms(p, q, cn, cd, m=0):
     return us
 
 
-def _defining_sum(c, cutoff, function, m=0, n=0, deriv=False):
-    """theta[c](zeta + (n + m*tau)/2) from the defining sum, exact to the
-    inclusive cutoff: for t = k + eps/2 = u/2q (u from _terms) the term has
-    x-exponent t^2 + m*t, z-exponent t (0 unless `function`) and
-    coefficient exp(pi*i*t*(eps' + n)), times t when `deriv`."""
-    p, q = c.eps.numerator, c.eps.denominator
-    terms = {}
-    for u in _terms(p, q, cutoff.numerator, cutoff.denominator, m):
-        t = Fraction(u, 2 * q)
-        coeff = exp_pi_i(t * (c.epsp + n))
-        if deriv:
-            coeff = coeff * t
-        key = ExponentPair(t * t + m * t, t if function else Fraction(0))
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    return PuiseuxSeries2(terms, cutoff)
+def _defining_sum(p, q, r, s, function, cn, cd, m=0, n=0, deriv=False):
+    """(Packed, den) of theta[p/q; r/s](zeta + (n + m*tau)/2) up to x^(cn/cd)
+    in integers, as series.pack packs the same terms: term u of _terms has t
+    = u/2q, x^(t^2 + m*t), z^t (z^0 unless `function`) and the coefficient
+    exp(pi*i*t*(r/s + n)) = zeta_o^k, times t when `deriv`.  g = gcd(u, 2q)
+    is the same for every u, so with w = u/g and e = 2q/g the term sits at
+    ix = w^2 + m*e*w on dx = e^2 and iz = w on dz = e, and t = w/e."""
+    g, us = math.gcd(p, 2 * q), _terms(p, q, cn, cd, m)
+    e, r = 2 * q // g, r + n * s
+    at = {}   # (ix, iz, o, k) -> c: c zeta_o^k, c = e*t = w when deriv
+    for u in us:
+        w, h = u // g, math.gcd(u * r, 2 * q * s)
+        o = 4 * q * s // h
+        pos = w * w + m * e * w, w if function else 0, o, u * r // h % o
+        at[pos] = at.get(pos, 0) + (w if deriv else 1)
+    # only in constant mode do two terms (t and -t - m) meet at a position;
+    # they cancel when their roots are equal and their c sum to 0, or
+    # opposite (zeta_o^(k + o/2); o is even) and their c equal
+    zero = {pos[:2] for pos, c in at.items()
+            if at.get((*pos[:3], (pos[3] + pos[2] // 2) % pos[2])) == c}
+    rows = [(pos, c) for pos, c in at.items() if c and pos[:2] not in zero]
+    big = e if deriv else 1   # the coefficients are c / big
+    den = math.lcm(*(big // math.gcd(c, big) for _, c in rows))
+    order = math.lcm(*(pos[2] for pos, _ in rows))
+    e = e if rows else 1
+    return packed_rows(sorted((ix, iz, k * (order // o), c * den // big)
+                              for (ix, iz, o, k), c in rows),
+                       e * e, e if function else 1, order), den
+
+
+def _series(c, cutoff, function, m=0, n=0, deriv=False):
+    """The PuiseuxSeries2 view of _defining_sum for a Characteristic."""
+    cutoff = Fraction(cutoff)
+    return _view(*_defining_sum(
+        *c.eps.as_integer_ratio(), *c.epsp.as_integer_ratio(), function,
+        *cutoff.as_integer_ratio(), m, n, deriv), cutoff)
 
 
 def _nonnegative(cutoff):
@@ -94,7 +116,7 @@ def _nonnegative(cutoff):
 
 def theta_series(c: Characteristic, mode: ThetaMode, cutoff) -> PuiseuxSeries2:
     """Defining-sum expansion, exact to the inclusive cutoff on x-exponents."""
-    return _defining_sum(c, _nonnegative(cutoff), mode is ThetaMode.FUNCTION)
+    return _series(c, _nonnegative(cutoff), mode is ThetaMode.FUNCTION)
 
 
 def theta_deriv_series(c: Characteristic, cutoff,
@@ -102,8 +124,8 @@ def theta_deriv_series(c: Characteristic, cutoff,
     """Series of theta'/(2*pi*i) (zeta-derivative, normalized to keep the
     coefficients in Q(zeta_N)): each defining-sum term gains a factor
     (n + eps/2)."""
-    return _defining_sum(c, _nonnegative(cutoff), mode is ThetaMode.FUNCTION,
-                         deriv=True)
+    return _series(c, _nonnegative(cutoff), mode is ThetaMode.FUNCTION,
+                   deriv=True)
 
 
 def theta_product_series(c: Characteristic, mode: ThetaMode, cutoff) -> PuiseuxSeries2:
@@ -121,23 +143,19 @@ def theta_product_series(c: Characteristic, mode: ThetaMode, cutoff) -> PuiseuxS
     cutoff = _nonnegative(cutoff)
     if not 0 <= c.eps < 2:
         raise ValueError("triple product needs 0 <= eps < 2; reduce_char first")
-    fn = mode is ThetaMode.FUNCTION
+    # the defining sum's range check, before the first product
+    _terms(*c.eps.as_integer_ratio(), *cutoff.as_integer_ratio())
+    z = 1 if mode is ThetaMode.FUNCTION else 0
     # the single possibly-negative-exponent factor (n=1, eps>1) can pull
     # exponents down by at most 1 - eps > -1, so build with one unit of slack
     work = cutoff + 1
-    acc = PuiseuxSeries2.from_terms(
-        [(Fraction(c.eps, 2) ** 2,
-          Fraction(c.eps, 2) if fn else 0,
-          exp_pi_i(Fraction(c.eps * c.epsp, 2)))])
-    plus = exp_pi_i(c.epsp)
-    minus = exp_pi_i(-c.epsp)
+    acc = PuiseuxSeries2.from_terms([(Fraction(c.eps, 2) ** 2, Fraction(
+        z * c.eps, 2), exp_pi_i(Fraction(c.eps * c.epsp, 2)))])
     for n in range(1, math.floor((cutoff + 1 + c.eps) / 2) + 2):
-        f1 = PuiseuxSeries2.from_terms([(0, 0, 1), (2 * n, 0, -1)])
-        f2 = PuiseuxSeries2.from_terms(
-            [(0, 0, 1), (2 * n - 1 + c.eps, 1 if fn else 0, plus)])
-        f3 = PuiseuxSeries2.from_terms(
-            [(0, 0, 1), (2 * n - 1 - c.eps, -1 if fn else 0, minus)])
-        for f in (f1, f2, f3):
+        for x, dz, w in ((2 * n, 0, -1),
+                         (2 * n - 1 + c.eps, z, exp_pi_i(c.epsp)),
+                         (2 * n - 1 - c.eps, -z, exp_pi_i(-c.epsp))):
+            f = PuiseuxSeries2.from_terms([(0, 0, 1), (x, dz, w)])
             acc = (acc * f).truncate(work)
     return acc.truncate(cutoff).scrubbed()
 
@@ -166,7 +184,7 @@ def shift_half_period(c: Characteristic, m: int, n: int, cutoff) -> PuiseuxSerie
     """Function-mode series of theta[c](zeta + (n + m*tau)/2) from the
     defining sum: term k has x-exponent (k+eps/2)^2 + m(k+eps/2),
     z-exponent k+eps/2, coefficient exp(pi*i*(k+eps/2)*(eps'+n))."""
-    return _defining_sum(c, Fraction(cutoff), True, m, n)
+    return _series(c, cutoff, True, m, n)
 
 
 def theta_zero_point(c: Characteristic):

@@ -4,14 +4,14 @@ verify_exact proves an identity by expanding every term as a truncated series
 over Q(zeta_N) and checking that the sum cancels coefficient-by-coefficient,
 from the identity's exact data computed once per cutoff (_plan).  A term is a
 product of powers of theta factors; each power is built once per cutoff and
-cached on the identity's grid (_theta_power), the bare factor packed in
-integers from the enumeration that theta's defining sum reads (_bare), so a
-term costs one kernel call per factor after the first, whatever the powers,
-until operands grow dense (_DENSE_PAIRS).  Terms and their sum stay packed
-(series.Packed): each entry of a scalar is a key add, the sum is one merge of
-keys, and only the reported positions are decoded.  A term with no entry up
-to the cutoff is 0 there (theta exponents are >= 0); when every term is,
-nothing is compared and the report is "inconclusive".
+cached on the identity's grid (_theta_power), the bare factor being theta's
+defining sum expanded in integers (theta._defining_sum), so a term costs one
+kernel call per factor after the first, whatever the powers, until operands
+grow dense (_DENSE_PAIRS).  Terms and their sum stay packed (series.Packed;
+no PuiseuxSeries2 is built): each entry of a scalar is a key add, the sum is
+one merge of keys, and only the reported positions are decoded.  A term with
+no entry up to the cutoff is 0 there (theta exponents are >= 0); when every
+term is, nothing is compared and the report is "inconclusive".
 An identity may claim to be sigma_m T^j of a representative up to a global
 scalar (Identity.derived_from; sigma_m: zeta -> zeta^m, T: tau -> tau + 1).
 verify_exact checks the claim exactly, in integers, on every call (_claimed),
@@ -41,10 +41,9 @@ import numpy as np
 from .catalog import ExpectedStatus, _index_factors
 from .cyclotomic import Cyclotomic
 from .numeric import _theta_rows, theta_eval
-from .series import (_INT64_SAFE, ExponentPair, _KB, Packed, _dtype, _fits,
-                     _fold, _key, _norms, _split, nonzero_positions,
-                     packed_mul, packed_sum)
-from .theta import Characteristic, ThetaMode, _terms, theta_series
+from .series import (ExponentPair, _KB, _scaled, _split, even_order,
+                     nonzero_positions, packed_mul, packed_sum)
+from .theta import Characteristic, _defining_sum
 
 #: The most operand pairs for which a monomial takes a factor's cached power
 #: in one kernel call.  Past it both operands are dense, and multiplying by
@@ -104,55 +103,20 @@ def _theta_power(p, q, r, s, function, power, cn, cd, grid=None, step=False):
     zeta = 0) up to the x-exponent cn/cd, packed on `grid` (dx, dz, order)
     or, when None, on the factor's own grid: the one cache of exact
     verification, keyed on ints, so a hit hashes no Fraction.  The `step`
-    entries, on the factor's grid, are _bare or power p-1 times it truncated
-    on that grid (theta exponents are >= 0, so this keeps exactly the
-    entries that truncating on any finer grid keeps); a call without `step`
-    looks them up bottom up, one cache hit each, so none recurses twice."""
+    entries, on the factor's grid, are _defining_sum or power p-1 times it
+    truncated on that grid (theta exponents are >= 0, so this keeps exactly
+    the entries that truncating on any finer grid keeps); a call without
+    `step` looks them up bottom up, one cache hit each, none recursing."""
     args = p, q, r, s, function
     if not step:
         for n in range(1, power + 1):
             f = _theta_power(*args, n, cn, cd, None, True)
         return f if grid is None else f.regrid(*grid)
     if power == 1:
-        return _bare(*args, cn, cd)
+        return _defining_sum(*args, cn, cd)[0]
     f = _theta_power(*args, 1, cn, cd, None, True)
     return packed_mul(_theta_power(*args, power - 1, cn, cd, None, True),
                       f, cn * f.dx // cd)
-
-
-def _bare(p, q, r, s, function, cn, cd):
-    """pack(theta_series(...).terms)[0] of theta[p/q; r/s] up to cn/cd, in
-    integers: term u of theta._terms is exp_pi_i(ur/2qs) x^(u^2/4q^2)
-    z^(u/2q) (z^0 unless `function`), and g = gcd(u, 2q) is the same for
-    every u, so on the grid dx = e^2, dz = e (e = 2q/g) its key has ix =
-    (u/g)^2.  _terms checks the key range before any term is listed."""
-    g, us = math.gcd(p, 2 * q), _terms(p, q, cn, cd)
-    zb = max(-us[0], us[-1]) // g if us and function else 0   # drops no term
-    at = {}   # (ix, iz, order) -> {k: c}, the roots of unity zeta_order^k
-    for u in us:
-        h, w = math.gcd(u * r, 2 * q * s), u // g
-        ks = at.setdefault((w * w, w if function else 0, 4 * q * s // h), {})
-        k = u * r // h % (4 * q * s // h)
-        ks[k] = ks.get(k, 0) + 1
-    # a position has one root, or u and -u (integer eps, constant mode) two
-    # of one order, scrubbed as in PuiseuxSeries2 when w^k + w^k' = 0
-    rows = [(ix, iz, o, k, c) for (ix, iz, o), ks in at.items()
-            if 2 * (min(ks) - max(ks)) % (2 * o) != o for k, c in ks.items()]
-    order = math.lcm(*(row[2] for row in rows))
-    _fits(0, 0, order)
-    e = 2 * q // g if rows else 1
-    key, c = zip(*sorted((_key(ix, iz, k * (order // o)), c)
-                         for ix, iz, o, k, c in rows)) if rows else ((), ())
-    return Packed(np.array(key, np.int64), np.array(c, np.int64), e * e,
-                  e if function else 1, order, zb, sum(c), max(c, default=0))
-
-
-def _series(key, cutoff):
-    """theta_series of the factor that a _theta_power key names."""
-    p, q, r, s, function = key
-    return theta_series(Characteristic(Fraction(p, q), Fraction(r, s)),
-                        ThetaMode.FUNCTION if function else ThetaMode.CONSTANT,
-                        cutoff)
 
 
 class _Plan(NamedTuple):
@@ -189,23 +153,6 @@ def _plan(ident, cutoff):
 def _lone(factors):
     """Whether a term's factors are one factor to the first power."""
     return len(factors) == 1 and factors[0][1] == 1
-
-
-def _scaled(mono, scalar):
-    """mono times a scalar [(k0, c0)] on its order: a key add per entry
-    c0 * w^k0 (on Python ints when a product may pass int64), summed when
-    there are several.  A key add leaves the keys sorted by position but
-    not by k; packed_sum sorts them."""
-    parts = []
-    for k0, c0 in scalar:
-        (l1, mx), a0 = (mono.l1, mono.mx), abs(c0)
-        if mx * a0 >= _INT64_SAFE:   # too loose: measure
-            l1, mx = _norms(mono.c)
-        key = mono.key + k0
-        _fold(key, mono.order)
-        c = mono.c.astype(_dtype(max(mx, 1) * a0)) * c0
-        parts.append(mono._replace(key=key, c=c, l1=l1 * a0, mx=mx * a0))
-    return parts[0] if len(parts) == 1 else packed_sum(parts)
 
 
 def verify_exact(ident, cutoff):
@@ -250,8 +197,7 @@ def verify_exact(ident, cutoff):
                 mono = packed_mul(mono, f, plan.icut)
         terms.append(_scaled(mono, scalar))
     total = packed_sum(terms)
-    lone = functools.cache(lambda key: _series(key, cutoff).terms)
-    residuals = [_residual(plan, terms, total, i, lone)
+    residuals = [_residual(plan, terms, total, i)
                  for i in nonzero_positions(total)[:10]]
     status = ("inconclusive" if not any(t.c.size for t in terms)
               else "fail" if residuals else "pass")
@@ -264,7 +210,7 @@ def verify_exact(ident, cutoff):
         residuals=residuals, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def _residual(plan, terms, total, i, lone):
+def _residual(plan, terms, total, i):
     """(ExponentPair, Cyclotomic) of the sum at the position of entry i.
 
     The coefficient is written over the field order that summing the terms
@@ -272,8 +218,8 @@ def _residual(plan, terms, total, i, lone):
     of the orders of the terms that reach the position, counted from the
     last partial sum that cancelled term by term.  A term's order is the lcm
     of its scalar's and its factors', or for a lone factor of its scalar's
-    and that theta coefficient's, read off lone(key), the factor's
-    expansion, built once per report."""
+    and that theta coefficient's: the least even order that holds the bare
+    factor's entries at the position (series.even_order)."""
     ix, iz = _split(int(total.key[i]))
     pos = total.key[i] >> _KB
     e = ExponentPair(Fraction(ix, total.dx), Fraction(iz, total.dz))
@@ -288,8 +234,9 @@ def _residual(plan, terms, total, i, lone):
         if not acc:
             order = 1
         elif _lone(fs):
-            order = math.lcm(order, term_order,
-                             lone(plan.keys[fs[0][0]])[e].order)
+            bare = _theta_power(*plan.keys[fs[0][0]], 1, *plan.cut, plan.grid)
+            order = math.lcm(order, term_order, even_order(
+                bare.order, bare.k[bare.key >> _KB == pos].tolist()))
         else:
             order = math.lcm(order, term_order)
     f = total.order // order

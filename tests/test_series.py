@@ -132,12 +132,13 @@ def test_mul_is_distributive_within_window(a, b, c):
 # -- the packed kernel against the Fraction oracle -------------------------------
 
 def generic_mul(a, b, cut):
-    """Reference product: Cyclotomic arithmetic term by term, keeping every
-    product with x-exponent at most `cut` (all of them when cut is None)."""
-    small, big = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
-    big_items = sorted(big.terms.items(), key=lambda kv: kv[0].xExp)
+    """Reference product of two term mappings: Cyclotomic arithmetic term by
+    term, keeping every product with x-exponent at most `cut` (all of them
+    when cut is None)."""
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    big_items = sorted(big.items(), key=lambda kv: kv[0].xExp)
     out = {}
-    for e1, c1 in small.terms.items():
+    for e1, c1 in small.items():
         lim = None if cut is None else cut - e1.xExp
         for e2, c2 in big_items:
             if lim is not None and e2.xExp > lim:
@@ -157,8 +158,8 @@ def generic_mul(a, b, cut):
 
 def assert_matches_oracle(a, b):
     fast = a * b
-    slow = PuiseuxSeries2(generic_mul(a, b, fast.cutoff), fast.cutoff,
-                          _scrub=False)
+    slow = PuiseuxSeries2(generic_mul(a.terms, b.terms, fast.cutoff),
+                          fast.cutoff, _scrub=False)
     # same positions (both drop exactly the sums that cancel term by term)
     # and equal values at each
     assert set(fast.terms) == set(slow.terms)
@@ -218,20 +219,97 @@ def test_kernel_matches_oracle_past_4096_pairs():
     assert_matches_oracle(a, b)
 
 
+# -- the view's arithmetic against the dict reference ------------------------------
+# The reference for PuiseuxSeries2's operations: the same operations on a
+# dict ExponentPair -> Cyclotomic in Cyclotomic arithmetic.  Each takes and
+# gives a (terms, cutoff, min_x) triple; `kept` is what the dict constructor
+# keeps without its scrub: the terms up to the cutoff that are not empty.
+
+def kept(terms, cutoff):
+    return {e: c for e, c in terms.items()
+            if (cutoff is None or e.xExp <= cutoff) and c.coeffs}
+
+
+def ref_add(a, b):
+    (ta, ca, ma), (tb, cb, mb) = a, b
+    cuts = [c for c in (ca, cb) if c is not None]
+    cut = min(cuts) if cuts else None
+    out = dict(ta)
+    for e, c in tb.items():
+        out[e] = out[e] + c if e in out else c
+    return kept(out, cut), cut, min(ma, mb)
+
+
+def ref_scale(a, c):
+    terms, cut, min_x = a
+    return kept({e: v * c for e, v in terms.items()}, cut), cut, min_x
+
+
+def ref_shift_exponents(a, dx, dz):
+    terms, cut, min_x = a
+    cut = None if cut is None else cut + dx
+    return kept({ExponentPair(e.xExp + dx, e.zExp + dz): c
+                 for e, c in terms.items()}, cut), cut, min_x + dx
+
+
+def ref_map_z_negate(a):
+    terms, cut, min_x = a
+    return {ExponentPair(e.xExp, -e.zExp): c for e, c in terms.items()}, cut, min_x
+
+
+def ref_truncate(a, cutoff):
+    terms, cut, min_x = a
+    if cut is not None and cut <= cutoff:
+        return a
+    return kept(terms, cutoff), cutoff, min_x
+
+
+def ref_scrubbed(a):
+    terms, cut, min_x = a
+    return {e: c for e, c in terms.items() if not c.is_zero()}, cut, min_x
+
+
+scalars = st.lists(st.tuples(mixed_orders, st.integers(0, 59), coeffs),
+                   max_size=3).map(lambda entries: sum(
+                       (cyclo_root(k, order) * c for order, k, c in entries),
+                       Cyclotomic.zero()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_series() | mixed_series(), small_series() | mixed_series(),
+       scalars, signed_exps, st.builds(Fraction, st.integers(-3, 3),
+                                       st.sampled_from([1, 2])),
+       st.builds(Fraction, st.integers(-4, 16), st.sampled_from([1, 2, 3])))
+def test_view_ops_match_the_dict_reference(a, b, c, dx, dz, cut):
+    ra, rb = ((s.terms, s.cutoff, s.min_x) for s in (a, b))
+    for got, (terms, cutoff, min_x) in (
+            (a + b, ref_add(ra, rb)),
+            (a - b, ref_add(ra, ref_scale(rb, Cyclotomic.from_rational(-1)))),
+            (a.scale(c), ref_scale(ra, c)),
+            (a.shift_exponents(dx, dz), ref_shift_exponents(ra, dx, dz)),
+            (a.map_z_negate(), ref_map_z_negate(ra)),
+            (a.truncate(cut), ref_truncate(ra, cut)),
+            (a.scrubbed(), ref_scrubbed(ra))):
+        assert (got.cutoff, got.min_x) == (cutoff, min_x)
+        assert (np.diff(got.packed.key) > 0).all()   # sorted and distinct
+        assert got.terms.keys() == terms.keys()
+        assert all(got.terms[e] == v for e, v in terms.items())
+
+
 # -- the int64-key kernel --------------------------------------------------------
 
 key_orders = st.sampled_from([1, 5, 100, 397, 400])
 
 
-def as_series(p):
-    """The PuiseuxSeries2 (no cutoff) of a Packed series, entry by entry."""
+def as_terms(p):
+    """The terms of a Packed series, entry by entry, each coefficient on
+    p's order (PuiseuxSeries2.terms would write it on its own)."""
     terms = {}
     for ix, iz, k, c in zip(p.ix.tolist(), p.iz.tolist(), p.k.tolist(),
                             p.c.tolist()):
         e = ExponentPair(Fraction(ix, p.dx), Fraction(iz, p.dz))
         terms.setdefault(e, {})[k] = Fraction(c)
-    return PuiseuxSeries2({e: Cyclotomic(p.order, cs)
-                           for e, cs in terms.items()}, None, _scrub=False)
+    return {e: Cyclotomic(p.order, cs) for e, cs in terms.items()}
 
 
 def build(entries, order, dx=2, dz=3):
@@ -289,7 +367,7 @@ def test_key_kernel_matches_oracle(ops):
     if a.c.dtype == object and b.c.size and icut is None:
         assert got.c.dtype == object           # while the keys stay int64
     cut = None if icut is None else Fraction(icut, a.dx)
-    want = generic_mul(as_series(a), as_series(b), cut)
+    want = generic_mul(as_terms(a), as_terms(b), cut)
     assert key_entries(got) == {tuple(e): c.coeffs for e, c in want.items()}
     assert ((0 <= got.k) & (got.k < got.order)).all()
 

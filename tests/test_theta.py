@@ -201,8 +201,9 @@ def test_zero_point():
     lambda c, cut: theta_series(c, CON, cut),
     lambda c, cut: theta_deriv_series(c, cut),
     lambda c, cut: shift_integer(c, 1, 0, cut),
-    lambda c, cut: shift_half_period(c, 1, 1, cut)],
-    ids=["series", "deriv", "shift_integer", "shift_half_period"])
+    lambda c, cut: shift_half_period(c, 1, 1, cut),
+    lambda c, cut: theta_product_series(c, CON, cut)],
+    ids=["series", "deriv", "shift_integer", "shift_half_period", "product"])
 def test_over_range_cutoff_is_refused_before_listing(expand):
     # about 6 * 10^11 terms at 10^23: the key range is checked on the end
     # points of the range of terms, so this returns at once

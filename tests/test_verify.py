@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from theta5 import series as ser
+from theta5 import theta as th
 from theta5 import verify as v
 from theta5.catalog import (Argument, ExpectedStatus, Identity, IdentityKind,
                             IdentityTerm, ThetaFactor, corrupt_identity,
@@ -17,8 +20,8 @@ from theta5.catalog_data import builtin_catalog
 from theta5.cyclotomic import Cyclotomic, cyclo_root, exp_pi_i
 from theta5.numeric import theta_eval
 from theta5.resultant import theta_quadratics
-from theta5.series import (Packed, _key, on_common_grid, pack, packed_mul,
-                           packed_sum)
+from theta5.series import (ExponentPair, Packed, PuiseuxSeries2, _key,
+                           on_common_grid, pack, packed_mul, packed_sum)
 from theta5.theta import Characteristic, ThetaMode, theta_series
 from theta5.verify import (batch_passed, discover_relations, reports_to_json,
                            verify_all, verify_exact, zeta_grid)
@@ -113,34 +116,73 @@ def test_theta_power_matches_sequential_product(cutoff):
         _same(got.regrid(f.dx, f.dz, f.order), want)
 
 
+def reference_sum(eps, epsp, function, cutoff, m=0, n=0, deriv=False):
+    """The reference expansion: theta[eps; epsp](zeta + (n + m*tau)/2) term
+    by term in Fraction and Cyclotomic arithmetic, with no use of
+    theta._terms.  The term t = k + eps/2 (t^2 + m*t <= cutoff) has
+    x^(t^2 + m*t), z^t (z^0 unless `function`) and exp(pi*i*t*(epsp + n)),
+    times t when `deriv`; the terms of one position are summed and zero
+    sums dropped mod Phi_N.  k runs over a range wide enough for every t."""
+    terms = {}
+    top = (math.isqrt(max(math.ceil(cutoff), 0) + m * m) + abs(m)
+           + math.ceil(abs(eps)) + 2)
+    for k in range(-top, top + 1):
+        t = k + eps / 2
+        if t * t + m * t > cutoff:
+            continue
+        coeff = exp_pi_i(t * (epsp + n))
+        if deriv:
+            coeff = coeff * t
+        key = ExponentPair(t * t + m * t, t if function else Fraction(0))
+        terms[key] = terms[key] + coeff if key in terms else coeff
+    return {e: c for e, c in terms.items() if not c.is_zero()}
+
+
 @settings(max_examples=300, deadline=None)
 @given(p=st.integers(-14, 27), q=st.integers(1, 7), r=st.integers(-14, 27),
        s=st.integers(1, 7), function=st.booleans(),
-       cutoff=st.fractions(Fraction(1, 10), 64, max_denominator=12))
-@example(p=1, q=1, r=1, s=1, function=False, cutoff=Fraction(8))    # empty
-@example(p=0, q=1, r=0, s=1, function=False, cutoff=Fraction(16))   # +-t collide
-@example(p=1, q=1, r=0, s=1, function=False, cutoff=Fraction(16))
-@example(p=1, q=1, r=1, s=5, function=False, cutoff=Fraction(33, 2))
-@example(p=1, q=5, r=3, s=5, function=True, cutoff=Fraction(1, 101))  # below
-@example(p=-3, q=5, r=-7, s=3, function=True, cutoff=Fraction(64))
-def test_bare_factor_matches_packed_series(p, q, r, s, function, cutoff):
-    # the bare factor built in integers is the packed defining sum, field for
-    # field: keys, coefficients and their dtypes, grid, zb and norm bounds
+       cutoff=st.fractions(Fraction(1, 10), 64, max_denominator=12)
+       | st.fractions(-3, 64, max_denominator=12),   # as the shifts take
+       m=st.integers(-2, 2), n=st.integers(-2, 2), deriv=st.booleans())
+@example(p=1, q=1, r=1, s=1, function=False, cutoff=Fraction(8),    # empty
+         m=0, n=0, deriv=False)
+@example(p=0, q=1, r=0, s=1, function=False, cutoff=Fraction(16),   # +-t collide
+         m=0, n=0, deriv=False)
+@example(p=1, q=1, r=0, s=1, function=False, cutoff=Fraction(16),
+         m=0, n=0, deriv=False)
+@example(p=1, q=1, r=1, s=5, function=False, cutoff=Fraction(33, 2),
+         m=0, n=0, deriv=False)
+@example(p=1, q=5, r=3, s=5, function=True, cutoff=Fraction(1, 101),  # below
+         m=0, n=0, deriv=False)
+@example(p=-3, q=5, r=-7, s=3, function=True, cutoff=Fraction(64),
+         m=0, n=0, deriv=False)
+@example(p=1, q=1, r=0, s=1, function=False, cutoff=Fraction(9),  # t, -t - m
+         m=1, n=0, deriv=True)                                    # sum to -m
+@example(p=3, q=5, r=7, s=5, function=True, cutoff=Fraction(-1, 2),
+         m=-1, n=1, deriv=False)
+def test_bare_factor_matches_packed_series(p, q, r, s, function, cutoff, m,
+                                           n, deriv):
+    # the one expansion, built in integers, is the packed term-by-term
+    # Fraction sum, field for field: keys, coefficients and their dtypes,
+    # grid, zb, norm bounds and denominator; and its series prints the same
     char = Characteristic(Fraction(p, q), Fraction(r, s))
-    mode = ThetaMode.FUNCTION if function else ThetaMode.CONSTANT
-    want = pack(theta_series(char, mode, cutoff).terms)[0]
-    eps, epsp = char
-    got = v._bare(eps.numerator, eps.denominator, epsp.numerator,
-                  epsp.denominator, function, cutoff.numerator,
-                  cutoff.denominator)
+    terms = reference_sum(*char, function, cutoff, m, n, deriv)
+    want, want_den = pack(terms)
+    got, den = th._defining_sum(char.eps.numerator, char.eps.denominator,
+                                char.epsp.numerator, char.epsp.denominator,
+                                function, cutoff.numerator,
+                                cutoff.denominator, m, n, deriv)
     for a, b in ((got.key, want.key), (got.c, want.c)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert got[2:] == want[2:]
+    assert got[2:] == want[2:] and den == want_den
+    assert th._series(char, cutoff, function, m, n, deriv).to_text() == \
+        "\n".join(f"{e.xExp} {e.zExp} {c.reduced().to_string()}"
+                  for e, c in sorted(terms.items()))
 
 
 def test_bare_factors_construct_no_fraction(monkeypatch):
     # a cold build of every corpus factor at cutoff 16 lists its terms in
-    # integers: no Fraction, no theta_series
+    # integers: no Fraction, no series
     keys = {key for key, power in _corpus_factors()}
     assert len(keys) == 29
     made, new, series = [], Fraction.__new__, []
@@ -150,7 +192,7 @@ def test_bare_factors_construct_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     v._theta_power.cache_clear()
-    monkeypatch.setattr(v, "theta_series", lambda *a: series.append(a))
+    monkeypatch.setattr(th, "_view", lambda *a: series.append(a))
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     for key in keys:
         v._theta_power(*key, 1, 16, 1)
@@ -176,8 +218,8 @@ def test_over_range_cutoff_lists_no_term(monkeypatch, cutoff):
         def __iter__(self):
             raise AssertionError("terms listed")
 
-    terms = v._terms
-    monkeypatch.setattr(v, "_terms", lambda *args: Unlisted(terms(*args)))
+    terms = th._terms
+    monkeypatch.setattr(th, "_terms", lambda *args: Unlisted(terms(*args)))
     for ident in (_by_id("jacobi-quartic"), _by_id("ratio7-15-3-1")):
         with pytest.raises(ValueError, match=f"cutoff {cutoff} "):
             verify_exact(ident, cutoff)
@@ -678,22 +720,24 @@ def test_saved_catalog_carries_no_claims(tmp_path):
         verify_all(builtin_catalog(), 8))
 
 
-def test_lone_factor_expands_once_per_report(monkeypatch):
-    # the residual orders of a lone factor read its expansion, built once
-    # per report and not once per reported position
+def test_lone_factor_residuals_build_no_series(monkeypatch):
+    # the residual orders of a lone factor are read off its packed defining
+    # sum: with every series constructor raising, a cold report is the same
     lone = Identity("lone", IdentityKind.FUNCTION, [
         IdentityTerm(Cyclotomic.one(),
                      [ThetaFactor(C(1, Fraction(1, 5)), 1, Argument.SYMBOLIC_ZETA)]),
         IdentityTerm(-Cyclotomic.one(),
                      [ThetaFactor(C(0, 0), 1, Argument.SYMBOLIC_ZETA)])])
-    verify_exact(lone, 7)   # the factors' powers are cached from here on
-    calls = []
+    want = verify_exact(lone, 7).to_dict()
+    assert len(want["residuals"]) == 10
 
-    def counted(key, cutoff):
-        calls.append(key)
-        return series(key, cutoff)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was built")
 
-    series = v._series
-    monkeypatch.setattr(v, "_series", counted)
-    assert len(verify_exact(lone, 7).residuals) == 10
-    assert sorted(calls) == sorted(set(calls)) and len(calls) == 2
+    v._theta_power.cache_clear()
+    monkeypatch.setattr(th, "theta_series", refuse)
+    monkeypatch.setattr(th, "_view", refuse)
+    monkeypatch.setattr(ser, "_view", refuse)
+    monkeypatch.setattr(PuiseuxSeries2, "__init__", refuse)
+    assert verify_exact(lone, 7).to_dict() == want
+    v._theta_power.cache_clear()
