@@ -108,6 +108,9 @@ def cmd_expand(args):
             else ThetaMode.CONSTANT)
     cutoff = _parse_cutoff(args.cutoff)
     s = theta_series(c, mode, cutoff)
+    if args.format == "text":   # each format decodes every coefficient:
+        _emit(args, None, [s.to_text()])   # build only the one asked for
+        return EXIT_OK
     payload = {
         "char": {"eps": str(c.eps), "epsp": str(c.epsp)},
         "mode": mode.value,
@@ -119,7 +122,7 @@ def cmd_expand(args):
             for e, v in s.items()
         ],
     }
-    _emit(args, payload, [s.to_text()])
+    _emit(args, payload, [])
     return EXIT_OK
 
 

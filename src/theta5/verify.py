@@ -2,16 +2,25 @@
 
 verify_exact proves an identity by expanding every term as a truncated series
 over Q(zeta_N) and checking that the sum cancels coefficient-by-coefficient,
-from the identity's exact data computed once per cutoff (_plan).  A term is a
-product of powers of theta factors; each power is built once per cutoff and
-cached on the identity's grid (_theta_power), the bare factor being theta's
-defining sum expanded in integers (theta._defining_sum), so a term costs one
-kernel call per factor after the first, whatever the powers, until operands
-grow dense (_DENSE_PAIRS).  Terms and their sum stay packed (series.Packed;
-no PuiseuxSeries2 is built): each entry of a scalar is a key add, the sum is
-one merge of keys, and only the reported positions are decoded.  A term with
-no entry up to the cutoff is 0 there (theta exponents are >= 0); when every
-term is, nothing is compared and the report is "inconclusive".
+from the identity's exact data computed once per cutoff (_plan), whose bare
+factors are theta's defining sum expanded in integers (theta._defining_sum).
+A constant-kind identity is tried first in the dense unit-class lane
+(_lane_passes), which can only say "pass": the terms are split into classes
+by x-offset and by their unit modulo Q(zeta_M), M | N, and each class must
+cancel on its own; every term is one dense int64 series over Z[zeta_M],
+multiplied by its bare factors one power at a time in shifted adds, with no
+sort or merge.  Any other outcome of the lane (a class that does not cancel,
+every term empty, a factor at zeta, a bound past int64, an array past its
+budget) and every function-kind identity go the sparse way, which writes
+every fail and inconclusive report: a term is a product of powers of theta
+factors, each built once per cutoff and cached on the identity's grid
+(_theta_power), so a term costs one kernel call per factor after the first,
+whatever the powers, until operands grow dense (_DENSE_PAIRS).  Terms and
+their sum stay packed (series.Packed; no PuiseuxSeries2 is built): each entry
+of a scalar is a key add, the sum is one merge of keys, and only the
+reported positions are decoded.  A term with no entry up to the cutoff is 0
+there (theta exponents are >= 0); when every term is, nothing is compared
+and the report is "inconclusive".
 An identity may claim to be sigma_m T^j of a representative up to a global
 scalar (Identity.derived_from; sigma_m: zeta -> zeta^m, T: tau -> tau + 1).
 verify_exact checks the claim exactly, in integers, on every call (_claimed),
@@ -38,20 +47,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import ExpectedStatus, _index_factors
-from .cyclotomic import Cyclotomic
+from .catalog import ExpectedStatus, IdentityKind, _index_factors
+from .cyclotomic import Cyclotomic, reduction_matrix
 from .numeric import _theta_rows, theta_eval
-from .series import (ExponentPair, _KB, _scaled, _split, even_order,
-                     nonzero_positions, packed_mul, packed_sum)
+from .series import (ExponentPair, _INT64_SAFE, _KB, _norms, _scaled, _split,
+                     even_order, nonzero_positions, packed_mul, packed_sum)
 from .theta import Characteristic, _defining_sum
 
 #: The most operand pairs for which a monomial takes a factor's cached power
 #: in one kernel call.  Past it both operands are dense, and multiplying by
 #: the bare factor `power` times makes far fewer pairs (each step merges its
-#: duplicates) for power - 1 more calls.  It splits corpus powers only past
-#: cutoff 16: at cutoff 32, 18.2M pairs in 1,199 calls become 10.7M in 1,719
-#: (exact-deep pass_s 0.81 -> 0.63 s, 2-core x86 host).
+#: duplicates) for power - 1 more calls.  Only the sparse path splits, which
+#: constant identities reach when they fail: the report on
+#: corrupt_identity(cube-product-15-1, 0) at cutoff 32 takes 35 ms with the
+#: split, 57 ms without (medians of 8 fresh runs, 2-core x86 host).
 _DENSE_PAIRS = 20_000
+
+#: The most int64 entries of the dense lane's array of terms; an identity
+#: that needs more goes to the sparse kernel.  The corpus needs at most
+#: 409,600 at cutoff 1024 (cube-product-15-1).
+_LANE_ENTRIES = 1 << 21
 
 
 @dataclass
@@ -161,13 +176,14 @@ def verify_exact(ident, cutoff):
     An identity whose claim (Identity.derived_from) checks (_claimed)
     passes when its representative passes at the cutoff, as remembered in
     _PASSES or verified now; the report names the claim.  Every other
-    report is computed directly: every term is built and summed in packed
-    form on the plan's grid, from the cached powers of its factors on that
-    grid (largest first; a power whose product with the rest would pass
-    _DENSE_PAIRS goes in as its bare factor, repeated), times its scalar;
-    one integer matmul then reduces every position of the sum mod Phi_N.
-    With every term empty up to the cutoff the report is "inconclusive",
-    not "pass"."""
+    report is computed directly.  A constant-kind identity passes when the
+    dense lane (_lane_passes) says so; otherwise, and for function-kind
+    identities, every term is built and summed in packed form on the plan's
+    grid, from the cached powers of its factors on that grid (largest
+    first; a power whose product with the rest would pass _DENSE_PAIRS goes
+    in as its bare factor, repeated), times its scalar, and one integer
+    matmul reduces every position of the sum mod Phi_N.  With every term
+    empty up to the cutoff the report is "inconclusive", not "pass"."""
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be > 0")
@@ -183,7 +199,21 @@ def verify_exact(ident, cutoff):
                 elapsed_ms=(time.perf_counter() - t0) * 1000.0,
                 derived_from={"id": rep.id, "m": m, "j": j})
     plan = _plan(ident, cutoff)
-    # every factor's bare series and the powers the terms use, looked up once
+    if ident.kind is IdentityKind.CONSTANT and _lane_passes(plan):
+        status, residuals = "pass", []
+    else:
+        status, residuals = _sparse(plan)
+    if status == "pass":
+        form = ident._cached("_claim", _claim_data)[-1]
+        if form is not None:
+            _PASSES.add((form, plan.cut))
+    return VerificationReport(
+        id=ident.id, mode="exact", cutoff=cutoff, status=status,
+        residuals=residuals, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+
+
+def _sparse(plan):
+    """(status, residuals) of the plan's identity from its packed terms."""
     powers = {f: _theta_power(*plan.keys[f[0]], f[1], *plan.cut, plan.grid)
               for f in dict.fromkeys(g for fs in plan.terms for j, power in fs
                                      for g in ((j, 1), (j, power)))}
@@ -199,15 +229,161 @@ def verify_exact(ident, cutoff):
     total = packed_sum(terms)
     residuals = [_residual(plan, terms, total, i)
                  for i in nonzero_positions(total)[:10]]
-    status = ("inconclusive" if not any(t.c.size for t in terms)
-              else "fail" if residuals else "pass")
-    if status == "pass":
-        form = ident._cached("_claim", _claim_data)[-1]
-        if form is not None:
-            _PASSES.add((form, plan.cut))
-    return VerificationReport(
-        id=ident.id, mode="exact", cutoff=cutoff, status=status,
-        residuals=residuals, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    return ("inconclusive" if not any(t.c.size for t in terms)
+            else "fail" if residuals else "pass"), residuals
+
+
+@functools.lru_cache(maxsize=None)
+def _radical(n):
+    """The product of the primes that divide n."""
+    return math.prod(p for p in range(2, n + 1)
+                     if n % p == 0 and all(p % d for d in range(2, p)))
+
+
+def _lane_passes(plan):
+    """Whether a constant identity passes, decided in the dense unit-class
+    lane; False leaves the verdict to the sparse path.
+
+    The bare factors' entries x^(ix/dx) zeta_N^k (N the grid order) give
+    the split.  The x-step sigma is the gcd of the ix differences: an entry
+    is x^(offset/dx), its factor's ix mod sigma, times x^(sigma/dx) to the
+    power of its slot.  With G the gcd of N, the k differences within each
+    factor and the scalars' k, M = lcm(N/G, rad N) divides N and has its
+    primes, so the zeta_N^c, 0 <= c < N/M, are a basis of Q(zeta_N) over
+    Q(zeta_M): an entry is zeta_N^c, its factor's class c = k mod N/M,
+    times zeta_M^b.  A term is its class (offset sum mod sigma, class sum
+    mod N/M) times a series in x^(sigma/dx) over Z[zeta_M]; the sums'
+    carries are a slot shift and a unit, applied at the end.  The identity
+    holds exactly when each class cancels on its own.
+
+    Z[zeta_M] is worked in as Z[w]/(w^h + 1), h = M/2, for M even (zeta_M^h
+    = -1), else as Z[w]/(w^M - 1): zeta_M^b is +-w^(b mod h).  All terms
+    are one int64 array (slots, 2h, terms), each slot holding a term's h
+    coefficients times -1 (M even) or 1 and then the h coefficients, so a
+    product by w^i reads h rows in a row.  Each factor multiplies the terms
+    that take it, once per power step: one shifted add per bare entry, times
+    its integer, each one run of the flat arrays; nothing is sorted or
+    merged.  Each term, times its carried unit, is written in the power
+    basis by rows of reduction_matrix(M), and each class's sum is compared
+    up to the cutoff.
+
+    The lane gives up (False) on a factor at zeta, on every term empty up
+    to the cutoff, on a class that does not cancel, on an array of more than
+    _LANE_ENTRIES, and on a bound past _INT64_SAFE: sum |c| and max |c| per
+    term, carried as Packed carries them and measured when too loose."""
+    if any(key[4] for key in plan.keys):
+        return False
+    n, icut = plan.grid[2], plan.icut
+    bare = [_theta_power(*key, 1, *plan.cut, plan.grid) for key in plan.keys]
+    ixs, ks = [f.ix for f in bare], [f.k for f in bare]
+    sigma = math.gcd(*(int(np.gcd.reduce(x - x[:1])) for x in ixs)) or (
+        icut + 1)
+    g = math.gcd(n, *(int(np.gcd.reduce(k - k[:1])) for k in ks),
+                 *(k for s in plan.scalars for k, _ in s))
+    m = math.lcm(n // g, _radical(n))
+    q = n // m
+    # an empty factor's offset puts every term that takes it past the cutoff
+    offset = [int(x[0]) % sigma if x.size else icut + 1 for x in ixs]
+    unit = [int(k[0]) % q if k.size else 0 for k in ks]
+    terms = []   # (scalar, {factor: power}, offset sum, class sum) of each
+    for scalar, fs in zip(plan.scalars, plan.terms):   # term within icut
+        power = {}
+        for j, p in fs:
+            power[j] = power.get(j, 0) + p
+        xs = sum(p * offset[j] for j, p in power.items())
+        if xs <= icut:
+            terms.append((scalar, power, xs,
+                          sum(p * unit[j] for j, p in power.items())))
+    # M is even once a term has a factor: a theta coefficient's order,
+    # 4qs / gcd(ur, 2qs), is
+    h = m // 2 if m % 2 == 0 else m
+    sign = -1 if h < m else 1
+    slots = (icut - min((t[2] for t in terms), default=icut)) // sigma + 1
+    if not terms or slots * 2 * h * len(terms) > _LANE_ENTRIES:
+        return False
+
+    def folded(entries):   # {(slot, b mod h): c} of c zeta_M^b at each slot
+        out = {}
+        for s, b, c in entries:
+            out[s, b % h] = out.get((s, b % h), 0) + (c if b < h else -c)
+        return {e: c for e, c in out.items() if c}
+
+    acc = np.zeros((slots, 2 * h, len(terms)), np.int64)
+    l1, mx = [], []
+    for t, (scalar, *_) in enumerate(terms):
+        vec = folded((0, k // q, c) for k, c in scalar)
+        l1.append(sum(map(abs, vec.values())))
+        mx.append(max(map(abs, vec.values()), default=0))
+        if mx[t] >= _INT64_SAFE:
+            return False
+        for (_, i), c in vec.items():
+            acc[0, i, t], acc[0, h + i, t] = sign * c, c
+
+    def safe(ts, held, bound):
+        """Whether bound(t) < _INT64_SAFE for each term t in ts (held[..., i]
+        holds ts[i]), measuring them when the carried bounds are too loose."""
+        if max(map(bound, ts)) < _INT64_SAFE:
+            return True
+        for i, t in enumerate(ts):
+            l1[t], mx[t] = _norms(held[:, h:, i].ravel())
+        return max(map(bound, ts)) < _INT64_SAFE
+
+    for j, f in enumerate(bare):
+        # the terms that take f, most powers first: those of power step p
+        # are a prefix of them, held in one copy
+        take = sorted((t for t in range(len(terms)) if j in terms[t][1]),
+                      key=lambda t: -terms[t][1][j])
+        if not take:
+            continue
+        f = folded(e for e in zip(((ixs[j] - offset[j]) // sigma).tolist(),
+                                  ((ks[j] - unit[j]) // q).tolist(),
+                                  f.c.tolist()) if e[0] < slots)
+        fl1, fmx = sum(map(abs, f.values())), max(map(abs, f.values()),
+                                                 default=0)
+
+        def bound(t):   # max |c| of term t times f
+            return min(l1[t] * fmx, fl1 * mx[t])
+
+        sub = acc.take(take, axis=2)
+        for p in range(1, terms[take[0]][1][j] + 1):
+            sel = [t for t in take if terms[t][1][j] >= p]
+            k, width = len(sel), 2 * h * len(sel)   # the values of a slot
+            src = sub if k == len(take) else np.ascontiguousarray(
+                sub[..., :k])
+            if not safe(sel, src, bound):
+                return False
+            for t in sel:
+                l1[t], mx[t] = l1[t] * fl1, bound(t)
+            # c w^i at slot s adds the h rows from h - i of slot r to the
+            # last h of slot r + s: one run of the flat arrays, which puts
+            # scratch (never read; it may wrap) in the first h, rewritten
+            out, src = np.zeros(src.shape, np.int64), src.reshape(-1)
+            flat = out.reshape(-1)
+            for (s, i), c in f.items():
+                w, run = (h - i) * k, flat[s * width + h * k:]
+                run += src[w:w + run.size] * c if c != 1 else (
+                    src[w:w + run.size])
+            np.multiply(out[:, h:], sign, out=out[:, :h])
+            if k == len(take):
+                sub = out
+            else:
+                sub[..., :k] = out
+        acc[..., take] = sub
+    red = reduction_matrix(m)
+    rmax, rows = int(np.abs(red).max()), np.arange(h)
+    if not safe(range(len(terms)), acc,
+                lambda t: len(terms) * h * rmax * mx[t]):
+        return False
+    classes, seen = {}, False
+    for t, (*_, xs, cs) in enumerate(terms):
+        (cx, o), (cu, c) = divmod(xs, sigma), divmod(cs, q)
+        last = (icut - o) // sigma
+        part = acc[:last + 1 - cx, h:, t]
+        seen = seen or part.any()
+        total = classes.setdefault((o, c), np.zeros((last + 1, red.shape[1]),
+                                                    np.int64))
+        total[cx:] += part @ red[(rows + cu) % m]   # times zeta_M^cu
+    return seen and not any(total.any() for total in classes.values())
 
 
 def _residual(plan, terms, total, i):

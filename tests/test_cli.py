@@ -52,6 +52,12 @@ def test_verify_exit_code_matrix(capsys, tmp_path, monkeypatch):
     from theta5.catalog import (ExpectedStatus, corrupt_identity,
                                 save_catalog)
     from theta5.catalog_data import builtin_catalog
+    from theta5 import series, verify
+    # at 10^7 jacobi-quartic's terms pass the lane's budget, and squaring
+    # theta[0;0] makes 10^7 operand pairs: both limits are lowered, so the
+    # refusal allocates nothing (the other cases stay far below them)
+    monkeypatch.setattr(series, "_PAIR_LIMIT", 10 ** 6)
+    monkeypatch.setattr(verify, "_LANE_ENTRIES", 10 ** 5)
     by_id = {i.id: i for i in builtin_catalog()}
     empty = by_id["two-theta-15-2"]   # every term empty at cutoff 1/2
     mixed, suspect = tmp_path / "mixed.json", tmp_path / "suspect.json"
@@ -72,6 +78,7 @@ def test_verify_exit_code_matrix(capsys, tmp_path, monkeypatch):
         (["--cutoff", "10000000000", "verify"], 2, None),
         (["--cutoff", "100000000000000000000000", "verify"], 2, None),
         (["--cutoff", "100000000000000000000000", "expand", "0,0"], 2, None),
+        (["--cutoff", "10000000", "verify", "jacobi-quartic"], 2, None),
     ]
     for argv, want, batch in cases:
         code, out = run(capsys, *argv)
@@ -114,6 +121,22 @@ def test_expand_text_and_json(capsys):
                     "expand", "1/5,3/5")
     blob = json.loads(out)
     assert blob["terms"][0]["x"] == "1/100"
+
+
+def test_expand_builds_one_format(capsys, monkeypatch):
+    # each coefficient is printed once, in the format asked for
+    from theta5.cyclotomic import Cyclotomic
+    printed, to_string = [], Cyclotomic.to_string
+    monkeypatch.setattr(Cyclotomic, "to_string",
+                        lambda c: printed.append(1) or to_string(c))
+    for fmt in ("text", "json"):
+        printed.clear()
+        code, out = run(capsys, "--cutoff", "8", "--format", fmt,
+                        "expand", "1/5,3/5", "--function")
+        assert code == 0
+        terms = out.count("\n") if fmt == "text" else len(
+            json.loads(out)["terms"])
+        assert terms and len(printed) == terms, fmt
 
 
 def test_expand_bad_char(capsys):

@@ -741,3 +741,188 @@ def test_lone_factor_residuals_build_no_series(monkeypatch):
     monkeypatch.setattr(PuiseuxSeries2, "__init__", refuse)
     assert verify_exact(lone, 7).to_dict() == want
     v._theta_power.cache_clear()
+
+
+# -- the dense unit-class lane ---------------------------------------------------
+
+def _lane_and_sparse(ident, cutoff):
+    """The lane's verdict and the sparse path's status on one plan."""
+    plan = v._plan(ident, Fraction(cutoff))
+    return v._lane_passes(plan), v._sparse(plan)[0]
+
+
+def _constant_entries():
+    """Every constant-kind corpus entry, computed directly (no claim), and
+    its sign-flip mutants for seeds 0-2."""
+    direct = [dataclasses.replace(i, derived_from=None) for i in builtin_catalog()
+              if i.kind is IdentityKind.CONSTANT]
+    return direct + [corrupt_identity(i, seed) for i in direct for seed in range(3)]
+
+
+@pytest.mark.parametrize("cutoff", [Fraction(1, 10), Fraction(1, 2), 1,
+                                    Fraction(3, 2), 2, Fraction(7, 3), 4, 8, 16])
+def test_lane_agrees_with_sparse(cutoff):
+    # the lane says pass exactly when the sparse path does
+    entries = _constant_entries()
+    assert len(entries) == 244
+    for ident in entries:
+        lane, status = _lane_and_sparse(ident, cutoff)
+        assert lane == (status == "pass"), (ident.id, cutoff, status)
+
+
+def test_lane_leaves_empty_terms_inconclusive():
+    # every term of cube-product-35-1 starts at x^(117/100): at cutoff 1 each
+    # class cancels because nothing is there, which is no pass
+    ident = _by_id("cube-product-35-1")
+    assert _lane_and_sparse(ident, 1) == (False, "inconclusive")
+    assert verify_exact(ident, 1).status == "inconclusive"
+    assert verify_exact(ident, Fraction(117, 100)).passed
+    # with theta[0; 0] and theta[1/5; 1/5] on the grid the x-step is 1/5,
+    # and theta[1; 1/5] has offset 1/20 but starts at x^(1/4): at cutoff 1
+    # its fifth power has slots, and nothing in them (theta[1; 1] is 0)
+    F = ThetaFactor
+    fifth = [F(C(1, Fraction(1, 5)), 5)]
+    probe = Identity("empty-slots", IdentityKind.CONSTANT, [
+        IdentityTerm(Cyclotomic.one(), fifth), IdentityTerm(-Cyclotomic.one(), fifth),
+        IdentityTerm(Cyclotomic.one(), [F(C(0, 0), 2), F(C(1, 1)), F(C(
+            Fraction(1, 5), Fraction(1, 5)), 2)])])
+    assert _lane_and_sparse(probe, 1) == (False, "inconclusive")
+    # the live terms' offset sums are 95/100 on an x-step of 1/5, so the
+    # lane keeps one slot, below theta[1; 1/5]'s least entry (x^(1/4)):
+    # that factor has no entry in it
+    heavy = [F(C(1, Fraction(1, 5))), F(C(Fraction(3, 5), Fraction(1, 5)), 10)]
+    probe = Identity("no-entry-in-slots", IdentityKind.CONSTANT, [
+        IdentityTerm(Cyclotomic.one(), heavy), IdentityTerm(-Cyclotomic.one(), heavy),
+        IdentityTerm(Cyclotomic.one(), [F(C(0, 0), 10), F(C(1, 1))])])
+    assert _lane_and_sparse(probe, 1) == (False, "inconclusive")
+
+
+def test_lane_cancels_in_the_power_basis():
+    # sum_b zeta_5^b theta[0; 2/5] theta[0; 0] = 0 cancels only through
+    # 1 + zeta_5 + ... + zeta_5^4 = 0, in the power basis of Z[zeta_10]: the
+    # terms' coefficients (zeta_5^(b + n)) wrap past zeta_10^5 = -1
+    F = ThetaFactor
+    pair = [F(C(0, Fraction(2, 5))), F(C(0, 0))]
+    ident = Identity("roots-of-unity", IdentityKind.CONSTANT, [
+        IdentityTerm(cyclo_root(b, 5), pair) for b in range(5)])
+    for cutoff in (1, 4, 9):
+        assert _lane_and_sparse(ident, cutoff) == (True, "pass")
+        assert _lane_and_sparse(corrupt_identity(ident, 2), cutoff)[0] is False
+
+
+def test_lane_keeps_unit_classes_apart():
+    # theta[1/5; 1/5] - theta[1/5; 3/5] is (w^1 - w^3) x^(1/100) + ..., w =
+    # zeta_100: classes 1 and 3, each w^c times 1 at x^(1/100), which cancel
+    # only if the classes are merged
+    F = ThetaFactor
+    probe = Identity("classes", IdentityKind.CONSTANT, [
+        IdentityTerm(Cyclotomic.one(), [F(C(Fraction(1, 5), Fraction(k, 5)))])
+        for k in (1, 3)])
+    probe.terms[1].scalar = -Cyclotomic.one()
+    for cutoff in (Fraction(1, 10), 2):
+        assert _lane_and_sparse(probe, cutoff) == (False, "fail")
+
+
+#: Theta constants for the random identities, one family per identity (a
+#: fifth and a third together pass MAX_ORDER): fifths or thirds, each with
+#: eps in {0, 1}, theta[1; 1] (identically 0, an empty factor) included.
+_LANE_CHARS = [[C(Fraction(e, d), Fraction(k, d)) for e in eps
+                for k in range(2 * d)]
+               + [C(e, Fraction(k, n)) for e in (0, 1) for n in (1, d)
+                  for k in range(2 * n)] for d, eps in ((5, (1, 3)), (3, (1, 2)))]
+
+
+def _random_term(draw, chars, degree):
+    """A scalar c zeta_n^k (c != 0) times theta constants of total degree
+    `degree`, a factor possibly repeated in the list."""
+    factors, left = [], degree
+    while left:
+        power = draw(st.integers(1, left))
+        factors.append(ThetaFactor(draw(st.sampled_from(chars)), power))
+        left -= power
+    scalar = cyclo_root(draw(st.integers(0, 29)), draw(st.sampled_from(
+        [1, 2, 3, 4, 5, 6, 10, 15]))) * draw(st.integers(-5, 5).filter(bool))
+    return IdentityTerm(scalar, factors)
+
+
+@st.composite
+def _random_identity(draw):
+    """Random terms in one family, some of them planted back negated (the
+    factor list reversed), so that it holds when all of them are; or, one
+    time in four, Jacobi's quartic times a random term, which holds."""
+    chars, degree = draw(st.sampled_from(_LANE_CHARS)), draw(st.integers(1, 4))
+    if not draw(st.integers(0, 3)):
+        extra = _random_term(draw, chars, degree)
+        return Identity("random", IdentityKind.CONSTANT, [
+            IdentityTerm(extra.scalar * t.scalar, t.factors + extra.factors)
+            for t in _by_id("jacobi-quartic").terms])
+    terms = [_random_term(draw, chars, degree)
+             for _ in range(draw(st.integers(1, 4)))]
+    plant = draw(st.lists(st.sampled_from(range(len(terms))), unique=True))
+    terms += [IdentityTerm(-terms[i].scalar, terms[i].factors[::-1]) for i in plant]
+    return Identity("random", IdentityKind.CONSTANT, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ident=_random_identity(), cutoff=st.sampled_from(
+    [Fraction(1, 10), Fraction(1, 2), 1, Fraction(5, 3), 3, 6]))
+def test_lane_agrees_with_sparse_on_random_identities(ident, cutoff):
+    lane, status = _lane_and_sparse(ident, cutoff)
+    assert lane == (status == "pass"), status
+
+
+def test_lane_passes_without_the_kernel(monkeypatch):
+    # with the sparse kernel refusing, the representatives pass in the lane
+    # and a member of each passes through its claim
+    def refuse(*args):
+        raise AssertionError("the sparse kernel ran")
+
+    cat = builtin_catalog()
+    monkeypatch.setattr(v, "packed_mul", refuse)
+    monkeypatch.setattr(v, "_PASSES", set())
+    for rep_id in ("cube-product-15-1", "mixed-product-del1"):
+        rep = next(i for i in cat if i.id == rep_id)
+        member = next(i for i in cat if i.derived_from and i.derived_from[0] is rep)
+        got = verify_exact(member, 16)
+        assert got.passed and got.derived_from["id"] == rep_id
+        assert verify_exact(rep, 16).passed
+
+
+@pytest.mark.parametrize("limit, value", [("_INT64_SAFE", 2),
+                                          ("_LANE_ENTRIES", 0)])
+def test_lane_limits_route_to_sparse(monkeypatch, limit, value):
+    # past its bound or budget the lane gives up, and the sparse path
+    # writes the same reports
+    idents = [_by_id(i) for i in ("jacobi-quartic", "ratio7-15-1-1",
+                                  "cube-product-15-1")]
+    idents += [corrupt_identity(idents[1], 0)]
+    want = reports_to_json([verify_exact(i, 8) for i in idents])
+    sparse, calls = v._sparse, []
+    monkeypatch.setattr(v, "_sparse", lambda plan: calls.append(1) or sparse(plan))
+    monkeypatch.setattr(v, limit, value)
+    assert reports_to_json([verify_exact(i, 8) for i in idents]) == want
+    assert len(calls) == len(idents)
+
+
+def test_lane_measures_loose_bounds(monkeypatch):
+    # the carried bounds of cube-product-15-1 pass 2^40 by cutoff 16; its
+    # coefficients do not, so measuring keeps it in the lane
+    norms, measured = v._norms, []
+    monkeypatch.setattr(v, "_norms", lambda c: measured.append(1) or norms(c))
+    monkeypatch.setattr(v, "_INT64_SAFE", 1 << 40)
+    assert v._lane_passes(v._plan(_by_id("cube-product-15-1"), Fraction(16)))
+    assert measured
+
+
+@pytest.mark.parametrize("ident_id", ["cube-product-15-1", "quintic-eps35",
+                                      "mixed-product-del5"])
+def test_lane_mutants_fail_with_sparse_residuals(monkeypatch, ident_id):
+    # a sign-flipped mutant fails in the lane; its report is the sparse
+    # path's, byte for byte
+    mutants = [corrupt_identity(_by_id(ident_id), seed) for seed in range(3)]
+    got = [verify_exact(i, 8) for i in mutants]
+    assert not any(_lane_and_sparse(i, 8)[0] for i in mutants)
+    assert {r.status for r in got} == {"fail"}
+    monkeypatch.setattr(v, "_LANE_ENTRIES", 0)
+    assert reports_to_json(got) == reports_to_json([verify_exact(i, 8)
+                                                    for i in mutants])
