@@ -48,10 +48,28 @@ def _poly_div_exact(num, den):
     return out
 
 
+def radical(n):
+    """The product of the primes that divide n >= 1."""
+    r, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            r *= p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return r * n
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Coefficients of Phi_n (degree-0 first), by iterated exact division of
-    x^n - 1 by Phi_d over all proper divisors d | n."""
+    """Coefficients of Phi_n (degree-0 first): Phi_r(x^(n/r)) for r = rad n
+    < n, and for squarefree n by iterated exact division of x^n - 1 by Phi_d
+    over all proper divisors d | n (each squarefree too)."""
+    r = radical(n)
+    if r < n:
+        poly = [0] * ((len(cyclotomic_polynomial(r)) - 1) * (n // r) + 1)
+        poly[::n // r] = cyclotomic_polynomial(r)
+        return tuple(poly)
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:

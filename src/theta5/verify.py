@@ -5,13 +5,17 @@ over Q(zeta_N) and checking that the sum cancels coefficient-by-coefficient,
 from the identity's exact data computed once per cutoff (_plan), whose bare
 factors are theta's defining sum expanded in integers (theta._defining_sum).
 A constant-kind identity is tried first in the dense unit-class lane
-(_lane_passes), which can only say "pass": the terms are split into classes
-by x-offset and by their unit modulo Q(zeta_M), M | N, and each class must
-cancel on its own; every term is one dense int64 series over Z[zeta_M],
-multiplied by its bare factors one power at a time in shifted adds, with no
-sort or merge.  Any other outcome of the lane (a class that does not cancel,
-every term empty, a factor at zeta, a bound past int64, an array past its
-budget) and every function-kind identity go the sparse way, which writes
+(_lane): the terms are split into classes by x-offset and by their unit
+modulo Q(zeta_M), M | N, and each class must cancel on its own; every term
+is one dense int64 series over Z[zeta_M], multiplied by its bare factors one
+power at a time in shifted adds, with no sort or merge.  When a class does
+not cancel, the lane knows every position where the sum is nonzero, and the
+sparse way writes the fail report from a plan cut at the tenth of them (or
+at the cutoff, with fewer than ten): truncation keeps every entry up to the
+cut, so the ten reported positions and their coefficients are those of the
+full expansion.  When the lane gives up (every term empty, a factor at
+zeta, a bound past int64, an array past its budget) and for every
+function-kind identity the sparse way runs at the full cutoff; it writes
 every fail and inconclusive report: a term is a product of powers of theta
 factors, each built once per cutoff and cached on the identity's grid
 (_theta_power), so a term costs one kernel call per factor after the first,
@@ -48,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import ExpectedStatus, IdentityKind, _index_factors
-from .cyclotomic import Cyclotomic, reduction_matrix
+from .cyclotomic import Cyclotomic, radical, reduction_matrix
 from .numeric import _theta_rows, theta_eval
 from .series import (ExponentPair, _INT64_SAFE, _KB, _norms, _scaled, _split,
                      even_order, nonzero_positions, packed_mul, packed_sum)
@@ -177,9 +181,11 @@ def verify_exact(ident, cutoff):
     passes when its representative passes at the cutoff, as remembered in
     _PASSES or verified now; the report names the claim.  Every other
     report is computed directly.  A constant-kind identity passes when the
-    dense lane (_lane_passes) says so; otherwise, and for function-kind
-    identities, every term is built and summed in packed form on the plan's
-    grid, from the cached powers of its factors on that grid (largest
+    dense lane (_lane) finds no nonzero position, and fails when it finds
+    some, its report written as below from the plan cut at the tenth of
+    them; otherwise, and for function-kind identities, every term is built
+    and summed in packed form on the plan's grid, from the cached powers of
+    its factors on that grid (largest
     first; a power whose product with the rest would pass _DENSE_PAIRS goes
     in as its bare factor, repeated), times its scalar, and one integer
     matmul reduces every position of the sum mod Phi_N.  With every term
@@ -199,9 +205,14 @@ def verify_exact(ident, cutoff):
                 elapsed_ms=(time.perf_counter() - t0) * 1000.0,
                 derived_from={"id": rep.id, "m": m, "j": j})
     plan = _plan(ident, cutoff)
-    if ident.kind is IdentityKind.CONSTANT and _lane_passes(plan):
+    found = _lane(plan) if ident.kind is IdentityKind.CONSTANT else None
+    if found == []:
         status, residuals = "pass", []
     else:
+        if found and len(found) == 10:   # cut at the tenth residual
+            g = math.gcd(found[-1], plan.grid[0])
+            plan = plan._replace(cut=(found[-1] // g, plan.grid[0] // g),
+                                 icut=found[-1])
         status, residuals = _sparse(plan)
     if status == "pass":
         form = ident._cached("_claim", _claim_data)[-1]
@@ -233,16 +244,10 @@ def _sparse(plan):
             else "fail" if residuals else "pass"), residuals
 
 
-@functools.lru_cache(maxsize=None)
-def _radical(n):
-    """The product of the primes that divide n."""
-    return math.prod(p for p in range(2, n + 1)
-                     if n % p == 0 and all(p % d for d in range(2, p)))
-
-
-def _lane_passes(plan):
-    """Whether a constant identity passes, decided in the dense unit-class
-    lane; False leaves the verdict to the sparse path.
+def _lane(plan):
+    """The first ten x-positions (ix on the plan's grid) at which a constant
+    identity's sum is nonzero, found in the dense unit-class lane: [] when
+    it passes; None leaves the verdict to the sparse path.
 
     The bare factors' entries x^(ix/dx) zeta_N^k (N the grid order) give
     the split.  The x-step sigma is the gcd of the ix differences: an entry
@@ -253,8 +258,10 @@ def _lane_passes(plan):
     Q(zeta_M): an entry is zeta_N^c, its factor's class c = k mod N/M,
     times zeta_M^b.  A term is its class (offset sum mod sigma, class sum
     mod N/M) times a series in x^(sigma/dx) over Z[zeta_M]; the sums'
-    carries are a slot shift and a unit, applied at the end.  The identity
-    holds exactly when each class cancels on its own.
+    carries are a slot shift and a unit, applied at the end.  The sum is
+    nonzero at a position exactly when a class is, so the identity holds
+    exactly when each class cancels on its own, and the positions where it
+    does not are offset + slot * sigma over the classes' nonzero slots.
 
     Z[zeta_M] is worked in as Z[w]/(w^h + 1), h = M/2, for M even (zeta_M^h
     = -1), else as Z[w]/(w^M - 1): zeta_M^b is +-w^(b mod h).  All terms
@@ -265,14 +272,15 @@ def _lane_passes(plan):
     its integer, each one run of the flat arrays; nothing is sorted or
     merged.  Each term, times its carried unit, is written in the power
     basis by rows of reduction_matrix(M), and each class's sum is compared
-    up to the cutoff.
+    up to the cutoff.  Each entry of +-1 (about two in five) is one in-place
+    add or subtract, with no temporary.
 
-    The lane gives up (False) on a factor at zeta, on every term empty up
-    to the cutoff, on a class that does not cancel, on an array of more than
-    _LANE_ENTRIES, and on a bound past _INT64_SAFE: sum |c| and max |c| per
-    term, carried as Packed carries them and measured when too loose."""
+    The lane gives up (None) on a factor at zeta, on every term empty up to
+    the cutoff, on an array of more than _LANE_ENTRIES, and on a bound past
+    _INT64_SAFE: sum |c| and max |c| per term, carried as Packed carries
+    them and measured when too loose."""
     if any(key[4] for key in plan.keys):
-        return False
+        return None
     n, icut = plan.grid[2], plan.icut
     bare = [_theta_power(*key, 1, *plan.cut, plan.grid) for key in plan.keys]
     ixs, ks = [f.ix for f in bare], [f.k for f in bare]
@@ -280,7 +288,7 @@ def _lane_passes(plan):
         icut + 1)
     g = math.gcd(n, *(int(np.gcd.reduce(k - k[:1])) for k in ks),
                  *(k for s in plan.scalars for k, _ in s))
-    m = math.lcm(n // g, _radical(n))
+    m = math.lcm(n // g, radical(n))
     q = n // m
     # an empty factor's offset puts every term that takes it past the cutoff
     offset = [int(x[0]) % sigma if x.size else icut + 1 for x in ixs]
@@ -300,7 +308,7 @@ def _lane_passes(plan):
     sign = -1 if h < m else 1
     slots = (icut - min((t[2] for t in terms), default=icut)) // sigma + 1
     if not terms or slots * 2 * h * len(terms) > _LANE_ENTRIES:
-        return False
+        return None
 
     def folded(entries):   # {(slot, b mod h): c} of c zeta_M^b at each slot
         out = {}
@@ -315,7 +323,7 @@ def _lane_passes(plan):
         l1.append(sum(map(abs, vec.values())))
         mx.append(max(map(abs, vec.values()), default=0))
         if mx[t] >= _INT64_SAFE:
-            return False
+            return None
         for (_, i), c in vec.items():
             acc[0, i, t], acc[0, h + i, t] = sign * c, c
 
@@ -351,7 +359,7 @@ def _lane_passes(plan):
             src = sub if k == len(take) else np.ascontiguousarray(
                 sub[..., :k])
             if not safe(sel, src, bound):
-                return False
+                return None
             for t in sel:
                 l1[t], mx[t] = l1[t] * fl1, bound(t)
             # c w^i at slot s adds the h rows from h - i of slot r to the
@@ -361,8 +369,13 @@ def _lane_passes(plan):
             flat = out.reshape(-1)
             for (s, i), c in f.items():
                 w, run = (h - i) * k, flat[s * width + h * k:]
-                run += src[w:w + run.size] * c if c != 1 else (
-                    src[w:w + run.size])
+                part = src[w:w + run.size]
+                if c == 1:
+                    run += part
+                elif c == -1:
+                    run -= part
+                else:
+                    run += part * c
             np.multiply(out[:, h:], sign, out=out[:, :h])
             if k == len(take):
                 sub = out
@@ -373,7 +386,7 @@ def _lane_passes(plan):
     rmax, rows = int(np.abs(red).max()), np.arange(h)
     if not safe(range(len(terms)), acc,
                 lambda t: len(terms) * h * rmax * mx[t]):
-        return False
+        return None
     classes, seen = {}, False
     for t, (*_, xs, cs) in enumerate(terms):
         (cx, o), (cu, c) = divmod(xs, sigma), divmod(cs, q)
@@ -383,7 +396,10 @@ def _lane_passes(plan):
         total = classes.setdefault((o, c), np.zeros((last + 1, red.shape[1]),
                                                     np.int64))
         total[cx:] += part @ red[(rows + cu) % m]   # times zeta_M^cu
-    return seen and not any(total.any() for total in classes.values())
+    if not seen:
+        return None
+    return sorted({o + s * sigma for (o, _), total in classes.items()
+                   for s in np.flatnonzero(total.any(axis=1)).tolist()})[:10]
 
 
 def _residual(plan, terms, total, i):
@@ -434,36 +450,38 @@ _PASSES = set()
 
 def _image(keys, terms, scalars, den, m=1, j=0):
     """sigma_m T^j of an identity (keys and terms as _index_factors gives
-    them), as {sorted factor list: (c, d, a)}, the term's scalar being
-    c/d e^(pi i a/den) with 0 <= a < den (the sign folded into c); None
-    unless every scalar is one entry c zeta_N^k and the factor lists are
-    distinct.  T sends theta[e; e'] to e^(-pi i e(e+2)/4) theta[e; e'+e+1],
-    sigma_m sends theta[e; e'] to theta[e; m e'], and the even shift
-    theta[e; e'+2n] = e^(pi i e n) theta[e; e'] brings e' into [0, 2).  den
-    must be a multiple of every 4q^2 (e = p/q) and every scalar order, and
-    m a unit mod every root of unity the identity holds."""
-    images = []
+    them), as (factors, {powers: (c, d, a)}): factors is the sorted tuple of
+    the distinct image factors' keys, powers a term's power of each of them
+    in that order (a flat tuple of ints), and the term's scalar is c/d
+    e^(pi i a/den) with 0 <= a < den (the sign folded into c); None unless
+    every scalar is one entry c zeta_N^k and the terms' powers are distinct.
+    T sends theta[e; e'] to e^(-pi i e(e+2)/4) theta[e; e'+e+1], sigma_m
+    sends theta[e; e'] to theta[e; m e'], and the even shift theta[e; e'+2n]
+    = e^(pi i e n) theta[e; e'] brings e' into [0, 2).  den must be a
+    multiple of every 4q^2 (e = p/q) and every scalar order, and m a unit
+    mod every root of unity the identity holds."""
+    images, phases = [], []
     for p, q, r, s, at_zeta in keys:
         n, num = divmod(m * (r * q + j * (p + q) * s), 2 * q * s)
         g = math.gcd(num, q * s)
-        images.append(((p, q, num // g, q * s // g, at_zeta),
-                       (4 * q * n - m * j * (p + 2 * q)) * p
-                       * (den // (4 * q * q))))
+        images.append((p, q, num // g, q * s // g, at_zeta))
+        phases.append((4 * q * n - m * j * (p + 2 * q)) * p
+                      * (den // (4 * q * q)))
+    factors = tuple(sorted(set(images)))
+    place = [factors.index(f) for f in images]
     out = {}
     for fs, scalar in zip(terms, scalars):
         if len(scalar.coeffs) != 1:
             return None
         (k, c), = scalar.coeffs.items()
-        a, factors = 2 * k * m * (den // scalar.order), {}
+        a, powers = 2 * k * m * (den // scalar.order), [0] * len(factors)
         for i, power in fs:
-            key, phase = images[i]
-            factors[key] = factors.get(key, 0) + power
-            a += power * phase
+            powers[place[i]] += power
+            a += power * phases[i]
         a %= 2 * den
-        c = c if a < den else -c
-        out[tuple(sorted(factors.items()))] = (c.numerator, c.denominator,
-                                               a % den)
-    return out if len(out) == len(terms) else None
+        out[tuple(powers)] = (c.numerator if a < den else -c.numerator,
+                              c.denominator, a % den)
+    return (factors, out) if len(out) == len(terms) else None
 
 
 def _phase_den(keys, scalars):
@@ -484,7 +502,8 @@ def _claim_data(rep):
                       for _, q, _, s, _ in keys), *(c.order for c in scalars))
     den = _phase_den(keys, scalars)
     image = _image(keys, terms, scalars, den)
-    form = None if image is None else (den, frozenset(image.items()))
+    form = None if image is None else (den, image[0],
+                                       frozenset(image[1].items()))
     return keys, terms, scalars, unit, form
 
 
@@ -493,7 +512,9 @@ def _claimed(ident):
     (representative, m, j) when the claim checks, else None.  It checks
     when m is prime to the representative's unit modulus, the
     representative claims no orbit itself, and ident's terms are those of
-    sigma_m T^j of it times one global scalar (_image).  Integers only; the
+    sigma_m T^j of it times one global scalar (_image): each term's ratio
+    own / image, num/d e^(pi i a/den) with 0 <= a < den, equals the first
+    term's, num * d0 = num0 * d (no gcd) and a = a0.  Integers only; the
     representative's side is its cached _claim_data."""
     rep, m, j = ident.derived_from
     if rep.derived_from is not None:
@@ -506,15 +527,20 @@ def _claimed(ident):
     den = math.lcm(_phase_den(rkeys, rscalars), _phase_den(keys, scalars))
     image = _image(rkeys, rterms, rscalars, den, m, j)
     own = _image(keys, terms, scalars, den)
-    if image is None or own is None or image.keys() != own.keys():
+    if (image is None or own is None or image[0] != own[0]
+            or image[1].keys() != own[1].keys()):
         return None
-    ratios = set()   # own / image per term, as (c, d, a) like the scalars
-    for f, (c0, d0, a0) in own.items():
+    image, first = image[1], None
+    for f, (c0, d0, a0) in own[1].items():
         c1, d1, a1 = image[f]
-        num, d, a = c0 * d1, d0 * c1, (a0 - a1) % (2 * den)
-        g = math.gcd(num, d) * (1 if d > 0 else -1)
-        ratios.add(((num if a < den else -num) // g, d // g, a % den))
-    return form if len(ratios) == 1 else None
+        num, d, a = c0 * d1, d0 * c1, a0 - a1
+        if a < 0:
+            num, a = -num, a + den
+        if first is None:
+            first = num, d, a
+        elif a != first[2] or num * first[1] != first[0] * d:
+            return None
+    return form
 
 
 def verify_all(catalog, cutoff):
@@ -569,7 +595,7 @@ def discover_relations(monomials, tau, z_samples, threshold=1e-8, cfg=None):
         for j, power in col:
             v *= values[j] ** power
         M[:, i] = v
-    _, sv, vh = np.linalg.svd(M)
+    _, sv, vh = np.linalg.svd(M, full_matrices=False)   # only sv, vh[-1] read
     if not sv[0]:
         raise ValueError("degenerate sampling: all monomials vanish")
     nullity = int(np.sum(sv <= threshold * sv[0]))

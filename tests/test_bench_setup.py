@@ -23,7 +23,9 @@ def run_part(*args):
 
 
 @pytest.mark.parametrize(
-    "args", [("setup",), ("verify_c8", "--size", "smoke")], ids=lambda a: a[0])
+    "args", [("setup",)] + [(part, "--size", "smoke") for part in
+                            ("verify_c8", "verify_c16", "verify_c32")],
+    ids=lambda a: a[0])
 def test_part_reports_its_setup(args):
     out = run_part(*args)
     for key in ("setup_s", "import_s", "catalog_s"):
@@ -32,8 +34,14 @@ def test_part_reports_its_setup(args):
         assert out["attempted"] == 81 and out["failed"] == 0, out["failures"]
 
 
-@pytest.mark.parametrize("part", ["eval", "relations"])
+@pytest.mark.parametrize("part", ["eval", "relations", "residues"])
 def test_numeric_part_answers_every_operation(part):
     # the benchmark's own path through the point cache and its fills
+    out = run_part(part, "--size", "smoke")
+    assert out["attempted"] > 0 and out["failed"] == 0, out["failures"]
+
+
+@pytest.mark.parametrize("part", ["resultant_exact", "sigma"])
+def test_exact_lab_part_answers_every_operation(part):
     out = run_part(part, "--size", "smoke")
     assert out["attempted"] > 0 and out["failed"] == 0, out["failures"]

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 import time
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta5.cyclotomic import (MAX_ORDER, Cyclotomic, _fold, cyclo_root,
-                               cyclotomic_polynomial, exp_pi_i, kron_pack,
-                               kron_unpack, kron_width, norm_adjugate,
-                               reduction_matrix, ring_mul)
+from theta5.cyclotomic import (MAX_ORDER, Cyclotomic, _fold, _poly_div_exact,
+                               cyclo_root, cyclotomic_polynomial, exp_pi_i,
+                               kron_pack, kron_unpack, kron_width,
+                               norm_adjugate, radical, reduction_matrix,
+                               ring_mul)
 
 
 # -- Phi_n oracles -------------------------------------------------------------
@@ -42,6 +44,47 @@ def test_phi_105_has_coefficient_minus_two():
     # product via numpy in development)
     assert cyclotomic_polynomial(105)[7] == -2
 
+
+
+@functools.lru_cache(maxsize=None)
+def divided_phi(n):
+    """Phi_n by iterated exact division of x^n - 1 by Phi_d over every
+    proper divisor d | n, squarefree or not: the oracle of the radical
+    form."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_div_exact(poly, divided_phi(d))
+    return tuple(poly)
+
+
+def test_radical():
+    for n in range(1, 1001):
+        want = math.prod(p for p in range(2, n + 1) if n % p == 0
+                         and all(p % d for d in range(2, p)))
+        assert radical(n) == want, n
+
+
+def test_phi_from_the_radical_matches_division():
+    # Phi_n(x) = Phi_r(x^(n/r)), r = rad n, for every order in use
+    for n in range(1, MAX_ORDER + 1):
+        assert cyclotomic_polynomial(n) == divided_phi(n), n
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 12, 20, 25, 27, 36, 50, 100, 128,
+                               200, 243, 400])
+def test_reduction_matrix_of_a_non_squarefree_order(n):
+    # row k of reduction_matrix(n) is zeta_n^k in the power basis: the
+    # unit vectors below phi(n), and zeta_n^k at the root above; and the
+    # matrix is the one the division oracle's Phi_n gives
+    red = reduction_matrix(n)
+    phi = len(divided_phi(n)) - 1
+    assert red.shape == (n, phi)
+    assert (red[:phi] == np.eye(phi, dtype=np.int64)).all()
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    assert np.allclose(red @ roots[:phi], roots, atol=1e-9)
+    # zeta^phi = -(Phi_n - x^phi) at zeta
+    assert red[phi].tolist() == [-c for c in divided_phi(n)[:phi]]
 
 def long_division(c):
     """c's dense coefficient list mod Phi_N (degree < phi(N)) by Fraction

@@ -509,8 +509,8 @@ def test_discover_mixed_factors_match_a_scalar_loop(monkeypatch):
         want[:, i] = col
     seen = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda M: seen.append(M.copy()) or svd(M))
+    monkeypatch.setattr(np.linalg, "svd", lambda M, **kw: seen.append(
+        M.copy()) or svd(M, **kw))
     rel = discover_relations(monos, tau, z_samples)
     assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
     assert rel.nullity == 1  # each monomial scaled by a nonzero constant
@@ -536,6 +536,36 @@ def test_discovery_and_quadratics_construct_no_fraction(monkeypatch):
     theta_quadratics(tau, z, w)
     assert made == []
 
+
+
+@st.composite
+def _discovery_matrix(draw):
+    """A complex sample matrix of discovery's shape (at least as many zeta
+    samples as monomials), its last columns at times combinations of the
+    others, so that it is rank-deficient."""
+    k = draw(st.integers(1, 5))
+    rows = draw(st.integers(k, 12))
+    floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+    def vector(n):
+        return np.array(draw(st.lists(floats, min_size=2 * n,
+                                      max_size=2 * n))).view(complex)
+
+    M = vector(rows * k).reshape(rows, k)
+    free = k - draw(st.integers(0, k - 1))
+    for i in range(free, k):
+        M[:, i] = M[:, :free] @ vector(free)
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_discovery_matrix())
+def test_reduced_svd_is_the_full_one(M):
+    # discover_relations reads sv and vh[-1] of the reduced SVD: the full
+    # one gives the same bits
+    _, sv, vh = np.linalg.svd(M)
+    _, rsv, rvh = np.linalg.svd(M, full_matrices=False)
+    assert rsv.tobytes() == sv.tobytes() and rvh.tobytes() == vh.tobytes()
 
 # -- orbits: derived verdicts ---------------------------------------------------
 
@@ -699,6 +729,37 @@ def test_claim_needs_distinct_factor_lists():
     assert verify_exact(probe, 4).status == "fail"
 
 
+
+def test_claim_with_one_scalar_negated_is_computed_directly():
+    # one term off by -1 breaks the one global ratio: the claim is
+    # rejected and the member, now false, fails on its own expansion
+    ident = _by_id("cube-product-15-3")
+    probe = copy.deepcopy(ident)
+    probe.derived_from = ident.derived_from
+    probe.terms[2].scalar = -probe.terms[2].scalar
+    assert v._claimed(probe) is None
+    got = verify_exact(probe, 8)
+    assert got.status == "fail" and got.derived_from is None
+    assert got.to_dict() == verify_exact(dataclasses.replace(
+        probe, derived_from=None), 8).to_dict()
+
+
+def test_claim_up_to_a_negative_rational_holds():
+    # every scalar times -3/7 is still the image times one global scalar:
+    # the ratios' signs and denominators meet in the cross-multiplication
+    ident = _by_id("ratio7-15-3-1")
+    scaled = [IdentityTerm(t.scalar * Cyclotomic.from_rational(
+        Fraction(-3, 7)), list(t.factors)) for t in ident.terms]
+    probe = dataclasses.replace(ident, terms=scaled)
+    assert v._claimed(probe) is not None
+    assert _oracle_holds(probe, *probe.derived_from)
+    got = verify_exact(probe, 8)
+    assert got.passed and got.derived_from["id"] == ident.derived_from[0].id
+    # with one term's factor -3/7 and the others' 3/7, it does not hold
+    scaled[0].scalar = -scaled[0].scalar
+    assert v._claimed(probe) is None
+    assert not _oracle_holds(probe, *probe.derived_from)
+
 def test_claims_are_not_chained():
     # two identities that claim each other are both verified directly
     a, b = (dataclasses.replace(_by_id("jacobi-quartic"), id=name)
@@ -745,10 +806,16 @@ def test_lone_factor_residuals_build_no_series(monkeypatch):
 
 # -- the dense unit-class lane ---------------------------------------------------
 
+def _lane_passes(plan):
+    """Whether the lane finds the plan's identity to pass: no nonzero
+    position, where None leaves the verdict to the sparse path."""
+    return v._lane(plan) == []
+
+
 def _lane_and_sparse(ident, cutoff):
     """The lane's verdict and the sparse path's status on one plan."""
     plan = v._plan(ident, Fraction(cutoff))
-    return v._lane_passes(plan), v._sparse(plan)[0]
+    return _lane_passes(plan), v._sparse(plan)[0]
 
 
 def _constant_entries():
@@ -910,7 +977,7 @@ def test_lane_measures_loose_bounds(monkeypatch):
     norms, measured = v._norms, []
     monkeypatch.setattr(v, "_norms", lambda c: measured.append(1) or norms(c))
     monkeypatch.setattr(v, "_INT64_SAFE", 1 << 40)
-    assert v._lane_passes(v._plan(_by_id("cube-product-15-1"), Fraction(16)))
+    assert _lane_passes(v._plan(_by_id("cube-product-15-1"), Fraction(16)))
     assert measured
 
 
@@ -926,3 +993,50 @@ def test_lane_mutants_fail_with_sparse_residuals(monkeypatch, ident_id):
     monkeypatch.setattr(v, "_LANE_ENTRIES", 0)
     assert reports_to_json(got) == reports_to_json([verify_exact(i, 8)
                                                     for i in mutants])
+
+
+@pytest.mark.parametrize("cutoff", [Fraction(1, 10), Fraction(1, 2), 1, 2,
+                                    4, 8, 16, 32, 64])
+def test_fail_reports_cut_at_the_tenth_residual(monkeypatch, cutoff):
+    # every entry and its sign-flip mutants: the reports from plans cut at
+    # the tenth nonzero position the lane finds are byte for byte those of
+    # the uncut sparse route
+    cat = builtin_catalog()
+    entries = cat + [corrupt_identity(i, seed) for i in cat for seed in range(3)]
+    assert len(entries) == 324
+    got = reports_to_json([verify_exact(i, cutoff) for i in entries])
+    monkeypatch.setattr(v, "_LANE_ENTRIES", 0)
+    assert got == reports_to_json([verify_exact(i, cutoff) for i in entries])
+
+
+def test_fewer_than_ten_residuals_keep_the_cutoff(monkeypatch):
+    # the misprint has two nonzero positions up to x^(1/2): the sparse path
+    # runs at the full cutoff and reports both
+    ident = _by_id("quintic-epsp35-printed")
+    sparse, cuts = v._sparse, []
+    monkeypatch.setattr(v, "_sparse", lambda plan: cuts.append(plan.cut)
+                        or sparse(plan))
+    got = verify_exact(ident, Fraction(1, 2))
+    assert got.status == "fail" and len(got.residuals) == 2
+    assert cuts == [(1, 2)]
+    monkeypatch.setattr(v, "_LANE_ENTRIES", 0)
+    assert got.to_dict() == verify_exact(ident, Fraction(1, 2)).to_dict()
+
+
+def test_fail_report_expands_nothing_past_its_tenth_residual(monkeypatch):
+    # at cutoff 256 the misprint's tenth residual is at x^(89/20), ix 445 on
+    # its grid of dx = 100: no product of the report reaches past it
+    ident = _by_id("quintic-epsp35-printed")
+    plan = v._plan(ident, Fraction(256))
+    assert plan.grid[0] == 100 and v._lane(plan)[-1] == 445
+    v._theta_power.cache_clear()
+    mul, cuts = v.packed_mul, []
+    monkeypatch.setattr(v, "packed_mul", lambda a, b, icut: cuts.append(
+        Fraction(icut, a.dx)) or mul(a, b, icut))
+    got = verify_exact(ident, 256)
+    assert cuts and max(cuts) <= Fraction(89, 20)
+    assert len(got.residuals) == 10
+    assert got.residuals[-1][0].xExp == Fraction(89, 20)
+    monkeypatch.setattr(v, "_LANE_ENTRIES", 0)
+    assert got.to_dict() == verify_exact(ident, 256).to_dict()
+    v._theta_power.cache_clear()
