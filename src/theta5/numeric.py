@@ -18,14 +18,18 @@ identity residual looks up its distinct factors there and sends all misses
 to one kernel call.  A characteristic the cache meets for the first time is
 filled in, in that same call, at every point of its kind the cache holds,
 so a sweep of identities over fixed sampled points (`theta5 eval`) pays one
-call per new characteristic rather than one per point.  The
-relation-discovery grid, the theta quadratics and the residue contours pass
-arrays straight to the kernel.
+call per new characteristic rather than one per point.  The kernel reads a
+characteristic and zeta only as a = eps/2 and u = zeta + eps'/2.  The
+residue contours pass arrays straight to it; relation discovery, the theta
+quadratics and their shared root call its scalar-tau window sum through
+`_theta_rows`, on read-only (a, u) arrays built once per grid that repeats
+(discovery's zeta grid, the root's zeta = 0).  Neither uses the point cache.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -76,48 +80,49 @@ def _theta_sum(eps, epsp, zeta, tau, cfg, deriv):
     with zeta, at tau given as a complex scalar or as a complex array paired
     with zeta.  Terms are
     exp(pi*i*(n+eps/2)^2*tau) * exp(2*pi*i*(n+eps/2)*(zeta+eps'/2)), summed
-    over a window of n around each point's peak term.  Each point has its
-    own window: its first half-width comes from its tau (_first_k), and
-    after a pass only the points whose edge terms are not both below tol/100
-    (relative to their largest term, when that exceeds 1) get a doubled one.
-    With a tau per point, points are summed in groups that share a first
-    window, in blocks of at most _BLOCK_ROWS.  A point's value so never
-    depends on the other points of the call: it is the same to the bit as
-    that of a one-point call."""
+    over a window of n around each point's peak term, from a = eps/2 and
+    u = zeta + eps'/2 alone (_window_sum).  Each point has its own window:
+    its first half-width comes from its tau (_first_k), and after a pass
+    only the points whose edge terms are not both below tol/100 (relative
+    to their largest term, when that exceeds 1) get a doubled one.  With a
+    tau per point, points are summed in groups that share a first window,
+    in blocks of at most _BLOCK_ROWS.  A point's value so never depends on
+    the other points of the call: it is the same to the bit as that of a
+    one-point call."""
     per_point = isinstance(tau, np.ndarray)
     if (tau.imag <= 0).any() if per_point else tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    a, b = eps / 2.0, epsp / 2.0
+    a, u = eps / 2.0, zeta + epsp / 2.0
     if not per_point:
-        return _window_sum(a, b, zeta, tau, _first_k(tau, cfg), cfg, deriv)
+        return _window_sum(a, u, tau, _first_k(tau, cfg), cfg, deriv)
     ks = {t: _first_k(t, cfg) for t in set(tau.tolist())}
     first = np.array([ks[t] for t in tau.tolist()])
-    out = np.empty(len(zeta), complex)
-    for k in np.unique(first).tolist():
+    out = np.empty(len(u), complex)
+    for k in sorted(set(ks.values())):
         rows = np.flatnonzero(first == k)
         for at in np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS)):
-            out[at] = _window_sum(*(v[at] if isinstance(v, np.ndarray) else v
-                                    for v in (a, b, zeta, tau)),
-                                  k, cfg, deriv)
+            out[at] = _window_sum(a[at] if isinstance(a, np.ndarray) else a,
+                                  u[at], tau[at], k, cfg, deriv)
     return out
 
 
-def _window_sum(a, b, zeta, tau, k, cfg, deriv):
-    """_theta_sum at points that share the first half-width k; a = eps/2,
-    b = eps'/2 and tau are scalars or arrays paired with zeta."""
+def _window_sum(a, u, tau, k, cfg, deriv):
+    """_theta_sum at the points u = zeta + eps'/2 that share the first
+    half-width k; a = eps/2 and tau are scalars or arrays paired with u.
+    Im u = Im zeta places the peaks (a -0.0 turned +0.0 moves none)."""
     k_max = (cfg.max_terms - 1) // 2
     paired, per_point = isinstance(a, np.ndarray), isinstance(tau, np.ndarray)
     if paired:
-        a, b = a[:, None], b[:, None]
+        a = a[:, None]
     if per_point:
         tau = tau[:, None]
-    zeta = zeta[:, None]
+    u = u[:, None]
     # |term| = exp(-pi*(n+a)^2 Im tau - 2*pi*(n+a) Im zeta) peaks here:
-    center = np.rint(-a - zeta.imag / tau.imag)
+    center = np.rint(-a - u.imag / tau.imag)
     out = at = None  # the result and the rows still open, once a pass splits
     while True:
         m = (center + np.arange(-k, k + 1)) + a  # integer n, then n + a
-        t = np.exp(1j * math.pi * (m * m * tau + 2 * m * (zeta + b)))
+        t = np.exp(1j * math.pi * (m * m * tau + 2 * m * u))
         if deriv:
             t *= TWO_PI_I * m
         mag = np.abs(t)
@@ -133,12 +138,12 @@ def _window_sum(a, b, zeta, tau, k, cfg, deriv):
                 f"theta sum did not converge within {cfg.max_terms} terms")
         if done.any():
             if out is None:
-                out, at = np.empty(len(zeta), complex), np.arange(len(zeta))
+                out, at = np.empty(len(u), complex), np.arange(len(u))
             out[at[done]] = t.sum(axis=1)[done]
             wide = ~done
-            at, center, zeta = at[wide], center[wide], zeta[wide]
+            at, center, u = at[wide], center[wide], u[wide]
             if paired:
-                a, b = a[wide], b[wide]
+                a = a[wide]
             if per_point:
                 tau = tau[wide]
         k = min(k_max, 2 * k)
@@ -242,21 +247,16 @@ def _point_sums(todo, tau, cfg, deriv):
 _POINTS = _PointCache(1 << 18)
 
 
-def _theta_at(chars, zeta, tau, cfg=None, deriv=False):
-    """theta[c](zeta) (or its derivative) for each characteristic c of chars,
-    at one scalar zeta and tau, through the point cache."""
-    return _POINTS.lookup([((eps.numerator, eps.denominator, epsp.numerator,
-                            epsp.denominator), True) for eps, epsp in chars],
-                          complex(zeta), complex(tau), cfg or _DEFAULT_CFG,
-                          deriv)
-
-
 def _theta(c, zeta, tau, cfg, deriv):
+    cfg = cfg or _DEFAULT_CFG
     if isinstance(zeta, np.ndarray):
         return _theta_sum(float(c.eps), float(c.epsp),
-                          zeta.astype(complex).ravel(), complex(tau),
-                          cfg or _DEFAULT_CFG, deriv).reshape(zeta.shape)
-    return _theta_at([c], zeta, tau, cfg, deriv)[0]
+                          zeta.astype(complex).ravel(), complex(tau), cfg,
+                          deriv).reshape(zeta.shape)
+    eps, epsp = c
+    return _POINTS.lookup([((eps.numerator, eps.denominator, epsp.numerator,
+                             epsp.denominator), True)],
+                          complex(zeta), complex(tau), cfg, deriv)[0]
 
 
 def theta_eval(c, zeta, tau, cfg=None):
@@ -271,17 +271,33 @@ def theta_deriv_eval(c, zeta, tau, cfg=None):
     return _theta(c, zeta, tau, cfg, True)
 
 
+def _kernel_inputs(chars, zeta):
+    """_theta_rows's read-only kernel inputs (a, u) = (eps/2, zeta + eps'/2):
+    for each float pair (eps, eps') of chars, a row over zeta."""
+    a = np.array([e / 2.0 for e, _ in chars]).repeat(len(zeta))
+    u = (np.array(zeta, complex)
+         + np.array([e / 2.0 for _, e in chars])[:, None]).ravel()
+    a.flags.writeable = u.flags.writeable = False
+    return a, u
+
+
+#: _kernel_inputs at the grids that repeat, chars and zeta given as tuples
+_grid_inputs = functools.lru_cache(maxsize=64)(_kernel_inputs)
+
+
 def _theta_rows(chars, zeta, tau, cfg=None):
     """theta[eps; eps'] at every point of the sequence zeta for each float
     pair (eps, eps') of chars, as a (len(chars), len(zeta)) array from one
-    kernel call."""
-    zeta = np.asarray(zeta, complex)
-    n = len(zeta)
-    eps = np.array([e for e, _ in chars]).repeat(n)
-    epsp = np.array([e for _, e in chars]).repeat(n)
-    return _theta_sum(eps, epsp, zeta[None].repeat(len(chars), 0).ravel(),
-                      complex(tau), cfg or _DEFAULT_CFG,
-                      False).reshape(len(chars), n)
+    scalar-tau window sum, bypassing the point cache.  With chars and zeta
+    tuples the kernel inputs are built once (_grid_inputs); for other
+    sequences (the theta quadratics' fresh points), for this call alone."""
+    tau, cfg = complex(tau), cfg or _DEFAULT_CFG
+    if tau.imag <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    a, u = (_grid_inputs if isinstance(zeta, tuple)
+            else _kernel_inputs)(chars, zeta)
+    return _window_sum(a, u, tau, _first_k(tau, cfg), cfg,
+                       False).reshape(len(chars), len(zeta))
 
 
 def sample_tau(seed, count):

@@ -21,8 +21,7 @@ from fractions import Fraction
 from .cyclotomic import (MAX_ORDER, Cyclotomic, cyclo_root, int_vector,
                          kron_pack, kron_unpack, kron_width, reduce_poly,
                          reduction_rows)
-from .numeric import _theta_at, _theta_rows
-from .theta import Characteristic
+from .numeric import _theta_rows
 
 
 def _as_cyclo(c):
@@ -152,8 +151,7 @@ def resultant_2x2(a, b):
 _QUADRATIC_KS = (1, 3, 5, 7, 9)
 _QUADRATIC_CHARS = [(1 / 5, k / 5) for k in _QUADRATIC_KS]  # [1/5; k/5]
 _W5 = cyclo_root(2, 5).embed()
-_ROOT_CHARS = [Characteristic.of(1, Fraction(1, 5)),
-               Characteristic.of(1, Fraction(3, 5))]
+_ROOT_CHARS = ((1.0, 1 / 5), (1.0, 3 / 5))  # [1; 1/5], [1; 3/5]
 
 
 def theta_quadratics(tau, z, w, cfg=None):
@@ -174,6 +172,7 @@ def theta_quadratics(tau, z, w, cfg=None):
 
 
 def shared_root_ratio(tau, cfg=None):
-    """The common root itself: theta[1;1/5] / theta[1;3/5] at zeta = 0."""
-    c1, c3 = _theta_at(_ROOT_CHARS, 0.0, tau, cfg)
+    """The common root itself: theta[1;1/5] / theta[1;3/5] at zeta = 0,
+    from one window sum on inputs built once, bypassing the point cache."""
+    (c1,), (c3,) = _theta_rows(_ROOT_CHARS, (0j,), tau, cfg).tolist()
     return c1 / c3

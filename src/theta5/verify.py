@@ -572,11 +572,18 @@ def zeta_grid(z_samples):
             for j in range(z_samples)]
 
 
+#: zeta_grid as a tuple, once per size: _theta_rows keeps its inputs
+_grid = functools.lru_cache(maxsize=64)(lambda n: tuple(zeta_grid(n)))
+
+
 def discover_relations(monomials, tau, z_samples, threshold=1e-8, cfg=None):
     """Numeric nullspace of the (z_samples x k) sample matrix of the given
     theta-product monomials at fixed tau.  Returns nullity and, if >= 1, one
-    nullspace vector normalized so its first significant entry is 1."""
+    nullspace vector normalized so its first significant entry is 1, all as
+    Python numbers."""
     k = len(monomials)
+    if not k:
+        raise ValueError("need at least one monomial")
     if z_samples < k:
         raise ValueError("need at least as many zeta samples as monomials")
     if tau.imag <= 0:
@@ -584,30 +591,32 @@ def discover_relations(monomials, tau, z_samples, threshold=1e-8, cfg=None):
     # the distinct characteristics of the zeta factors on the grid, in one
     # kernel call, as the doubles p / q and r / s of their integer keys
     keys, cols = _index_factors(monomials)
-    rows = iter(_theta_rows([(p / q, r / s) for p, q, r, s, at_zeta in keys
-                             if at_zeta], zeta_grid(z_samples), tau, cfg))
+    rows = iter(_theta_rows(tuple((p / q, r / s) for p, q, r, s, at_zeta
+                                  in keys if at_zeta),
+                            _grid(z_samples), tau, cfg))
     values = [next(rows) if at_zeta else theta_eval(Characteristic(
                   Fraction(p, q), Fraction(r, s)), 0.0, tau, cfg)
               for p, q, r, s, at_zeta in keys]
-    M = np.empty((z_samples, k), dtype=complex)
+    M = np.ones((z_samples, k), dtype=complex)
     for i, col in enumerate(cols):
-        v = 1.0
-        for j, power in col:
-            v *= values[j] ** power
-        M[:, i] = v
+        for n, (j, power) in enumerate(col):
+            x = values[j] if power == 1 else values[j] ** power
+            M[:, i] = M[:, i] * x if n else x
     _, sv, vh = np.linalg.svd(M, full_matrices=False)   # only sv, vh[-1] read
+    sv = sv.tolist()
     if not sv[0]:
         raise ValueError("degenerate sampling: all monomials vanish")
-    nullity = int(np.sum(sv <= threshold * sv[0]))
+    cut = float(threshold * sv[0])
+    nullity = sum(s <= cut for s in sv)
     coeffs = []
     if nullity >= 1:
         vec = vh[-1].conj()
-        lead = next(i for i, x in enumerate(vec) if abs(x) > 1e-12)
-        coeffs = list(vec / vec[lead])
+        lead = next(i for i, x in enumerate(vec.tolist()) if abs(x) > 1e-12)
+        coeffs = (vec / vec[lead]).tolist()
         coeffs[lead] = 1 + 0j  # exactly, not up to the sign of a zero
     return DiscoveredRelation(monomials=list(monomials), coefficients=coeffs,
-                              nullity=nullity, tau=tau,
-                              singular_values=[float(s) for s in sv])
+                              nullity=nullity, tau=complex(tau),
+                              singular_values=sv)
 
 
 def reports_to_json(reports):

@@ -236,6 +236,17 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_eval_does_not_load_numpy_ma():
+    # the first point-cache fill groups its rows without np.unique, whose
+    # import of numpy.ma costs every eval process time and memory
+    code = ("import sys; from theta5.cli import main; "
+            "main(['--seed', '0', 'eval']); print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     # an uncaught exception is not a failed identity (1) or a usage error (2)
     def broken(args):

@@ -277,6 +277,43 @@ def test_only_the_open_points_widen(monkeypatch):
         assert got[i] == one[0]
 
 
+thirds = st.integers(-6, 6).map(lambda k: Fraction(k, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chars=st.lists(st.tuples(fifths | thirds, fifths | thirds),
+                      min_size=1, max_size=5),
+       tau=st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.3, 3.0)),
+       points=st.lists(st.tuples(st.floats(-1.0, 1.0),
+                                 st.sampled_from([0.0, -0.0])
+                                 | st.floats(-3.0, 3.0)),
+                       min_size=1, max_size=6))
+def test_theta_rows_equal_one_point_calls(chars, tau, points):
+    # the rows come from one window sum on (eps/2, zeta + eps'/2) inputs,
+    # cached for a tuple grid and built afresh for a list: every value is
+    # the one-point value to the bit, also at Im zeta = -0.0 (Im u = +0.0)
+    zeta = [complex(x, y * tau.imag) for x, y in points]
+    pairs = tuple((float(e), float(ep)) for e, ep in chars)
+    want = [[theta_eval(C(e, ep), z, tau) for z in zeta] for e, ep in chars]
+    numeric._grid_inputs.cache_clear()
+    for grid in (zeta, tuple(zeta), tuple(zeta)):  # fresh, cached, hit
+        got = numeric._theta_rows(pairs, grid, tau)
+        assert got.shape == (len(chars), len(zeta))
+        assert got.tolist() == want
+    info = numeric._grid_inputs.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_cached_kernel_inputs_are_read_only():
+    a, u = numeric._grid_inputs(((0.2, 0.6), (1.0, 0.2)), (0j, 0.1 + 0.2j))
+    assert a.tolist() == [0.1, 0.1, 0.5, 0.5]
+    assert u.tolist() == [0j + 0.3, 0.1 + 0.2j + 0.3, 0j + 0.1, 0.1 + 0.2j + 0.1]
+    for arr in (a, u):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def loop_residual(ident, tau, zeta=None):
     """identity_residual as a product loop over scalar theta_eval calls,
     factor by factor in each term's order."""

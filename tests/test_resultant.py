@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from theta5 import numeric
 from theta5.cli import main
 from theta5.cyclotomic import Cyclotomic, cyclo_root, cyclotomic_polynomial
-from theta5.numeric import sample_tau, sample_zeta
+from theta5.numeric import sample_tau, sample_zeta, theta_eval
 from theta5.resultant import (_bareiss_det, poly_degree, resultant,
                               resultant_2x2, shared_root_ratio,
                               sylvester_matrix, theta_quadratics)
+from theta5.theta import Characteristic
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,6 +119,19 @@ def test_theta_quadratics_generic_resultant_is_nonzero():
     fq = (fq[0] * 1.01, fq[1], fq[2])
     scale = max(abs(c) for c in (*fq, *gq))
     assert abs(resultant_2x2(fq, gq)) > 1e-6 * scale ** 4
+
+
+def test_shared_root_bypasses_the_point_cache():
+    # one window sum at zeta = 0 on inputs built once, the same to the bit
+    # as the quotient of two one-point calls
+    taus = sample_tau(11, 50)
+    numeric._POINTS.clear()
+    got = [shared_root_ratio(tau) for tau in taus]
+    assert (numeric._POINTS.hits, numeric._POINTS.misses) == (0, 0)
+    c1 = Characteristic.of(1, Fraction(1, 5))
+    c3 = Characteristic.of(1, Fraction(3, 5))
+    assert got == [theta_eval(c1, 0, tau) / theta_eval(c3, 0, tau)
+                   for tau in taus]
 
 
 # -- the Fraction Bareiss that integer elimination over Z[zeta_N] replaced,

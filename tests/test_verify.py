@@ -18,8 +18,9 @@ from theta5.catalog import (Argument, ExpectedStatus, Identity, IdentityKind,
                             load_catalog, normalize_identity, save_catalog)
 from theta5.catalog_data import builtin_catalog
 from theta5.cyclotomic import Cyclotomic, cyclo_root, exp_pi_i
-from theta5.numeric import theta_eval
-from theta5.resultant import theta_quadratics
+from theta5 import numeric
+from theta5.numeric import sample_tau, sample_zeta, theta_eval
+from theta5.resultant import shared_root_ratio, theta_quadratics
 from theta5.series import (ExponentPair, Packed, PuiseuxSeries2, _key,
                            on_common_grid, pack, packed_mul, packed_sum)
 from theta5.theta import Characteristic, ThetaMode, theta_series
@@ -459,6 +460,43 @@ def test_discover_validates_input():
         discover_relations(monos, 0.2 + 1.1j, 2)  # too few samples
     with pytest.raises(ValueError):
         discover_relations(monos, 0.2 - 1.1j, 9)  # lower half-plane
+
+
+def test_discover_needs_a_monomial():
+    with pytest.raises(ValueError, match="need at least one monomial"):
+        discover_relations([], 0.2 + 1.1j, 9)
+
+
+def test_discovered_relation_holds_python_numbers():
+    # a numpy float threshold still gives a Python int nullity, and the
+    # relation serializes as the CLI writes it
+    monos = _quartic_monomials(Fraction(1, 5))
+    for threshold in (1e-8, np.float64(1e-8)):
+        rel = discover_relations(monos, np.complex128(0.21 + 1.05j), 9,
+                                 threshold)
+        assert rel.nullity == 1 and type(rel.nullity) is int
+        assert {type(c) for c in rel.coefficients} == {complex}
+        assert {type(s) for s in rel.singular_values} == {float}
+        assert type(rel.tau) is complex
+        json.dumps({"nullity": rel.nullity, "tau": [rel.tau.real, rel.tau.imag],
+                    "singular_values": rel.singular_values,
+                    "coefficients": [[c.real, c.imag]
+                                     for c in rel.coefficients]})
+
+
+def test_relation_inputs_are_built_once_per_grid():
+    # a relations sweep: after its first call, every discovery and shared
+    # root finds its kernel inputs cached; the quadratics' fresh points
+    # add no entry
+    numeric._grid_inputs.cache_clear()
+    z, w = sample_zeta(3, 2)
+    for tau in sample_tau(3, 20):
+        for eps in (Fraction(1, 5), Fraction(3, 5)):
+            discover_relations(_quartic_monomials(eps), tau, 9)
+        theta_quadratics(tau, z, w)
+        shared_root_ratio(tau)
+    info = numeric._grid_inputs.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (57, 3, 3)
 
 
 def test_discover_independent_monomials_have_zero_nullity():
