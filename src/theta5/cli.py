@@ -25,8 +25,7 @@ from .numeric import (EvalConfig, RESIDUE_WITNESSES, identity_residual,
                       residue_report, sample_tau, sample_zeta)
 from .resultant import resultant, resultant_2x2, shared_root_ratio, theta_quadratics
 from .theta import Characteristic, ThetaMode, theta_series
-from .verify import (batch_status, discover_relations, reports_to_json,
-                     verify_all)
+from .verify import batch_status, discover_relations, verify_all
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 EXIT_INCONCLUSIVE = 4
@@ -97,7 +96,7 @@ def cmd_verify(args):
                         if r.derived_from else ""))
     lines.append(f"batch: {status.upper()} "
                  f"({len(reports)} identities, {elapsed:.1f} s)")
-    _emit(args, json.loads(reports_to_json(reports)), lines)
+    _emit(args, {"reports": [r.to_dict() for r in reports]}, lines)
     return {"pass": EXIT_OK, "fail": EXIT_FAIL,
             "inconclusive": EXIT_INCONCLUSIVE}[status]
 
@@ -355,6 +354,8 @@ def main(argv=None):
         args.samples = _DEFAULT_SAMPLES.get(args.command, 3)
     if args.samples < 1:  # zero samples would check nothing and still pass
         parser.error(f"--samples must be >= 1, got {args.samples}")
+    if not 0 <= args.tol < 1:   # EvalConfig's range; nan and inf fall outside
+        parser.error(f"--tol must be in [0, 1), got {args.tol}")
     try:
         return args.handler(args)
     except SystemExit2 as e:

@@ -9,22 +9,21 @@ A constant-kind identity is tried first in the dense unit-class lane
 modulo Q(zeta_M), M | N, and each class must cancel on its own; every term
 is one dense int64 series over Z[zeta_M], multiplied by its bare factors one
 power at a time in shifted adds, with no sort or merge.  When a class does
-not cancel, the lane knows every position where the sum is nonzero, and the
-sparse way writes the fail report from a plan cut at the tenth of them (or
-at the cutoff, with fewer than ten): truncation keeps every entry up to the
-cut, so the ten reported positions and their coefficients are those of the
-full expansion.  When the lane gives up (every term empty, a factor at
-zeta, a bound past int64, an array past its budget) and for every
-function-kind identity the sparse way runs at the full cutoff; it writes
-every fail and inconclusive report: a term is a product of powers of theta
-factors, each built once per cutoff and cached on the identity's grid
-(_theta_power), so a term costs one kernel call per factor after the first,
-whatever the powers, until operands grow dense (_DENSE_PAIRS).  Terms and
-their sum stay packed (series.Packed; no PuiseuxSeries2 is built): each entry
-of a scalar is a key add, the sum is one merge of keys, and only the
-reported positions are decoded.  A term with no entry up to the cutoff is 0
-there (theta exponents are >= 0); when every term is, nothing is compared
-and the report is "inconclusive".
+not cancel, the lane knows the first ten positions where the sum is
+nonzero, and the sparse way writes the fail report from a plan cut at the
+last of them: truncation keeps every entry up to the cut, so the reported
+positions and their coefficients are those of the full expansion.  When the
+lane gives up (every term empty, a factor at zeta, a bound past int64, an
+array past its budget) and for every function-kind identity the sparse way
+runs at the full cutoff; it writes every fail and inconclusive report: a
+term is a product of powers of theta factors, each built once per cutoff and
+cached on the identity's grid (_theta_power), so a term costs one kernel
+call per factor after the first, whatever the powers.  Terms and their sum
+stay packed (series.Packed; no PuiseuxSeries2 is built): each entry of a
+scalar is a key add, the sum is one merge of keys, and only the reported
+positions are decoded.  A term with no entry up to the cutoff is 0 there
+(theta exponents are >= 0); when every term is, nothing is compared and the
+report is "inconclusive".
 An identity may claim to be sigma_m T^j of a representative up to a global
 scalar (Identity.derived_from; sigma_m: zeta -> zeta^m, T: tau -> tau + 1).
 verify_exact checks the claim exactly, in integers, on every call (_claimed),
@@ -54,18 +53,10 @@ import numpy as np
 from .catalog import ExpectedStatus, IdentityKind, _index_factors
 from .cyclotomic import Cyclotomic, radical, reduction_matrix
 from .numeric import _theta_rows, theta_eval
-from .series import (ExponentPair, _INT64_SAFE, _KB, _norms, _scaled, _split,
-                     even_order, nonzero_positions, packed_mul, packed_sum)
+from .series import (ExponentPair, _INT64_SAFE, _KB, _fits, _norms, _scaled,
+                     _split, even_order, nonzero_positions, packed_mul,
+                     packed_sum)
 from .theta import Characteristic, _defining_sum
-
-#: The most operand pairs for which a monomial takes a factor's cached power
-#: in one kernel call.  Past it both operands are dense, and multiplying by
-#: the bare factor `power` times makes far fewer pairs (each step merges its
-#: duplicates) for power - 1 more calls.  Only the sparse path splits, which
-#: constant identities reach when they fail: the report on
-#: corrupt_identity(cube-product-15-1, 0) at cutoff 32 takes 35 ms with the
-#: split, 57 ms without (medians of 8 fresh runs, 2-core x86 host).
-_DENSE_PAIRS = 20_000
 
 #: The most int64 entries of the dense lane's array of terms; an identity
 #: that needs more goes to the sparse kernel.  The corpus needs at most
@@ -165,8 +156,15 @@ def _plan(ident, cutoff):
     orders = [math.lcm(s.order, *(() if _lone(fs) else
                                   (bare[j].order for j, _ in fs)))
               for s, fs in zip(scalars, terms)]
-    return _Plan(cut, keys, terms, ints, orders, grid,
-                 cut[0] * grid[0] // cut[1], den)
+    icut = cut[0] * grid[0] // cut[1]
+    zb = max((sum(p * bare[j].zb * (grid[1] // bare[j].dz) for j, p in fs)
+              for fs in terms), default=0)
+    try:   # a term's keys have ix <= icut and |iz| <= zb
+        _fits(icut, zb, grid[2])
+    except OverflowError:
+        raise ValueError(f"cutoff {cutoff} puts exponents on the common grid "
+                         "past the int64 key range") from None
+    return _Plan(cut, keys, terms, ints, orders, grid, icut, den)
 
 
 def _lone(factors):
@@ -182,14 +180,13 @@ def verify_exact(ident, cutoff):
     _PASSES or verified now; the report names the claim.  Every other
     report is computed directly.  A constant-kind identity passes when the
     dense lane (_lane) finds no nonzero position, and fails when it finds
-    some, its report written as below from the plan cut at the tenth of
-    them; otherwise, and for function-kind identities, every term is built
-    and summed in packed form on the plan's grid, from the cached powers of
-    its factors on that grid (largest
-    first; a power whose product with the rest would pass _DENSE_PAIRS goes
-    in as its bare factor, repeated), times its scalar, and one integer
-    matmul reduces every position of the sum mod Phi_N.  With every term
-    empty up to the cutoff the report is "inconclusive", not "pass"."""
+    some, its report written as below from the plan cut at the last (at
+    most the tenth) of them; otherwise, and for function-kind identities,
+    every term is built and summed in packed form on the plan's grid, the
+    cached powers of its factors on that grid multiplied largest first,
+    times its scalar, and one integer matmul reduces every position of the
+    sum mod Phi_N.  With every term empty up to the cutoff the report is
+    "inconclusive", not "pass"."""
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be > 0")
@@ -206,14 +203,10 @@ def verify_exact(ident, cutoff):
                 derived_from={"id": rep.id, "m": m, "j": j})
     plan = _plan(ident, cutoff)
     found = _lane(plan) if ident.kind is IdentityKind.CONSTANT else None
-    if found == []:
-        status, residuals = "pass", []
-    else:
-        if found and len(found) == 10:   # cut at the tenth residual
-            g = math.gcd(found[-1], plan.grid[0])
-            plan = plan._replace(cut=(found[-1] // g, plan.grid[0] // g),
-                                 icut=found[-1])
-        status, residuals = _sparse(plan)
+    if found:   # cut at the last nonzero position the lane found
+        plan = plan._replace(icut=found[-1], cut=Fraction(
+            found[-1], plan.grid[0]).as_integer_ratio())
+    status, residuals = ("pass", []) if found == [] else _sparse(plan)
     if status == "pass":
         form = ident._cached("_claim", _claim_data)[-1]
         if form is not None:
@@ -226,16 +219,13 @@ def verify_exact(ident, cutoff):
 def _sparse(plan):
     """(status, residuals) of the plan's identity from its packed terms."""
     powers = {f: _theta_power(*plan.keys[f[0]], f[1], *plan.cut, plan.grid)
-              for f in dict.fromkeys(g for fs in plan.terms for j, power in fs
-                                     for g in ((j, 1), (j, power)))}
+              for f in dict.fromkeys(f for fs in plan.terms for f in fs)}
     terms = []   # packed_sum sorts the k fields that _scaled leaves unsorted
     for fs, scalar in zip(plan.terms, plan.scalars):
         fs = sorted(fs, key=lambda f: -powers[f].c.size)
         mono = powers[fs[0]]
-        for j, power in fs[1:]:
-            dense = mono.c.size * powers[j, power].c.size > _DENSE_PAIRS
-            for f in [powers[j, 1]] * power if dense else [powers[j, power]]:
-                mono = packed_mul(mono, f, plan.icut)
+        for f in fs[1:]:
+            mono = packed_mul(mono, powers[f], plan.icut)
         terms.append(_scaled(mono, scalar))
     total = packed_sum(terms)
     residuals = [_residual(plan, terms, total, i)

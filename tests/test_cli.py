@@ -44,6 +44,21 @@ def test_verify_corrupted_catalog_fails(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def _fifth_third_catalog(path):
+    """A catalog of theta[1/5;0] - theta[1/5;0] + theta[1/3;0] -
+    theta[1/3;0] = 0, whose common grid (dx = 900) is finer than either
+    factor's."""
+    from fractions import Fraction
+    from theta5.catalog import (Identity, IdentityKind, IdentityTerm,
+                                ThetaFactor, save_catalog)
+    from theta5.cyclotomic import Cyclotomic
+    from theta5.theta import Characteristic
+    one = Cyclotomic.one()
+    terms = [IdentityTerm(s, [ThetaFactor(Characteristic.of(Fraction(1, q), 0), 1)])
+             for q in (5, 3) for s in (one, -one)]
+    save_catalog([Identity("fifth-third", IdentityKind.CONSTANT, terms)], path)
+
+
 def test_verify_exit_code_matrix(capsys, tmp_path, monkeypatch):
     # pass 0, fail 1, usage 2, internal 3, inconclusive 4; a counted
     # failure wins over an inconclusive report, and a suspected misprint
@@ -64,6 +79,9 @@ def test_verify_exit_code_matrix(capsys, tmp_path, monkeypatch):
     save_catalog([corrupt_identity(by_id["jacobi-quartic"], 0), empty], mixed)
     save_catalog([by_id["jacobi-quartic"], dataclasses.replace(
         empty, expected=ExpectedStatus.SUSPECT_TYPO)], suspect)
+    flipped, grid = tmp_path / "flipped.json", tmp_path / "grid.json"
+    save_catalog([corrupt_identity(by_id["jacobi-quartic"], 0)], flipped)
+    _fifth_third_catalog(grid)
     cases = [
         (["--cutoff", "2", "verify", "jacobi-quartic"], 0, "batch: PASS"),
         (["--cutoff", "2", "--catalog", str(mixed), "verify"], 1,
@@ -79,11 +97,28 @@ def test_verify_exit_code_matrix(capsys, tmp_path, monkeypatch):
         (["--cutoff", "100000000000000000000000", "verify"], 2, None),
         (["--cutoff", "100000000000000000000000", "expand", "0,0"], 2, None),
         (["--cutoff", "10000000", "verify", "jacobi-quartic"], 2, None),
+        # each factor is in the key range at 2 * 10^7, the common grid not
+        (["--cutoff", "20000000", "--catalog", str(grid), "verify"], 2, None),
+        (["--cutoff", "1000000", "--catalog", str(grid), "verify"], 0,
+         "batch: PASS"),
+        # a tolerance outside [0, 1) would pass a sign flip, or nothing
+        (["--tol", "inf", "--catalog", str(flipped), "eval"], 2, None),
+        (["--tol", "nan", "discover", "15"], 2, None),
+        (["--tol", "-1", "resultant"], 2, None),
+        (["--tol", "1", "--catalog", str(flipped), "eval"], 2, None),
+        (["--tol", "0", "--catalog", str(flipped), "eval"], 1, "batch: FAIL"),
+        (["--catalog", str(flipped), "eval"], 1, "batch: FAIL"),
+        (["eval", "jacobi-quartic"], 0, "batch: PASS"),
     ]
     for argv, want, batch in cases:
-        code, out = run(capsys, *argv)
+        try:
+            code = main(argv)
+        except SystemExit as e:   # argparse's usage errors
+            code = e.code
+        out, err = capsys.readouterr()
         assert code == want, argv
         assert batch is None or out.splitlines()[-1].startswith(batch), argv
+        assert want != 2 or "error:" in err, argv
     assert cli.EXIT_INCONCLUSIVE == 4
     monkeypatch.setattr(cli, "verify_all", lambda *args: 1 / 0)
     assert main(["verify"]) == cli.EXIT_INTERNAL == 3

@@ -226,6 +226,25 @@ def test_over_range_cutoff_lists_no_term(monkeypatch, cutoff):
             verify_exact(ident, cutoff)
 
 
+def test_plan_checks_a_terms_z_bound():
+    # each factor's keys fit, but a term's z bound is its factors' bounds
+    # times their powers: the plan refuses it before any power is built
+    zb = v._theta_power(1, 5, 0, 1, True, 1, 100, 1).zb
+    power = -(-ser._ZHALF // zb)   # the least power past the z field
+
+    def powered(power):
+        one = Cyclotomic.one()
+        factors = [ThetaFactor(C(Fraction(1, 5), 0), power,
+                               Argument.SYMBOLIC_ZETA)]
+        return Identity("powered", IdentityKind.FUNCTION, [
+            IdentityTerm(one, factors), IdentityTerm(-one, factors)])
+
+    assert v._plan(powered(power - 1), Fraction(100)).icut == 100 * 100
+    with pytest.raises(ValueError, match="cutoff 100 puts exponents on the "
+                                         "common grid"):
+        verify_exact(powered(power), 100)
+
+
 def _packed(entries, order):
     ix, iz, k, c = zip(*entries) if entries else ((),) * 4
     big = max(map(abs, c), default=0) >= 1 << 61
@@ -340,14 +359,52 @@ def test_multi_entry_scalar_keeps_the_kernel_path():
     assert hashlib.sha256(blob).hexdigest() == TWO_ENTRY_MUTANTS_SHA256
 
 
-@pytest.mark.parametrize("dense_pairs", [0, 10 ** 12])
-def test_dense_split_gives_the_same_reports(monkeypatch, dense_pairs):
-    # every power split into bare factors, or none: the reports do not change
+#: sha256 of the JSON reports at cutoff 8 of quintic-eps15, ratio7-15-1-1
+#: and fk-cubic-2 and of their sign-flip mutants (seeds 0, 1), written while
+#: a dense power could still be split into repeated bare factors.
+POWER_PRODUCT_REPORTS_SHA256 = \
+    "eefc782be8773b8b2ebf5be739ad2c43fa49572a7b4bfd4803d501d7aa101b7e"
+
+
+def test_power_products_keep_their_reports():
+    # each term is its largest cached power times each other one, one
+    # kernel call per factor after the first
     idents = [_by_id(i) for i in ("quintic-eps15", "ratio7-15-1-1", "fk-cubic-2")]
     idents += [corrupt_identity(i, seed) for i in idents for seed in (0, 1)]
+    reports = [verify_exact(i, 8) for i in idents]
+    assert [r.status for r in reports] == ["pass"] * 3 + ["fail"] * 6
+    blob = reports_to_json(reports).encode()
+    assert hashlib.sha256(blob).hexdigest() == POWER_PRODUCT_REPORTS_SHA256
+
+
+@pytest.mark.parametrize("dense_pairs", [0, 10 ** 12])
+def test_dense_split_gives_the_same_reports(monkeypatch, dense_pairs):
+    # a grid-keyed power whose pairs pass dense_pairs, rebuilt as its bare
+    # factor multiplied in `power` times, or none: the reports do not change
+    idents = [_by_id(i) for i in ("quintic-eps15", "ratio7-15-1-1", "fk-cubic-2")]
+    idents += [corrupt_identity(i, seed) for i in idents for seed in (0, 1)]
+    cached, split = v._theta_power, []
+    cached.cache_clear()
     want = reports_to_json([verify_exact(i, 8) for i in idents])
-    monkeypatch.setattr(v, "_DENSE_PAIRS", dense_pairs)
-    assert reports_to_json([verify_exact(i, 8) for i in idents]) == want
+
+    def rebuilt(*args):
+        *key, power, cn, cd, grid, step = args + (None, False)[len(args) - 8:]
+        f = cached(*args)
+        if grid is None or power == 1 or f.c.size ** 2 <= dense_pairs:
+            return f
+        split.append(args)
+        bare = cached(*key, 1, cn, cd, grid)
+        mono = bare
+        for _ in range(power - 1):
+            mono = packed_mul(mono, bare, cn * grid[0] // cd)
+        return mono
+
+    monkeypatch.setattr(v, "_theta_power", rebuilt)
+    got = reports_to_json([verify_exact(i, 8) for i in idents])
+    monkeypatch.undo()
+    cached.cache_clear()
+    assert bool(split) == (dense_pairs == 0)
+    assert got == want
 
 
 def test_report_json_shape():
@@ -1047,16 +1104,17 @@ def test_fail_reports_cut_at_the_tenth_residual(monkeypatch, cutoff):
     assert got == reports_to_json([verify_exact(i, cutoff) for i in entries])
 
 
-def test_fewer_than_ten_residuals_keep_the_cutoff(monkeypatch):
+def test_fewer_than_ten_residuals_cut_at_the_last(monkeypatch):
     # the misprint has two nonzero positions up to x^(1/2): the sparse path
-    # runs at the full cutoff and reports both
+    # runs up to the second, x^(9/20), and reports both
     ident = _by_id("quintic-epsp35-printed")
     sparse, cuts = v._sparse, []
     monkeypatch.setattr(v, "_sparse", lambda plan: cuts.append(plan.cut)
                         or sparse(plan))
     got = verify_exact(ident, Fraction(1, 2))
     assert got.status == "fail" and len(got.residuals) == 2
-    assert cuts == [(1, 2)]
+    assert cuts == [(9, 20)]
+    assert got.residuals[-1][0].xExp == Fraction(9, 20)
     monkeypatch.setattr(v, "_LANE_ENTRIES", 0)
     assert got.to_dict() == verify_exact(ident, Fraction(1, 2)).to_dict()
 
