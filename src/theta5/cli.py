@@ -53,7 +53,7 @@ def _get_catalog(args):
         cat = [i for i in cat if i.id in wanted]
         missing = wanted - {i.id for i in cat}
         if missing:
-            raise SystemExit2(f"unknown identity ids: {sorted(missing)}")
+            raise ValueError(f"unknown identity ids: {sorted(missing)}")
     return cat
 
 
@@ -62,19 +62,15 @@ def _parse_char(text):
         eps, epsp = text.split(",")
         return Characteristic.of(Fraction(eps), Fraction(epsp))
     except (ValueError, ZeroDivisionError):
-        raise SystemExit2(f"bad characteristic {text!r}; expected eps,epsp "
-                          "as rationals, e.g. 1/5,3/5")
+        raise ValueError(f"bad characteristic {text!r}; expected eps,epsp "
+                         "as rationals, e.g. 1/5,3/5")
 
 
 def _parse_cutoff(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SystemExit2(f"bad cutoff {text!r}; expected a rational p/q")
-
-
-class SystemExit2(Exception):
-    pass
+        raise ValueError(f"bad cutoff {text!r}; expected a rational p/q")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -182,16 +178,10 @@ def _discovery_family(family):
     """The quartic three-theta monomial families: squares-times-singles in
     theta[eps; k/5](zeta) for eps = 1/5 or 3/5."""
     eps = Fraction(1, 5) if family == "15" else Fraction(3, 5)
-    slots = [(1, 3), (3, 9), (9, 7), (7, 1)]
-    monos = []
-    for k2, k1 in slots:
-        monos.append([
-            ThetaFactor(Characteristic.of(eps, Fraction(k2, 5) if k2 != 5 else 1),
-                        2, Argument.SYMBOLIC_ZETA),
-            ThetaFactor(Characteristic.of(eps, Fraction(k1, 5) if k1 != 5 else 1),
-                        1, Argument.SYMBOLIC_ZETA),
-        ])
-    return monos
+    return [[ThetaFactor(Characteristic.of(eps, Fraction(k, 5)), power,
+                         Argument.SYMBOLIC_ZETA)
+             for k, power in ((k2, 2), (k1, 1))]
+            for k2, k1 in ((1, 3), (3, 9), (9, 7), (7, 1))]
 
 
 def cmd_discover(args):
@@ -234,7 +224,7 @@ def _parse_poly(text):
 def cmd_resultant(args):
     if args.f or args.g:
         if not (args.f and args.g):
-            raise SystemExit2("--f and --g must be given together")
+            raise ValueError("--f and --g must be given together")
         f, g = _parse_poly(args.f), _parse_poly(args.g)
         r = resultant(f, g)
         payload = {"resultant": r.to_string(),
@@ -358,10 +348,7 @@ def main(argv=None):
         parser.error(f"--tol must be in [0, 1), got {args.tol}")
     try:
         return args.handler(args)
-    except SystemExit2 as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:  # a fault of theta5, never a failed identity

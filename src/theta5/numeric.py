@@ -11,19 +11,21 @@ SIAM Review 56 (2014): the rule converges geometrically for an integrand
 analytic on an annulus around the circle).
 
 One batched kernel, `_theta_sum`, evaluates every theta value: paired arrays
-of (characteristic, zeta) points at one tau or at a tau per point, each
-point summed over its own window of terms, so a value is the same to the bit
-in any batch.  Scalar points go through one point cache (`_POINTS`): an
-identity residual looks up its distinct factors there and sends all misses
-to one kernel call.  A characteristic the cache meets for the first time is
-filled in, in that same call, at every point of its kind the cache holds,
-so a sweep of identities over fixed sampled points (`theta5 eval`) pays one
-call per new characteristic rather than one per point.  The kernel reads a
-characteristic and zeta only as a = eps/2 and u = zeta + eps'/2.  The
-residue contours pass arrays straight to it; relation discovery, the theta
-quadratics and their shared root call its scalar-tau window sum through
-`_theta_rows`, on read-only (a, u) arrays built once per grid that repeats
-(discovery's zeta grid, the root's zeta = 0).  Neither uses the point cache.
+of (characteristic, zeta) points at one tau or at a tau per point, given as
+the only forms the sum reads, a = eps/2 and u = zeta + eps'/2.  Each point
+is summed over its own window of terms: one pass at a first half-width from
+its tau, and the points whose edge terms are not small summed again at twice
+the half-width, so a value is the same to the bit in any batch.  Scalar
+points go through one point cache (`_POINTS`): an identity residual looks up
+its distinct factors there and sends all misses to one kernel call.  A
+characteristic the cache meets for the first time is filled in, in that same
+call, at every point of its kind the cache holds, so a sweep of identities
+over fixed sampled points (`theta5 eval`) pays one call per new
+characteristic rather than one per point.  The residue contours pass arrays
+straight to the kernel; relation discovery, the theta quadratics and their
+shared root call it at one tau through `_theta_rows`, on read-only (a, u)
+arrays built once per grid that repeats (discovery's zeta grid, the root's
+zeta = 0).  Neither uses the point cache.
 """
 
 from __future__ import annotations
@@ -74,25 +76,25 @@ def _first_k(tau, cfg):
         math.log(100.0 / max(cfg.tol, 1e-300)) / (math.pi * tau.imag))))
 
 
-def _theta_sum(eps, epsp, zeta, tau, cfg, deriv):
-    """The defining sum at every point of the 1-D complex array zeta, for the
-    characteristic [eps; epsp] given as floats or as float arrays paired
-    with zeta, at tau given as a complex scalar or as a complex array paired
-    with zeta.  Terms are
-    exp(pi*i*(n+eps/2)^2*tau) * exp(2*pi*i*(n+eps/2)*(zeta+eps'/2)), summed
-    over a window of n around each point's peak term, from a = eps/2 and
-    u = zeta + eps'/2 alone (_window_sum).  Each point has its own window:
-    its first half-width comes from its tau (_first_k), and after a pass
-    only the points whose edge terms are not both below tol/100 (relative
-    to their largest term, when that exceeds 1) get a doubled one.  With a
-    tau per point, points are summed in groups that share a first window,
-    in blocks of at most _BLOCK_ROWS.  A point's value so never depends on
-    the other points of the call: it is the same to the bit as that of a
-    one-point call."""
+def _theta_sum(a, u, tau, cfg, deriv):
+    """The defining sum at every point of the 1-D complex array u, from the
+    kernel's own inputs a = eps/2 and u = zeta + eps'/2 of the characteristic
+    [eps; epsp], a given as a float or as a float array paired with u, at
+    tau given as a complex scalar or as a complex array paired with u.  Terms
+    are exp(pi*i*(n+a)^2*tau) * exp(2*pi*i*(n+a)*u), summed over a window of
+    n around each point's peak term (_window_sum).  Each point has its own
+    window: its first half-width comes from its tau (_first_k), and it is
+    doubled for the points whose edge terms are not both below tol/100
+    (relative to their largest term, when that exceeds 1), until they are.
+    With a tau per point, points are summed in groups that share a first
+    window, in blocks of at most _BLOCK_ROWS.  A point's value so never
+    depends on the other points of the call: it is the same to the bit as
+    that of a one-point call."""
     per_point = isinstance(tau, np.ndarray)
     if (tau.imag <= 0).any() if per_point else tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    a, u = eps / 2.0, zeta + epsp / 2.0
+    # columns: each point's terms run along its row
+    a, u = (a[:, None] if isinstance(a, np.ndarray) else a), u[:, None]
     if not per_point:
         return _window_sum(a, u, tau, _first_k(tau, cfg), cfg, deriv)
     ks = {t: _first_k(t, cfg) for t in set(tau.tolist())}
@@ -101,52 +103,44 @@ def _theta_sum(eps, epsp, zeta, tau, cfg, deriv):
     for k in sorted(set(ks.values())):
         rows = np.flatnonzero(first == k)
         for at in np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS)):
-            out[at] = _window_sum(a[at] if isinstance(a, np.ndarray) else a,
-                                  u[at], tau[at], k, cfg, deriv)
+            out[at] = _window_sum(_rows(a, at), u[at], tau[at, None], k, cfg,
+                                  deriv)
     return out
 
 
+def _rows(x, at):
+    """x at the rows at, when x is an array paired with the points."""
+    return x[at] if isinstance(x, np.ndarray) else x
+
+
 def _window_sum(a, u, tau, k, cfg, deriv):
-    """_theta_sum at the points u = zeta + eps'/2 that share the first
-    half-width k; a = eps/2 and tau are scalars or arrays paired with u.
-    Im u = Im zeta places the peaks (a -0.0 turned +0.0 moves none)."""
-    k_max = (cfg.max_terms - 1) // 2
-    paired, per_point = isinstance(a, np.ndarray), isinstance(tau, np.ndarray)
-    if paired:
-        a = a[:, None]
-    if per_point:
-        tau = tau[:, None]
-    u = u[:, None]
+    """_theta_sum at the points u that share the half-width k, with u, and a
+    and tau when they are arrays, as columns: one pass over 2k + 1 terms
+    around each point's peak, and the points whose edge terms are not small
+    (a NaN edge among them) summed again at half-width 2k.  Im u = Im zeta
+    places the peaks (a -0.0 turned +0.0 moves none)."""
     # |term| = exp(-pi*(n+a)^2 Im tau - 2*pi*(n+a) Im zeta) peaks here:
     center = np.rint(-a - u.imag / tau.imag)
-    out = at = None  # the result and the rows still open, once a pass splits
-    while True:
-        m = (center + np.arange(-k, k + 1)) + a  # integer n, then n + a
-        t = np.exp(1j * math.pi * (m * m * tau + 2 * m * u))
-        if deriv:
-            t *= TWO_PI_I * m
-        mag = np.abs(t)
-        edge = np.maximum(mag[:, 0], mag[:, -1])
-        done = edge <= cfg.tol * 1e-2 * np.maximum(mag.max(axis=1), 1.0)
-        if done.all():
-            if out is None:
-                return t.sum(axis=1)
-            out[at] = t.sum(axis=1)
-            return out
-        if k == k_max:
-            raise ValueError(
-                f"theta sum did not converge within {cfg.max_terms} terms")
-        if done.any():
-            if out is None:
-                out, at = np.empty(len(u), complex), np.arange(len(u))
-            out[at[done]] = t.sum(axis=1)[done]
-            wide = ~done
-            at, center, u = at[wide], center[wide], u[wide]
-            if paired:
-                a = a[wide]
-            if per_point:
-                tau = tau[wide]
-        k = min(k_max, 2 * k)
+    m = (center + np.arange(-k, k + 1)) + a  # integer n, then n + a
+    t = np.exp(1j * math.pi * (m * m * tau + 2 * m * u))
+    if deriv:
+        t *= TWO_PI_I * m
+    mag = np.abs(t)
+    edge = np.maximum(mag[:, 0], mag[:, -1])
+    wide = ~(edge <= cfg.tol * 1e-2 * np.maximum(mag.max(axis=1), 1.0))
+    if not wide.any():
+        return t.sum(axis=1)
+    k_max = (cfg.max_terms - 1) // 2
+    if k == k_max:
+        raise ValueError(
+            f"theta sum did not converge within {cfg.max_terms} terms")
+    k = min(k_max, 2 * k)
+    if wide.all():
+        return _window_sum(a, u, tau, k, cfg, deriv)
+    out = t.sum(axis=1)
+    out[wide] = _window_sum(_rows(a, wide), u[wide], _rows(tau, wide), k, cfg,
+                            deriv)
+    return out
 
 
 class _PointCache:
@@ -237,9 +231,9 @@ def _point_sums(todo, tau, cfg, deriv):
     """_theta_sum at the (char, row) pairs of todo as Python complex numbers,
     at one tau, or with tau None at each row's own tau."""
     return _theta_sum(
-        np.array([c[0] / c[1] for c, _ in todo]),
-        np.array([c[2] / c[3] for c, _ in todo]),
-        np.array([row[0] for _, row in todo]),
+        np.array([c[0] / c[1] for c, _ in todo]) / 2.0,
+        np.array([row[0] for _, row in todo])
+        + np.array([c[2] / c[3] for c, _ in todo]) / 2.0,
         np.array([row[1] for _, row in todo]) if tau is None else tau,
         cfg, deriv).tolist()
 
@@ -250,9 +244,9 @@ _POINTS = _PointCache(1 << 18)
 def _theta(c, zeta, tau, cfg, deriv):
     cfg = cfg or _DEFAULT_CFG
     if isinstance(zeta, np.ndarray):
-        return _theta_sum(float(c.eps), float(c.epsp),
-                          zeta.astype(complex).ravel(), complex(tau), cfg,
-                          deriv).reshape(zeta.shape)
+        return _theta_sum(float(c.eps) / 2.0,
+                          zeta.astype(complex).ravel() + float(c.epsp) / 2.0,
+                          complex(tau), cfg, deriv).reshape(zeta.shape)
     eps, epsp = c
     return _POINTS.lookup([((eps.numerator, eps.denominator, epsp.numerator,
                              epsp.denominator), True)],
@@ -288,16 +282,13 @@ _grid_inputs = functools.lru_cache(maxsize=64)(_kernel_inputs)
 def _theta_rows(chars, zeta, tau, cfg=None):
     """theta[eps; eps'] at every point of the sequence zeta for each float
     pair (eps, eps') of chars, as a (len(chars), len(zeta)) array from one
-    scalar-tau window sum, bypassing the point cache.  With chars and zeta
+    scalar-tau kernel call, bypassing the point cache.  With chars and zeta
     tuples the kernel inputs are built once (_grid_inputs); for other
     sequences (the theta quadratics' fresh points), for this call alone."""
-    tau, cfg = complex(tau), cfg or _DEFAULT_CFG
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
     a, u = (_grid_inputs if isinstance(zeta, tuple)
             else _kernel_inputs)(chars, zeta)
-    return _window_sum(a, u, tau, _first_k(tau, cfg), cfg,
-                       False).reshape(len(chars), len(zeta))
+    return _theta_sum(a, u, complex(tau), cfg or _DEFAULT_CFG,
+                      False).reshape(len(chars), len(zeta))
 
 
 def sample_tau(seed, count):

@@ -119,6 +119,8 @@ def _bareiss_det(rows):
 def resultant(f, g):
     """Res(f, g) = det of the Sylvester matrix, exactly."""
     m, n = poly_degree(f), poly_degree(g)
+    if m < 0 or n < 0:
+        raise ValueError("resultant of the zero polynomial is undefined")
     if m == 0 and n == 0:
         return Cyclotomic.one()
     if m == 0:

@@ -55,7 +55,7 @@ from .cyclotomic import Cyclotomic, radical, reduction_matrix
 from .numeric import _theta_rows, theta_eval
 from .series import (ExponentPair, _INT64_SAFE, _KB, _fits, _norms, _scaled,
                      _split, even_order, nonzero_positions, packed_mul,
-                     packed_sum)
+                     packed_rows, packed_sum)
 from .theta import Characteristic, _defining_sum
 
 #: The most int64 entries of the dense lane's array of terms; an identity
@@ -145,7 +145,7 @@ class _Plan(NamedTuple):
 def _plan(ident, cutoff):
     cut = cutoff.numerator, cutoff.denominator
     keys, terms = _index_factors(t.factors for t in ident.terms)
-    bare = [_theta_power(*key, 1, *cut) for key in keys]
+    bare = [_theta_power(*key, 1, *cut, None, True) for key in keys]
     scalars = [t.scalar for t in ident.terms]
     den = math.lcm(*(v.denominator for s in scalars
                      for v in s.coeffs.values()))
@@ -223,7 +223,8 @@ def _sparse(plan):
     terms = []   # packed_sum sorts the k fields that _scaled leaves unsorted
     for fs, scalar in zip(plan.terms, plan.scalars):
         fs = sorted(fs, key=lambda f: -powers[f].c.size)
-        mono = powers[fs[0]]
+        # a term with no factor is its scalar: an empty product is 1
+        mono = powers[fs[0]] if fs else packed_rows([(0, 0, 0, 1)], *plan.grid)
         for f in fs[1:]:
             mono = packed_mul(mono, powers[f], plan.icut)
         terms.append(_scaled(mono, scalar))

@@ -59,6 +59,22 @@ def _fifth_third_catalog(path):
     save_catalog([Identity("fifth-third", IdentityKind.CONSTANT, terms)], path)
 
 
+def _factorless_catalogs(tmp_path):
+    """Catalogs of 1 - 2 = 0 and 1 - 1 = 0, terms with no theta factor, of
+    each kind, by name."""
+    from theta5.catalog import (Identity, IdentityKind, IdentityTerm,
+                                save_catalog)
+    from theta5.cyclotomic import Cyclotomic
+    paths = {}
+    for kind in IdentityKind:
+        for name, c in (("1-2", 2), ("1-1", 1)):
+            terms = [IdentityTerm(Cyclotomic.from_rational(s), [])
+                     for s in (1, -c)]
+            path = paths[kind.value, name] = tmp_path / f"{kind.value}{name}"
+            save_catalog([Identity("factorless", kind, terms)], path)
+    return paths
+
+
 def test_verify_exit_code_matrix(capsys, tmp_path, monkeypatch):
     # pass 0, fail 1, usage 2, internal 3, inconclusive 4; a counted
     # failure wins over an inconclusive report, and a suspected misprint
@@ -82,6 +98,7 @@ def test_verify_exit_code_matrix(capsys, tmp_path, monkeypatch):
     flipped, grid = tmp_path / "flipped.json", tmp_path / "grid.json"
     save_catalog([corrupt_identity(by_id["jacobi-quartic"], 0)], flipped)
     _fifth_third_catalog(grid)
+    factorless = _factorless_catalogs(tmp_path)
     cases = [
         (["--cutoff", "2", "verify", "jacobi-quartic"], 0, "batch: PASS"),
         (["--cutoff", "2", "--catalog", str(mixed), "verify"], 1,
@@ -101,6 +118,10 @@ def test_verify_exit_code_matrix(capsys, tmp_path, monkeypatch):
         (["--cutoff", "20000000", "--catalog", str(grid), "verify"], 2, None),
         (["--cutoff", "1000000", "--catalog", str(grid), "verify"], 0,
          "batch: PASS"),
+        # a term with no theta factor is its scalar, of either kind
+        *((["--catalog", str(path), "verify"], 1 if name == "1-2" else 0,
+           "batch: FAIL" if name == "1-2" else "batch: PASS")
+          for (_, name), path in factorless.items()),
         # a tolerance outside [0, 1) would pass a sign flip, or nothing
         (["--tol", "inf", "--catalog", str(flipped), "eval"], 2, None),
         (["--tol", "nan", "discover", "15"], 2, None),
@@ -248,6 +269,14 @@ def test_resultant_exact_subcommand(capsys):
 def test_resultant_requires_both_polys(capsys):
     code, _ = run(capsys, "resultant", "--f", "1,1")
     assert code == 2
+
+
+@pytest.mark.parametrize("f, g", [("0", "5"), ("5", "0"), ("0,0", "3")])
+def test_resultant_of_a_zero_polynomial_is_a_usage_error(capsys, f, g):
+    assert main(["resultant", "--f", f, "--g", g]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: resultant of the zero polynomial is undefined\n"
 
 
 def test_global_flags_after_subcommand(capsys):

@@ -213,14 +213,17 @@ def test_batched_kernel_equals_one_point_calls(chars, deriv, tau, points):
     epsp = np.array([float(e) for (_, e), _ in pairs])
     zeta = np.array([z for _, z in pairs])
     cfg = EvalConfig()
-    got = numeric._theta_sum(eps, epsp, zeta, tau, cfg, deriv)
+    got = numeric._theta_sum(eps / 2.0, zeta + epsp / 2.0, tau, cfg, deriv)
     for i in range(len(zeta)):
-        one = numeric._theta_sum(eps[i], epsp[i], zeta[i:i + 1], tau, cfg, deriv)
+        one = numeric._theta_sum(eps[i] / 2.0, zeta[i:i + 1] + epsp[i] / 2.0,
+                                 tau, cfg, deriv)
         assert got[i] == one[0], (i, got[i], one[0])
     # one characteristic over many points: each point keeps its own window
-    same = numeric._theta_sum(eps[0], epsp[0], zeta, tau, cfg, deriv)
+    same = numeric._theta_sum(eps[0] / 2.0, zeta + epsp[0] / 2.0, tau, cfg,
+                              deriv)
     for i in range(len(zeta)):
-        one = numeric._theta_sum(eps[0], epsp[0], zeta[i:i + 1], tau, cfg, deriv)
+        one = numeric._theta_sum(eps[0] / 2.0, zeta[i:i + 1] + epsp[0] / 2.0,
+                                 tau, cfg, deriv)
         assert same[i] == one[0]
 
 
@@ -251,11 +254,12 @@ def test_multi_tau_batch_equals_one_point_calls(chars, taus, deriv, block,
     cfg, kept = EvalConfig(), numeric._BLOCK_ROWS
     numeric._BLOCK_ROWS = block
     try:
-        got = numeric._theta_sum(eps, epsp, zeta, tau, cfg, deriv)
+        got = numeric._theta_sum(eps / 2.0, zeta + epsp / 2.0, tau, cfg,
+                                 deriv)
     finally:
         numeric._BLOCK_ROWS = kept
     for i in range(len(zeta)):
-        one = numeric._theta_sum(eps[i], epsp[i], zeta[i:i + 1],
+        one = numeric._theta_sum(eps[i] / 2.0, zeta[i:i + 1] + epsp[i] / 2.0,
                                  complex(tau[i]), cfg, deriv)
         assert got[i] == one[0], (i, got[i], one[0])
 
@@ -268,13 +272,55 @@ def test_only_the_open_points_widen(monkeypatch):
     zeta = np.array([0.1 + 0j, 0.1 + 0.5j * tau.imag])
     shapes, exp = [], np.exp
     monkeypatch.setattr(np, "exp", lambda x: shapes.append(x.shape) or exp(x))
-    got = numeric._theta_sum(0.0, 0.0, zeta, tau, EvalConfig(), False)
+    got = numeric._theta_sum(0.0, zeta + 0.0, tau, EvalConfig(), False)
     monkeypatch.undo()
     assert shapes == [(2, 9), (1, 17)]
     for i in range(2):
-        one = numeric._theta_sum(0.0, 0.0, zeta[i:i + 1], tau, EvalConfig(),
+        one = numeric._theta_sum(0.0, zeta[i:i + 1] + 0.0, tau, EvalConfig(),
                                  False)
         assert got[i] == one[0]
+
+
+def test_each_open_point_widens_until_its_edges_are_small(monkeypatch):
+    # from _first_k's half-width no point needs a third pass (twice it
+    # always holds the Gaussian), so it is 1 here, at a tau per point: then
+    # theta[0;0] at a peak term (Im zeta = 0) closes on the first pass at
+    # Im tau = 12 and on the second at Im tau = 5; half-way between two
+    # peaks at Im tau = 5 it closes on the third
+    tau = np.array([0.1 + 12j, 0.1 + 5j, 0.1 + 5j])
+    zeta = np.array([0.1 + 0j, 0.1 + 0j, 0.1 + 2.5j])
+    monkeypatch.setattr(numeric, "_first_k", lambda tau, cfg: 1)
+    shapes, exp = [], np.exp
+    monkeypatch.setattr(np, "exp", lambda x: shapes.append(x.shape) or exp(x))
+    got = numeric._theta_sum(0.0, zeta + 0.0, tau, EvalConfig(), False)
+    monkeypatch.setattr(np, "exp", exp)
+    assert shapes == [(3, 3), (2, 5), (1, 9)]
+    for i in range(3):
+        one = numeric._theta_sum(0.0, zeta[i:i + 1] + 0.0, complex(tau[i]),
+                                 EvalConfig(), False)
+        assert got[i] == one[0]
+    # at Im tau = 0.6446 both points half-way between two peaks stay open
+    # after the first pass, so the second sums both
+    monkeypatch.undo()
+    tau = 0.1 + 0.6446j
+    zeta = np.array([0.1 + 0.5j * tau.imag, 0.3 + 0.5j * tau.imag])
+    shapes = []
+    monkeypatch.setattr(np, "exp", lambda x: shapes.append(x.shape) or exp(x))
+    got = numeric._theta_sum(0.0, zeta + 0.0, tau, EvalConfig(), False)
+    monkeypatch.undo()
+    assert shapes == [(2, 9), (2, 17)]
+    for i in range(2):
+        one = numeric._theta_sum(0.0, zeta[i:i + 1] + 0.0, tau, EvalConfig(),
+                                 False)
+        assert got[i] == one[0]
+    # a NaN edge is not small: it widens, up to max_terms, and then raises
+    shapes = []
+    monkeypatch.setattr(np, "exp", lambda x: shapes.append(x.shape) or exp(x))
+    with pytest.raises(ValueError, match="within 64 terms"):
+        numeric._theta_sum(0.0, np.array([complex("nan")]), 0.1 + 1j,
+                           EvalConfig(max_terms=64), False)
+    monkeypatch.undo()
+    assert shapes == [(1, 9), (1, 17), (1, 33), (1, 63)]
 
 
 thirds = st.integers(-6, 6).map(lambda k: Fraction(k, 3))
@@ -382,8 +428,8 @@ def test_eval_sweep_fills_each_new_characteristic_in_one_call(monkeypatch,
     # them 29 calls for the same 207 points, so it computes no value that
     # it does not read
     calls, kernel = [], numeric._theta_sum
-    monkeypatch.setattr(numeric, "_theta_sum", lambda eps, epsp, zeta, *a:
-                        calls.append(len(zeta)) or kernel(eps, epsp, zeta, *a))
+    monkeypatch.setattr(numeric, "_theta_sum", lambda a, u, *rest:
+                        calls.append(len(u)) or kernel(a, u, *rest))
     numeric._POINTS.clear()
     assert main(["--seed", "0", "eval"]) == 0
     capsys.readouterr()
@@ -395,8 +441,8 @@ def test_eval_sweep_fills_each_new_characteristic_in_one_call(monkeypatch,
 
 def _one_point(char, zeta, tau, cfg, deriv):
     p, q, r, s = char
-    return numeric._theta_sum(p / q, r / s, np.array([zeta]), tau, cfg,
-                              deriv)[0]
+    return numeric._theta_sum(p / q / 2.0, np.array([zeta]) + r / s / 2.0, tau,
+                              cfg, deriv)[0]
 
 
 def test_a_fill_answers_only_its_own_kind():

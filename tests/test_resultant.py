@@ -95,6 +95,11 @@ def test_closed_form_matches_sylvester():
 def test_resultant_degenerate_inputs():
     with pytest.raises(ValueError):
         resultant([Cyclotomic.zero()], [1, 1])
+    # a zero polynomial beside a constant has no resultant either
+    for f, g in (([0], [5]), ([5], [0]), ([0, 0], [3]),
+                 ([Cyclotomic.zero()], [Cyclotomic.one()])):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            resultant(f, g)
     assert resultant([3], [1, 1]) == 3          # constant vs linear
     assert resultant([2], [5]) == 1             # two constants
 

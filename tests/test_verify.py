@@ -377,34 +377,18 @@ def test_power_products_keep_their_reports():
     assert hashlib.sha256(blob).hexdigest() == POWER_PRODUCT_REPORTS_SHA256
 
 
-@pytest.mark.parametrize("dense_pairs", [0, 10 ** 12])
-def test_dense_split_gives_the_same_reports(monkeypatch, dense_pairs):
-    # a grid-keyed power whose pairs pass dense_pairs, rebuilt as its bare
-    # factor multiplied in `power` times, or none: the reports do not change
-    idents = [_by_id(i) for i in ("quintic-eps15", "ratio7-15-1-1", "fk-cubic-2")]
-    idents += [corrupt_identity(i, seed) for i in idents for seed in (0, 1)]
-    cached, split = v._theta_power, []
-    cached.cache_clear()
-    want = reports_to_json([verify_exact(i, 8) for i in idents])
-
-    def rebuilt(*args):
-        *key, power, cn, cd, grid, step = args + (None, False)[len(args) - 8:]
-        f = cached(*args)
-        if grid is None or power == 1 or f.c.size ** 2 <= dense_pairs:
-            return f
-        split.append(args)
-        bare = cached(*key, 1, cn, cd, grid)
-        mono = bare
-        for _ in range(power - 1):
-            mono = packed_mul(mono, bare, cn * grid[0] // cd)
-        return mono
-
-    monkeypatch.setattr(v, "_theta_power", rebuilt)
-    got = reports_to_json([verify_exact(i, 8) for i in idents])
-    monkeypatch.undo()
-    cached.cache_clear()
-    assert bool(split) == (dense_pairs == 0)
-    assert got == want
+@pytest.mark.parametrize("kind", list(IdentityKind))
+def test_a_term_with_no_factor_is_its_scalar(kind):
+    # an empty product is 1: 1 - 2 = 0 leaves -1 at x^0 z^0, 1 - 1 = 0 passes
+    def ident(c):
+        return Identity("factorless", kind, [
+            IdentityTerm(Cyclotomic.from_rational(s), []) for s in (1, -c)])
+    for cutoff in (Fraction(1, 2), 4):
+        rep = verify_exact(ident(2), cutoff)
+        assert rep.status == "fail"
+        assert rep.to_dict()["residuals"] == [
+            {"x": "0/1", "z": "0/1", "coeff": "-1/1"}]
+        assert verify_exact(ident(1), cutoff).status == "pass"
 
 
 def test_report_json_shape():
