@@ -8,6 +8,7 @@ data model, structural validation, (de)serialization and mutation helpers.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -50,21 +51,26 @@ class ThetaFactor:
                                          zeta))
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentityTerm:
     scalar: Cyclotomic
-    factors: list
+    factors: tuple   # of ThetaFactor; any sequence given is stored as a tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
 
     @property
     def degree(self):
         return sum(f.power for f in self.factors)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Identity:
+    """A value: no field changes after the constructor's checks, so derived
+    data (the factor index, and through _cached any other) is built once."""
     id: str
     kind: IdentityKind
-    terms: list
+    terms: tuple
     paper_ref: str = ""
     expected: ExpectedStatus = ExpectedStatus.HOLDS
     #: (representative, m, j): this identity is sigma_m T^j of the
@@ -75,45 +81,34 @@ class Identity:
                                        repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError(f"{self.id}: identity needs at least one term")
         degrees = {t.degree for t in self.terms}
         if len(degrees) != 1:
             raise ValueError(
                 f"{self.id}: inhomogeneous terms, degrees {sorted(degrees)}")
-        if self.kind is IdentityKind.CONSTANT:
-            for t in self.terms:
-                if any(f.argument is Argument.SYMBOLIC_ZETA for f in t.factors):
-                    raise ValueError(f"{self.id}: constant identity with "
-                                     "symbolic-zeta factor")
+        if self.kind is IdentityKind.CONSTANT and any(
+                f.argument is Argument.SYMBOLIC_ZETA
+                for t in self.terms for f in t.factors):
+            raise ValueError(f"{self.id}: constant identity with "
+                             "symbolic-zeta factor")
 
     @property
     def degree(self):
         return self.terms[0].degree
 
     def _cached(self, name, build):
-        """build(self), kept under `name` until a term's scalar is not the
-        object it was built from or its factors differ from a copy taken
-        then (terms are mutable; equal factors, being frozen, agree)."""
-        then, value = getattr(self, name, ((), None))
-        if len(then) == len(self.terms):
-            for t, (s, f) in zip(self.terms, then):
-                if t.scalar is not s or t.factors != f:
-                    break
-            else:
-                return value
-        value = build(self)
-        setattr(self, name, ([(t.scalar, list(t.factors)) for t in self.terms],
-                             value))
-        return value
+        """build(self), built on first use and kept under `name`."""
+        if name not in self.__dict__:
+            self.__dict__[name] = build(self)
+        return self.__dict__[name]
 
-    @property
-    def _factor_plan(self):
-        """The terms for numeric evaluation (_cached): the distinct factors
-        as ((p, q, r, s), at_zeta) from their keys, the distinct (factor
-        index, power) pairs, and each term as (scalar value, the indices of
-        its pairs in order)."""
-        return self._cached("_numeric_plan", _numeric_plan)
+    @functools.cached_property
+    def _factor_index(self):
+        """_index_factors of the terms' factor lists, which the numeric
+        plan, the exact plans and the claim data all read."""
+        return _index_factors(t.factors for t in self.terms)
 
     def characteristics(self):
         return sorted({f.char for t in self.terms for f in t.factors})
@@ -121,19 +116,11 @@ class Identity:
 
 def _index_factors(factor_lists):
     """The distinct factors in the lists by ThetaFactor.key, and each list
-    as its [(distinct index, power), ...] in order."""
+    as its ((distinct index, power), ...) in order, all tuples."""
     index = {}
-    powers = [[(index.setdefault(f.key, len(index)), f.power)
-               for f in factors] for factors in factor_lists]
-    return list(index), powers
-
-
-def _numeric_plan(ident):
-    factors, powers = _index_factors(t.factors for t in ident.terms)
-    pairs = {}
-    terms = [(t.scalar.embed(), [pairs.setdefault(p, len(pairs)) for p in ps])
-             for t, ps in zip(ident.terms, powers)]
-    return [(k[:4], k[4]) for k in factors], list(pairs), terms
+    powers = tuple(tuple((index.setdefault(f.key, len(index)), f.power)
+                         for f in factors) for factors in factor_lists)
+    return tuple(index), powers
 
 
 def normalize_identity(ident):
@@ -158,10 +145,8 @@ def normalize_identity(ident):
 
 def corrupt_identity(ident, seed):
     """Deterministically flip the sign of one term's scalar, chosen by seed."""
-    if not ident.terms:
-        raise ValueError("identity has no terms")
     k = seed % len(ident.terms)
-    terms = [IdentityTerm(-t.scalar if i == k else t.scalar, list(t.factors))
+    terms = [IdentityTerm(-t.scalar, t.factors) if i == k else t
              for i, t in enumerate(ident.terms)]
     return Identity(ident.id + f"~corrupt{seed}", ident.kind, terms,
                     ident.paper_ref, ident.expected)
@@ -184,8 +169,7 @@ def parse_scalar(text):
     parts = re.split(r"(?<=[^*/+-])(?=[+-])", s)
     total = Cyclotomic.zero()
     for part in parts:
-        if part.startswith("+"):
-            part = part[1:]
+        part = part.removeprefix("+")
         m = _MONO.match(part)
         if not m:
             raise ValueError(f"bad scalar monomial: {part!r}")
@@ -231,26 +215,57 @@ def identity_to_dict(ident):
     }
 
 
+#: (JSON type, its name) of each field of identity_to_dict but the strings
+_OBJECTS = list, "a list of objects"
+_RATIONAL = (str, int), "a string or an integer"
+_FIELD_TYPES = {"terms": _OBJECTS, "factors": _OBJECTS, "eps": _RATIONAL,
+                "epsp": _RATIONAL, "pow": (int, "an integer")}
+
+
 def identity_from_dict(d):
-    try:
-        kind = IdentityKind(d["kind"])
-        expected = ExpectedStatus(d.get("expected", "holds"))
-        terms = []
-        for t in d["terms"]:
-            scalar = parse_scalar(t["scalar"])
-            if scalar.is_zero():
-                raise ValueError("zero scalar")
-            factors = [
-                ThetaFactor(Characteristic.of(Fraction(f["eps"]),
-                                              Fraction(f["epsp"])),
-                            int(f["pow"]), Argument(f["arg"]))
-                for f in t["factors"]
-            ]
-            terms.append(IdentityTerm(scalar, factors))
-        return Identity(d["id"], kind, terms, d.get("paper_ref", ""), expected)
-    except KeyError as e:
-        raise ValueError(f"missing field {e} in identity "
-                         f"{d.get('id', '<unnamed>')!r}") from None
+    """The Identity of an identity_to_dict object.  Every field must have the
+    JSON type identity_to_dict writes (so a "pow" is an integer, never a
+    float or true, and an "eps" or "epsp" a rational string or an integer);
+    anything else is a ValueError that names the identity and the field."""
+    if not isinstance(d, dict):
+        raise ValueError("a catalog entry must be a JSON object, got "
+                         + json.dumps(d, default=str))
+    name = d.get("id", "<unnamed>")
+
+    def read(obj, key, parse=None, default=None):
+        """obj[key] checked against its JSON type, then parsed."""
+        if key not in obj:
+            if default is None:
+                raise ValueError(f"missing field {key!r} in identity {name!r}")
+            return default
+        value = obj[key]
+        types, what = _FIELD_TYPES.get(key, (str, "a string"))
+        if not isinstance(value, types) or isinstance(value, bool) or (
+                types is list and not all(isinstance(x, dict) for x in value)):
+            raise ValueError(f"identity {name!r}: field {key!r} must be {what}"
+                             f", got {json.dumps(value, default=str)}")
+        try:
+            return value if parse is None else parse(value)
+        except ZeroDivisionError:
+            why = " has a zero denominator"
+        except ValueError as e:
+            why = f": {e}"
+        raise ValueError(f"identity {name!r}: field {key!r}{why}") from None
+
+    def scalar(text):
+        value = parse_scalar(text)
+        if value.is_zero():
+            raise ValueError("zero scalar")
+        return value
+
+    terms = [IdentityTerm(read(t, "scalar", scalar), [
+        ThetaFactor(Characteristic.of(read(f, "eps", Fraction),
+                                      read(f, "epsp", Fraction)),
+                    read(f, "pow"), read(f, "arg", Argument))
+        for f in read(t, "factors")]) for t in read(d, "terms")]
+    return Identity(read(d, "id"), read(d, "kind", IdentityKind), terms,
+                    read(d, "paper_ref", default=""),
+                    read(d, "expected", ExpectedStatus, ExpectedStatus.HOLDS))
 
 
 def load_catalog(path):

@@ -23,6 +23,7 @@ factor once.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from fractions import Fraction as F
 
@@ -91,18 +92,8 @@ def _bmul(b1, b2):
         for s2, f2 in b2:
             facs, key = _merge_factors(f1, f2)
             s = s1 * s2
-            if key in acc:
-                acc[key] = (acc[key][0] + s, facs)
-            else:
-                acc[key] = (s, facs)
+            acc[key] = (acc[key][0] + s if key in acc else s, facs)
     return [(s, f) for s, f in acc.values() if s.coeffs and not s.is_zero()]
-
-
-def _bpow(b, p):
-    out = b
-    for _ in range(p - 1):
-        out = _bmul(out, b)
-    return out
 
 
 def _bneg(b):
@@ -111,20 +102,13 @@ def _bneg(b):
 
 def _galois(terms):
     """a(k) -> b(k); zeta5^e -> zeta5^(3e) on scalars (orders 1 and 5 only)."""
-    out = []
+    assert all(s.order in (1, 5) for s, _ in terms)
     eps_b = F(3, 5)
-    for s, facs in terms:
-        if s.order == 1:
-            s2 = s
-        elif s.order == 5:
-            s2 = Cyclotomic(5, {(3 * k) % 5: v for k, v in s.coeffs.items()})
-        else:  # pragma: no cover - corpus scalars are order 1 or 5
-            raise ValueError("unexpected scalar order in corpus")
-        nf = [ThetaFactor(Characteristic(eps_b, f.char.epsp), f.power,
+    return [(s if s.order == 1 else
+             Cyclotomic(5, {3 * k: v for k, v in s.coeffs.items()}),
+             [ThetaFactor(Characteristic(eps_b, f.char.epsp), f.power,
                           f.argument) if f.key[:2] == (1, 5) else f
-              for f in facs]
-        out.append((s2, nf))
-    return out
+              for f in facs]) for s, facs in terms]
 
 
 def _ident(id_, kind, terms, ref, expected=ExpectedStatus.HOLDS):
@@ -185,41 +169,32 @@ def _quintic_entries():
 
 # -- section 4: three-factor function relations and their ratio forms ----------
 
-def _three_theta_terms(w):
-    """The five four-term function relations for one eps-family, with X(k)
-    standing for the family's theta functions and w the family's twist."""
-    X = lambda k, p=1: ("X", k, p)  # placeholder resolved by caller
+def _three_theta_terms(mk, w):
+    """Per eps' slot, the four terms of the family's function relation:
+    c1 or c3 times X(k1)^2 X(k2), X(k) = mk(k, zeta=True), w its twist."""
+    def T(s, c, k1, k2):
+        return s, [c, mk(k1, 2, True), mk(k2, 1, True)]
 
-    def T(s, cfac, *xs):
-        return (s, cfac, xs)
-
-    c1, c3 = "c1", "c3"
-    data = {
-        5: [T(_ONE, c3, X(1, 2), X(3)), T(w, c1, X(3, 2), X(9)),
-            T(-(w * w), c3, X(9, 2), X(7)), T(-w, c1, X(7, 2), X(1))],
-        7: [T(_ONE, c1, X(1, 2), X(5)), T(-w, c3, X(5, 2), X(7)),
-            T(w, c1, X(7, 2), X(3)), T(-_ONE, c3, X(3, 2), X(1))],
-        9: [T(_ONE, c1, X(1, 2), X(7)), T(-w, c3, X(7, 2), X(5)),
-            T(w, c1, X(5, 2), X(9)), T(w, c3, X(9, 2), X(1))],
-        1: [T(_ONE, c3, X(1, 2), X(9)), T(w, c1, X(9, 2), X(3)),
-            T(-_ONE, c3, X(3, 2), X(5)), T(_ONE, c1, X(5, 2), X(1))],
-        3: [T(_ONE, c1, X(3, 2), X(7)), T(-w, c3, X(7, 2), X(9)),
-            T(w, c1, X(9, 2), X(5)), T(-_ONE, c3, X(5, 2), X(3))],
+    return {
+        5: [T(_ONE, _C3, 1, 3), T(w, _C1, 3, 9),
+            T(-(w * w), _C3, 9, 7), T(-w, _C1, 7, 1)],
+        7: [T(_ONE, _C1, 1, 5), T(-w, _C3, 5, 7),
+            T(w, _C1, 7, 3), T(-_ONE, _C3, 3, 1)],
+        9: [T(_ONE, _C1, 1, 7), T(-w, _C3, 7, 5),
+            T(w, _C1, 5, 9), T(w, _C3, 9, 1)],
+        1: [T(_ONE, _C3, 1, 9), T(w, _C1, 9, 3),
+            T(-_ONE, _C3, 3, 5), T(_ONE, _C1, 5, 1)],
+        3: [T(_ONE, _C1, 3, 7), T(-w, _C3, 7, 9),
+            T(w, _C1, 9, 5), T(-_ONE, _C3, 5, 3)],
     }
-    return data
 
 
 def _three_theta_entries():
     out = []
     for j, mk in ((1, _a), (3, _b)):
         w = _z5(2) if j == 1 else _z5(1)
-        data = _three_theta_terms(w)
-        for k in (5, 7, 9, 1, 3):
-            terms = []
-            for s, cname, xs in data[k]:
-                cfac = _C1 if cname == "c1" else _C3
-                facs = [cfac] + [mk(kk, p, zeta=True) for _, kk, p in xs]
-                terms.append((s, _merge_factors(facs, [])[0]))
+        for k, raw in _three_theta_terms(mk, w).items():
+            terms = [(s, _merge_factors(f, [])[0]) for s, f in raw]
             out.append(_ident(
                 f"three-theta-{j}5-{k}", IdentityKind.FUNCTION, terms,
                 f"four-term relation among triple products, eps={j}/5 family, "
@@ -252,11 +227,9 @@ def _ratio_entries():
     for j, mk in ((1, _a), (3, _b)):
         w = _z5(2) if j == 1 else _z5(1)
         for k, (num, den) in _ratio_brackets(mk, w).items():
-            lhs = _bmul([_t(1, _C1)], den)
-            rhs = _bmul([_t(1, _C3)], num)
             out.append(_ident(
                 f"ratio-{j}5-del{k}", IdentityKind.CONSTANT,
-                lhs + _bneg(rhs),
+                _bmul([_t(1, _C1)], den) + _bneg(_bmul([_t(1, _C3)], num)),
                 f"cross-multiplied quotient for c1/c3, eps={j}/5 family, "
                 f"eps'={k}/5 slot deleted"))
     return out
@@ -377,8 +350,8 @@ def _septic_entries():
     for j in (1, 3):
         for k, triples in brackets.items():
             for v, (P, Q, R) in enumerate(triples, start=1):
-                lead = [_t(1, _a(k))]
-                terms = _bmul(_bmul(lead, R), R) + _bneg(_bmul(P, Q))
+                terms = _bmul(_bmul([_t(1, _a(k))], R), R) + _bneg(
+                    _bmul(P, Q))
                 if j == 3:
                     terms = _galois(terms)
                 out.append(_ident(
@@ -424,9 +397,8 @@ def _cube_product_entries():
     out = []
     for j in (1, 3):
         for n, (L1, L2, R1, R2) in enumerate(_cube_product_data(), start=1):
-            lhs = _bmul(_bpow(L1, 3), L2)
-            rhs = _bmul(_bpow(R1, 3), R2)
-            terms = lhs + _bneg(rhs)
+            terms = _bmul(_bmul(_bmul(L1, L1), L1), L2) + _bneg(
+                _bmul(_bmul(_bmul(R1, R1), R1), R2))
             if j == 3:
                 terms = _galois(terms)
             out.append(_ident(
@@ -445,8 +417,7 @@ def _mixed_product_entries():
     r1 = _ratio_brackets(_a, _z5(2))
     r3 = _ratio_brackets(_b, _z5(1))
     for k in (5, 9, 3, 7, 1):
-        n1, d1 = r1[k]
-        n3, d3 = r3[k]
+        (n1, d1), (n3, d3) = r1[k], r3[k]
         terms = _bmul(n1, d3) + _bneg(_bmul(n3, d1))
         out.append(_ident(
             f"mixed-product-del{k}", IdentityKind.CONSTANT, terms,
@@ -534,12 +505,13 @@ def _catalog():
            + _ratio_entries() + _cubic_ratio_entries() + _two_theta_entries()
            + _septic_entries() + _cube_product_entries()
            + _mixed_product_entries())
-    cat = [normalize_identity(i) for i in cat]
-    by_id = {i.id: i for i in cat}
+    by_id = {i.id: normalize_identity(i) for i in cat}
     assert len(by_id) == len(cat)
+    # no representative is a member, so each claim points at a final entry
     for member, rep, m, j in map(str.split, _ORBITS.strip().splitlines()):
-        by_id[member].derived_from = (by_id[rep], int(m), int(j))
-    return tuple(cat)
+        by_id[member] = dataclasses.replace(
+            by_id[member], derived_from=(by_id[rep], int(m), int(j)))
+    return tuple(by_id.values())
 
 
 #: documented per-family entry counts
@@ -552,5 +524,7 @@ CORPUS_SIZE = 81
 
 
 def builtin_catalog():
-    """The full built-in corpus (81 entries), as a fresh list."""
+    """The full built-in corpus (81 entries), as a fresh list of entries
+    shared by every caller: they are immutable, so no caller's use changes
+    another's (dataclasses.replace makes an edited copy)."""
     return list(_catalog())

@@ -128,13 +128,9 @@ def cmd_eval(args):
     zetas = sample_zeta(args.seed, 5)
     rows, lines = [], []
     for ident in sorted(cat, key=lambda i: i.id):
-        worst = 0.0
-        for tau in taus:
-            if ident.kind is IdentityKind.FUNCTION:
-                worst = max(worst, *(identity_residual(ident, tau, z, cfg)
-                                     for z in zetas))
-            else:
-                worst = max(worst, identity_residual(ident, tau, cfg=cfg))
+        points = zetas if ident.kind is IdentityKind.FUNCTION else [None]
+        worst = max(0.0, *(identity_residual(ident, tau, z, cfg)
+                           for tau in taus for z in points))
         expected_fail = ident.expected is ExpectedStatus.SUSPECT_TYPO
         ok = (worst <= args.tol) != expected_fail
         rows.append({"id": ident.id, "max_residual": f"{worst:.3e}",

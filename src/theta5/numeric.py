@@ -85,7 +85,8 @@ def _theta_sum(a, u, tau, cfg, deriv):
     n around each point's peak term (_window_sum).  Each point has its own
     window: its first half-width comes from its tau (_first_k), and it is
     doubled for the points whose edge terms are not both below tol/100
-    (relative to their largest term, when that exceeds 1), until they are.
+    (relative to their largest term, when that exceeds 1), until they are;
+    past cfg.max_terms terms, and for a value past a double, it raises.
     With a tau per point, points are summed in groups that share a first
     window, in blocks of at most _BLOCK_ROWS.  A point's value so never
     depends on the other points of the call: it is the same to the bit as
@@ -96,15 +97,19 @@ def _theta_sum(a, u, tau, cfg, deriv):
     # columns: each point's terms run along its row
     a, u = (a[:, None] if isinstance(a, np.ndarray) else a), u[:, None]
     if not per_point:
-        return _window_sum(a, u, tau, _first_k(tau, cfg), cfg, deriv)
-    ks = {t: _first_k(t, cfg) for t in set(tau.tolist())}
-    first = np.array([ks[t] for t in tau.tolist()])
-    out = np.empty(len(u), complex)
-    for k in sorted(set(ks.values())):
-        rows = np.flatnonzero(first == k)
-        for at in np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS)):
-            out[at] = _window_sum(_rows(a, at), u[at], tau[at, None], k, cfg,
-                                  deriv)
+        out = _window_sum(a, u, tau, _first_k(tau, cfg), cfg, deriv)
+    else:
+        ks = {t: _first_k(t, cfg) for t in set(tau.tolist())}
+        first = np.array([ks[t] for t in tau.tolist()])
+        out = np.empty(len(u), complex)
+        for k in sorted(set(ks.values())):
+            rows = np.flatnonzero(first == k)
+            for at in np.split(rows, range(_BLOCK_ROWS, len(rows),
+                                           _BLOCK_ROWS)):
+                out[at] = _window_sum(_rows(a, at), u[at], tau[at, None], k,
+                                      cfg, deriv)
+    if not np.isfinite(out).all():   # a NaN input never gets here
+        raise ValueError("theta value overflows a double")
     return out
 
 
@@ -131,7 +136,9 @@ def _window_sum(a, u, tau, k, cfg, deriv):
     if not wide.any():
         return t.sum(axis=1)
     k_max = (cfg.max_terms - 1) // 2
-    if k == k_max:
+    if k == k_max:   # finite inputs, terms past a double: _theta_sum raises
+        if (np.isfinite(a + u + tau) & ~np.isfinite(t))[wide].any():
+            return t.sum(axis=1)
         raise ValueError(
             f"theta sum did not converge within {cfg.max_terms} terms")
     k = min(k_max, 2 * k)
@@ -307,6 +314,17 @@ def sample_zeta(seed, count):
             for _ in range(count)]
 
 
+def _numeric_plan(ident):
+    """An identity's terms for numeric evaluation: its distinct factors as
+    ((p, q, r, s), at_zeta), the distinct (factor index, power) pairs, and
+    each term as (scalar value, the indices of its pairs in order)."""
+    factors, powers = ident._factor_index
+    pairs = {}
+    terms = [(t.scalar.embed(), [pairs.setdefault(p, len(pairs)) for p in ps])
+             for t, ps in zip(ident.terms, powers)]
+    return [(k[:4], k[4]) for k in factors], list(pairs), terms
+
+
 def identity_residual(ident, tau, zeta=None, cfg=None):
     """Relative residual |sum of terms| / max |term| of an identity at one
     (tau, zeta) point.  Returns 0.0 when every term vanishes.  The distinct
@@ -315,7 +333,7 @@ def identity_residual(ident, tau, zeta=None, cfg=None):
     its powers in its own order onto its scalar."""
     if zeta is None and ident.kind is IdentityKind.FUNCTION:
         raise ValueError(f"{ident.id}: function identity needs a zeta")
-    factors, powers, terms = ident._factor_plan
+    factors, powers, terms = ident._cached("_numeric_plan", _numeric_plan)
     z, tau, cfg = complex(zeta or 0), complex(tau), cfg or _DEFAULT_CFG
     theta = _POINTS.lookup(factors, z, tau, cfg, False)
     power = [theta[i] ** p for i, p in powers]

@@ -132,8 +132,8 @@ def _theta_power(p, q, r, s, function, power, cn, cd, grid=None, step=False):
 class _Plan(NamedTuple):
     """An identity's exact data at one cutoff, computed once by _plan."""
     cut: tuple       # the cutoff as (numerator, denominator)
-    keys: list       # the distinct factors' _theta_power keys
-    terms: list      # each term's factors, [(index into keys, power)]
+    keys: tuple      # the distinct factors' _theta_power keys
+    terms: tuple     # each term's factors, ((index into keys, power), ...)
     scalars: list    # each term's scalar times den, [(k, c)] on grid[2]
     orders: list     # each term's field order (_residual); a lone factor's
                      # term holds its scalar's, joined per position
@@ -144,7 +144,7 @@ class _Plan(NamedTuple):
 
 def _plan(ident, cutoff):
     cut = cutoff.numerator, cutoff.denominator
-    keys, terms = _index_factors(t.factors for t in ident.terms)
+    keys, terms = ident._factor_index
     bare = [_theta_power(*key, 1, *cut, None, True) for key in keys]
     scalars = [t.scalar for t in ident.terms]
     den = math.lcm(*(v.denominator for s in scalars
@@ -435,14 +435,14 @@ def _residual(plan, terms, total, i):
 
 #: The direct passes of this process, each as (the identity's canonical
 #: form, the cutoff as ints).  Content keys it, never an id or an object,
-#: so an identity edited in place is not credited with an old pass.
+#: so an edited copy is not credited with its original's pass.
 _PASSES = set()
 
 
-def _image(keys, terms, scalars, den, m=1, j=0):
-    """sigma_m T^j of an identity (keys and terms as _index_factors gives
-    them), as (factors, {powers: (c, d, a)}): factors is the sorted tuple of
-    the distinct image factors' keys, powers a term's power of each of them
+def _image(ident, den, m=1, j=0):
+    """sigma_m T^j of an identity, from its factor index, as (factors,
+    {powers: (c, d, a)}): factors is the sorted tuple of the distinct image
+    factors' keys, powers a term's power of each of them
     in that order (a flat tuple of ints), and the term's scalar is c/d
     e^(pi i a/den) with 0 <= a < den (the sign folded into c); None unless
     every scalar is one entry c zeta_N^k and the terms' powers are distinct.
@@ -451,6 +451,7 @@ def _image(keys, terms, scalars, den, m=1, j=0):
     = e^(pi i e n) theta[e; e'] brings e' into [0, 2).  den must be a
     multiple of every 4q^2 (e = p/q) and every scalar order, and m a unit
     mod every root of unity the identity holds."""
+    keys, terms = ident._factor_index
     images, phases = [], []
     for p, q, r, s, at_zeta in keys:
         n, num = divmod(m * (r * q + j * (p + q) * s), 2 * q * s)
@@ -461,7 +462,7 @@ def _image(keys, terms, scalars, den, m=1, j=0):
     factors = tuple(sorted(set(images)))
     place = [factors.index(f) for f in images]
     out = {}
-    for fs, scalar in zip(terms, scalars):
+    for fs, scalar in zip(terms, (t.scalar for t in ident.terms)):
         if len(scalar.coeffs) != 1:
             return None
         (k, c), = scalar.coeffs.items()
@@ -475,49 +476,44 @@ def _image(keys, terms, scalars, den, m=1, j=0):
     return (factors, out) if len(out) == len(terms) else None
 
 
-def _phase_den(keys, scalars):
-    """The least den that _image takes for these factors and scalars."""
-    return math.lcm(*(4 * q * q for _, q, _, _, _ in keys),
-                    *(s.order for s in scalars))
+def _phase_den(ident):
+    """The least den that _image takes for the identity."""
+    return math.lcm(*(4 * q * q for _, q, _, _, _ in ident._factor_index[0]),
+                    *(t.scalar.order for t in ident.terms))
 
 
 def _claim_data(rep):
     """What every claim on rep reads of it, built once (Identity._cached):
-    its _index_factors keys and terms, its scalars, the modulus m must be
-    prime to (every root of unity its series, T factors and scalars hold:
-    4qs and 8q^2 per theta[p/q; r/s], and the scalar orders) and its
-    canonical form, its _image on its own _phase_den (None if rejected)."""
-    keys, terms = _index_factors(t.factors for t in rep.terms)
-    scalars = [t.scalar for t in rep.terms]
-    unit = math.lcm(*(math.lcm(4 * q * s, 8 * q * q)
-                      for _, q, _, s, _ in keys), *(c.order for c in scalars))
-    den = _phase_den(keys, scalars)
-    image = _image(keys, terms, scalars, den)
-    form = None if image is None else (den, image[0],
-                                       frozenset(image[1].items()))
-    return keys, terms, scalars, unit, form
+    the modulus m must be prime to (every root of unity its series, T
+    factors and scalars hold: 4qs and 8q^2 per theta[p/q; r/s], and the
+    scalar orders) and its canonical form, its _image on its own _phase_den
+    (None if rejected)."""
+    unit = math.lcm(*(math.lcm(4 * q * s, 8 * q * q) for _, q, _, s, _
+                      in rep._factor_index[0]),
+                    *(t.scalar.order for t in rep.terms))
+    den = _phase_den(rep)
+    image = _image(rep, den)
+    return unit, None if image is None else (den, image[0],
+                                             frozenset(image[1].items()))
 
 
 def _claimed(ident):
     """The canonical form of the representative in ident.derived_from =
     (representative, m, j) when the claim checks, else None.  It checks
     when m is prime to the representative's unit modulus, the
-    representative claims no orbit itself, and ident's terms are those of
-    sigma_m T^j of it times one global scalar (_image): each term's ratio
-    own / image, num/d e^(pi i a/den) with 0 <= a < den, equals the first
-    term's, num * d0 = num0 * d (no gcd) and a = a0.  Integers only; the
-    representative's side is its cached _claim_data."""
+    representative claims no orbit itself and has a form (else it has no
+    _image), and ident's terms are those of sigma_m T^j of it times one
+    global scalar: each term's ratio own / image, num/d e^(pi i a/den) with
+    0 <= a < den, equals the first term's, num * d0 = num0 * d (no gcd) and
+    a = a0.  Integers only; the representative's side is its _claim_data."""
     rep, m, j = ident.derived_from
     if rep.derived_from is not None:
         return None
-    rkeys, rterms, rscalars, unit, form = rep._cached("_claim", _claim_data)
-    if math.gcd(m, unit) != 1:
+    unit, form = rep._cached("_claim", _claim_data)
+    if form is None or math.gcd(m, unit) != 1:
         return None
-    keys, terms = _index_factors(t.factors for t in ident.terms)
-    scalars = [t.scalar for t in ident.terms]
-    den = math.lcm(_phase_den(rkeys, rscalars), _phase_den(keys, scalars))
-    image = _image(rkeys, rterms, rscalars, den, m, j)
-    own = _image(keys, terms, scalars, den)
+    den = math.lcm(form[0], _phase_den(ident))
+    image, own = _image(rep, den, m, j), _image(ident, den)
     if (image is None or own is None or image[0] != own[0]
             or image[1].keys() != own[1].keys()):
         return None

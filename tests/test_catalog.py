@@ -183,6 +183,58 @@ def test_normalize_obeys_the_even_shift_law(eps, epsp, power, at_zeta, k):
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
+def test_identities_are_frozen():
+    ident = builtin_catalog()[0]
+    term = ident.terms[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ident.id = "renamed"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ident.terms = ident.terms[:1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ident.derived_from = (ident, 1, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        term.scalar = -term.scalar
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        term.factors = []
+    assert isinstance(ident.terms, tuple) and isinstance(term.factors, tuple)
+
+
+def test_builtin_entries_survive_an_attempted_edit():
+    from theta5.verify import verify_exact
+    first = builtin_catalog()[0]
+    before = identity_to_dict(first)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.terms[0].scalar = -first.terms[0].scalar
+    with pytest.raises(AttributeError):
+        first.terms.append(first.terms[0])
+    fresh = builtin_catalog()[0]
+    assert fresh is first and identity_to_dict(fresh) == before
+    assert verify_exact(fresh, 8).passed
+
+
+def test_later_changes_to_the_given_lists_change_nothing():
+    factors = [ThetaFactor(C(0, 0), 4)]
+    term = IdentityTerm(Cyclotomic.one(), factors)
+    terms = [term, IdentityTerm(-Cyclotomic.one(), factors)]
+    ident = Identity("zero", IdentityKind.CONSTANT, terms)
+    factors.append(ThetaFactor(C(1, 0), 1))
+    terms.append(IdentityTerm(Cyclotomic.one(), [ThetaFactor(C(0, 1))]))
+    assert term.factors == (ThetaFactor(C(0, 0), 4),) and term.degree == 4
+    assert len(ident.terms) == 2 and ident.degree == 4
+
+
+def test_replace_runs_the_constructor_checks():
+    ident = next(i for i in builtin_catalog() if i.id == "fk-cubic-1")
+    assert ident.kind is IdentityKind.CONSTANT and ident.degree == 3
+    linear = IdentityTerm(Cyclotomic.one(), [ThetaFactor(C(0, 0))])
+    with pytest.raises(ValueError, match=r"inhomogeneous .* \[1, 3\]"):
+        dataclasses.replace(ident, terms=[linear, *ident.terms[1:]])
+    at_zeta = IdentityTerm(Cyclotomic.one(), [
+        ThetaFactor(C(0, 0), 3, Argument.SYMBOLIC_ZETA)])
+    with pytest.raises(ValueError, match="symbolic-zeta"):
+        dataclasses.replace(ident, terms=[at_zeta, *ident.terms[1:]])
+
+
 def test_missing_field_is_value_error():
     with pytest.raises(ValueError):
         identity_from_dict({"id": "x", "kind": "constant"})

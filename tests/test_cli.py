@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -6,6 +8,8 @@ import pytest
 
 from theta5 import cli
 from theta5.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -42,6 +46,59 @@ def test_verify_corrupted_catalog_fails(capsys, tmp_path):
     code, out = run(capsys, "--cutoff", "2", "--catalog", str(path), "verify")
     assert code == 1
     assert "FAIL" in out
+
+
+def _first_factor(entry):
+    return entry["terms"][0]["factors"][0]
+
+
+#: (a name, an edit of jacobi-quartic's identity_to_dict or a whole file's
+#: JSON, the error line after "error: ")
+_MALFORMED = [
+    ("entry", [5], "a catalog entry must be a JSON object, got 5"),
+    ("terms", lambda d: d.update(terms=5),
+     "identity 'jacobi-quartic': field 'terms' must be a list of objects, "
+     "got 5"),
+    ("factor", lambda d: d["terms"][1].update(factors=[5]),
+     "identity 'jacobi-quartic': field 'factors' must be a list of objects, "
+     "got [5]"),
+    ("scalar", lambda d: d["terms"][0].update(scalar=1),
+     "identity 'jacobi-quartic': field 'scalar' must be a string, got 1"),
+    ("eps-null", lambda d: _first_factor(d).update(eps=None),
+     "identity 'jacobi-quartic': field 'eps' must be a string or an "
+     "integer, got null"),
+    ("eps-float", lambda d: _first_factor(d).update(eps=0.2),
+     "identity 'jacobi-quartic': field 'eps' must be a string or an "
+     "integer, got 0.2"),
+    ("epsp-zero-denominator", lambda d: _first_factor(d).update(epsp="1/0"),
+     "identity 'jacobi-quartic': field 'epsp' has a zero denominator"),
+    ("id", lambda d: d.update(id=["x"]),
+     "identity ['x']: field 'id' must be a string, got [\"x\"]"),
+    ("pow-float", lambda d: _first_factor(d).update(pow=4.7),
+     "identity 'jacobi-quartic': field 'pow' must be an integer, got 4.7"),
+    ("pow-true", lambda d: _first_factor(d).update(pow=True),
+     "identity 'jacobi-quartic': field 'pow' must be an integer, got true"),
+    ("kind", lambda d: d.update(kind="cubic"),
+     "identity 'jacobi-quartic': field 'kind': 'cubic' is not a valid "
+     "IdentityKind"),
+]
+
+
+@pytest.mark.parametrize("edit, message", [c[1:] for c in _MALFORMED],
+                         ids=[c[0] for c in _MALFORMED])
+def test_malformed_catalog_is_an_input_error(capsys, tmp_path, edit, message):
+    from theta5.catalog import identity_to_dict
+    from theta5.catalog_data import builtin_catalog
+    data = edit
+    if callable(edit):   # an edit of jacobi-quartic
+        data = [identity_to_dict(builtin_catalog()[0])]
+        edit(data[0])
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code = main(["--catalog", str(path), "verify"])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert err.splitlines() == ["error: " + message]
 
 
 def _fifth_third_catalog(path):
@@ -284,18 +341,23 @@ def test_global_flags_after_subcommand(capsys):
     assert code == 0
 
 
+def _python(*args):
+    """A fresh interpreter run with src/ on its path, as the tests have it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "theta5.cli", "--cutoff", "1", "expand", "0,1"],
-        capture_output=True, text=True)
+    proc = _python("-m", "theta5.cli", "--cutoff", "1", "expand", "0,1")
     assert proc.returncode == 0
     assert proc.stdout.strip()
 
 
 def test_import_does_not_load_scipy():
-    code = "import sys, theta5; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+    proc = _python("-c", "import sys, theta5; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -305,8 +367,7 @@ def test_eval_does_not_load_numpy_ma():
     # import of numpy.ma costs every eval process time and memory
     code = ("import sys; from theta5.cli import main; "
             "main(['--seed', '0', 'eval']); print('numpy.ma' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
 

@@ -1,5 +1,7 @@
 import cmath
-import copy
+import collections
+import dataclasses
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from theta5 import catalog_data
 from theta5.catalog import Argument, IdentityKind, ThetaFactor
 from theta5.catalog_data import builtin_catalog
 from theta5.cli import main
@@ -391,28 +394,67 @@ def test_identity_residual_equals_the_factor_loop():
                 assert identity_residual(ident, tau, zeta) == want, ident.id
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("evaluate", [theta_eval, theta_deriv_eval])
+def test_overflow_is_reported(evaluate):
+    # |theta[1; 0]| here is about e^808 > 1.8e308: a scalar point, a point
+    # of an array and a derivative (whose window never closes) all raise
+    c, zeta, tau = C(1, 0), 0.3537 + 98.5j, 0.2259 + 37.7j
+    for z in (zeta, np.array([0.1j, zeta])):
+        with pytest.raises(ValueError, match="overflows a double"):
+            evaluate(c, z, tau)
+    assert cmath.isfinite(evaluate(c, 0.1j, tau))   # the cache still works
+
+
+def _with_term(ident, i, **changes):
+    """A copy of ident with the fields of term i changed."""
+    terms = list(ident.terms)
+    terms[i] = dataclasses.replace(terms[i], **changes)
+    return dataclasses.replace(ident, terms=terms)
+
+
 def test_edited_terms_are_evaluated_afresh():
-    """An identity's terms edited in place after an evaluation: the residual
-    is that of a fresh copy of the edited identity, not of the old terms."""
+    """Terms cannot be edited in place; an edited copy of an identity after
+    an evaluation of the original has the residual of a fresh copy of it
+    (dataclasses.replace builds none of the original's derived data), not
+    that of the old terms."""
     tau = 0.1 + 1j
-    ident = copy.deepcopy(builtin_catalog()[0])
+    ident = builtin_catalog()[0]
     assert ident.id == "jacobi-quartic"
     assert identity_residual(ident, tau) < 1e-12
-    ident.terms[0].scalar = -ident.terms[0].scalar
-    assert verify_exact(ident, 8).status == "fail"
-    flipped = identity_residual(ident, tau)
-    assert flipped == identity_residual(copy.deepcopy(ident), tau)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ident.terms[0].scalar = -ident.terms[0].scalar
+    edited = _with_term(ident, 0, scalar=-ident.terms[0].scalar)
+    assert verify_exact(edited, 8).status == "fail"
+    flipped = identity_residual(edited, tau)
+    assert flipped == identity_residual(dataclasses.replace(edited), tau)
     assert abs(flipped - 2.0) < 1e-12
     # a replaced factor list is seen too: theta[0;0]^4 -> theta[1;0]^4
-    ident.terms[0].factors = list(ident.terms[1].factors)
-    assert identity_residual(ident, tau) == \
-        identity_residual(copy.deepcopy(ident), tau) != flipped
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        edited.terms[0].factors = list(edited.terms[1].factors)
+    edited = _with_term(edited, 0, factors=edited.terms[1].factors)
+    assert identity_residual(edited, tau) == \
+        identity_residual(dataclasses.replace(edited), tau) != flipped
     # and a factor replaced inside its list: theta[0;0]^4 -> theta[0;1]^4
-    ident = copy.deepcopy(builtin_catalog()[0])
-    assert identity_residual(ident, tau) < 1e-12
-    ident.terms[0].factors[0] = ThetaFactor(C(0, 1), 4)
-    assert identity_residual(ident, tau) == \
-        identity_residual(copy.deepcopy(ident), tau) > 0.5
+    with pytest.raises(TypeError):
+        ident.terms[0].factors[0] = ThetaFactor(C(0, 1), 4)
+    edited = _with_term(ident, 0, factors=[ThetaFactor(C(0, 1), 4)])
+    assert identity_residual(edited, tau) == \
+        identity_residual(dataclasses.replace(edited), tau) > 0.5
+    assert identity_residual(builtin_catalog()[0], tau) < 1e-12
+
+
+def test_eval_sweep_builds_each_numeric_plan_once(monkeypatch, capsys):
+    # a fresh corpus (not the one other tests have evaluated), and a count
+    # of the numeric plans built over one `theta5 eval` sweep, per identity
+    monkeypatch.setattr(catalog_data, "_catalog", functools.lru_cache(
+        maxsize=1)(catalog_data._catalog.__wrapped__))
+    built, plan = collections.Counter(), numeric._numeric_plan
+    monkeypatch.setattr(numeric, "_numeric_plan",
+                        lambda ident: built.update([ident.id]) or plan(ident))
+    assert main(["--seed", "0", "eval"]) == 0
+    capsys.readouterr()
+    assert len(built) == 81 and set(built.values()) == {1}
 
 
 def test_eval_subcommand_mostly_hits_the_point_cache(capsys):
@@ -518,7 +560,7 @@ def test_a_lookup_that_starts_the_cache_over_keeps_its_hits():
 
 def test_residual_raises_each_distinct_power_once():
     ident = next(i for i in builtin_catalog() if i.id == "cube-product-15-1")
-    factors, powers, terms = ident._factor_plan
+    factors, powers, terms = numeric._numeric_plan(ident)
     assert len(powers) == len(set(powers)) == 32
     assert sum(len(slots) for _, slots in terms) == 56
     for term, (_, slots) in zip(ident.terms, terms):

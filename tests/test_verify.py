@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import hashlib
 import json
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from theta5 import catalog, catalog_data
 from theta5 import series as ser
 from theta5 import theta as th
 from theta5 import verify as v
@@ -733,51 +733,71 @@ def test_wrong_claims_are_computed_directly():
     assert not verify_exact(corrupt_identity(ident, 0), 8).passed
 
 
+def _orbit(rep_id):
+    """The representative and then its members, in id order."""
+    return sorted((i for i in builtin_catalog() if i.id == rep_id
+                   or i.derived_from and i.derived_from[0].id == rep_id),
+                  key=lambda i: i.id)
+
+
+def _with_term(ident, i, **changes):
+    """A copy of ident with the fields of term i changed."""
+    terms = list(ident.terms)
+    terms[i] = dataclasses.replace(terms[i], **changes)
+    return dataclasses.replace(ident, terms=terms)
+
+
+def _claiming(members, rep):
+    """Copies of the members whose claims point at rep, with m and j kept."""
+    return [dataclasses.replace(i, derived_from=(rep, *i.derived_from[1:]))
+            for i in members]
+
+
 def test_edited_representative_is_not_credited():
     # a representative's pass is remembered by content.  With one term
-    # negated in place in it, no claim checks and the members pass directly;
-    # with the image term negated in each member too, every claim checks,
-    # but the old pass is not reused: all five fail
-    orbit = sorted((i for i in builtin_catalog() if i.id == "ratio-15-del1"
-                    or i.derived_from and i.derived_from[0].id == "ratio-15-del1"),
-                   key=lambda i: i.id)
-    orbit = copy.deepcopy(orbit)   # members point at the copied representative
-    rep = orbit[0]
+    # negated in a copy of it (same id), no claim on the copy checks and the
+    # members pass directly; with the image term negated in each member too,
+    # every claim checks, but the old pass is not reused: all five fail
+    rep, *members = _orbit("ratio-15-del1")
     assert verify_exact(rep, 8).passed
-    assert all(verify_exact(i, 8).derived_from for i in orbit[1:])
-    rep.terms[0].scalar = -rep.terms[0].scalar
-    assert not any(v._claimed(i) for i in orbit[1:])
-    reports = verify_all(orbit, 8)
+    assert all(verify_exact(i, 8).derived_from for i in members)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.terms[0].scalar = -rep.terms[0].scalar
+    rep = _with_term(rep, 0, scalar=-rep.terms[0].scalar)
+    members = _claiming(members, rep)
+    assert not any(v._claimed(i) for i in members)
+    reports = verify_all([rep, *members], 8)
     assert [r.status for r in reports] == ["fail"] + ["pass"] * 4
     assert not any(r.derived_from for r in reports)
-    for ident in orbit[1:]:
+    for n, ident in enumerate(members):
         _, m, j = ident.derived_from
         image = _factor_set(_oracle_image(rep, m, j).terms[0].factors)
-        term = next(t for t in ident.terms if _factor_set(t.factors) == image)
-        term.scalar = -term.scalar
-    assert all(v._claimed(i) for i in orbit[1:])
-    reports = verify_all(orbit, 8)
+        k = next(k for k, t in enumerate(ident.terms)
+                 if _factor_set(t.factors) == image)
+        members[n] = _with_term(ident, k, scalar=-ident.terms[k].scalar)
+    assert all(v._claimed(i) for i in members)
+    reports = verify_all([rep, *members], 8)
     assert [r.status for r in reports] == ["fail"] * 5
     assert not any(r.derived_from for r in reports)
 
 
 def test_edited_representative_factor_is_seen():
-    # the claim data is built once per representative, and again once one
-    # of its factors is replaced inside its list: theta[1/5; 3/5]^2 ->
-    # theta[1/5; 1/5]^2 in the first term makes every member's claim fail,
-    # and the members are verified directly
-    orbit = copy.deepcopy(sorted(
-        (i for i in builtin_catalog() if i.id == "ratio-15-del1"
-         or i.derived_from and i.derived_from[0].id == "ratio-15-del1"),
-        key=lambda i: i.id))
-    rep = orbit[0]
-    assert all(v._claimed(i) for i in orbit[1:])
+    # the claim data is built once per representative; a factor list cannot
+    # be edited in place, and a copy of the representative with
+    # theta[1/5; 3/5]^2 -> theta[1/5; 1/5]^2 in the first term makes every
+    # member's claim on it fail, and the members are verified directly
+    rep, *members = _orbit("ratio-15-del1")
+    assert all(v._claimed(i) for i in members)
     factors = rep.terms[0].factors
     assert factors[0].char == C(Fraction(1, 5), Fraction(3, 5))
-    factors[0] = dataclasses.replace(factors[0], char=C(Fraction(1, 5),
-                                                        Fraction(1, 5)))
-    assert not any(v._claimed(i) for i in orbit[1:])
-    reports = verify_all(orbit, 8)
+    edited = dataclasses.replace(factors[0], char=C(Fraction(1, 5),
+                                                    Fraction(1, 5)))
+    with pytest.raises(TypeError):
+        factors[0] = edited
+    rep = _with_term(rep, 0, factors=(edited, *factors[1:]))
+    members = _claiming(members, rep)
+    assert not any(v._claimed(i) for i in members)
+    reports = verify_all([rep, *members], 8)
     assert [r.status for r in reports] == ["fail"] + ["pass"] * 4
     assert not any(r.derived_from for r in reports)
 
@@ -813,9 +833,8 @@ def test_claim_with_one_scalar_negated_is_computed_directly():
     # one term off by -1 breaks the one global ratio: the claim is
     # rejected and the member, now false, fails on its own expansion
     ident = _by_id("cube-product-15-3")
-    probe = copy.deepcopy(ident)
-    probe.derived_from = ident.derived_from
-    probe.terms[2].scalar = -probe.terms[2].scalar
+    probe = _with_term(ident, 2, scalar=-ident.terms[2].scalar)
+    assert probe.derived_from == ident.derived_from
     assert v._claimed(probe) is None
     got = verify_exact(probe, 8)
     assert got.status == "fail" and got.derived_from is None
@@ -835,18 +854,34 @@ def test_claim_up_to_a_negative_rational_holds():
     got = verify_exact(probe, 8)
     assert got.passed and got.derived_from["id"] == ident.derived_from[0].id
     # with one term's factor -3/7 and the others' 3/7, it does not hold
-    scaled[0].scalar = -scaled[0].scalar
+    probe = _with_term(probe, 0, scalar=-scaled[0].scalar)
     assert v._claimed(probe) is None
     assert not _oracle_holds(probe, *probe.derived_from)
 
+
 def test_claims_are_not_chained():
-    # two identities that claim each other are both verified directly
-    a, b = (dataclasses.replace(_by_id("jacobi-quartic"), id=name)
-            for name in "ab")
-    a.derived_from, b.derived_from = (b, 1, 0), (a, 1, 0)
-    assert v._claimed(a) is None
-    reports = verify_all([a, b], 4)
-    assert [(r.status, r.derived_from) for r in reports] == [("pass", None)] * 2
+    # in a chain a -> b -> c the claim on b, which claims an orbit itself,
+    # does not check: a is verified directly, b is derived from c
+    c = dataclasses.replace(_by_id("jacobi-quartic"), id="c")
+    b = dataclasses.replace(c, id="b", derived_from=(c, 1, 0))
+    a = dataclasses.replace(c, id="a", derived_from=(b, 1, 0))
+    assert v._claimed(a) is None and v._claimed(b) is not None
+    reports = verify_all([c, b, a], 4)
+    assert [(r.status, r.derived_from) for r in reports] == [
+        ("pass", None), ("pass", {"id": "c", "m": 1, "j": 0}), ("pass", None)]
+
+
+def test_factor_index_is_built_once_per_identity(monkeypatch):
+    # over a fresh corpus (derived data of its own), verified at two
+    # cutoffs: the plans, the claims and the claim data share one index
+    # per identity (verify's own name, which discovery calls, is not wrapped)
+    cat = catalog_data._catalog.__wrapped__()
+    calls, index = [], catalog._index_factors
+    monkeypatch.setattr(catalog, "_index_factors",
+                        lambda lists: calls.append(1) or index(lists))
+    for cutoff in (8, 16):
+        assert sum(r.passed for r in verify_all(cat, cutoff)) == 80
+        assert len(calls) == len(cat) == 81
 
 
 def test_saved_catalog_carries_no_claims(tmp_path):
@@ -962,9 +997,9 @@ def test_lane_keeps_unit_classes_apart():
     # only if the classes are merged
     F = ThetaFactor
     probe = Identity("classes", IdentityKind.CONSTANT, [
-        IdentityTerm(Cyclotomic.one(), [F(C(Fraction(1, 5), Fraction(k, 5)))])
-        for k in (1, 3)])
-    probe.terms[1].scalar = -Cyclotomic.one()
+        IdentityTerm(sign * Cyclotomic.one(),
+                     [F(C(Fraction(1, 5), Fraction(k, 5)))])
+        for sign, k in ((1, 1), (-1, 3))])
     for cutoff in (Fraction(1, 10), 2):
         assert _lane_and_sparse(probe, cutoff) == (False, "fail")
 
