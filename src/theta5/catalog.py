@@ -41,14 +41,20 @@ class ThetaFactor:
     argument: Argument = Argument.AT_ZERO
 
     def __post_init__(self):
-        if self.power < 1:
-            raise ValueError("factor power must be >= 1")
+        _check_power(self.power)
         # key: (p, q, r, s, at_zeta) for theta[p/q; r/s] at symbolic zeta or
         # at 0, built once (integers hash faster than the Fractions)
         (eps, epsp), zeta = self.char, self.argument is Argument.SYMBOLIC_ZETA
         object.__setattr__(self, "key", (eps.numerator, eps.denominator,
                                          epsp.numerator, epsp.denominator,
                                          zeta))
+
+
+def _check_power(power):
+    """power, unless ThetaFactor refuses it."""
+    if power < 1:
+        raise ValueError("factor power must be >= 1")
+    return power
 
 
 @dataclass(frozen=True)
@@ -225,8 +231,10 @@ _FIELD_TYPES = {"terms": _OBJECTS, "factors": _OBJECTS, "eps": _RATIONAL,
 def identity_from_dict(d):
     """The Identity of an identity_to_dict object.  Every field must have the
     JSON type identity_to_dict writes (so a "pow" is an integer, never a
-    float or true, and an "eps" or "epsp" a rational string or an integer);
-    anything else is a ValueError that names the identity and the field."""
+    float or true, and an "eps" or "epsp" a rational string or an integer),
+    and a value the constructors refuse (a "pow" below 1) is refused while
+    its field is read: either is a ValueError that names the identity and
+    the field."""
     if not isinstance(d, dict):
         raise ValueError("a catalog entry must be a JSON object, got "
                          + json.dumps(d, default=str))
@@ -261,7 +269,7 @@ def identity_from_dict(d):
     terms = [IdentityTerm(read(t, "scalar", scalar), [
         ThetaFactor(Characteristic.of(read(f, "eps", Fraction),
                                       read(f, "epsp", Fraction)),
-                    read(f, "pow"), read(f, "arg", Argument))
+                    read(f, "pow", _check_power), read(f, "arg", Argument))
         for f in read(t, "factors")]) for t in read(d, "terms")]
     return Identity(read(d, "id"), read(d, "kind", IdentityKind), terms,
                     read(d, "paper_ref", default=""),

@@ -14,8 +14,9 @@ One batched kernel, `_theta_sum`, evaluates every theta value: paired arrays
 of (characteristic, zeta) points at one tau or at a tau per point, given as
 the only forms the sum reads, a = eps/2 and u = zeta + eps'/2.  Each point
 is summed over its own window of terms: one pass at a first half-width from
-its tau, and the points whose edge terms are not small summed again at twice
-the half-width, so a value is the same to the bit in any batch.  Scalar
+its tau (twice it when every point of the call is certain to fail the first),
+and the points whose edge terms are not small summed again at twice the
+half-width, so a value is the same to the bit in any batch.  Scalar
 points go through one point cache (`_POINTS`): an identity residual looks up
 its distinct factors there and sends all misses to one kernel call.  A
 characteristic the cache meets for the first time is filled in, in that same
@@ -83,31 +84,34 @@ def _theta_sum(a, u, tau, cfg, deriv):
     tau given as a complex scalar or as a complex array paired with u.  Terms
     are exp(pi*i*(n+a)^2*tau) * exp(2*pi*i*(n+a)*u), summed over a window of
     n around each point's peak term (_window_sum).  Each point has its own
-    window: its first half-width comes from its tau (_first_k), and it is
-    doubled for the points whose edge terms are not both below tol/100
+    window: its first half-width comes from its tau (_first_k), doubled at
+    once when no point can close at it (_window_sum), and it is doubled
+    for the points whose edge terms are not both below tol/100
     (relative to their largest term, when that exceeds 1), until they are;
-    past cfg.max_terms terms, and for a value past a double, it raises.
-    With a tau per point, points are summed in groups that share a first
-    window, in blocks of at most _BLOCK_ROWS.  A point's value so never
-    depends on the other points of the call: it is the same to the bit as
-    that of a one-point call."""
+    past cfg.max_terms terms, and for a value past a double, it raises (the
+    latter with no numpy warning, once its terms overflow).  With a tau per
+    point, points are summed in groups that share a first window, in blocks
+    of at most _BLOCK_ROWS.  A point's value so never depends on the other
+    points of the call: it is the same to the bit as that of a one-point
+    call."""
     per_point = isinstance(tau, np.ndarray)
     if (tau.imag <= 0).any() if per_point else tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
     # columns: each point's terms run along its row
     a, u = (a[:, None] if isinstance(a, np.ndarray) else a), u[:, None]
-    if not per_point:
-        out = _window_sum(a, u, tau, _first_k(tau, cfg), cfg, deriv)
-    else:
-        ks = {t: _first_k(t, cfg) for t in set(tau.tolist())}
-        first = np.array([ks[t] for t in tau.tolist()])
-        out = np.empty(len(u), complex)
-        for k in sorted(set(ks.values())):
-            rows = np.flatnonzero(first == k)
-            for at in np.split(rows, range(_BLOCK_ROWS, len(rows),
-                                           _BLOCK_ROWS)):
-                out[at] = _window_sum(_rows(a, at), u[at], tau[at, None], k,
-                                      cfg, deriv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not per_point:
+            out = _window_sum(a, u, tau, _first_k(tau, cfg), cfg, deriv)
+        else:
+            ks = {t: _first_k(t, cfg) for t in set(tau.tolist())}
+            first = np.array([ks[t] for t in tau.tolist()])
+            out = np.empty(len(u), complex)
+            for k in sorted(set(ks.values())):
+                rows = np.flatnonzero(first == k)
+                for at in np.split(rows, range(_BLOCK_ROWS, len(rows),
+                                               _BLOCK_ROWS)):
+                    out[at] = _window_sum(_rows(a, at), u[at], tau[at, None],
+                                          k, cfg, deriv)
     if not np.isfinite(out).all():   # a NaN input never gets here
         raise ValueError("theta value overflows a double")
     return out
@@ -118,35 +122,55 @@ def _rows(x, at):
     return x[at] if isinstance(x, np.ndarray) else x
 
 
-def _window_sum(a, u, tau, k, cfg, deriv):
+def _window_sum(a, u, tau, k, cfg, deriv, center=None):
     """_theta_sum at the points u that share the half-width k, with u, and a
     and tau when they are arrays, as columns: one pass over 2k + 1 terms
     around each point's peak, and the points whose edge terms are not small
-    (a NaN edge among them) summed again at half-width 2k.  Im u = Im zeta
-    places the peaks (a -0.0 turned +0.0 moves none)."""
-    # |term| = exp(-pi*(n+a)^2 Im tau - 2*pi*(n+a) Im zeta) peaks here:
-    center = np.rint(-a - u.imag / tau.imag)
+    (a NaN edge among them) summed again at half-width 2k, around the same
+    centers.  Once a point of finite inputs has a term past a double, no
+    point is widened: _theta_sum raises.  Im u = Im zeta places the peaks (a
+    -0.0 turned +0.0 moves none).
+
+    A first window (center None) that every point is certain to fail is
+    skipped for the next half-width: the peak c lies off its nearest n by
+    off <= 1/2, so a point's nearer edge term is exp(-pi Im tau (k - off)^2)
+    times the peak term's modulus exp(pi (Im u)^2 / Im tau) >= 1.  With that
+    factor above tol/100 (twice it, against rounding) at the largest Im tau
+    and the least off of the call, that is with every off above
+    k - sqrt(ln(50/tol) / (pi Im tau)), no point closes.  Not for deriv (its
+    terms carry a factor n + a) or tol 0."""
+    k_max = (cfg.max_terms - 1) // 2
+    if center is None:
+        # |term| = exp(-pi*(n+a)^2 Im tau - 2*pi*(n+a) Im zeta) peaks here:
+        peak = -a - u.imag / tau.imag
+        center = np.rint(peak)
+        if not deriv and cfg.tol and k < k_max:
+            im = tau.imag.max() if isinstance(tau, np.ndarray) else tau.imag
+            off = k - math.sqrt(math.log(50.0 / cfg.tol) / (math.pi * im))
+            if off < 0.5 and np.abs(peak - center).min() > off:
+                k = min(k_max, 2 * k)
     m = (center + np.arange(-k, k + 1)) + a  # integer n, then n + a
     t = np.exp(1j * math.pi * (m * m * tau + 2 * m * u))
     if deriv:
         t *= TWO_PI_I * m
     mag = np.abs(t)
+    top = mag.max(axis=1)   # NaN if a term is
     edge = np.maximum(mag[:, 0], mag[:, -1])
-    wide = ~(edge <= cfg.tol * 1e-2 * np.maximum(mag.max(axis=1), 1.0))
+    wide = ~(edge <= cfg.tol * 1e-2 * np.maximum(top, 1.0))
     if not wide.any():
         return t.sum(axis=1)
-    k_max = (cfg.max_terms - 1) // 2
-    if k == k_max:   # finite inputs, terms past a double: _theta_sum raises
-        if (np.isfinite(a + u + tau) & ~np.isfinite(t))[wide].any():
-            return t.sum(axis=1)
+    if not np.isfinite(top).all() and (
+            np.isfinite(a + u + tau).ravel() & ~np.isfinite(top)).any():
+        return t.sum(axis=1)   # _theta_sum raises
+    if k == k_max:
         raise ValueError(
             f"theta sum did not converge within {cfg.max_terms} terms")
     k = min(k_max, 2 * k)
     if wide.all():
-        return _window_sum(a, u, tau, k, cfg, deriv)
+        return _window_sum(a, u, tau, k, cfg, deriv, center)
     out = t.sum(axis=1)
     out[wide] = _window_sum(_rows(a, wide), u[wide], _rows(tau, wide), k, cfg,
-                            deriv)
+                            deriv, center[wide])
     return out
 
 

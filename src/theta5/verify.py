@@ -140,6 +140,8 @@ class _Plan(NamedTuple):
     grid: tuple      # (dx, dz, order) of the factors, cutoff and scalars
     icut: int        # the cutoff on the grid
     den: int         # the scalars' common denominator
+    bare: tuple      # each distinct factor to the power 1 on the grid, up
+                     # to the cutoff of _plan (a cut plan keeps them)
 
 
 def _plan(ident, cutoff):
@@ -164,7 +166,8 @@ def _plan(ident, cutoff):
     except OverflowError:
         raise ValueError(f"cutoff {cutoff} puts exponents on the common grid "
                          "past the int64 key range") from None
-    return _Plan(cut, keys, terms, ints, orders, grid, icut, den)
+    return _Plan(cut, keys, terms, ints, orders, grid, icut, den,
+                 tuple(_theta_power(*key, 1, *cut, grid) for key in keys))
 
 
 def _lone(factors):
@@ -264,26 +267,30 @@ def _lane(plan):
     merged.  Each term, times its carried unit, is written in the power
     basis by rows of reduction_matrix(M), and each class's sum is compared
     up to the cutoff.  Each entry of +-1 (about two in five) is one in-place
-    add or subtract, with no temporary.
+    add or subtract, with no temporary.  A factor's data is built once per
+    factor, not per identity: its entries and gcds per (factor, cutoff,
+    grid) (_lane_entries), its folded form per split (_lane_factor).
 
     The lane gives up (None) on a factor at zeta, on every term empty up to
     the cutoff, on an array of more than _LANE_ENTRIES, and on a bound past
-    _INT64_SAFE: sum |c| and max |c| per term, carried as Packed carries
-    them and measured when too loose."""
+    _INT64_SAFE.  The bound is proven once when it can be: no value the lane
+    forms exceeds a term's scalar's sum |c| times its factors' sum |c| to
+    their powers, so with that below _INT64_SAFE over the terms times h
+    times the largest reduction entry, nothing is checked again.  Else sum
+    |c| and max |c| per term are carried step by step, as Packed carries
+    them, and measured when too loose."""
     if any(key[4] for key in plan.keys):
         return None
     n, icut = plan.grid[2], plan.icut
-    bare = [_theta_power(*key, 1, *plan.cut, plan.grid) for key in plan.keys]
-    ixs, ks = [f.ix for f in bare], [f.k for f in bare]
-    sigma = math.gcd(*(int(np.gcd.reduce(x - x[:1])) for x in ixs)) or (
-        icut + 1)
-    g = math.gcd(n, *(int(np.gcd.reduce(k - k[:1])) for k in ks),
+    data = [_lane_entries(key, plan.cut, plan.grid) for key in plan.keys]
+    sigma = math.gcd(*(gx for _, gx, _ in data)) or icut + 1
+    g = math.gcd(n, *(gk for *_, gk in data),
                  *(k for s in plan.scalars for k, _ in s))
     m = math.lcm(n // g, radical(n))
     q = n // m
     # an empty factor's offset puts every term that takes it past the cutoff
-    offset = [int(x[0]) % sigma if x.size else icut + 1 for x in ixs]
-    unit = [int(k[0]) % q if k.size else 0 for k in ks]
+    offset = [e[0][0] % sigma if e else icut + 1 for e, *_ in data]
+    unit = [e[0][1] % q if e else 0 for e, *_ in data]
     terms = []   # (scalar, {factor: power}, offset sum, class sum) of each
     for scalar, fs in zip(plan.scalars, plan.terms):   # term within icut
         power = {}
@@ -300,23 +307,25 @@ def _lane(plan):
     slots = (icut - min((t[2] for t in terms), default=icut)) // sigma + 1
     if not terms or slots * 2 * h * len(terms) > _LANE_ENTRIES:
         return None
-
-    def folded(entries):   # {(slot, b mod h): c} of c zeta_M^b at each slot
-        out = {}
-        for s, b, c in entries:
-            out[s, b % h] = out.get((s, b % h), 0) + (c if b < h else -c)
-        return {e: c for e, c in out.items() if c}
-
     acc = np.zeros((slots, 2 * h, len(terms)), np.int64)
     l1, mx = [], []
     for t, (scalar, *_) in enumerate(terms):
-        vec = folded((0, k // q, c) for k, c in scalar)
+        vec = _folded(((0, k // q, c) for k, c in scalar), h)
         l1.append(sum(map(abs, vec.values())))
         mx.append(max(map(abs, vec.values()), default=0))
         if mx[t] >= _INT64_SAFE:
             return None
         for (_, i), c in vec.items():
             acc[0, i, t], acc[0, h + i, t] = sign * c, c
+    # each factor that a term takes, folded on this split
+    folds = {j: _lane_factor(plan.keys[j], plan.cut, plan.grid, sigma, q, h,
+                             slots)
+             for j in sorted({j for t in terms for j in t[1]})}
+    red = reduction_matrix(m)
+    rmax, rows = int(np.abs(red).max()), np.arange(h)
+    proven = len(terms) * h * rmax * max(
+        math.prod((folds[j][1] ** p for j, p in power.items()), start=l1[t])
+        for t, (_, power, *_) in enumerate(terms)) < _INT64_SAFE
 
     def safe(ts, held, bound):
         """Whether bound(t) < _INT64_SAFE for each term t in ts (held[..., i]
@@ -327,18 +336,11 @@ def _lane(plan):
             l1[t], mx[t] = _norms(held[:, h:, i].ravel())
         return max(map(bound, ts)) < _INT64_SAFE
 
-    for j, f in enumerate(bare):
+    for j, (f, fl1, fmx) in folds.items():
         # the terms that take f, most powers first: those of power step p
         # are a prefix of them, held in one copy
         take = sorted((t for t in range(len(terms)) if j in terms[t][1]),
                       key=lambda t: -terms[t][1][j])
-        if not take:
-            continue
-        f = folded(e for e in zip(((ixs[j] - offset[j]) // sigma).tolist(),
-                                  ((ks[j] - unit[j]) // q).tolist(),
-                                  f.c.tolist()) if e[0] < slots)
-        fl1, fmx = sum(map(abs, f.values())), max(map(abs, f.values()),
-                                                 default=0)
 
         def bound(t):   # max |c| of term t times f
             return min(l1[t] * fmx, fl1 * mx[t])
@@ -349,16 +351,17 @@ def _lane(plan):
             k, width = len(sel), 2 * h * len(sel)   # the values of a slot
             src = sub if k == len(take) else np.ascontiguousarray(
                 sub[..., :k])
-            if not safe(sel, src, bound):
-                return None
-            for t in sel:
-                l1[t], mx[t] = l1[t] * fl1, bound(t)
+            if not proven:
+                if not safe(sel, src, bound):
+                    return None
+                for t in sel:
+                    l1[t], mx[t] = l1[t] * fl1, bound(t)
             # c w^i at slot s adds the h rows from h - i of slot r to the
             # last h of slot r + s: one run of the flat arrays, which puts
             # scratch (never read; it may wrap) in the first h, rewritten
             out, src = np.zeros(src.shape, np.int64), src.reshape(-1)
             flat = out.reshape(-1)
-            for (s, i), c in f.items():
+            for (s, i), c in f:
                 w, run = (h - i) * k, flat[s * width + h * k:]
                 part = src[w:w + run.size]
                 if c == 1:
@@ -373,10 +376,8 @@ def _lane(plan):
             else:
                 sub[..., :k] = out
         acc[..., take] = sub
-    red = reduction_matrix(m)
-    rmax, rows = int(np.abs(red).max()), np.arange(h)
-    if not safe(range(len(terms)), acc,
-                lambda t: len(terms) * h * rmax * mx[t]):
+    if not proven and not safe(range(len(terms)), acc,
+                               lambda t: len(terms) * h * rmax * mx[t]):
         return None
     classes, seen = {}, False
     for t, (*_, xs, cs) in enumerate(terms):
@@ -391,6 +392,41 @@ def _lane(plan):
         return None
     return sorted({o + s * sigma for (o, _), total in classes.items()
                    for s in np.flatnonzero(total.any(axis=1)).tolist()})[:10]
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_entries(key, cut, grid):
+    """The lane's data of one bare factor on a grid, built once per (factor,
+    cutoff, grid): its entries as Python ints, ((ix, k, c), ...), and the
+    gcds of its ix differences and of its k differences (0 when it has at
+    most one entry)."""
+    f = _theta_power(*key, 1, *cut, grid)
+    ix, k = f.ix, f.k
+    return (tuple(zip(ix.tolist(), k.tolist(), f.c.tolist())),
+            int(np.gcd.reduce(ix - ix[:1])), int(np.gcd.reduce(k - k[:1])))
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_factor(key, cut, grid, sigma, q, h, slots):
+    """A bare factor folded for the lane's split (x-step sigma, class
+    modulus q, h coefficients per unit, slots up to the cutoff), shared by
+    the identities that split alike: (((slot, w-power), c), ...) with its
+    sum |c| and max |c|."""
+    entries = _lane_entries(key, cut, grid)[0]
+    offset, unit = entries[0][0] % sigma, entries[0][1] % q
+    f = _folded((((ix - offset) // sigma, (k - unit) // q, c)
+                 for ix, k, c in entries if (ix - offset) // sigma < slots), h)
+    return (tuple(f.items()), sum(map(abs, f.values())),
+            max(map(abs, f.values()), default=0))
+
+
+def _folded(entries, h):
+    """{(slot, b mod h): c} of the entries c zeta_M^b at each slot, with no
+    zero c, zeta_M^h = -1 when h < M (M = 2h) and b < 2h."""
+    out = {}
+    for s, b, c in entries:
+        out[s, b % h] = out.get((s, b % h), 0) + (c if b < h else -c)
+    return {e: c for e, c in out.items() if c}
 
 
 def _residual(plan, terms, total, i):
@@ -417,7 +453,7 @@ def _residual(plan, terms, total, i):
         if not acc:
             order = 1
         elif _lone(fs):
-            bare = _theta_power(*plan.keys[fs[0][0]], 1, *plan.cut, plan.grid)
+            bare = plan.bare[fs[0][0]]
             order = math.lcm(order, term_order, even_order(
                 bare.order, bare.k[bare.key >> _KB == pos].tolist()))
         else:
@@ -451,6 +487,9 @@ def _image(ident, den, m=1, j=0):
     = e^(pi i e n) theta[e; e'] brings e' into [0, 2).  den must be a
     multiple of every 4q^2 (e = p/q) and every scalar order, and m a unit
     mod every root of unity the identity holds."""
+    units = ident._cached("_units", _units)
+    if units is None:
+        return None
     keys, terms = ident._factor_index
     images, phases = [], []
     for p, q, r, s, at_zeta in keys:
@@ -460,20 +499,30 @@ def _image(ident, den, m=1, j=0):
         phases.append((4 * q * n - m * j * (p + 2 * q)) * p
                       * (den // (4 * q * q)))
     factors = tuple(sorted(set(images)))
-    place = [factors.index(f) for f in images]
+    index = {f: i for i, f in enumerate(factors)}
+    place = [index[f] for f in images]
     out = {}
-    for fs, scalar in zip(terms, (t.scalar for t in ident.terms)):
-        if len(scalar.coeffs) != 1:
-            return None
-        (k, c), = scalar.coeffs.items()
-        a, powers = 2 * k * m * (den // scalar.order), [0] * len(factors)
+    for fs, (k, c, d, order) in zip(terms, units):
+        a, powers = 2 * k * m * (den // order), [0] * len(factors)
         for i, power in fs:
             powers[place[i]] += power
             a += power * phases[i]
         a %= 2 * den
-        out[tuple(powers)] = (c.numerator if a < den else -c.numerator,
-                              c.denominator, a % den)
+        out[tuple(powers)] = (c if a < den else -c, d, a % den)
     return (factors, out) if len(out) == len(terms) else None
+
+
+def _units(ident):
+    """Each term's scalar c zeta_N^k as (k, numerator, denominator of c, N),
+    which _image reads (Identity._cached); None unless every scalar is one
+    entry."""
+    units = []
+    for t in ident.terms:
+        if len(t.scalar.coeffs) != 1:
+            return None
+        (k, c), = t.scalar.coeffs.items()
+        units.append((k, c.numerator, c.denominator, t.scalar.order))
+    return units
 
 
 def _phase_den(ident):

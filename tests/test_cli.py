@@ -78,6 +78,10 @@ _MALFORMED = [
      "identity 'jacobi-quartic': field 'pow' must be an integer, got 4.7"),
     ("pow-true", lambda d: _first_factor(d).update(pow=True),
      "identity 'jacobi-quartic': field 'pow' must be an integer, got true"),
+    ("pow-zero", lambda d: _first_factor(d).update(pow=0),
+     "identity 'jacobi-quartic': field 'pow': factor power must be >= 1"),
+    ("pow-negative", lambda d: _first_factor(d).update(pow=-2),
+     "identity 'jacobi-quartic': field 'pow': factor power must be >= 1"),
     ("kind", lambda d: d.update(kind="cubic"),
      "identity 'jacobi-quartic': field 'kind': 'cubic' is not a valid "
      "IdentityKind"),

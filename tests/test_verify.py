@@ -1095,6 +1095,104 @@ def test_lane_measures_loose_bounds(monkeypatch):
     assert measured
 
 
+def _lane_answer(plan):
+    """(the lane's answer, the uncut sparse path's), each as (status, the
+    reported x-exponents); where the lane gives up, both are the latter."""
+    found = v._lane(plan)
+    status, residuals = v._sparse(plan)
+    sparse = status, [e.xExp for e, _ in residuals]
+    if found is None:
+        return sparse, sparse
+    return ("fail" if found else "pass",
+            [Fraction(ix, plan.grid[0]) for ix in found]), sparse
+
+
+@st.composite
+def _large_fifths_identity(draw):
+    """Random terms in the fifths family with scalars up to about 2^58, some
+    of them planted back negated, as in _random_identity."""
+    chars, degree = _LANE_CHARS[0], draw(st.integers(1, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        term = _random_term(draw, chars, degree)
+        bits = draw(st.sampled_from([0, 24, 44, 50, 53, 55]))
+        scale = draw(st.integers(1 << bits, (2 << bits) - 1))
+        terms.append(IdentityTerm(term.scalar * scale, term.factors))
+    plant = draw(st.lists(st.sampled_from(range(len(terms))), unique=True))
+    terms += [IdentityTerm(-terms[i].scalar, terms[i].factors[::-1]) for i in plant]
+    return Identity("large", IdentityKind.CONSTANT, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ident=_large_fifths_identity(), cutoff=st.integers(1, 16))
+def test_lane_answers_as_sparse_with_large_scalars(ident, cutoff):
+    # whether the one-time int64 proof holds, the per-step bounds do, or the
+    # lane gives up, any answer it gives is the uncut sparse path's
+    lane, sparse = _lane_answer(v._plan(ident, Fraction(cutoff)))
+    assert lane == sparse
+
+
+class _Limit(int):
+    """An _INT64_SAFE that records each bound the lane compares below it
+    (x < limit reaches this subclass's reflected __gt__ first): the first
+    is the one-time proof, any later one a per-step bound."""
+
+    def __new__(cls, value):
+        limit = super().__new__(cls, value)
+        limit.bounds = []
+        return limit
+
+    def __gt__(self, other):
+        self.bounds.append(other)
+        return int(self) > other
+
+
+def _scaled(ident, power):
+    """ident with every scalar times 2^power."""
+    return Identity(f"{ident.id}*2^{power}", ident.kind, [
+        IdentityTerm(t.scalar * (1 << power), t.factors) for t in ident.terms])
+
+
+@pytest.mark.parametrize("power, cutoff, proven, answers", [
+    (0, 8, True, True), (40, 16, True, True),
+    # past the proof at 2^62 and 2^65, within the carried bounds
+    (50, 8, False, True), (50, 16, False, True),
+    # past the carried and measured bounds, and a scalar past int64
+    (54, 8, False, False), (62, 16, False, False)])
+def test_lane_proves_int64_safety_once_or_per_step(monkeypatch, power, cutoff,
+                                                   proven, answers):
+    # jacobi-quartic's scalars times 2^power: the lane checks one bound when
+    # the proof holds, else per step; where it answers, it is the sparse
+    # path's answer, also for a mutant; where it gives up, verify_exact
+    # still passes
+    limit = _Limit(v._INT64_SAFE)
+    monkeypatch.setattr(v, "_INT64_SAFE", limit)
+    for ident in (_scaled(_by_id("jacobi-quartic"), power),
+                  _scaled(corrupt_identity(_by_id("jacobi-quartic"), 1), power)):
+        plan = v._plan(ident, Fraction(cutoff))
+        limit.bounds.clear()
+        assert (v._lane(plan) is not None) == answers
+        if power < 62:
+            assert (limit.bounds[0] < int(limit)) == proven
+            assert (len(limit.bounds) == 1) == proven, limit.bounds
+        lane, sparse = _lane_answer(plan)
+        assert lane == sparse and sparse[0] == ("fail" if "~" in ident.id
+                                                else "pass")
+    assert verify_exact(_scaled(_by_id("jacobi-quartic"), power), cutoff).passed
+
+
+def test_lane_factor_data_is_built_once_per_factor(monkeypatch):
+    # over one cold corpus sweep, each bare factor's lane data and its
+    # folded forms are looked up more often than they are built
+    v._lane_entries.cache_clear()
+    v._lane_factor.cache_clear()
+    monkeypatch.setattr(v, "_PASSES", set())
+    assert sum(r.passed for r in verify_all(builtin_catalog(), 8)) == 80
+    for cache in (v._lane_entries, v._lane_factor):
+        info = cache.cache_info()
+        assert info.hits > info.misses, (cache, info)
+
+
 @pytest.mark.parametrize("ident_id", ["cube-product-15-1", "quintic-eps35",
                                       "mixed-product-del5"])
 def test_lane_mutants_fail_with_sparse_residuals(monkeypatch, ident_id):
