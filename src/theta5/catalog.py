@@ -124,8 +124,8 @@ def _index_factors(factor_lists):
     """The distinct factors in the lists by ThetaFactor.key, and each list
     as its ((distinct index, power), ...) in order, all tuples."""
     index = {}
-    powers = tuple(tuple((index.setdefault(f.key, len(index)), f.power)
-                         for f in factors) for factors in factor_lists)
+    powers = tuple([tuple([(index.setdefault(f.key, len(index)), f.power)
+                           for f in factors]) for factors in factor_lists])
     return tuple(index), powers
 
 

@@ -14,19 +14,25 @@ One batched kernel, `_theta_sum`, evaluates every theta value: paired arrays
 of (characteristic, zeta) points at one tau or at a tau per point, given as
 the only forms the sum reads, a = eps/2 and u = zeta + eps'/2.  Each point
 is summed over its own window of terms: one pass at a first half-width from
-its tau (twice it when every point of the call is certain to fail the first),
-and the points whose edge terms are not small summed again at twice the
-half-width, so a value is the same to the bit in any batch.  Scalar
-points go through one point cache (`_POINTS`): an identity residual looks up
-its distinct factors there and sends all misses to one kernel call.  A
-characteristic the cache meets for the first time is filled in, in that same
-call, at every point of its kind the cache holds, so a sweep of identities
-over fixed sampled points (`theta5 eval`) pays one call per new
-characteristic rather than one per point.  The residue contours pass arrays
-straight to the kernel; relation discovery, the theta quadratics and their
-shared root call it at one tau through `_theta_rows`, on read-only (a, u)
-arrays built once per grid that repeats (discovery's zeta grid, the root's
-zeta = 0).  Neither uses the point cache.
+its tau, and the points whose edge terms are not small summed again at twice
+the half-width, so a value is the same to the bit in any batch.  Two rules
+judge a first window from the points' peak offsets alone (_window_sum): one
+that every point is certain to fail is skipped for twice its half-width, and
+one that every point is certain to close returns its sums with no closing
+test; each rule keeps a factor of 2 against rounding.  A pass builds its
+exponent and closing threshold in place.  Scalar points go through one
+point cache (`_POINTS`): an identity residual looks up its distinct factors
+there, as the two key tuples (at zeta = 0, at zeta) its numeric plan keeps,
+and sends all misses to one kernel call.  A characteristic the cache meets
+for the first time is filled in, in that same call, at every point of its
+kind the cache holds, so a sweep of identities over fixed sampled points
+(`theta5 eval`) pays one call per new characteristic rather than one per
+point.  The residue contours pass arrays straight to the kernel; relation
+discovery, the theta quadratics and their shared root call it at one tau
+through `_theta_rows`, on read-only (a, u) arrays built once per grid that
+repeats (discovery's zeta grid, the root's zeta = 0), from columns eps/2
+and eps'/2 built once per characteristic set (the quadratics' fixed five).
+Neither uses the point cache.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,15 +92,15 @@ def _theta_sum(a, u, tau, cfg, deriv):
     are exp(pi*i*(n+a)^2*tau) * exp(2*pi*i*(n+a)*u), summed over a window of
     n around each point's peak term (_window_sum).  Each point has its own
     window: its first half-width comes from its tau (_first_k), doubled at
-    once when no point can close at it (_window_sum), and it is doubled
-    for the points whose edge terms are not both below tol/100
-    (relative to their largest term, when that exceeds 1), until they are;
-    past cfg.max_terms terms, and for a value past a double, it raises (the
-    latter with no numpy warning, once its terms overflow).  With a tau per
-    point, points are summed in groups that share a first window, in blocks
-    of at most _BLOCK_ROWS.  A point's value so never depends on the other
-    points of the call: it is the same to the bit as that of a one-point
-    call."""
+    once when no point can close at it, kept untested when every point is
+    certain to close at it (_window_sum), and doubled for the points whose
+    edge terms are not both below tol/100 (relative to their largest term,
+    when that exceeds 1), until they are; past cfg.max_terms terms, and for
+    a value past a double, it raises (the latter with no numpy warning, once
+    its terms overflow).  With a tau per point, points are summed in groups
+    that share a first window, in blocks of at most _BLOCK_ROWS.  A point's
+    value so never depends on the other points of the call: it is the same
+    to the bit as that of a one-point call."""
     per_point = isinstance(tau, np.ndarray)
     if (tau.imag <= 0).any() if per_point else tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
@@ -112,7 +119,8 @@ def _theta_sum(a, u, tau, cfg, deriv):
                                                _BLOCK_ROWS)):
                     out[at] = _window_sum(_rows(a, at), u[at], tau[at, None],
                                           k, cfg, deriv)
-    if not np.isfinite(out).all():   # a NaN input never gets here
+    if np.count_nonzero(np.isfinite(out)) < len(out):
+        # a NaN input never gets here
         raise ValueError("theta value overflows a double")
     return out
 
@@ -129,44 +137,76 @@ def _window_sum(a, u, tau, k, cfg, deriv, center=None):
     (a NaN edge among them) summed again at half-width 2k, around the same
     centers.  Once a point of finite inputs has a term past a double, no
     point is widened: _theta_sum raises.  Im u = Im zeta places the peaks (a
-    -0.0 turned +0.0 moves none).
+    -0.0 turned +0.0 moves none).  The exponent and the closing threshold
+    are built in place.
 
-    A first window (center None) that every point is certain to fail is
-    skipped for the next half-width: the peak c lies off its nearest n by
-    off <= 1/2, so a point's nearer edge term is exp(-pi Im tau (k - off)^2)
-    times the peak term's modulus exp(pi (Im u)^2 / Im tau) >= 1.  With that
-    factor above tol/100 (twice it, against rounding) at the largest Im tau
-    and the least off of the call, that is with every off above
-    k - sqrt(ln(50/tol) / (pi Im tau)), no point closes.  Not for deriv (its
-    terms carry a factor n + a) or tol 0."""
+    Two rules judge a first window (center None) from the points' peak
+    offsets d = |c - n_c| <= 1/2 alone, c the peak and n_c its nearest n
+    (the center).  A term's modulus is exp(-pi Im tau (n - c)^2) times the
+    peak's, exp(pi (Im u)^2 / Im tau) >= 1, so a point's nearer edge term
+    is exp(-pi Im tau (k - d)^2) times the peak's modulus, and each edge
+    term at most exp(-pi Im tau k (k - 2d)) times the center term.  Both
+    rules keep a factor of 2 against rounding, and neither is for deriv (its
+    terms carry a factor n + a) or tol 0.
+    - Certain to fail: with every d above k - sqrt(ln(50/tol) / (pi Im tau))
+      at the largest Im tau of the call, every nearer edge term exceeds
+      tol/50 of the peak's modulus, no point closes, and the window is
+      skipped for half-width 2k.
+    - Certain to close: with pi Im tau k (k - 2 max d) >= ln(200/tol) at the
+      least Im tau of the call (k after any skip), every edge term is at
+      most tol/200 of the center term, and the pass returns its sums with no
+      closing test, if every sum is finite (a NaN or overflowing point takes
+      the tested path and its error).
+    The closing test would judge each point as the rules do (while rounding
+    moves no exponent by ln 2), so every point keeps the window and the bits
+    it would have without them."""
     k_max = (cfg.max_terms - 1) // 2
+    sure = False
     if center is None:
         # |term| = exp(-pi*(n+a)^2 Im tau - 2*pi*(n+a) Im zeta) peaks here:
         peak = -a - u.imag / tau.imag
         center = np.rint(peak)
-        if not deriv and cfg.tol and k < k_max:
-            im = tau.imag.max() if isinstance(tau, np.ndarray) else tau.imag
-            off = k - math.sqrt(math.log(50.0 / cfg.tol) / (math.pi * im))
-            if off < 0.5 and np.abs(peak - center).min() > off:
-                k = min(k_max, 2 * k)
-    m = (center + np.arange(-k, k + 1)) + a  # integer n, then n + a
-    t = np.exp(1j * math.pi * (m * m * tau + 2 * m * u))
+        if not deriv and cfg.tol:
+            d = np.abs(peak - center)
+            per_point = isinstance(tau, np.ndarray)
+            if k < k_max:
+                im = tau.imag.max() if per_point else tau.imag
+                off = k - math.sqrt(math.log(50.0 / cfg.tol) / (math.pi * im))
+                if off < 0.5 and d.min() > off:
+                    k = min(k_max, 2 * k)
+            im = tau.imag.min() if per_point else tau.imag
+            sure = (math.pi * im * k * (k - 2.0 * d.max())
+                    >= math.log(200.0 / cfg.tol))
+    m = center + np.arange(-k, k + 1)
+    m += a   # integer n, then n + a
+    x = m * m * tau
+    x += 2 * m * u
+    x *= 1j * math.pi
+    t = np.exp(x)
     if deriv:
         t *= TWO_PI_I * m
+    if sure:
+        out = t.sum(axis=1)
+        if np.count_nonzero(np.isfinite(out)) == len(out):
+            return out
     mag = np.abs(t)
     top = mag.max(axis=1)   # NaN if a term is
     edge = np.maximum(mag[:, 0], mag[:, -1])
-    wide = ~(edge <= cfg.tol * 1e-2 * np.maximum(top, 1.0))
-    if not wide.any():
+    limit = np.maximum(top, 1.0)
+    limit *= cfg.tol * 1e-2
+    wide = ~(edge <= limit)
+    n_wide = np.count_nonzero(wide)
+    if not n_wide:
         return t.sum(axis=1)
-    if not np.isfinite(top).all() and (
-            np.isfinite(a + u + tau).ravel() & ~np.isfinite(top)).any():
+    bad = ~np.isfinite(top)
+    if np.count_nonzero(bad) and np.count_nonzero(
+            np.isfinite(a + u + tau).ravel() & bad):
         return t.sum(axis=1)   # _theta_sum raises
     if k == k_max:
         raise ValueError(
             f"theta sum did not converge within {cfg.max_terms} terms")
     k = min(k_max, 2 * k)
-    if wide.all():
+    if n_wide == len(wide):
         return _window_sum(a, u, tau, k, cfg, deriv, center)
     out = t.sum(axis=1)
     out[wide] = _window_sum(_rows(a, wide), u[wide], _rows(tau, wide), k, cfg,
@@ -204,22 +244,23 @@ class _PointCache:
         self.rows, self.size = {}, 0
         self.kinds = collections.defaultdict(lambda: (set(), []))
 
-    def lookup(self, factors, z, tau, cfg, deriv):
-        """theta[p/q; r/s] for the factors [((p, q, r, s), at_zeta)], at
-        zeta = z when at_zeta and 0 when not, at one tau, as Python complex
-        numbers; the misses and any fill in one kernel call."""
+    def lookup(self, zero, at_z, z, tau, cfg, deriv):
+        """theta[p/q; r/s] at zeta = 0 for each (p, q, r, s) of the tuple
+        zero, then at zeta = z for each of the tuple at_z, at one tau, as
+        Python complex numbers; the misses and any fill in one kernel
+        call."""
         rows = self.rows
         key_0, key_z = (0j, tau, cfg, deriv), (z, tau, cfg, deriv)
-        at_0, at_z = rows.get(key_0, _NO_ROW).get, rows.get(key_z, _NO_ROW).get
-        vals = [(at_z if at_zeta else at_0)(c) for c, at_zeta in factors]
+        vals = list(map(rows.get(key_0, _NO_ROW).get, zero))
+        if at_z:   # a constant identity has none
+            vals += map(rows.get(key_z, _NO_ROW).get, at_z)
         missed = vals.count(None)
         self.hits += len(vals) - missed
         if not missed:
             return vals
         self.misses += missed
-        asked = dict.fromkeys((c, key_z if at_zeta else key_0)
-                              for (c, at_zeta), v in zip(factors, vals)
-                              if v is None)
+        keys = [*((c, key_0) for c in zero), *((c, key_z) for c in at_z)]
+        asked = dict.fromkeys(ck for ck, v in zip(keys, vals) if v is None)
         if self.size + len(asked) > self.maxsize:
             self._empty()
             rows = self.rows
@@ -250,9 +291,8 @@ class _PointCache:
                 kinds[row[0] == 0, cfg, deriv][1].append(row)
             held[c] = v
         # the hits come from vals: a cache that started over holds no more
-        at_0, at_z = rows.get(key_0, _NO_ROW).get, rows.get(key_z, _NO_ROW).get
-        return [(at_z if at_zeta else at_0)(c) if v is None else v
-                for v, (c, at_zeta) in zip(vals, factors)]
+        return [rows[row][c] if v is None else v
+                for v, (c, row) in zip(vals, keys)]
 
 
 _NO_ROW = {}
@@ -279,8 +319,8 @@ def _theta(c, zeta, tau, cfg, deriv):
                           zeta.astype(complex).ravel() + float(c.epsp) / 2.0,
                           complex(tau), cfg, deriv).reshape(zeta.shape)
     eps, epsp = c
-    return _POINTS.lookup([((eps.numerator, eps.denominator, epsp.numerator,
-                             epsp.denominator), True)],
+    return _POINTS.lookup((), ((eps.numerator, eps.denominator,
+                                epsp.numerator, epsp.denominator),),
                           complex(zeta), complex(tau), cfg, deriv)[0]
 
 
@@ -296,12 +336,25 @@ def theta_deriv_eval(c, zeta, tau, cfg=None):
     return _theta(c, zeta, tau, cfg, True)
 
 
+@functools.lru_cache(maxsize=64)
+def _char_columns(chars):
+    """The columns eps/2 and eps'/2 of the float pairs (eps, eps') of the
+    tuple chars, read-only: a characteristic set's half of the kernel
+    inputs, built once."""
+    cols = (np.array([e / 2.0 for e, _ in chars])[:, None],
+            np.array([e / 2.0 for _, e in chars])[:, None])
+    for col in cols:
+        col.flags.writeable = False
+    return cols
+
+
 def _kernel_inputs(chars, zeta):
     """_theta_rows's read-only kernel inputs (a, u) = (eps/2, zeta + eps'/2):
-    for each float pair (eps, eps') of chars, a row over zeta."""
-    a = np.array([e / 2.0 for e, _ in chars]).repeat(len(zeta))
-    u = (np.array(zeta, complex)
-         + np.array([e / 2.0 for _, e in chars])[:, None]).ravel()
+    for each float pair (eps, eps') of the tuple chars, a row over zeta, the
+    characteristics' columns from _char_columns."""
+    half_eps, half_epsp = _char_columns(chars)
+    a = half_eps.repeat(len(zeta))
+    u = (np.array(zeta, complex) + half_epsp).ravel()
     a.flags.writeable = u.flags.writeable = False
     return a, u
 
@@ -312,10 +365,11 @@ _grid_inputs = functools.lru_cache(maxsize=64)(_kernel_inputs)
 
 def _theta_rows(chars, zeta, tau, cfg=None):
     """theta[eps; eps'] at every point of the sequence zeta for each float
-    pair (eps, eps') of chars, as a (len(chars), len(zeta)) array from one
-    scalar-tau kernel call, bypassing the point cache.  With chars and zeta
-    tuples the kernel inputs are built once (_grid_inputs); for other
-    sequences (the theta quadratics' fresh points), for this call alone."""
+    pair (eps, eps') of the tuple chars, as a (len(chars), len(zeta)) array
+    from one scalar-tau kernel call, bypassing the point cache.  With zeta a
+    tuple the kernel inputs are built once (_grid_inputs); for other
+    sequences (the theta quadratics' fresh points), the zeta half for this
+    call alone."""
     a, u = (_grid_inputs if isinstance(zeta, tuple)
             else _kernel_inputs)(chars, zeta)
     return _theta_sum(a, u, complex(tau), cfg or _DEFAULT_CFG,
@@ -339,14 +393,21 @@ def sample_zeta(seed, count):
 
 
 def _numeric_plan(ident):
-    """An identity's terms for numeric evaluation: its distinct factors as
-    ((p, q, r, s), at_zeta), the distinct (factor index, power) pairs, and
-    each term as (scalar value, the indices of its pairs in order)."""
+    """An identity's terms for numeric evaluation: the keys (p, q, r, s) of
+    its distinct factors at zeta = 0 and those at zeta, as the two tuples
+    _PointCache.lookup takes, the distinct (factor index, power) pairs, a
+    factor indexed by its place in the lookup's answer, and each term as
+    (scalar value, the indices of its pairs in order)."""
     factors, powers = ident._factor_index
+    order = sorted(range(len(factors)), key=lambda i: factors[i][4])
+    place = {i: j for j, i in enumerate(order)}
     pairs = {}
-    terms = [(t.scalar.embed(), [pairs.setdefault(p, len(pairs)) for p in ps])
+    terms = [(t.scalar.embed(),
+              [pairs.setdefault((place[i], p), len(pairs)) for i, p in ps])
              for t, ps in zip(ident.terms, powers)]
-    return [(k[:4], k[4]) for k in factors], list(pairs), terms
+    zero = tuple(factors[i][:4] for i in order if not factors[i][4])
+    at_z = tuple(factors[i][:4] for i in order if factors[i][4])
+    return zero, at_z, list(pairs), terms
 
 
 def identity_residual(ident, tau, zeta=None, cfg=None):
@@ -357,9 +418,9 @@ def identity_residual(ident, tau, zeta=None, cfg=None):
     its powers in its own order onto its scalar."""
     if zeta is None and ident.kind is IdentityKind.FUNCTION:
         raise ValueError(f"{ident.id}: function identity needs a zeta")
-    factors, powers, terms = ident._cached("_numeric_plan", _numeric_plan)
+    zero, at_z, powers, terms = ident._cached("_numeric_plan", _numeric_plan)
     z, tau, cfg = complex(zeta or 0), complex(tau), cfg or _DEFAULT_CFG
-    theta = _POINTS.lookup(factors, z, tau, cfg, False)
+    theta = _POINTS.lookup(zero, at_z, z, tau, cfg, False)
     power = [theta[i] ** p for i, p in powers]
     values = []
     for v, slots in terms:
@@ -392,6 +453,8 @@ def contour_residue(f, pole, radius, samples=None):
     if radius <= 0:
         raise ValueError("radius must be > 0")
     if samples is not None:
+        if not isinstance(samples, numbers.Integral) or samples < 1:
+            raise ValueError("samples must be an integer >= 1")
         w = radius * np.exp(TWO_PI_I * np.arange(samples) / samples)
         return complex(np.sum(f(pole + w) * w)) / samples, samples, None
     n = FIRST_NODES

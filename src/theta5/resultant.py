@@ -151,7 +151,7 @@ def resultant_2x2(a, b):
 
 
 _QUADRATIC_KS = (1, 3, 5, 7, 9)
-_QUADRATIC_CHARS = [(1 / 5, k / 5) for k in _QUADRATIC_KS]  # [1/5; k/5]
+_QUADRATIC_CHARS = tuple((1 / 5, k / 5) for k in _QUADRATIC_KS)  # [1/5; k/5]
 _W5 = cyclo_root(2, 5).embed()
 _ROOT_CHARS = ((1.0, 1 / 5), (1.0, 3 / 5))  # [1; 1/5], [1; 3/5]
 

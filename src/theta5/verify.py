@@ -633,12 +633,16 @@ def discover_relations(monomials, tau, z_samples, threshold=1e-8, cfg=None):
     values = [next(rows) if at_zeta else theta_eval(Characteristic(
                   Fraction(p, q), Fraction(r, s)), 0.0, tau, cfg)
               for p, q, r, s, at_zeta in keys]
-    M = np.ones((z_samples, k), dtype=complex)
-    for i, col in enumerate(cols):
+    # the sample matrix by monomial rows, products in place, then turned
+    M = np.ones((k, z_samples), dtype=complex)
+    for row, col in zip(M, cols):
         for n, (j, power) in enumerate(col):
             x = values[j] if power == 1 else values[j] ** power
-            M[:, i] = M[:, i] * x if n else x
-    _, sv, vh = np.linalg.svd(M, full_matrices=False)   # only sv, vh[-1] read
+            if n:
+                row *= x
+            else:
+                row[:] = x
+    _, sv, vh = np.linalg.svd(M.T, full_matrices=False)  # only sv, vh[-1] read
     sv = sv.tolist()
     if not sv[0]:
         raise ValueError("degenerate sampling: all monomials vanish")

@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta5 import catalog_data
-from theta5.catalog import Argument, IdentityKind, ThetaFactor
+from theta5.catalog import (Argument, Identity, IdentityKind, IdentityTerm,
+                            ThetaFactor)
 from theta5.catalog_data import builtin_catalog
 from theta5.cli import main
+from theta5.cyclotomic import Cyclotomic
 from theta5 import numeric
 from theta5.numeric import (EvalConfig, MAX_NODES, PHI_WITNESS, PSI_WITNESS,
                             RESIDUE_RTOL, TWO_PI_I, contour_residue,
@@ -22,7 +24,7 @@ from theta5.numeric import (EvalConfig, MAX_NODES, PHI_WITNESS, PSI_WITNESS,
                             sample_tau, sample_zeta, theta_deriv_eval,
                             theta_eval, zero_location_check)
 from theta5.theta import Characteristic
-from theta5.verify import verify_exact
+from theta5.verify import verify_exact, zeta_grid
 
 C = Characteristic.of
 
@@ -60,10 +62,16 @@ def test_max_terms_cap_raises():
 
 
 def test_identity_residual_zero_over_zero_guard():
-    # theta[1;1] at zeta=0 vanishes: every term of any identity built purely
-    # from it is 0, and the residual must be 0 rather than NaN
-    ident = next(i for i in builtin_catalog() if i.id == "jacobi-quartic")
-    assert identity_residual(ident, 0.1 + 1.0j) < 1e-12
+    # at Im tau = 1000 every term of theta[1;0] at zeta = 0 underflows
+    # (exp(-250 pi) is below the least double), so theta[1;0]^4 -
+    # theta[1;0]^4 has only zero terms: the residual is 0.0, not 0/0 = NaN
+    f = ThetaFactor(C(1, 0), 4)
+    ident = Identity("zero-terms", IdentityKind.CONSTANT,
+                     [IdentityTerm(Cyclotomic.one(), [f]),
+                      IdentityTerm(-Cyclotomic.one(), [f])])
+    tau = 0.1 + 1000j
+    assert theta_eval(C(1, 0), 0.0, tau) == 0j
+    assert identity_residual(ident, tau) == 0.0
 
 
 def test_function_identity_needs_zeta():
@@ -326,6 +334,160 @@ def test_each_open_point_widens_until_its_edges_are_small(monkeypatch):
     assert shapes == [(1, 9), (1, 17), (1, 33), (1, 63)]
 
 
+def _pick(x, rows):
+    return x[rows] if isinstance(x, np.ndarray) else x
+
+
+def plain_theta_sum(a, u, tau, cfg, deriv):
+    """_theta_sum with no first-window rule: every point starts at
+    _first_k's half-width (a tau per point in groups that share it), and
+    the rows whose edge terms are not small are summed again at twice it
+    around the same centers, with the kernel's expressions in the kernel's
+    order.  A point of finite inputs with a term past a double stops all
+    widening; a value past a double raises."""
+    per_point = isinstance(tau, np.ndarray)
+    if (tau.imag <= 0).any() if per_point else tau.imag <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    a, u = (a[:, None] if isinstance(a, np.ndarray) else a), u[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if per_point:
+            first = np.array([numeric._first_k(t, cfg) for t in tau])
+            out = np.empty(len(u), complex)
+            for k in sorted(set(first.tolist())):
+                rows = first == k
+                out[rows] = plain_window_sum(_pick(a, rows), u[rows],
+                                             tau[rows, None], k, cfg, deriv)
+        else:
+            out = plain_window_sum(a, u, tau, numeric._first_k(tau, cfg), cfg,
+                                   deriv)
+    if not np.isfinite(out).all():
+        raise ValueError("theta value overflows a double")
+    return out
+
+
+def plain_window_sum(a, u, tau, k, cfg, deriv, center=None):
+    if center is None:
+        center = np.rint(-a - u.imag / tau.imag)
+    m = (center + np.arange(-k, k + 1)) + a
+    t = np.exp(1j * math.pi * (m * m * tau + 2 * m * u))
+    if deriv:
+        t = t * (TWO_PI_I * m)
+    mag = np.abs(t)
+    top = mag.max(axis=1)
+    edge = np.maximum(mag[:, 0], mag[:, -1])
+    wide = ~(edge <= cfg.tol * 1e-2 * np.maximum(top, 1.0))
+    out = t.sum(axis=1)
+    if not wide.any() or (np.isfinite(a + u + tau).ravel()
+                          & ~np.isfinite(top)).any():
+        return out
+    k_max = (cfg.max_terms - 1) // 2
+    if k == k_max:
+        raise ValueError(
+            f"theta sum did not converge within {cfg.max_terms} terms")
+    out[wide] = plain_window_sum(_pick(a, wide), u[wide], _pick(tau, wide),
+                                 min(k_max, 2 * k), cfg, deriv, center[wide])
+    return out
+
+
+def _outcome(kernel, *args):
+    try:
+        return kernel(*args).tolist()
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chars=st.lists(st.tuples(fifths, fifths), min_size=1, max_size=4),
+       taus=st.lists(st.builds(complex, st.floats(-0.5, 0.5),
+                               st.floats(0.3, 3.0)
+                               | st.sampled_from([0.05, 12.0, 37.7])),
+                     min_size=1, max_size=3),
+       per_point=st.booleans(), deriv=st.booleans(),
+       tol=st.sampled_from([0.0, 1e-12, 1e-3]),
+       max_terms=st.sampled_from([8, 9, 17, 40, 4000]),
+       points=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                 st.floats(-1.0, 1.0), st.integers(-3, 3),
+                                 st.floats(-0.5, 0.5)),
+                       min_size=1, max_size=6),
+       odd=st.sampled_from([None, "nan", "overflow"]))
+def test_kernel_equals_the_plain_window_sums(chars, taus, per_point, deriv,
+                                             tol, max_terms, points, odd):
+    # the first-window rules skip windows and closing tests, never a bit:
+    # values and error messages are the plain sums', with a tau per point
+    # or one tau, at tol 0, small max_terms, and a point that is NaN or
+    # whose Im zeta is large enough to overflow a double.  A point's peak
+    # lies off its nearest n by off (its peak at -eps/2 - Im zeta / Im tau)
+    pair = [chars[c % len(chars)] for _, c, _, _, _ in points]
+    tau = np.array([taus[t % len(taus)] if per_point else taus[0]
+                    for t, _, _, _, _ in points])
+    zeta = np.array([complex(x, -(float(e) / 2 + n + off) * t.imag)
+                     for (_, _, x, n, off), t, (e, _) in zip(points, tau,
+                                                              pair)])
+    if odd == "nan":
+        zeta[0] = complex("nan")
+    elif odd == "overflow":
+        zeta[0], tau[0] = 0.3537 + 98.5j, 0.2259 + 37.7j
+        pair[0] = (Fraction(1), Fraction(0))
+    a = np.array([float(e) for e, _ in pair]) / 2.0
+    u = zeta + np.array([float(e) for _, e in pair]) / 2.0
+    if not per_point and odd != "overflow":
+        tau = complex(tau[0])
+    cfg = EvalConfig(tol=tol, max_terms=max_terms)
+    assert _outcome(numeric._theta_sum, a, u, tau, cfg, deriv) == \
+        _outcome(plain_theta_sum, a, u, tau, cfg, deriv)
+
+
+def test_first_window_rules_at_their_bounds():
+    # a point's peak offset d swept across both rules' bounds, alone, with
+    # a point at a peak (d = 0) and with one half-way between two (d = 1/2),
+    # at one tau and at a tau per point (Im tau and 1.3 Im tau): the sums
+    # and errors are the plain ones
+    for tol in (1e-12, 1e-3):
+        cfg = EvalConfig(tol=tol)
+        for im in (0.31, 0.5, 0.85, 1.0, 1.9, 2.6):
+            for d in np.linspace(0.0, 0.5, 41):
+                for others in ((), (0.0,), (0.5,)):
+                    offs = np.array([d, *others])
+                    zeta = 0.2 - 1j * (1 + offs) * im
+                    taus = (complex(0.1, im),
+                            0.1 + 1j * im * 1.3 ** np.arange(len(offs)))
+                    for tau in taus:
+                        assert _outcome(numeric._theta_sum, 0.0, zeta, tau,
+                                        cfg, False) == \
+                            _outcome(plain_theta_sum, 0.0, zeta, tau, cfg,
+                                     False), (tol, im, d, others)
+
+
+def test_a_window_every_point_closes_takes_no_closing_test(monkeypatch):
+    # the discovery grid at Im tau = 0.9: the first window (half-width 4)
+    # closes at every point (pi Im tau k (k - 2 max d) >= ln(200/tol)), so
+    # the call takes the magnitude of its peak offsets alone, not of its terms
+    chars = tuple((e, k / 5) for e in (0.2, 0.6) for k in (1, 3, 5, 7, 9))
+    grid, tau = tuple(zeta_grid(9)), 0.1 + 0.9j
+    want = [[theta_eval(C(Fraction(e).limit_denominator(5),
+                          Fraction(ep).limit_denominator(5)), z, tau)
+             for z in grid] for e, ep in chars]
+    shapes, absolute, exp = [], np.abs, np.exp
+    monkeypatch.setattr(np, "abs", lambda x, *rest, **kw:
+                        shapes.append(x.shape) or absolute(x, *rest, **kw))
+    monkeypatch.setattr(np, "exp", lambda x: shapes.append(x.shape) or exp(x))
+    got = numeric._theta_rows(chars, grid, tau)
+    monkeypatch.undo()
+    assert shapes == [(90, 1), (90, 9)]   # np.abs of offsets, np.exp of terms
+    assert got.tolist() == want
+    # the just-enough window of test_only_the_open_points_widen is not
+    # certain to close (its point half-way between two peaks has d = 1/2):
+    # it takes its closing test, and one row widens
+    tau = 0.1 + 0.6446j
+    zeta = np.array([0.1 + 0j, 0.1 + 0.5j * tau.imag])
+    shapes = []
+    monkeypatch.setattr(np, "abs", lambda x, *rest, **kw:
+                        shapes.append(x.shape) or absolute(x, *rest, **kw))
+    numeric._theta_sum(0.0, zeta + 0.0, tau, EvalConfig(), False)
+    monkeypatch.undo()
+    assert shapes == [(2, 1), (2, 9), (1, 17)]
+
+
 thirds = st.integers(-6, 6).map(lambda k: Fraction(k, 3))
 
 
@@ -505,8 +667,8 @@ def test_a_fill_answers_only_its_own_kind():
     held = [(0j, cfg, False), (z, cfg, False), (0j, cfg, True),
             (0j, other, False)]
     for zeta, c, deriv in held:
-        cache.lookup([(a, True)], zeta, tau, c, deriv)
-    assert cache.lookup([(b, True)], 0j, -0.2 + 1.3j, cfg, False)[0] == \
+        cache.lookup((), (a,), zeta, tau, c, deriv)
+    assert cache.lookup((), (b,), 0j, -0.2 + 1.3j, cfg, False)[0] == \
         _one_point(b, 0j, -0.2 + 1.3j, cfg, False)
     assert cache.filled == 1
     assert cache.rows[0j, tau, cfg, False][b] == _one_point(b, 0j, tau, cfg,
@@ -514,7 +676,7 @@ def test_a_fill_answers_only_its_own_kind():
     for zeta, c, deriv in held[1:]:
         assert b not in cache.rows[zeta, tau, c, deriv]
         hits = cache.hits
-        assert cache.lookup([(b, True)], zeta, tau, c, deriv)[0] == \
+        assert cache.lookup((), (b,), zeta, tau, c, deriv)[0] == \
             _one_point(b, zeta, tau, c, deriv)
         assert cache.hits == hits
     assert cache.filled == 1
@@ -526,12 +688,12 @@ def test_a_fill_that_cannot_converge_leaves_the_lookup_good():
     # 3i is computed alone and answers, and only asking at 1.3i raises
     cache, cfg = numeric._PointCache(1 << 10), EvalConfig(max_terms=8)
     c00, c10 = (0, 1, 0, 1), (1, 1, 0, 1)
-    cache.lookup([(c00, True)], 0j, 1.3j, cfg, False)
-    assert cache.lookup([(c10, True)], 0j, 3j, cfg, False)[0] == \
+    cache.lookup((), (c00,), 0j, 1.3j, cfg, False)
+    assert cache.lookup((), (c10,), 0j, 3j, cfg, False)[0] == \
         _one_point(c10, 0j, 3j, cfg, False)
     assert cache.filled == 0 and c10 not in cache.rows[0j, 1.3j, cfg, False]
     with pytest.raises(ValueError, match="within 8 terms"):
-        cache.lookup([(c10, True)], 0j, 1.3j, cfg, False)
+        cache.lookup((), (c10,), 0j, 1.3j, cfg, False)
 
 
 def test_a_full_cache_skips_the_fill_then_starts_over():
@@ -541,11 +703,11 @@ def test_a_full_cache_skips_the_fill_then_starts_over():
     cache, cfg, c00, c15 = numeric._PointCache(4), EvalConfig(), \
         (0, 1, 0, 1), (1, 5, 3, 5)
     for tau in (1j, 1.1j, 1.2j):
-        cache.lookup([(c00, True)], 0j, tau, cfg, False)
-    assert cache.lookup([(c15, True)], 0j, 1.3j, cfg, False)[0] == \
+        cache.lookup((), (c00,), 0j, tau, cfg, False)
+    assert cache.lookup((), (c15,), 0j, 1.3j, cfg, False)[0] == \
         _one_point(c15, 0j, 1.3j, cfg, False)
     assert (cache.size, cache.filled) == (4, 0)
-    assert cache.lookup([(c15, True)], 0j, 1j, cfg, False)[0] == \
+    assert cache.lookup((), (c15,), 0j, 1j, cfg, False)[0] == \
         _one_point(c15, 0j, 1j, cfg, False)
     assert cache.size == 1 and list(cache.rows) == [(0j, 1j, cfg, False)]
 
@@ -557,8 +719,8 @@ def test_a_lookup_that_starts_the_cache_over_keeps_its_hits():
     cache, cfg, c00, c15 = numeric._PointCache(2), EvalConfig(), \
         (0, 1, 0, 1), (1, 5, 3, 5)
     for tau in (1j, 1.1j):
-        cache.lookup([(c00, False)], 0.3j, tau, cfg, False)
-    assert cache.lookup([(c00, False), (c15, True)], 0.3j, 1j, cfg,
+        cache.lookup((c00,), (), 0.3j, tau, cfg, False)
+    assert cache.lookup((c00,), (c15,), 0.3j, 1j, cfg,
                         False) == [_one_point(c00, 0j, 1j, cfg, False),
                                    _one_point(c15, 0.3j, 1j, cfg, False)]
     assert (cache.hits, cache.misses, cache.size) == (1, 3, 1)
@@ -567,7 +729,9 @@ def test_a_lookup_that_starts_the_cache_over_keeps_its_hits():
 
 def test_residual_raises_each_distinct_power_once():
     ident = next(i for i in builtin_catalog() if i.id == "cube-product-15-1")
-    factors, powers, terms = numeric._numeric_plan(ident)
+    zero, at_z, powers, terms = numeric._numeric_plan(ident)
+    # a factor's index is its place in the lookup's answer: zero, then at_z
+    factors = [(c, False) for c in zero] + [(c, True) for c in at_z]
     assert len(powers) == len(set(powers)) == 32
     assert sum(len(slots) for _, slots in terms) == 56
     for term, (_, slots) in zip(ident.terms, terms):
@@ -600,6 +764,14 @@ def test_array_raises_like_scalar(fn):
     slow = EvalConfig(tol=1e-12, max_terms=8)
     assert message(zetas, 0.001j, slow) == message(0.0, 0.001j, slow)
     assert "8 terms" in message(zetas, 0.001j, slow)
+
+
+@pytest.mark.parametrize("samples", [0, -2, 2.5])
+def test_contour_residue_refuses_a_node_count_it_cannot_use(samples):
+    # zero nodes would divide by zero, negative ones sum nothing, and a
+    # fraction would sum one count of nodes and divide by another
+    with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+        contour_residue(lambda z: 1.0 / z, 0.0, 0.1, samples)
 
 
 def test_numeric_residue_calls_f_once_on_all_nodes():

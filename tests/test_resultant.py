@@ -126,6 +126,18 @@ def test_theta_quadratics_generic_resultant_is_nonzero():
     assert abs(resultant_2x2(fq, gq)) > 1e-6 * scale ** 4
 
 
+def test_quadratic_characteristics_are_read_once():
+    # the quadratics' five characteristics are one fixed tuple: their kernel
+    # columns eps/2 and eps'/2 are built on the first call and read after
+    # it, while each call's fresh points are built for it alone
+    numeric._char_columns.cache_clear()
+    z, w = sample_zeta(3, 2)
+    for tau in sample_tau(3, 20):
+        theta_quadratics(tau, z, w)
+    info = numeric._char_columns.cache_info()
+    assert (info.hits, info.misses) == (19, 1)
+
+
 def test_shared_root_bypasses_the_point_cache():
     # one window sum at zeta = 0 on inputs built once, the same to the bit
     # as the quotient of two one-point calls
