@@ -13,10 +13,8 @@ also have a dense form, phi(N) Python ints reduced through the same rows.
 kron_pack packs such a vector (or any integer polynomial) into one Python
 int, its value at X = 2^(8*width), and kron_unpack reads the coefficients
 back, so a product of polynomials is one integer product (Kronecker
-substitution): ring_mul multiplies two vectors that way, and resultant's
-Bareiss runs whole on packed ints.  norm_adjugate, the product of an
-element's other Galois conjugates, is built in O(log phi(N)) products; only
-Cyclotomic.inverse uses it.
+substitution): resultant's Bareiss runs whole on packed ints.  No division
+in Q(zeta_N) is offered, since no verdict divides: powers are non-negative.
 """
 
 from __future__ import annotations
@@ -217,7 +215,7 @@ class Cyclotomic:
 
     def __pow__(self, p):
         if p < 0:
-            return self.inverse() ** (-p)
+            raise ValueError("power must be >= 0")
         out = Cyclotomic.one(self.order)
         base = self
         while p:
@@ -254,19 +252,6 @@ class Cyclotomic:
 
     def __bool__(self):
         return not self.is_zero()
-
-    def inverse(self):
-        """Field inverse: with self = v/d for v in Z[zeta_N], it is
-        d * adj(v) / norm(v) (see norm_adjugate)."""
-        n = self.order
-        rows = reduction_rows(n)
-        d = math.lcm(*(q.denominator for q in self.coeffs.values()))
-        v = int_vector(self, n, d, rows)
-        if not any(v):
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        adj, norm = norm_adjugate(v, rows)
-        return Cyclotomic(n, {i: Fraction(d * c, norm)
-                              for i, c in enumerate(adj)})
 
     # -- embedding / formatting ---------------------------------------------
 
@@ -379,82 +364,6 @@ def kron_unpack(v, width):
         carry = d >= half
         out.append(d - full if carry else d)
     return out
-
-
-def ring_mul(a, b, rows):
-    """Product of two integer vectors: one integer product of the packed
-    vectors, read back and reduced through rows.  No coefficient of a, b or
-    their product exceeds max(1, |a|_1) * max(1, max|b|)."""
-    width = kron_width(max(1, sum(map(abs, a))) * max(1, *map(abs, b)))
-    return reduce_poly(kron_unpack(kron_pack(a, width) * kron_pack(b, width),
-                                   width), rows)
-
-
-def _conjugate(a, j, rows):
-    """sigma_j(a) for a unit j mod N: zeta_N -> zeta_N^j."""
-    n = len(rows)
-    wrapped = [0] * n
-    for i, c in enumerate(a):
-        wrapped[i * j % n] = c
-    return reduce_poly(wrapped, rows)
-
-
-def _orbit_product(a, g, k, rows):
-    """prod sigma_{g^i}(a) over i < k (k >= 1), by binary doubling on k:
-    P_2m = P_m * sigma_{g^m}(P_m) and P_(m+1) = a * sigma_g(P_m)."""
-    n = len(rows)
-    out, m = a, 1
-    for bit in bin(k)[3:]:
-        out = ring_mul(out, _conjugate(out, pow(g, m, n), rows), rows)
-        m *= 2
-        if bit == "1":
-            out = ring_mul(a, _conjugate(out, g, rows), rows)
-            m += 1
-    return out
-
-
-def _unit_group(n):
-    """(generator, order) pairs of cyclic subgroups of (Z/n)^* whose direct
-    product is the whole group: per prime power q = p^e of n, a generator of
-    (Z/q)^* (-1 and 5 for q = 2^e >= 8, where there is none), lifted by the
-    Chinese remainder theorem to 1 mod n / q."""
-    out, rest, p = [], n, 2
-    while rest > 1:
-        q = 1
-        while rest % p == 0:
-            rest //= p
-            q *= p
-        units = q - q // p  # phi(q), 1 when p does not divide n
-        if p == 2 and q >= 8:
-            gens = [(q - 1, 2), (5, q // 4)]
-        elif units > 1:
-            gens = [(next(g for g in range(2, q) if g % p and all(
-                pow(g, k, q) != 1 for k in range(1, units))), units)]
-        else:
-            gens = []
-        out += [(((g - 1) * (n // q) * pow(n // q, -1, q) + 1) % n, order)
-                for g, order in gens]
-        p += 1
-    return out
-
-
-def norm_adjugate(a, rows):
-    """(adj, norm) for a nonzero integer vector a: adj is the product of the
-    conjugates sigma_j(a) (zeta_N -> zeta_N^j) over the units j != 1 mod N,
-    and norm = a * adj is a rational integer.  An exact quotient b / a in
-    Z[zeta_N] is therefore b * adj with each coefficient divided by norm.
-
-    The unit group is a direct product of cyclic groups C (_unit_group); over
-    the product H x C, adj_HxC(a) = adj_H(a) * adj_C(a * adj_H(a)), and over
-    C = <g> of order m, adj_C(b) = sigma_g(prod_{i < m-1} sigma_{g^i}(b)),
-    so adj takes O(log phi(N)) products instead of phi(N) - 2."""
-    adj = [1] + [0] * (len(a) - 1)
-    full = a
-    for g, order in _unit_group(len(rows)):
-        part = _conjugate(_orbit_product(full, g, order - 1, rows), g, rows)
-        adj = ring_mul(adj, part, rows)
-        full = ring_mul(a, adj, rows)
-    return adj, full[0]
 
 
 # -- module-level operation names matching the published interface -----------

@@ -450,8 +450,8 @@ def contour_residue(f, pole, radius, samples=None):
     half-step nodes, until an estimate moves by at most RESIDUE_RTOL times
     the mean |f(w) * w| from the previous one (at least one comparison), or
     MAX_NODES nodes are used; the last change is that last move."""
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    if not 0 < radius < math.inf:  # NaN fails both comparisons
+        raise ValueError("radius must be finite and > 0")
     if samples is not None:
         if not isinstance(samples, numbers.Integral) or samples < 1:
             raise ValueError("samples must be an integer >= 1")

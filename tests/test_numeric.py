@@ -98,8 +98,9 @@ def test_numeric_residue_on_simple_pole():
     f = lambda z: 3.0 / (z - 0.5) + np.cos(z)
     r = numeric_residue(f, 0.5, 0.05)
     assert abs(r - 3.0) < 1e-12
-    with pytest.raises(ValueError):
-        numeric_residue(f, 0.5, 0.0)
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            numeric_residue(f, 0.5, radius)
 
 
 @pytest.mark.parametrize("witness", [PHI_WITNESS, PSI_WITNESS])
