@@ -26,12 +26,15 @@ positions are decoded.  A term with no entry up to the cutoff is 0 there
 report is "inconclusive".
 An identity may claim to be sigma_m T^j of a representative up to a global
 scalar (Identity.derived_from; sigma_m: zeta -> zeta^m, T: tau -> tau + 1).
-verify_exact checks the claim exactly, in integers, on every call (_claimed),
-from the representative's side built once (_claim_data); when it holds and
-the representative passes at the cutoff (remembered by content in _PASSES, or
-verified now), the identity passes too and its report names the claim.  Only
-passes are derived: a failing or inconclusive report is always computed
-directly.
+verify_exact checks the claim exactly, in integers, on every call (_claimed):
+the representative's canonical form is built once (_claim_data) and mapped
+by sigma_m T^j (_orbit), and the identity's terms are read once against that
+image, by the walk that builds the form (_term_images), so a claim builds no
+factor index or image of the identity.  When it holds and the
+representative passes at the cutoff (remembered by content in _PASSES, or
+verified now), the identity passes too and its report names the claim.
+Only passes are derived: a failing or inconclusive report is always
+computed directly.
 discover_relations rediscovers linear relations among products of theta
 functions numerically: sample the functions in zeta at a fixed tau, and read
 the relation off the nullspace of the sample matrix (the dimension count
@@ -43,6 +46,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -475,72 +479,96 @@ def _residual(plan, terms, total, i):
 _PASSES = set()
 
 
-def _image(ident, den, m=1, j=0):
-    """sigma_m T^j of an identity, from its factor index, as (factors,
-    {powers: (c, d, a)}): factors is the sorted tuple of the distinct image
-    factors' keys, powers a term's power of each of them
-    in that order (a flat tuple of ints), and the term's scalar is c/d
-    e^(pi i a/den) with 0 <= a < den (the sign folded into c); None unless
-    every scalar is one entry c zeta_N^k and the terms' powers are distinct.
-    T sends theta[e; e'] to e^(-pi i e(e+2)/4) theta[e; e'+e+1], sigma_m
-    sends theta[e; e'] to theta[e; m e'], and the even shift theta[e; e'+2n]
-    = e^(pi i e n) theta[e; e'] brings e' into [0, 2).  den must be a
-    multiple of every 4q^2 (e = p/q) and every scalar order, and m a unit
-    mod every root of unity the identity holds."""
-    units = ident._cached("_units", _units)
-    if units is None:
+def _image(ident, den):
+    """An identity's canonical form on den, from its terms (_term_images),
+    as (factors, {powers: (c, d, a)}): factors is the sorted tuple of the
+    distinct factors' keys with e' in [0, 2), powers a term's power of each
+    of them in that order (a flat tuple of ints), and the term's scalar is
+    c/d e^(pi i a/den) with 0 <= a < den (the sign folded into c); None
+    unless every scalar is one entry c zeta_N^k and the terms' powers are
+    distinct.  den must be a multiple of every 4q^2 (e = p/q) and every
+    scalar order."""
+    walk = _term_images(ident, den)
+    if walk is None:
         return None
-    keys, terms = ident._factor_index
-    images, phases = [], []
-    for p, q, r, s, at_zeta in keys:
-        n, num = divmod(m * (r * q + j * (p + q) * s), 2 * q * s)
-        g = math.gcd(num, q * s)
-        images.append((p, q, num // g, q * s // g, at_zeta))
-        phases.append((4 * q * n - m * j * (p + 2 * q)) * p
-                      * (den // (4 * q * q)))
-    factors = tuple(sorted(set(images)))
-    index = {f: i for i, f in enumerate(factors)}
-    place = [index[f] for f in images]
-    out = {}
-    for fs, (k, c, d, order) in zip(terms, units):
-        a, powers = 2 * k * m * (den // order), [0] * len(factors)
-        for i, power in fs:
-            powers[place[i]] += power
-            a += power * phases[i]
-        a %= 2 * den
-        out[tuple(powers)] = (c if a < den else -c, d, a % den)
+    factors, terms = walk
+    out = dict(terms)
     return (factors, out) if len(out) == len(terms) else None
 
 
-def _units(ident):
-    """Each term's scalar c zeta_N^k as (k, numerator, denominator of c, N),
-    which _image reads (Identity._cached); None unless every scalar is one
-    entry."""
-    units = []
+def _term_images(ident, den, factors=None):
+    """Each term in _image's form, in order, as (factors, [(powers, (c, d,
+    a)), ...]); the powers are read over the given factors, in their
+    order, if any.  None unless every scalar is one entry c zeta_N^k and
+    (factors given) every factor, with e' in [0, 2), is one of them.  Each
+    distinct factor is mapped once (_factor_image)."""
+    mapped = {key: _factor_image(key, den)
+              for key in {f.key for t in ident.terms for f in t.factors}}
+    if factors is None:
+        factors = tuple(sorted({f for f, _ in mapped.values()}))
+    index = {f: i for i, f in enumerate(factors)}
+    place = {}
+    for key, (f, phase) in mapped.items():
+        if f not in index:
+            return None
+        place[key] = index[f], phase
+    out = []
     for t in ident.terms:
         if len(t.scalar.coeffs) != 1:
             return None
         (k, c), = t.scalar.coeffs.items()
-        units.append((k, c.numerator, c.denominator, t.scalar.order))
-    return units
+        a, powers = 2 * k * (den // t.scalar.order), [0] * len(factors)
+        for f in t.factors:
+            i, phase = place[f.key]
+            powers[i] += f.power
+            a += f.power * phase
+        a %= 2 * den
+        out.append((tuple(powers), (c.numerator if a < den else -c.numerator,
+                                    c.denominator, a % den)))
+    return factors, out
 
 
-def _phase_den(ident):
-    """The least den that _image takes for the identity."""
-    return math.lcm(*(4 * q * q for _, q, _, _, _ in ident._factor_index[0]),
-                    *(t.scalar.order for t in ident.terms))
+def _orbit(form, den, m, j):
+    """sigma_m T^j of a canonical form (den0, factors, ((powers, (c, d,
+    a)), ...)) on den0, as (factors, {powers: (c, d, a)}) on den, a
+    multiple of den0, in _image's terms but with each factor's image in
+    the place of the factor, so the powers are the form's; None unless the
+    factors' images are distinct.  T sends theta[e; e'] to
+    e^(-pi i e(e+2)/4) theta[e; e'+e+1], sigma_m sends theta[e; e'] to
+    theta[e; m e'] and a scalar c/d e^(pi i a/den0) to c/d
+    e^(pi i m a/den0), and the even shift theta[e; e'+2n] = e^(pi i e n)
+    theta[e; e'] brings e' into [0, 2) (_factor_image).  m must be a unit
+    mod every root of unity the form holds."""
+    den0, factors, terms = form
+    images = [_factor_image(f, den, m, j) for f in factors]
+    factors, phases = tuple(f for f, _ in images), [a for _, a in images]
+    r, out = m * (den // den0), {}
+    for powers, (c, d, a) in terms:
+        a = (a * r + sum(map(operator.mul, powers, phases))) % (2 * den)
+        out[powers] = (c if a < den else -c, d, a % den)
+    return (factors, out) if len(set(factors)) == len(factors) else None
+
+
+def _factor_image(key, den, m=1, j=0):
+    """sigma_m T^j of the factor theta[p/q; r/s] with the given key, e' in
+    [0, 2), as (its key, a): the factor is e^(pi i a/den) times it."""
+    p, q, r, s, at_zeta = key
+    n, num = divmod(m * (r * q + j * (p + q) * s), 2 * q * s)
+    g = math.gcd(num, q * s)
+    return ((p, q, num // g, q * s // g, at_zeta),
+            (4 * q * n - m * j * (p + 2 * q)) * p * (den // (4 * q * q)))
 
 
 def _claim_data(rep):
     """What every claim on rep reads of it, built once (Identity._cached):
     the modulus m must be prime to (every root of unity its series, T
     factors and scalars hold: 4qs and 8q^2 per theta[p/q; r/s], and the
-    scalar orders) and its canonical form, its _image on its own _phase_den
-    (None if rejected)."""
+    scalar orders) and its canonical form, its _image on the least den
+    _image takes for it (None if rejected)."""
+    keys, orders = rep._factor_index[0], [t.scalar.order for t in rep.terms]
     unit = math.lcm(*(math.lcm(4 * q * s, 8 * q * q) for _, q, _, s, _
-                      in rep._factor_index[0]),
-                    *(t.scalar.order for t in rep.terms))
-    den = _phase_den(rep)
+                      in keys), *orders)
+    den = math.lcm(*(4 * q * q for _, q, _, _, _ in keys), *orders)
     image = _image(rep, den)
     return unit, None if image is None else (den, image[0],
                                              frozenset(image[1].items()))
@@ -552,23 +580,33 @@ def _claimed(ident):
     when m is prime to the representative's unit modulus, the
     representative claims no orbit itself and has a form (else it has no
     _image), and ident's terms are those of sigma_m T^j of it times one
-    global scalar: each term's ratio own / image, num/d e^(pi i a/den) with
-    0 <= a < den, equals the first term's, num * d0 = num0 * d (no gcd) and
-    a = a0.  Integers only; the representative's side is its _claim_data."""
+    global scalar.  The form's image (_orbit) is read against ident's
+    terms, walked once as _image walks them (_term_images, over the
+    image's factors): every scalar is one entry c zeta_N^k; every factor,
+    with e' in [0, 2), is one of the image's; every term's powers match an
+    image term no other term matched, and none is left over; and each
+    term's ratio own / image, num/d e^(pi i a/den) with 0 <= a < den,
+    equals the first term's, num * d0 = num0 * d (no gcd) and a = a0.
+    Integers only; the representative's side is its _claim_data, and ident
+    builds no derived data of its own."""
     rep, m, j = ident.derived_from
     if rep.derived_from is not None:
         return None
     unit, form = rep._cached("_claim", _claim_data)
     if form is None or math.gcd(m, unit) != 1:
         return None
-    den = math.lcm(form[0], _phase_den(ident))
-    image, own = _image(rep, den, m, j), _image(ident, den)
-    if (image is None or own is None or image[0] != own[0]
-            or image[1].keys() != own[1].keys()):
+    # a factor found among the image's has an image's q, so 4q^2 | den
+    den = math.lcm(form[0], *(t.scalar.order for t in ident.terms))
+    image = _orbit(form, den, m, j)
+    walk = None if image is None else _term_images(ident, den, image[0])
+    if walk is None:
         return None
     image, first = image[1], None
-    for f, (c0, d0, a0) in own[1].items():
-        c1, d1, a1 = image[f]
+    for powers, (c0, d0, a0) in walk[1]:
+        match = image.pop(powers, None)
+        if match is None:
+            return None
+        c1, d1, a1 = match
         num, d, a = c0 * d1, d0 * c1, a0 - a1
         if a < 0:
             num, a = -num, a + den
@@ -576,7 +614,7 @@ def _claimed(ident):
             first = num, d, a
         elif a != first[2] or num * first[1] != first[0] * d:
             return None
-    return form
+    return None if image else form
 
 
 def verify_all(catalog, cutoff):

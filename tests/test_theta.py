@@ -169,7 +169,7 @@ _ORBIT_CHARS = sorted({C(Fraction(a, d), Fraction(b, d)) for d in (1, 3, 5)
 
 @pytest.mark.parametrize("mode", [CON, FUN])
 def test_automorphism_laws(mode):
-    # the two laws every derived verdict rests on (verify._image), against
+    # the two laws every derived verdict rests on (verify._orbit), against
     # the defining sum: T (tau -> tau + 1) multiplies the coefficient at x^r
     # by e^(pi i r), so T theta[e; e'] = e^(-pi i e(e+2)/4) theta[e; e'+e+1];
     # sigma_m (zeta -> zeta^m on coefficients) gives theta[e; m e']
