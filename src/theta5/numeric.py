@@ -21,18 +21,24 @@ that every point is certain to fail is skipped for twice its half-width, and
 one that every point is certain to close returns its sums with no closing
 test; each rule keeps a factor of 2 against rounding.  A pass builds its
 exponent and closing threshold in place.  Scalar points go through one
-point cache (`_POINTS`): an identity residual looks up its distinct factors
-there, as the two key tuples (at zeta = 0, at zeta) its numeric plan keeps,
-and sends all misses to one kernel call.  A characteristic the cache meets
-for the first time is filled in, in that same call, at every point of its
-kind the cache holds, so a sweep of identities over fixed sampled points
-(`theta5 eval`) pays one call per new characteristic rather than one per
-point.  The residue contours pass arrays straight to the kernel; relation
-discovery, the theta quadratics and their shared root call it at one tau
-through `_theta_rows`, on read-only (a, u) arrays built once per grid that
-repeats (discovery's zeta grid, the root's zeta = 0), from columns eps/2
-and eps'/2 built once per characteristic set (the quadratics' fixed five).
-Neither uses the point cache.
+point cache (`_POINTS`), which keeps each kind of point (zeta = 0 or not,
+under one config and derivative flag) as an index from (zeta, tau) to a row
+and one complex array of values per characteristic.  An identity residual
+looks up its distinct factors there, as the two key tuples (at zeta = 0, at
+zeta) its numeric plan keeps, and sends all misses to one kernel call.  A
+characteristic the cache meets for the first time is filled in, in that
+same call, at every point of its kind the cache holds, so a sweep of
+identities over fixed sampled points (`theta5 eval`) pays one call per new
+characteristic rather than one per point.  Once `_BATCH_ROWS` or more of a
+kind's points lack an identity's residual, it is computed at all of them in
+one numpy pass, in float64 real and imaginary parts in the scalar code's
+order of operations, so each equals the scalar code's to the bit, and later
+calls read it from a column.  The residue contours pass arrays straight to
+the kernel; relation discovery, the theta quadratics and their shared root
+call it at one tau through `_theta_rows`, on read-only (a, u) arrays built
+once per grid that repeats (discovery's zeta grid, the root's zeta = 0),
+from columns eps/2 and eps'/2 built once per characteristic set (the
+quadratics' fixed five).  Neither uses the point cache.
 """
 
 from __future__ import annotations
@@ -214,22 +220,83 @@ def _window_sum(a, u, tau, k, cfg, deriv, center=None):
     return out
 
 
+class _Kind:
+    """The rows of one kind (zeta == 0, cfg, deriv) in a _PointCache: an
+    index from (zeta, tau) to a row number, one complex array per
+    characteristic with room for `room` rows (NaN where a value is not held:
+    a theta value is finite), and per numeric plan a list of residuals at
+    the rows [0, len), NaN where a row is left to the scalar code
+    (_PointCache.residual)."""
+    __slots__ = ("index", "cols", "room", "residuals")
+
+    def __init__(self):
+        self.index, self.cols, self.room, self.residuals = {}, {}, 0, {}
+
+    def row(self, point):
+        """point's row, added if it is new; full columns grow by a quarter."""
+        row = self.index.setdefault(point, len(self.index))
+        if row == self.room:
+            self.room += self.room // 4 + 8
+            for c, col in self.cols.items():
+                self.cols[c] = np.concatenate((col, _holes(self.room
+                                                           - len(col))))
+        return row
+
+    def held(self, chars, row):
+        """The values of chars at row (a row number or None) as Python
+        complex numbers, None where not held."""
+        if row is None:
+            return [None] * len(chars)
+        cols = self.cols
+        vals = [cols[c].item(row) if c in cols else None for c in chars]
+        if [v for v in vals if v != v]:   # NaN: a hole
+            vals = [None if v != v else v for v in vals]
+        return vals
+
+    def column(self, c, rows):
+        """c's values at rows (a slice, or row numbers with -1 for none),
+        NaN where a value is not held."""
+        col = self.cols.get(c)
+        if col is None:
+            col = _holes(self.room)
+        if isinstance(rows, slice):
+            return col[rows]
+        return np.where(rows < 0, np.nan, col[rows])
+
+
+def _places(maxsize):
+    """The places a _PointCache of maxsize values may take in its columns
+    before it starts over."""
+    return 2 * maxsize + 1024
+
+
+def _holes(n):
+    """n places of a column that hold no value."""
+    return np.full(n, np.nan, complex)
+
+
+_NO_KIND = _Kind()   # a kind the cache does not hold
+
+
 class _PointCache:
-    """theta values at scalar points, in rows keyed (zeta, tau, cfg, deriv)
-    that map a characteristic [p/q; r/s], as its own ints (p, q, r, s), to
-    its value, so a lookup runs no Fraction hash.
+    """theta values at scalar points, in rows of kinds (zeta == 0, cfg,
+    deriv) (_Kind): a row is a point (zeta, tau), a characteristic [p/q;
+    r/s] a column keyed by its own ints (p, q, r, s), so a lookup runs no
+    Fraction hash.
 
-    Fill rule: a characteristic is new to a kind of row, (zeta == 0, cfg,
-    deriv), until a lookup misses it at a row of that kind.  That lookup
-    also computes it at every row of the kind the cache holds, in the same
-    kernel call as its misses (one tau per point), so a sweep that visits
-    the same points identity after identity finds it at each of them.  If
-    that call raises (say a filled point does not converge), the misses are
-    computed alone, and the lookup fails only if one of them does.
+    Fill rule: a characteristic is new to a kind of row until a lookup
+    misses it at a row of that kind.  That lookup also computes it at every
+    row of the kind the cache holds, in the same kernel call as its misses
+    (one tau per point), so a sweep that visits the same points identity
+    after identity finds it at each of them.  If that call raises (say a
+    filled point does not converge), the misses are computed alone, and the
+    lookup fails only if one of them does.
 
-    Holds at most `maxsize` values (when full, it starts over); `hits` and
-    `misses` count the points looked up, `filled` the values computed for
-    no lookup."""
+    Holds at most `maxsize` values (when full, it starts over, residual
+    columns and all), and its columns at most _places(maxsize) places, held
+    or not (past them, it starts over after the lookup); `hits` and
+    `misses` count the points looked up, and the values a sweep reads (as
+    hits), `filled` the values computed for no lookup."""
 
     def __init__(self, maxsize):
         self.maxsize = maxsize
@@ -240,73 +307,156 @@ class _PointCache:
         self.hits = self.misses = self.filled = 0
 
     def _empty(self):
-        # rows, and per kind the characteristics met and the rows held
-        self.rows, self.size = {}, 0
-        self.kinds = collections.defaultdict(lambda: (set(), []))
+        self.kinds, self.size = collections.defaultdict(_Kind), 0
 
     def lookup(self, zero, at_z, z, tau, cfg, deriv):
         """theta[p/q; r/s] at zeta = 0 for each (p, q, r, s) of the tuple
         zero, then at zeta = z for each of the tuple at_z, at one tau, as
         Python complex numbers; the misses and any fill in one kernel
         call."""
-        rows = self.rows
-        key_0, key_z = (0j, tau, cfg, deriv), (z, tau, cfg, deriv)
-        vals = list(map(rows.get(key_0, _NO_ROW).get, zero))
+        kinds, point_0, point_z = self.kinds, (0j, tau), (z, tau)
+        kind = kinds.get((True, cfg, deriv), _NO_KIND)
+        vals = kind.held(zero, kind.index.get(point_0))
         if at_z:   # a constant identity has none
-            vals += map(rows.get(key_z, _NO_ROW).get, at_z)
+            kind = kinds.get((z == 0, cfg, deriv), _NO_KIND)
+            vals += kind.held(at_z, kind.index.get(point_z))
         missed = vals.count(None)
         self.hits += len(vals) - missed
         if not missed:
             return vals
         self.misses += missed
-        keys = [*((c, key_0) for c in zero), *((c, key_z) for c in at_z)]
-        asked = dict.fromkeys(ck for ck, v in zip(keys, vals) if v is None)
+        keys = [*((c, point_0) for c in zero), *((c, point_z) for c in at_z)]
+        asked = dict.fromkeys(cp for cp, v in zip(keys, vals) if v is None)
         if self.size + len(asked) > self.maxsize:
             self._empty()
-            rows = self.rows
-        kinds, new, fill = self.kinds, [], []
-        for c, row in asked:
-            known, held = kinds[row[0] == 0, cfg, deriv]
-            if c not in known:
-                new.append((known, c))
-                fill += [(c, r) for r in held if (c, r) not in asked]
+        kinds, fill, blocks = self.kinds, [], []
+        for c, point in asked:
+            kind = kinds[point[0] == 0, cfg, deriv]
+            if c not in kind.cols:
+                rows = [(p, r) for p, r in kind.index.items()
+                        if (c, p) not in asked]
+                fill += [(c, p) for p, _ in rows]
+                blocks.append((kind, c, [r for _, r in rows]))
         if self.size + len(asked) + len(fill) > self.maxsize:
-            fill = []
+            fill = blocks = []
         todo = [*asked, *fill]
         try:
             got = _point_sums(todo, None if fill else tau, cfg, deriv)
         except ValueError:
             if not fill:
                 raise
-            todo = list(asked)
+            todo, fill, blocks = list(asked), [], []
             got = _point_sums(todo, tau, cfg, deriv)
-        self.filled += len(todo) - len(asked)
+        self.filled += len(fill)
         self.size += len(todo)
-        for known, c in new:
-            known.add(c)
-        for (c, row), v in zip(todo, got):
-            held = rows.get(row)
-            if held is None:
-                held = rows[row] = {}
-                kinds[row[0] == 0, cfg, deriv][1].append(row)
-            held[c] = v
+        new = dict(zip(asked, got[:len(asked)].tolist()))
+        for (c, point), v in new.items():
+            kind = kinds[point[0] == 0, cfg, deriv]
+            row = kind.row(point)
+            col = kind.cols.get(c)
+            if col is None:
+                col = kind.cols[c] = _holes(kind.room)
+            col[row] = v
+        at = len(asked)
+        for kind, c, rows in blocks:   # each column's fill in one store
+            kind.cols[c][rows] = got[at:at + len(rows)]
+            at += len(rows)
+        # a column is as long as its kind's rows, held or not, so columns
+        # whose fill did not fit can take far more places than `size`
+        # counts: those are bounded as well
+        if sum(k.room * len(k.cols) for k in kinds.values()) > _places(
+                self.maxsize):
+            self._empty()
         # the hits come from vals: a cache that started over holds no more
-        return [rows[row][c] if v is None else v
-                for v, (c, row) in zip(vals, keys)]
+        return [new[key] if v is None else v for v, key in zip(vals, keys)]
 
+    def residual(self, ident, plan, z, tau, cfg):
+        """identity_residual of ident, whose numeric plan is plan, at (z,
+        tau): read from the plan's residual column at the point's kind when
+        held there, else computed from its factor values and kept.  With at
+        least _BATCH_ROWS rows of the kind past the column's end (pending)
+        and every power at most 100 (CPython raises a complex to a larger
+        int power in polar form), _sweep_rows extends the column over all of
+        them, and the values it reads count as hits (the point's own are
+        counted once); a row it leaves NaN, and every point when fewer rows
+        are pending, takes the scalar code (_scalar_residual)."""
+        key, point = (z == 0, cfg, False), (z, tau)
+        kind = self.kinds.get(key, _NO_KIND)
+        row = kind.index.get(point, -1)
+        done = kind.residuals.get(plan, ())
+        if 0 <= row < len(done) and done[row] == done[row]:   # NaN: not held
+            return done[row]
+        zero, at_z, powers, terms = plan
+        theta = self._read(zero, at_z, kind, row, z, tau, cfg)
+        if theta is None:   # the lookup computes what is not held
+            theta = self.lookup(zero, at_z, z, tau, cfg, False)
+            kind = self.kinds.get(key, _NO_KIND)   # it may start over
+            row = kind.index.get(point, -1)
+            if row < 0:   # no factor, or the lookup started over after
+                return _scalar_residual(ident, tau, theta, powers, terms)
+        done = kind.residuals.setdefault(plan, [])
+        start = len(done)
+        if (len(kind.index) - start >= _BATCH_ROWS
+                and max(p for _, p in powers) <= 100):
+            got = _sweep_rows(plan, self._columns(plan, kind, start, cfg))
+            done += got.tolist()
+            r = done[row] if row >= start else math.nan
+            self.hits += (np.count_nonzero(got == got) - (r == r)) * len(theta)
+            if r == r:
+                return r
+        r = _scalar_residual(ident, tau, theta, powers, terms)
+        if row < start:
+            done[row] = r
+        else:   # the rows between are left to the scalar code
+            done += [math.nan] * (row - start) + [r]
+        return r
 
-_NO_ROW = {}
+    def _read(self, zero, at_z, kind, row, z, tau, cfg):
+        """What lookup(zero, at_z, z, tau, cfg, False) returns, read at the
+        row of kind just found and counted as hits, when every value is
+        held there (the usual case), else None."""
+        if row < 0:
+            return None
+        try:
+            if z == 0:   # one row holds every value
+                cols = kind.cols
+                theta = [cols[c].item(row) for c in zero + at_z]
+            else:
+                base = self.kinds.get((True, cfg, False), _NO_KIND)
+                at, cols = base.index[0j, tau] if zero else 0, base.cols
+                theta = [cols[c].item(at) for c in zero]
+                cols = kind.cols
+                theta += [cols[c].item(row) for c in at_z]
+        except KeyError:
+            return None
+        if [v for v in theta if v != v]:   # NaN: a hole
+            return None
+        self.hits += len(theta)
+        return theta
+
+    def _columns(self, plan, kind, start, cfg):
+        """The plan's factor values at the kind's rows from start on, one
+        complex array per factor in the lookup's order; a factor at zeta = 0
+        of a kind at zeta read at the zeta = 0 row of the same tau."""
+        zero, at_z = plan[0], plan[1]
+        rows = slice(start, len(kind.index))
+        here = [kind.column(c, rows) for c in at_z]
+        base = self.kinds.get((True, cfg, False), _NO_KIND)
+        if kind is not base:
+            rows = np.array([base.index.get((0j, tau), -1)
+                             for _, tau in list(kind.index)[start:]], int)
+        return [base.column(c, rows) for c in zero] + here
 
 
 def _point_sums(todo, tau, cfg, deriv):
-    """_theta_sum at the (char, row) pairs of todo as Python complex numbers,
-    at one tau, or with tau None at each row's own tau."""
+    """_theta_sum at the (char, point) pairs of todo, at one tau, or with
+    tau None at each point's own tau."""
     return _theta_sum(
         np.array([c[0] / c[1] for c, _ in todo]) / 2.0,
-        np.array([row[0] for _, row in todo])
+        np.array([point[0] for _, point in todo])
         + np.array([c[2] / c[3] for c, _ in todo]) / 2.0,
-        np.array([row[1] for _, row in todo]) if tau is None else tau,
-        cfg, deriv).tolist()
+        np.array([point[1] for _, point in todo]) if tau is None else tau,
+        cfg, deriv)
 
 
 _POINTS = _PointCache(1 << 18)
@@ -392,6 +542,13 @@ def sample_zeta(seed, count):
             for _ in range(count)]
 
 
+class _Plan(tuple):
+    """A numeric plan, compared and hashed by identity: the point cache keys
+    each identity's residual columns on it."""
+    __slots__ = ()
+    __hash__, __eq__, __ne__ = object.__hash__, object.__eq__, object.__ne__
+
+
 def _numeric_plan(ident):
     """An identity's terms for numeric evaluation: the keys (p, q, r, s) of
     its distinct factors at zeta = 0 and those at zeta, as the two tuples
@@ -407,30 +564,109 @@ def _numeric_plan(ident):
              for t, ps in zip(ident.terms, powers)]
     zero = tuple(factors[i][:4] for i in order if not factors[i][4])
     at_z = tuple(factors[i][:4] for i in order if factors[i][4])
-    return zero, at_z, list(pairs), terms
+    return _Plan((zero, at_z, list(pairs), terms))
+
+
+#: Pending rows (_PointCache.residual) from which an identity's residual is
+#: computed at all of them in one numpy pass rather than point by point.
+#: Over the corpus's identities at held points, a pass and its column reads
+#: cost about 124 us plus 0.9 us a row, the scalar code about 6.9 us a row,
+#: so the pass wins from 21 rows (on a shared 2-core x86 host, Python 3.11,
+#: numpy 2.4; from about 13 rows for the function identities alone, 23 for
+#: the constant ones).
+_BATCH_ROWS = 21
+
+
+def _power(xr, xi, n):
+    """x^n for the complex array x = xr + i xi and n >= 1, as CPython's
+    c_powu computes a complex to a small int power: a product (each as
+    (ar br - ai bi, ar bi + ai br)) per set bit of n onto the running
+    square, from the low bit up.  c_powu's product of 1 by the first factor
+    changes at most the sign of a zero, which no modulus reads."""
+    rr = ri = None
+    while True:
+        if n & 1:
+            rr, ri = ((xr, xi) if rr is None else
+                      (rr * xr - ri * xi, rr * xi + ri * xr))
+        n >>= 1
+        if not n:
+            return rr, ri
+        xr, xi = xr * xr - xi * xi, xr * xi + xi * xr
+
+
+def _sweep_rows(plan, values):
+    """The plan's residual at each row of the complex arrays values (one per
+    factor, in the lookup's order), computed as _scalar_residual does, in
+    float64 real and imaginary parts: each power by _power, each term's
+    products in its order onto its scalar, the moduli by np.hypot, the
+    largest in term order and the terms summed one after another.  Each
+    finite result so equals the scalar code's to the bit.  NaN at a row
+    with a hole or anything not finite."""
+    _, _, powers, terms = plan
+    zeros = np.zeros(len(values[0]))
+    with np.errstate(all="ignore"):
+        power = [_power(values[i].real, values[i].imag, p) for i, p in powers]
+        scale = total_r = total_i = None
+        for v, slots in terms:
+            vr, vi = v.real + zeros, v.imag + zeros
+            for j in slots:
+                pr, pi = power[j]
+                vr, vi = vr * pr - vi * pi, vr * pi + vi * pr
+            mod = np.hypot(vr, vi)
+            if scale is None:
+                scale, total_r, total_i = mod, vr, vi
+            else:
+                np.maximum(scale, mod, out=scale)
+                total_r += vr
+                total_i += vi
+        out = np.hypot(total_r, total_i)
+        out /= scale
+    out[scale == 0.0] = 0.0
+    out[~(np.isfinite(scale) & np.isfinite(out))] = np.nan
+    return out
+
+
+def _scalar_residual(ident, tau, theta, powers, terms):
+    """identity_residual from the factor values theta, point by point: each
+    distinct (factor, power) raised once, and each term's powers multiplied
+    in its own order onto its scalar; a ValueError when a power, a term, a
+    modulus or the residual is past a double."""
+    try:
+        power = [theta[i] ** p for i, p in powers]
+        values = []
+        for v, slots in terms:
+            for j in slots:
+                v *= power[j]
+            values.append(v)
+        scale = max(map(abs, values))
+        r = abs(sum(values))   # not finite if a term is not
+        if scale:   # else every term is 0 (or one not finite), and so is r
+            r /= scale
+    except OverflowError:
+        r = math.nan
+    if not math.isfinite(r):
+        raise ValueError(f"{ident.id}: residual at tau={tau} overflows a "
+                         "double")
+    return r
 
 
 def identity_residual(ident, tau, zeta=None, cfg=None):
     """Relative residual |sum of terms| / max |term| of an identity at one
-    (tau, zeta) point.  Returns 0.0 when every term vanishes.  The distinct
-    theta factors come from the point cache, the misses in one kernel call;
-    each distinct (factor, power) is raised once, and each term multiplies
-    its powers in its own order onto its scalar."""
+    (tau, zeta) point.  Returns 0.0 when every term vanishes, and raises
+    ValueError when a power, a term, a modulus or the residual is past a
+    double.
+
+    The distinct theta factors come from the point cache, the misses in one
+    kernel call.  Once _BATCH_ROWS or more of the point's kind of row lack
+    this identity's residual, it is computed at all of them in one numpy
+    pass, equal to the point-by-point code's to the bit, and kept for later
+    calls (_PointCache.residual)."""
     if zeta is None and ident.kind is IdentityKind.FUNCTION:
         raise ValueError(f"{ident.id}: function identity needs a zeta")
-    zero, at_z, powers, terms = ident._cached("_numeric_plan", _numeric_plan)
-    z, tau, cfg = complex(zeta or 0), complex(tau), cfg or _DEFAULT_CFG
-    theta = _POINTS.lookup(zero, at_z, z, tau, cfg, False)
-    power = [theta[i] ** p for i, p in powers]
-    values = []
-    for v, slots in terms:
-        for j in slots:
-            v *= power[j]
-        values.append(v)
-    scale = max(map(abs, values))
-    if scale == 0.0:
-        return 0.0
-    return abs(sum(values)) / scale
+    plan = ident._cached("_numeric_plan", _numeric_plan)
+    # with no factor at zeta, the residual is kept at zeta = 0
+    return _POINTS.residual(ident, plan, complex(zeta or 0) if plan[1]
+                            else 0j, complex(tau), cfg or _DEFAULT_CFG)
 
 
 #: Node counts of the adaptive trapezoid rule, and its stopping tolerance

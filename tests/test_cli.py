@@ -136,6 +136,49 @@ def _factorless_catalogs(tmp_path):
     return paths
 
 
+def _overflow_catalogs(tmp_path):
+    """Catalogs of one identity each, a term minus itself: theta[0;0]^12000
+    theta[2;0]^12000 (each power about 1e299 at the default tau samples,
+    their product past a double at two of them; theta[2;0] is theta[0;0])
+    and theta[0;0]^200000 (past a double itself), by name."""
+    from theta5.catalog import (Identity, IdentityKind, IdentityTerm,
+                                ThetaFactor, save_catalog)
+    from theta5.cyclotomic import Cyclotomic
+    from theta5.theta import Characteristic
+    paths = {}
+    for name, factors in (("product", ((0, 12000), (2, 12000))),
+                          ("power", ((0, 200000),))):
+        terms = [IdentityTerm(s, [ThetaFactor(Characteristic.of(e, 0), p)
+                                  for e, p in factors])
+                 for s in (Cyclotomic.one(), -Cyclotomic.one())]
+        paths[name] = tmp_path / f"{name}.json"
+        save_catalog([Identity(f"overflow-{name}", IdentityKind.CONSTANT,
+                               terms)], paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("name", ["product", "power"])
+def test_eval_reports_a_residual_past_a_double(capsys, tmp_path, name):
+    # neither a pass (a NaN residual lost in the maximum) nor an internal
+    # error (Python's OverflowError): a usage error naming the identity
+    from theta5.catalog import load_catalog
+    from theta5.numeric import identity_residual, sample_tau
+    path = _overflow_catalogs(tmp_path)[name]
+    code = main(["--catalog", str(path), "eval"])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: overflow-{name}: residual at tau=")
+    assert err.endswith(" overflows a double\n")
+    (ident,) = load_catalog(path)
+    taus = sample_tau(0, 3)
+    for tau in taus[1:] if name == "product" else taus:
+        with pytest.raises(ValueError, match="overflows a double"):
+            identity_residual(ident, tau)
+    if name == "product":
+        assert identity_residual(ident, taus[0]) == 0.0
+
+
 def test_verify_exit_code_matrix(capsys, tmp_path, monkeypatch):
     # pass 0, fail 1, usage 2, internal 3, inconclusive 4; a counted
     # failure wins over an inconclusive report, and a suspected misprint

@@ -5,13 +5,14 @@ import functools
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta5 import catalog_data
+from theta5 import catalog_data, cli
 from theta5.catalog import (Argument, Identity, IdentityKind, IdentityTerm,
                             ThetaFactor)
 from theta5.catalog_data import builtin_catalog
@@ -657,6 +658,19 @@ def _one_point(char, zeta, tau, cfg, deriv):
                               cfg, deriv)[0]
 
 
+def _held(cache, char, zeta, tau, cfg, deriv):
+    """The cache's value of char at the row (zeta, tau, cfg, deriv), or
+    None: the row's number in its kind's index, read in char's column."""
+    kind = cache.kinds[zeta == 0, cfg, deriv]
+    return kind.held((char,), kind.index[zeta, tau])[0]
+
+
+def _row_keys(cache):
+    """The rows the cache holds, as keys (zeta, tau, cfg, deriv)."""
+    return [(*point, cfg, deriv) for (_, cfg, deriv), kind
+            in cache.kinds.items() for point in kind.index]
+
+
 def test_a_fill_answers_only_its_own_kind():
     # rows of four kinds hold theta[0;0]; theta[1/5;3/5] is new to the kind
     # (zeta == 0, cfg, no derivative) alone, so it is filled at that row
@@ -672,10 +686,10 @@ def test_a_fill_answers_only_its_own_kind():
     assert cache.lookup((), (b,), 0j, -0.2 + 1.3j, cfg, False)[0] == \
         _one_point(b, 0j, -0.2 + 1.3j, cfg, False)
     assert cache.filled == 1
-    assert cache.rows[0j, tau, cfg, False][b] == _one_point(b, 0j, tau, cfg,
-                                                            False)
+    assert _held(cache, b, 0j, tau, cfg, False) == _one_point(b, 0j, tau, cfg,
+                                                              False)
     for zeta, c, deriv in held[1:]:
-        assert b not in cache.rows[zeta, tau, c, deriv]
+        assert _held(cache, b, zeta, tau, c, deriv) is None
         hits = cache.hits
         assert cache.lookup((), (b,), zeta, tau, c, deriv)[0] == \
             _one_point(b, zeta, tau, c, deriv)
@@ -692,7 +706,8 @@ def test_a_fill_that_cannot_converge_leaves_the_lookup_good():
     cache.lookup((), (c00,), 0j, 1.3j, cfg, False)
     assert cache.lookup((), (c10,), 0j, 3j, cfg, False)[0] == \
         _one_point(c10, 0j, 3j, cfg, False)
-    assert cache.filled == 0 and c10 not in cache.rows[0j, 1.3j, cfg, False]
+    assert cache.filled == 0 and _held(cache, c10, 0j, 1.3j, cfg,
+                                       False) is None
     with pytest.raises(ValueError, match="within 8 terms"):
         cache.lookup((), (c10,), 0j, 1.3j, cfg, False)
 
@@ -710,7 +725,7 @@ def test_a_full_cache_skips_the_fill_then_starts_over():
     assert (cache.size, cache.filled) == (4, 0)
     assert cache.lookup((), (c15,), 0j, 1j, cfg, False)[0] == \
         _one_point(c15, 0j, 1j, cfg, False)
-    assert cache.size == 1 and list(cache.rows) == [(0j, 1j, cfg, False)]
+    assert cache.size == 1 and _row_keys(cache) == [(0j, 1j, cfg, False)]
 
 
 def test_a_lookup_that_starts_the_cache_over_keeps_its_hits():
@@ -725,7 +740,243 @@ def test_a_lookup_that_starts_the_cache_over_keeps_its_hits():
                         False) == [_one_point(c00, 0j, 1j, cfg, False),
                                    _one_point(c15, 0.3j, 1j, cfg, False)]
     assert (cache.hits, cache.misses, cache.size) == (1, 3, 1)
-    assert list(cache.rows) == [(0.3j, 1j, cfg, False)]
+    assert _row_keys(cache) == [(0.3j, 1j, cfg, False)]
+
+
+def test_columns_with_holes_are_bounded_too():
+    # a cache of 256 values holds theta[0;0] at 128 points; each new
+    # characteristic asked at one new point fits, but its fill at those
+    # rows does not, so its column holds one value among holes.  Their
+    # places are bounded as well: past 2 * 256 + 1024 the cache starts over
+    cache, cfg, c00 = numeric._PointCache(256), EvalConfig(), (0, 1, 0, 1)
+    for k in range(128):
+        cache.lookup((), (c00,), 0j, complex(0.001 * k, 1.1), cfg, False)
+    places = []
+    for k in range(1, 100):
+        c, tau = (k, 97, 0, 1), complex(0.5 + 0.001 * k, 1.1)
+        assert cache.lookup((), (c,), 0j, tau, cfg, False)[0] == \
+            _one_point(c, 0j, tau, cfg, False)
+        places.append(sum(kind.room * len(kind.cols)
+                          for kind in cache.kinds.values()))
+    # 227 values never fill the cache: it started over for the places
+    assert 0 in places and max(places) <= 2 * 256 + 1024
+
+
+def _sweep_kind(z):
+    """The point cache's kind of row for identity residuals at zeta = z."""
+    return numeric._POINTS.kinds[z == 0, numeric._DEFAULT_CFG, False]
+
+
+@st.composite
+def sweep_cases(draw):
+    """An identity over characteristics in fifths and thirds, with 1-16
+    terms of degree 1-12 (powers 1-12, factors at zero and at zeta,
+    scalars of one or several entries), 2-50 points (tau, zeta), and the
+    points whose values the cache will not hold (holes)."""
+    den = st.sampled_from((3, 5))
+    chars = st.builds(lambda d, e, f: C(Fraction(e, d), Fraction(f, d)),
+                      den, st.integers(0, 9), st.integers(0, 9))
+    degree = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(IdentityKind))
+    args = ([Argument.AT_ZERO] if kind is IdentityKind.CONSTANT
+            else list(Argument))
+    terms = []
+    for _ in range(draw(st.integers(1, 16))):
+        cuts = sorted(draw(st.sets(st.integers(1, degree - 1), max_size=2))
+                      if degree > 1 else ())
+        powers = [b - a for a, b in zip([0, *cuts], [*cuts, degree])]
+        factors = [ThetaFactor(draw(chars), p, draw(st.sampled_from(args)))
+                   for p in powers]
+        entries = draw(st.dictionaries(
+            st.integers(0, 14), st.fractions(-3, 3, max_denominator=4),
+            min_size=1, max_size=3))
+        terms.append(IdentityTerm(Cyclotomic(15, entries), factors))
+    ident = Identity("sweep", kind, terms)
+    points = draw(st.lists(st.tuples(
+        st.complex_numbers(max_magnitude=0.5).map(
+            lambda t: complex(t.real, 0.8 + abs(t.imag))),
+        st.sampled_from((0.11 + 0.07j, 0.3 + 0.2j, 0.45 + 0.05j))),
+        min_size=2, max_size=50, unique=True))
+    if kind is IdentityKind.CONSTANT:
+        points = list(dict.fromkeys((tau, None) for tau, _ in points))
+    holes = draw(st.sets(st.sampled_from(range(len(points)))))
+    return ident, points, holes
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_cases())
+def test_a_sweep_equals_the_scalar_code(case):
+    """Residuals computed in one numpy pass equal the scalar code's (==):
+    the scalar ones with sweeps off, the swept ones from a cache that holds
+    the identity's values at every point but the holes (rows added with
+    another characteristic alone), which the scalar code answers."""
+    ident, points, holes = case
+    zero, at_z, _, _ = numeric._numeric_plan(ident)
+    with mock.patch.object(numeric, "_BATCH_ROWS", 10 ** 9):
+        numeric._POINTS.clear()
+        want = [identity_residual(ident, tau, z) for tau, z in points]
+    numeric._POINTS.clear()
+    other, cfg = (7, 5, 1, 5), numeric._DEFAULT_CFG
+    for k, (tau, z) in enumerate(points):
+        if k in holes:
+            numeric._POINTS.lookup((other,), (other,), complex(z or 0), tau,
+                                   cfg, False)
+        else:
+            numeric._POINTS.lookup(zero, at_z, complex(z or 0), tau, cfg,
+                                   False)
+    with mock.patch.object(numeric, "_BATCH_ROWS", 2):
+        got = [identity_residual(ident, tau, z) for tau, z in points]
+    assert got == want
+    # every row of the kind got the identity's residual, by a sweep over
+    # the pending rows at the first call or by the scalar code
+    kind = _sweep_kind(complex(points[0][1] or 0) if at_z else 0j)
+    assert len(kind.residuals[ident._numeric_plan]) == len(kind.index)
+
+
+def test_a_cache_that_starts_over_between_sweeps_keeps_the_residuals(
+        monkeypatch):
+    # a cache of 40 values holds one identity's values at the 4 x 5 points
+    # of the function kind and the 4 at zeta = 0, but not the next
+    # identity's too: its lookups start the cache over (dropping every
+    # residual column), and each identity's residuals still equal the
+    # scalar code's
+    taus, zetas = sample_tau(3, 4), sample_zeta(3, 5)
+    sweep = [i for i in sorted(builtin_catalog(), key=lambda i: i.id)
+             if i.kind is IdentityKind.FUNCTION][:6]
+    points = [(tau, z) for tau in taus for z in zetas]
+
+    def residuals():
+        return [[identity_residual(i, tau, z) for tau, z in points]
+                for i in sweep]
+    numeric._POINTS.clear()
+    monkeypatch.setattr(numeric, "_BATCH_ROWS", 10 ** 9)
+    want = residuals()
+    starts, empty = [], numeric._PointCache._empty
+    monkeypatch.setattr(numeric._PointCache, "_empty",
+                        lambda self: starts.append(1) or empty(self))
+    monkeypatch.setattr(numeric, "_POINTS", numeric._PointCache(40))
+    monkeypatch.setattr(numeric, "_BATCH_ROWS", 4)
+    sweeps, sweep_rows = [], numeric._sweep_rows
+    monkeypatch.setattr(numeric, "_sweep_rows", lambda plan, values:
+                        sweeps.append(len(values[0])) or sweep_rows(plan,
+                                                                    values))
+    assert residuals() == want
+    assert len(starts) > 1 and len(sweeps) > 1
+
+
+def test_a_power_above_100_is_never_swept(monkeypatch):
+    # CPython raises a complex to an int power above 100 in polar form, not
+    # by the binary powering a sweep follows, so such an identity takes the
+    # scalar code at every point, however many are pending
+    c00, c10 = C(0, 0), C(Fraction(1, 5), 0)
+    ident = Identity("power-101", IdentityKind.CONSTANT, [
+        IdentityTerm(s, [ThetaFactor(c, 101)])
+        for s, c in ((Cyclotomic.one(), c00), (-Cyclotomic.one(), c10))])
+    taus = sample_tau(5, 30)
+    numeric._POINTS.clear()
+    want = [identity_residual(ident, tau) for tau in taus]
+    numeric._POINTS.clear()
+    zero = numeric._numeric_plan(ident)[0]
+    for tau in taus:
+        numeric._POINTS.lookup(zero, (), 0j, tau, numeric._DEFAULT_CFG, False)
+    sweeps, sweep_rows = [], numeric._sweep_rows
+    monkeypatch.setattr(numeric, "_sweep_rows", lambda plan, values:
+                        sweeps.append(1) or sweep_rows(plan, values))
+    monkeypatch.setattr(numeric, "_BATCH_ROWS", 2)
+    assert [identity_residual(ident, tau) for tau in taus] == want
+    assert not sweeps
+
+
+def test_a_sweep_keeps_no_overflowing_row():
+    # theta[0;0](zeta)^30 - theta[0;0](zeta)^30: at Im zeta = 3 its power
+    # passes a double, at Im zeta = 0.1 it does not.  The sweep keeps the
+    # finite rows, which equal the scalar code's, and leaves the others to
+    # the scalar code, which raises at them
+    c00 = C(0, 0)
+    terms = [IdentityTerm(s, [ThetaFactor(c00, 30, Argument.SYMBOLIC_ZETA)])
+             for s in (Cyclotomic.one(), -Cyclotomic.one())]
+    ident = Identity("overflow", IdentityKind.FUNCTION, terms)
+    tau = 1.1j
+    points = [complex(x, y) for y in (0.1, 3.0) for x in (0.1, 0.2, 0.3)]
+    numeric._POINTS.clear()
+    want = [identity_residual(ident, tau, z) for z in points[:3]]
+    numeric._POINTS.clear()
+    zero, at_z, _, _ = numeric._numeric_plan(ident)
+    for z in points:
+        numeric._POINTS.lookup(zero, at_z, z, tau, numeric._DEFAULT_CFG,
+                               False)
+    with mock.patch.object(numeric, "_BATCH_ROWS", 2):
+        assert identity_residual(ident, tau, points[0]) == want[0]
+        kept = _sweep_kind(points[0]).residuals[ident._numeric_plan]
+        assert len(kept) == 6 and kept[:3] == want
+        assert np.isnan(kept[3:]).all()
+        assert [identity_residual(ident, tau, z) for z in points[:3]] == want
+        for z in points[3:]:
+            with pytest.raises(ValueError, match="overflow: residual at tau="
+                               r"1\.1j overflows a double"):
+                identity_residual(ident, tau, z)
+
+
+def test_a_sum_past_a_double_raises_at_every_row(monkeypatch):
+    # 1.5e308 theta[0;0] + 1.5e308 theta[0;0] at tau on the imaginary axis,
+    # where theta[0;0](0) is a little above 1: each term is finite, their
+    # sum is not.  The sweep keeps none of the rows, and the scalar code
+    # raises at each of them
+    big = Cyclotomic.from_rational(15 * 10 ** 307)
+    ident = Identity("sum-overflow", IdentityKind.CONSTANT, [
+        IdentityTerm(big, [ThetaFactor(C(0, 0), 1)]) for _ in range(2)])
+    taus = [1.0j, 1.2j, 1.4j]
+    numeric._POINTS.clear()
+    zero = numeric._numeric_plan(ident)[0]
+    for tau in taus:
+        numeric._POINTS.lookup(zero, (), 0j, tau, numeric._DEFAULT_CFG, False)
+    monkeypatch.setattr(numeric, "_BATCH_ROWS", 2)
+    for tau in taus:
+        with pytest.raises(ValueError, match="sum-overflow: residual at tau="
+                           ".* overflows a double"):
+            identity_residual(ident, tau)
+    kept = _sweep_kind(0j).residuals[ident._numeric_plan]
+    assert len(kept) == 3 and np.isnan(kept).all()
+
+
+def test_an_eval_part_sweeps_every_identity_but_the_first_of_a_kind(
+        monkeypatch, capsys):
+    # a full-size eval part at seed 7 (120 tau, 5 zeta): the first identity
+    # of each kind fills its 120 or 600 rows point by point (720 residuals
+    # by the scalar code), and each of the other 79 is swept at its first
+    # call, over all its rows (18,600 residuals), each then returned once
+    sweeps, sweep_rows = [], numeric._sweep_rows
+    monkeypatch.setattr(numeric, "_sweep_rows", lambda plan, values:
+                        sweeps.append(sweep_rows(plan, values)) or sweeps[-1])
+    scalar, residual = [], numeric._scalar_residual
+    monkeypatch.setattr(numeric, "_scalar_residual", lambda *args:
+                        scalar.append(1) or residual(*args))
+    asked, call = collections.Counter(), cli.identity_residual
+    monkeypatch.setattr(cli, "identity_residual", lambda ident, tau, z, cfg:
+                        asked.update([(ident.id, tau, z)]) or call(
+                            ident, tau, z, cfg))
+    numeric._POINTS.clear()
+    assert main(["--seed", "7", "--samples", "120", "eval"]) == 0
+    capsys.readouterr()
+    assert len(sweeps) == 79 and len(scalar) == 720
+    assert sum(len(s) for s in sweeps) == 18600
+    assert all(np.isfinite(s).all() for s in sweeps)
+    # 19,320 distinct points asked, each answered by the scalar code or by
+    # a swept value, which so is returned once
+    assert len(asked) == 19320 and set(asked.values()) == {1}
+
+
+def test_a_factorless_identity_keeps_no_residual():
+    # terms with no theta factor look up no point, so the cache holds no row
+    # to keep their residual at, however many points are asked
+    numeric._POINTS.clear()
+    for kind in IdentityKind:
+        ident = Identity("factorless", kind, [
+            IdentityTerm(Cyclotomic.from_rational(s), []) for s in (1, -2)])
+        assert {identity_residual(ident, tau, zeta)
+                for tau in sample_tau(1, 30) for zeta in sample_zeta(1, 2)
+                } == {0.5}
+    assert not any(kind.index for kind in numeric._POINTS.kinds.values())
 
 
 def test_residual_raises_each_distinct_power_once():
