@@ -15,12 +15,9 @@ of (characteristic, zeta) points at one tau or at a tau per point, given as
 the only forms the sum reads, a = eps/2 and u = zeta + eps'/2.  Each point
 is summed over its own window of terms: one pass at a first half-width from
 its tau, and the points whose edge terms are not small summed again at twice
-the half-width, so a value is the same to the bit in any batch.  Two rules
-judge a first window from the points' peak offsets alone (_window_sum): one
-that every point is certain to fail is skipped for twice its half-width, and
-one that every point is certain to close returns its sums with no closing
-test; each rule keeps a factor of 2 against rounding.  A pass builds its
-exponent and closing threshold in place.  Scalar points go through one
+the half-width, so a value is the same to the bit in any batch; two rules
+skip a first window no point can close, and the closing test of one every
+point is certain to close (_first_window).  Scalar points go through one
 point cache (`_POINTS`), which keeps each kind of point (zeta = 0 or not,
 under one config and derivative flag) as an index from (zeta, tau) to a row
 and one complex array of values per characteristic.  An identity residual
@@ -38,7 +35,8 @@ the kernel; relation discovery, the theta quadratics and their shared root
 call it at one tau through `_theta_rows`, on read-only (a, u) arrays built
 once per grid that repeats (discovery's zeta grid, the root's zeta = 0),
 from columns eps/2 and eps'/2 built once per characteristic set (the
-quadratics' fixed five).  Neither uses the point cache.
+quadratics' fixed five), and a grid whose points share a and Im u sums
+one window, its tau-free half kept.  Neither uses the point cache.
 """
 
 from __future__ import annotations
@@ -86,8 +84,30 @@ _BLOCK_ROWS = 4096
 def _first_k(tau, cfg):
     """Half-width of the first window at tau: where the Gaussian has fallen
     by tol/100 (with tol 0, the edge terms must underflow to 0)."""
-    return min((cfg.max_terms - 1) // 2, math.ceil(math.sqrt(
+    return math.ceil(min((cfg.max_terms - 1) // 2, math.sqrt(
         math.log(100.0 / max(cfg.tol, 1e-300)) / (math.pi * tau.imag))))
+
+
+def _first_window(k, d_lo, d_hi, im_lo, im_hi, cfg):
+    """The half-width at which to sum a first window of half-width k, and
+    whether every point is certain to close there, from the points' peak
+    offsets d (a peak's distance to its nearest n, the center) in [d_lo,
+    d_hi] and Im tau in [im_lo, im_hi].  A nearer edge term is exp(-pi Im
+    tau (k - d)^2) times the peak's modulus (>= 1), an edge term at most
+    exp(-pi Im tau k (k - 2d)) times the center term.  With a factor of 2
+    against rounding, the window is certain to fail, and skipped for 2k, if
+    every d exceeds k - sqrt(ln(50/tol) / (pi Im tau)) at the largest Im
+    tau, and certain to close at the k returned if pi Im tau k (k - 2d) >=
+    ln(200/tol) at the least Im tau and largest d: the closing test would
+    judge each point alike (while rounding moves no exponent by ln 2).  Not
+    for deriv or tol 0."""
+    k_max = (cfg.max_terms - 1) // 2
+    if k < k_max:
+        off = k - math.sqrt(math.log(50.0 / cfg.tol) / (math.pi * im_hi))
+        if off < 0.5 and d_lo > off:
+            k = min(k_max, 2 * k)
+    return k, (math.pi * im_lo * k * (k - 2.0 * d_hi)
+               >= math.log(200.0 / cfg.tol))
 
 
 def _theta_sum(a, u, tau, cfg, deriv):
@@ -107,9 +127,12 @@ def _theta_sum(a, u, tau, cfg, deriv):
     that share a first window, in blocks of at most _BLOCK_ROWS.  A point's
     value so never depends on the other points of the call: it is the same
     to the bit as that of a one-point call."""
-    per_point = isinstance(tau, np.ndarray)
-    if (tau.imag <= 0).any() if per_point else tau.imag <= 0:
+    per_point, im = isinstance(tau, np.ndarray), tau.imag
+    if not (((im > 0) & (im < math.inf)).all() if per_point
+            else 0 < im < math.inf):   # a NaN fails both
         raise ValueError("tau must lie in the upper half-plane")
+    if not len(u):
+        return np.zeros(0, complex)
     # columns: each point's terms run along its row
     a, u = (a[:, None] if isinstance(a, np.ndarray) else a), u[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -144,28 +167,8 @@ def _window_sum(a, u, tau, k, cfg, deriv, center=None):
     centers.  Once a point of finite inputs has a term past a double, no
     point is widened: _theta_sum raises.  Im u = Im zeta places the peaks (a
     -0.0 turned +0.0 moves none).  The exponent and the closing threshold
-    are built in place.
-
-    Two rules judge a first window (center None) from the points' peak
-    offsets d = |c - n_c| <= 1/2 alone, c the peak and n_c its nearest n
-    (the center).  A term's modulus is exp(-pi Im tau (n - c)^2) times the
-    peak's, exp(pi (Im u)^2 / Im tau) >= 1, so a point's nearer edge term
-    is exp(-pi Im tau (k - d)^2) times the peak's modulus, and each edge
-    term at most exp(-pi Im tau k (k - 2d)) times the center term.  Both
-    rules keep a factor of 2 against rounding, and neither is for deriv (its
-    terms carry a factor n + a) or tol 0.
-    - Certain to fail: with every d above k - sqrt(ln(50/tol) / (pi Im tau))
-      at the largest Im tau of the call, every nearer edge term exceeds
-      tol/50 of the peak's modulus, no point closes, and the window is
-      skipped for half-width 2k.
-    - Certain to close: with pi Im tau k (k - 2 max d) >= ln(200/tol) at the
-      least Im tau of the call (k after any skip), every edge term is at
-      most tol/200 of the center term, and the pass returns its sums with no
-      closing test, if every sum is finite (a NaN or overflowing point takes
-      the tested path and its error).
-    The closing test would judge each point as the rules do (while rounding
-    moves no exponent by ln 2), so every point keeps the window and the bits
-    it would have without them."""
+    are built in place.  A first window (center None) is skipped or summed
+    untested (if its sums are finite) as _first_window judges it."""
     k_max = (cfg.max_terms - 1) // 2
     sure = False
     if center is None:
@@ -173,16 +176,10 @@ def _window_sum(a, u, tau, k, cfg, deriv, center=None):
         peak = -a - u.imag / tau.imag
         center = np.rint(peak)
         if not deriv and cfg.tol:
-            d = np.abs(peak - center)
-            per_point = isinstance(tau, np.ndarray)
-            if k < k_max:
-                im = tau.imag.max() if per_point else tau.imag
-                off = k - math.sqrt(math.log(50.0 / cfg.tol) / (math.pi * im))
-                if off < 0.5 and d.min() > off:
-                    k = min(k_max, 2 * k)
-            im = tau.imag.min() if per_point else tau.imag
-            sure = (math.pi * im * k * (k - 2.0 * d.max())
-                    >= math.log(200.0 / cfg.tol))
+            d, im = np.abs(peak - center), tau.imag
+            lo, hi = ((im.min(), im.max()) if isinstance(tau, np.ndarray)
+                      else (im, im))
+            k, sure = _first_window(k, d.min(), d.max(), lo, hi, cfg)
     m = center + np.arange(-k, k + 1)
     m += a   # integer n, then n + a
     x = m * m * tau
@@ -509,21 +506,51 @@ def _kernel_inputs(chars, zeta):
     return a, u
 
 
-#: _kernel_inputs at the grids that repeat, chars and zeta given as tuples
-_grid_inputs = functools.lru_cache(maxsize=64)(_kernel_inputs)
+@functools.lru_cache(maxsize=64)
+def _grid_inputs(chars, zeta):
+    """_kernel_inputs at a grid that repeats (tuples), and a dict for its
+    windows if its <= _BLOCK_ROWS points share a and Im u, else None."""
+    a, u = _kernel_inputs(chars, zeta)
+    shared = len(a) <= _BLOCK_ROWS and (
+        len(set(a.tolist())) == 1 == len(set(u.imag.tolist())))
+    return a, u, {} if shared else None
 
 
 def _theta_rows(chars, zeta, tau, cfg=None):
     """theta[eps; eps'] at every point of the sequence zeta for each float
     pair (eps, eps') of the tuple chars, as a (len(chars), len(zeta)) array
-    from one scalar-tau kernel call, bypassing the point cache.  With zeta a
-    tuple the kernel inputs are built once (_grid_inputs); for other
-    sequences (the theta quadratics' fresh points), the zeta half for this
-    call alone."""
-    a, u = (_grid_inputs if isinstance(zeta, tuple)
-            else _kernel_inputs)(chars, zeta)
-    return _theta_sum(a, u, complex(tau), cfg or _DEFAULT_CFG,
-                      False).reshape(len(chars), len(zeta))
+    of _theta_sum's values, its inputs built once for a tuple zeta.  Points
+    sharing a and Im u share one window: where all are certain to close, its
+    tau-free half, kept per (half-width, center) up to 8 * _BLOCK_ROWS
+    terms, gives the sums by _window_sum's operations in its order."""
+    cfg, tau = cfg or _DEFAULT_CFG, complex(tau)
+    a, u, windows = (_grid_inputs(chars, zeta) if isinstance(zeta, tuple)
+                     else (*_kernel_inputs(chars, zeta), None))
+    im = tau.imag
+    if windows is not None and cfg.tol and 0 < im < math.inf:
+        peak = -a.item(0) - u.item(0).imag / im
+        # half to even, as np.rint; a peak that is not finite is never sure
+        center = float(round(peak)) if math.isfinite(peak) else peak
+        d = abs(peak - center)
+        k, sure = _first_window(_first_k(tau, cfg), d, d, im, im, cfg)
+        if sure:
+            terms = windows.get((k, center))
+            with np.errstate(over="ignore", invalid="ignore"):
+                if terms is None:
+                    if sum(t.size for _, t in windows.values()) > (
+                            8 * _BLOCK_ROWS):
+                        windows.clear()
+                    m = center + np.arange(-k, k + 1)
+                    m += a.item(0)
+                    terms = windows[k, center] = m * m, 2 * m * u[:, None]
+                    terms[0].flags.writeable = terms[1].flags.writeable = False
+                x = terms[0] * tau   # m * m * tau is (m * m) * tau
+                x = x + terms[1]
+                x *= 1j * math.pi
+                out = np.exp(x).sum(axis=1)
+            if np.count_nonzero(np.isfinite(out)) == len(out):
+                return out.reshape(len(chars), len(zeta))
+    return _theta_sum(a, u, tau, cfg, False).reshape(len(chars), len(zeta))
 
 
 def sample_tau(seed, count):

@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import ExpectedStatus, IdentityKind, _index_factors
+from .catalog import ExpectedStatus, IdentityKind
 from .cyclotomic import Cyclotomic, radical, reduction_matrix
 from .numeric import _theta_rows, theta_eval
 from .series import (ExponentPair, _INT64_SAFE, _KB, _fits, _norms, _scaled,
@@ -650,36 +650,49 @@ def zeta_grid(z_samples):
 _grid = functools.lru_cache(maxsize=64)(lambda n: tuple(zeta_grid(n)))
 
 
+@functools.lru_cache(maxsize=64)
+def _sample_plan(content):
+    """For monomials as their factors' (key, power): the zeta factors' float
+    pairs, the constants, the distinct (factor, power), and by position the
+    monomials (a slice if all) and their pairs (len(pairs) for none)."""
+    keys = sorted(dict.fromkeys(key for mono in content for key, _ in mono),
+                  key=lambda key: not key[4])   # the zeta factors first
+    pairs = {}
+    slots = [[pairs.setdefault((keys.index(key), power), len(pairs))
+              for key, power in mono] for mono in content]
+    ats = [[i for i, s in enumerate(slots) if len(s) > n]
+           for n in range(1, max(map(len, slots)))]
+    return (tuple((p / q, r / s) for p, q, r, s, z in keys if z),
+            [Characteristic(Fraction(p, q), Fraction(r, s))
+             for p, q, r, s, z in keys if not z],
+            list(pairs), [s[0] if s else len(pairs) for s in slots],
+            [(slice(None) if len(at) == len(slots) else at,
+              [slots[i][n] for i in at]) for n, at in enumerate(ats, 1)])
+
+
 def discover_relations(monomials, tau, z_samples, threshold=1e-8, cfg=None):
     """Numeric nullspace of the (z_samples x k) sample matrix of the given
     theta-product monomials at fixed tau.  Returns nullity and, if >= 1, one
     nullspace vector normalized so its first significant entry is 1, all as
-    Python numbers."""
+    Python numbers.  The matrix is built by factor position, from a plan
+    kept per monomial content (_sample_plan)."""
     k = len(monomials)
     if not k:
         raise ValueError("need at least one monomial")
     if z_samples < k:
         raise ValueError("need at least as many zeta samples as monomials")
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
-    # the distinct characteristics of the zeta factors on the grid, in one
-    # kernel call, as the doubles p / q and r / s of their integer keys
-    keys, cols = _index_factors(monomials)
-    rows = iter(_theta_rows(tuple((p / q, r / s) for p, q, r, s, at_zeta
-                                  in keys if at_zeta),
-                            _grid(z_samples), tau, cfg))
-    values = [next(rows) if at_zeta else theta_eval(Characteristic(
-                  Fraction(p, q), Fraction(r, s)), 0.0, tau, cfg)
-              for p, q, r, s, at_zeta in keys]
-    # the sample matrix by monomial rows, products in place, then turned
-    M = np.ones((k, z_samples), dtype=complex)
-    for row, col in zip(M, cols):
-        for n, (j, power) in enumerate(col):
-            x = values[j] if power == 1 else values[j] ** power
-            if n:
-                row *= x
-            else:
-                row[:] = x
+    chars, consts, pairs, first, later = _sample_plan(tuple(
+        [tuple([(f.key, f.power) for f in mono]) for mono in monomials]))
+    values = [*_theta_rows(chars, _grid(z_samples), tau, cfg),
+              *(theta_eval(c, 0.0, tau, cfg) for c in consts)]
+    # each distinct (factor, power) row once, a constant row at zero; the
+    # first factors gathered, then each later position multiplied in
+    table = np.ones((len(pairs) + 1, z_samples), dtype=complex)
+    for row, (j, power) in zip(table, pairs):
+        row[:] = values[j] if power == 1 else values[j] ** power
+    M = table.take(first, axis=0)
+    for at, idx in later:
+        M[at] *= table.take(idx, axis=0)
     _, sv, vh = np.linalg.svd(M.T, full_matrices=False)  # only sv, vh[-1] read
     sv = sv.tolist()
     if not sv[0]:

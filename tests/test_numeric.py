@@ -517,8 +517,89 @@ def test_theta_rows_equal_one_point_calls(chars, tau, points):
     assert (info.hits, info.misses) == (1, 1)
 
 
+@st.composite
+def _shared_grids(draw):
+    """(chars, grid, taus, cfg): 1-40 points sharing Im zeta and a = eps/2,
+    a first tau drawn freely or at one of the first-window rules' bounds (at
+    tol 1e-12 when tol is 0) and up to three free ones, Im zeta placing the
+    common peak at n + off, or +-0.0, or large enough that every sum
+    overflows."""
+    eps = draw(fifths | thirds)
+    chars = tuple((float(eps), float(e)) for e in draw(
+        st.lists(fifths | thirds, min_size=1, max_size=4)))
+    tol = draw(st.sampled_from([0.0, 1e-3, 1e-12]))
+    t, n, off = tol or 1e-12, draw(st.integers(-3, 3)), draw(st.floats(0, 0.5))
+    rule = draw(st.sampled_from(["free", "close", "skip"]))
+    if rule == "close":   # pi Im tau k (k - 2 off) = ln(200/tol)
+        k, off = draw(st.integers(2, 8)), min(off, 0.45)
+        im = math.log(200.0 / t) / (math.pi * k * (k - 2.0 * off))
+    else:
+        im = draw(st.floats(0.3, 3.0))
+        if rule == "skip":   # off = k - sqrt(ln(50/tol) / (pi Im tau))
+            k = numeric._first_k(1j * im, EvalConfig(tol=t))
+            off = min(0.5, max(0.0, k - math.sqrt(math.log(50.0 / t)
+                                                  / (math.pi * im))))
+    im *= 1.0 + draw(st.sampled_from([-1, 0, 1])) * 2.0 ** -50
+    y = draw(st.sampled_from([None, 0.0, -0.0, 30.0]))
+    if y is None:
+        y = -(float(eps) / 2 + n + off) * im
+    grid = tuple(complex(x, y) for x in draw(st.lists(
+        st.floats(-1.0, 1.0), min_size=1, max_size=40)))
+    cfg = EvalConfig(tol=tol, max_terms=draw(st.sampled_from(
+        [8, 9, 17, 40, 4000])))
+    taus = [complex(draw(st.floats(-0.5, 0.5)), im)] + [
+        complex(x, y) for x, y in draw(st.lists(st.tuples(
+            st.floats(-0.5, 0.5), st.floats(0.3, 3.0)), max_size=3))]
+    return chars, grid, taus, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_shared_grids())
+def test_shared_window_rows_equal_the_kernel(case):
+    # a grid whose points share a and Im u takes one window judged in
+    # floats, from its tau-free half built once per (half-width, center):
+    # values and error messages are _theta_sum's, when the window is built
+    # and when it is read, also after the grid met other tau
+    chars, grid, taus, cfg = case
+    assert numeric._grid_inputs(chars, grid)[2] is not None
+    a, u = numeric._kernel_inputs(chars, grid)
+    for tau in taus + taus:
+        want = _outcome(lambda: numeric._theta_sum(
+            a, u, tau, cfg, False).reshape(len(chars), len(grid)))
+        assert _outcome(numeric._theta_rows, chars, grid, tau, cfg) == want
+
+
+def test_shared_window_data_is_read_only():
+    chars, grid = ((0.2, 0.2), (0.2, 0.6)), tuple(zeta_grid(9))
+    numeric._theta_rows(chars, grid, 0.1 + 1.1j)
+    (mm, mu2), = numeric._grid_inputs(chars, grid)[2].values()
+    assert mm.shape == (9,) and mu2.shape == (18, 9)
+    for arr in (mm, mu2):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_a_tau_just_above_the_real_axis_takes_the_widest_window():
+    # ln(100/tol) / (pi Im tau) overflows a double at a subnormal Im tau:
+    # the first half-width is then the widest, and the sum does not converge
+    # (it raised OverflowError, not ValueError)
+    for zeta in (0.1, np.array([0.1, 0.2])):
+        with pytest.raises(ValueError, match="did not converge"):
+            theta_eval(C(Fraction(1, 5), Fraction(1, 5)), zeta,
+                       complex(0.1, 1e-310))
+
+
+def test_an_empty_batch_is_empty():
+    for zeta in (np.zeros(0), np.zeros((0, 3))):
+        assert theta_eval(C(Fraction(1, 5), 0), zeta, 0.1 + 1j).shape == \
+            zeta.shape
+
+
 def test_cached_kernel_inputs_are_read_only():
-    a, u = numeric._grid_inputs(((0.2, 0.6), (1.0, 0.2)), (0j, 0.1 + 0.2j))
+    a, u, windows = numeric._grid_inputs(((0.2, 0.6), (1.0, 0.2)),
+                                         (0j, 0.1 + 0.2j))
+    assert windows is None   # its points do not share a
     assert a.tolist() == [0.1, 0.1, 0.5, 0.5]
     assert u.tolist() == [0j + 0.3, 0.1 + 0.2j + 0.3, 0j + 0.1, 0.1 + 0.2j + 0.1]
     for arr in (a, u):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -539,6 +540,77 @@ def test_relation_inputs_are_built_once_per_grid():
         shared_root_ratio(tau)
     info = numeric._grid_inputs.cache_info()
     assert (info.hits, info.misses, info.currsize) == (57, 3, 3)
+
+
+def test_a_relations_sweep_builds_each_window_once(monkeypatch):
+    # 200 tau of a relations sweep: each grid's window data (the tau-free
+    # half of its shared window) is built at most once per (half-width,
+    # center), so the entry kept for a key is never replaced; the kernel
+    # sums only the quadratics and the few calls that are not certain to
+    # close in a shared window
+    numeric._grid_inputs.cache_clear()
+    grids, grid_inputs = {}, numeric._grid_inputs
+    monkeypatch.setattr(numeric, "_grid_inputs", lambda chars, zeta: (
+        grids.setdefault((chars, zeta), grid_inputs(chars, zeta))))
+    sums, theta_sum = [], numeric._theta_sum
+    monkeypatch.setattr(numeric, "_theta_sum", lambda *args: (
+        sums.append(len(args[1])) or theta_sum(*args)))
+    kept = {}
+    z, w = sample_zeta(5, 2)
+    for tau in sample_tau(5, 200):
+        for eps in (Fraction(1, 5), Fraction(3, 5)):
+            discover_relations(_quartic_monomials(eps), tau, 9)
+        theta_quadratics(tau, z, w)
+        shared_root_ratio(tau)
+        for grid, (_, _, windows) in grids.items():
+            for key, terms in windows.items():
+                assert kept.setdefault((grid, key), terms) is terms
+    assert len(grids) == 3 and 3 <= len(kept) <= 12
+    assert {grid for grid, _ in kept} == set(grids)   # every grid
+    assert sums.count(10) == 200 and len(sums) - 200 < 600 // 5
+
+
+def test_discover_constant_monomials_match_a_scalar_loop(monkeypatch):
+    # monomials of theta constants alone, and one with no factor: no point
+    # reaches the kernel's window, and the sample matrix is the scalar
+    # loop's, bit for bit
+    tau, z_samples = 0.13 + 0.97j, 5
+    monos = [[], [ThetaFactor(C(1, Fraction(1, 5)), 2)],
+             [ThetaFactor(C(Fraction(3, 5), Fraction(7, 5)), 1),
+              ThetaFactor(C(1, Fraction(1, 5)), 3)]]
+    want = np.ones((z_samples, len(monos)), dtype=complex)
+    for i, mono in enumerate(monos):
+        for f in mono:
+            want[:, i] *= theta_eval(f.char, 0.0, tau) ** f.power
+    seen, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda M, **kw: seen.append(
+        M.copy()) or svd(M, **kw))
+    rel = discover_relations(monos, tau, z_samples)
+    assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+    assert rel.nullity == 2   # every column is constant
+
+
+@pytest.mark.parametrize("im", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda tau: theta_eval(C(Fraction(1, 5), Fraction(1, 5)), 0.1, tau),
+    lambda tau: theta_eval(C(1, 0), np.array([0.1, 0.2j]), tau),
+    lambda tau: discover_relations(_quartic_monomials(Fraction(1, 5)), tau,
+                                   9),
+    lambda tau: shared_root_ratio(tau),
+    lambda tau: theta_quadratics(tau, 0.1 + 0.05j, 0.3 + 0.1j),
+    lambda tau: numeric.identity_residual(_by_id("jacobi-quartic"), tau),
+    lambda tau: numeric.identity_residual(
+        next(i for i in builtin_catalog()
+             if i.kind is IdentityKind.FUNCTION), tau, 0.1 + 0.05j),
+], ids=["theta_eval", "theta_eval_array", "discover_relations",
+        "shared_root_ratio", "theta_quadratics", "identity_residual",
+        "identity_residual_at_zeta"])
+def test_a_tau_with_no_finite_positive_imaginary_part_is_refused(call, im):
+    # an infinite Im tau made the first half-width 0, which never widens
+    # (RecursionError); a NaN one could not be rounded to a half-width
+    with pytest.raises(ValueError, match="tau must lie in the upper "
+                                         "half-plane"):
+        call(complex(0.1, im))
 
 
 def test_discover_independent_monomials_have_zero_nullity():
