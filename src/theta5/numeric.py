@@ -26,17 +26,18 @@ zeta) its numeric plan keeps, and sends all misses to one kernel call.  A
 characteristic the cache meets for the first time is filled in, in that
 same call, at every point of its kind the cache holds, so a sweep of
 identities over fixed sampled points (`theta5 eval`) pays one call per new
-characteristic rather than one per point.  Once `_BATCH_ROWS` or more of a
-kind's points lack an identity's residual, it is computed at all of them in
-one numpy pass, in float64 real and imaginary parts in the scalar code's
-order of operations, so each equals the scalar code's to the bit, and later
-calls read it from a column.  The residue contours pass arrays straight to
-the kernel; relation discovery, the theta quadratics and their shared root
-call it at one tau through `_theta_rows`, on read-only (a, u) arrays built
-once per grid that repeats (discovery's zeta grid, the root's zeta = 0),
-from columns eps/2 and eps'/2 built once per characteristic set (the
-quadratics' fixed five), and a grid whose points share a and Im u sums
-one window, its tau-free half kept.  Neither uses the point cache.
+characteristic rather than one per point, and its first identity one call
+per tau: a point at a new tau fills in its kind's last zeta grid.  Once
+`_BATCH_ROWS` or more of a kind's points lack an identity's residual, it is
+computed at all of them in one numpy pass, in float64 real and imaginary
+parts in the scalar code's order of operations, so each equals the scalar
+code's to the bit, and later calls read it from a column.  The residue
+contours pass arrays straight to the kernel; relation discovery, the theta
+quadratics and their shared root call it at one tau through `_theta_rows`, on
+read-only (a, u) arrays built once per grid that repeats (discovery's zeta
+grid, the root's zeta = 0), from columns eps/2 and eps'/2 built once per
+characteristic set (the quadratics' fixed five); a grid sharing a and Im u
+sums one window, its tau-free half kept.  Neither uses the point cache.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ def _theta_sum(a, u, tau, cfg, deriv):
     value so never depends on the other points of the call: it is the same
     to the bit as that of a one-point call."""
     per_point, im = isinstance(tau, np.ndarray), tau.imag
-    if not (((im > 0) & (im < math.inf)).all() if per_point
-            else 0 < im < math.inf):   # a NaN fails both
+    if not ((np.isfinite(tau) & (im > 0)).all() if per_point
+            else 0 < im < math.inf and math.isfinite(tau.real)):
         raise ValueError("tau must lie in the upper half-plane")
     if not len(u):
         return np.zeros(0, complex)
@@ -152,6 +153,16 @@ def _theta_sum(a, u, tau, cfg, deriv):
         # a NaN input never gets here
         raise ValueError("theta value overflows a double")
     return out
+
+
+def _sums(a, u, tau, cfg, deriv):
+    """_theta_sum, naming a zeta not finite when a sum does not converge."""
+    try:
+        return _theta_sum(a, u, tau, cfg, deriv)
+    except ValueError as e:
+        if str(e).startswith("theta sum") and not np.isfinite(u).all():
+            raise ValueError("zeta must be finite") from None
+        raise
 
 
 def _rows(x, at):
@@ -221,17 +232,22 @@ class _Kind:
     """The rows of one kind (zeta == 0, cfg, deriv) in a _PointCache: an
     index from (zeta, tau) to a row number, one complex array per
     characteristic with room for `room` rows (NaN where a value is not held:
-    a theta value is finite), and per numeric plan a list of residuals at
-    the rows [0, len), NaN where a row is left to the scalar code
-    (_PointCache.residual)."""
-    __slots__ = ("index", "cols", "room", "residuals")
+    a theta value is finite), per numeric plan a list of residuals at the
+    rows [0, len), NaN where a row is left to the scalar code
+    (_PointCache.residual), and the last new row's tau with its zetas."""
+    __slots__ = ("index", "cols", "room", "residuals", "tau", "zetas")
 
     def __init__(self):
         self.index, self.cols, self.room, self.residuals = {}, {}, 0, {}
+        self.tau, self.zetas = None, []
 
     def row(self, point):
         """point's row, added if it is new; full columns grow by a quarter."""
-        row = self.index.setdefault(point, len(self.index))
+        n = len(self.index)
+        row = self.index.setdefault(point, n)
+        if row == n:   # a new row joins its tau's grid
+            zetas = self.zetas if point[1] == self.tau else []
+            self.tau, self.zetas = point[1], [*zetas, point[0]]
         if row == self.room:
             self.room += self.room // 4 + 8
             for c, col in self.cols.items():
@@ -289,6 +305,11 @@ class _PointCache:
     filled point does not converge), the misses are computed alone, and the
     lookup fails only if one of them does.
 
+    Grid rule: a lookup that fills no characteristic, at a new point of a
+    tau not its kind's last (_Kind.tau), also computes the values it asks
+    at the last tau's zetas, if two or more, at its tau, as rows, in one
+    call at one tau (retried as above): a sweep over one grid finds them.
+
     Holds at most `maxsize` values (when full, it starts over, residual
     columns and all), and its columns at most _places(maxsize) places, held
     or not (past them, it starts over after the lookup); `hits` and
@@ -332,13 +353,19 @@ class _PointCache:
             if c not in kind.cols:
                 rows = [(p, r) for p, r in kind.index.items()
                         if (c, p) not in asked]
-                fill += [(c, p) for p, _ in rows]
-                blocks.append((kind, c, [r for _, r in rows]))
+                if rows:
+                    fill += [(c, p) for p, _ in rows]
+                    blocks.append((kind, c, [r for _, r in rows]))
+        kind = kinds.get((z == 0, cfg, deriv), _NO_KIND)
+        if (not fill and tau != kind.tau and len(kind.zetas) > 1
+                and point_z not in kind.index):   # the last tau's grid
+            fill = [(c, (w, tau)) for w in kind.zetas
+                    if w != z and (w, tau) not in kind.index for c in at_z]
         if self.size + len(asked) + len(fill) > self.maxsize:
             fill = blocks = []
         todo = [*asked, *fill]
         try:
-            got = _point_sums(todo, None if fill else tau, cfg, deriv)
+            got = _point_sums(todo, None if blocks else tau, cfg, deriv)
         except ValueError:
             if not fill:
                 raise
@@ -346,14 +373,14 @@ class _PointCache:
             got = _point_sums(todo, tau, cfg, deriv)
         self.filled += len(fill)
         self.size += len(todo)
-        new = dict(zip(asked, got[:len(asked)].tolist()))
-        for (c, point), v in new.items():
+        new = dict(zip(todo, got[:len(asked) if blocks else None].tolist()))
+        for c, point in new:   # asked first; blocks are stored below
             kind = kinds[point[0] == 0, cfg, deriv]
             row = kind.row(point)
             col = kind.cols.get(c)
             if col is None:
                 col = kind.cols[c] = _holes(kind.room)
-            col[row] = v
+            col[row] = new[c, point]
         at = len(asked)
         for kind, c, rows in blocks:   # each column's fill in one store
             kind.cols[c][rows] = got[at:at + len(rows)]
@@ -448,7 +475,7 @@ class _PointCache:
 def _point_sums(todo, tau, cfg, deriv):
     """_theta_sum at the (char, point) pairs of todo, at one tau, or with
     tau None at each point's own tau."""
-    return _theta_sum(
+    return _sums(
         np.array([c[0] / c[1] for c, _ in todo]) / 2.0,
         np.array([point[0] for _, point in todo])
         + np.array([c[2] / c[3] for c, _ in todo]) / 2.0,
@@ -462,9 +489,9 @@ _POINTS = _PointCache(1 << 18)
 def _theta(c, zeta, tau, cfg, deriv):
     cfg = cfg or _DEFAULT_CFG
     if isinstance(zeta, np.ndarray):
-        return _theta_sum(float(c.eps) / 2.0,
-                          zeta.astype(complex).ravel() + float(c.epsp) / 2.0,
-                          complex(tau), cfg, deriv).reshape(zeta.shape)
+        return _sums(float(c.eps) / 2.0,
+                     zeta.astype(complex).ravel() + float(c.epsp) / 2.0,
+                     complex(tau), cfg, deriv).reshape(zeta.shape)
     eps, epsp = c
     return _POINTS.lookup((), ((eps.numerator, eps.denominator,
                                 epsp.numerator, epsp.denominator),),
@@ -550,7 +577,7 @@ def _theta_rows(chars, zeta, tau, cfg=None):
                 out = np.exp(x).sum(axis=1)
             if np.count_nonzero(np.isfinite(out)) == len(out):
                 return out.reshape(len(chars), len(zeta))
-    return _theta_sum(a, u, tau, cfg, False).reshape(len(chars), len(zeta))
+    return _sums(a, u, tau, cfg, False).reshape(len(chars), len(zeta))
 
 
 def sample_tau(seed, count):

@@ -1,15 +1,15 @@
 """Exact resultants of polynomials with cyclotomic coefficients.
 
 Polynomials are plain lists of Cyclotomic coefficients, degree-0 first.
-The resultant is the determinant of the Sylvester matrix, by fraction-free
-Bareiss elimination with rows cleared of denominators.  Each distinct
-entry, an element of Z[zeta_N] as an integer polynomial of degree below
-phi(N), is packed once into one Python int, its value at X = 2^B
-(Kronecker substitution), and the elimination is plain integer Bareiss:
-X -> 2^B is a ring map from Z[X], so every exact division by the previous
-pivot stays exact, and B is large enough to read every minor back.  Only
-the pivot tests and the final determinant are unpacked and reduced mod
-Phi_N.  A closed 2x2-quadratic formula and the numeric theta quadratics
+Res(f, g) comes from the max(m, n)-square Bezout matrix of f and g cleared
+of denominators, (f(x)g(y) - f(y)g(x)) / (x - y) (Cayley; Gelfand, Kapranov
+and Zelevinsky, 1994; its sign and division: resultant), each coefficient,
+in Z[zeta_N], packed once into one Python int, its value at X = 2^B
+(Kronecker substitution).  The determinant is integer Bareiss elimination:
+X -> 2^B is a ring map from Z[X], so each exact division stays exact, and B
+reads every minor back.  A pivot is proven nonzero by its residue mod
+Phi_N(2^B); only a multiple of that, and the result, are unpacked and
+reduced mod Phi_N.  A closed 2x2 formula and the numeric theta quadratics
 that share the root theta[1;1/5]/theta[1;3/5] round the module out.
 """
 
@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import (MAX_ORDER, Cyclotomic, cyclo_root, int_vector,
-                         kron_pack, kron_unpack, kron_width, reduce_poly,
-                         reduction_rows)
+from .cyclotomic import (MAX_ORDER, Cyclotomic, cyclo_root,
+                         cyclotomic_polynomial, int_vector, kron_pack,
+                         kron_unpack, kron_width, reduce_poly, reduction_rows)
 from .numeric import _theta_rows
 
 
@@ -59,42 +59,45 @@ def sylvester_matrix(f, g):
 
 
 def _bareiss_det(rows):
-    """Exact determinant by Bareiss fraction-free elimination with row
-    pivoting, over Z[zeta_N] for N the lcm of the entry orders, each row
-    scaled by the lcm of its denominators, on packed ints (module
-    docstring).
-
-    Every value the elimination makes is a minor of the packed matrix, an
-    integer polynomial whose coefficients are at most the product of the
-    rows' L1 norms, so slots of kron_width of that bound read every minor
-    back.  A pivot counts as zero when it is zero in Z[zeta_N], not only as
-    a polynomial: the row swaps, the sign and the early zero (at order 1)
-    are those of elimination on reduced elements."""
-    n = len(rows)
-    if n == 0:
+    """Exact determinant over Z[zeta_N], N the lcm of the entry orders, by
+    _eliminate on rows times the lcm of their denominators, in slots that
+    hold every minor (bounded by the product of the rows' L1 norms)."""
+    if not rows:
         return Cyclotomic.one()
-    # Sylvester rows repeat one polynomial's coefficients and shared zeros:
-    # read each distinct entry once, convert and pack it once per row scale
-    entries = {id(c): c for r in rows for c in r}
-    order = math.lcm(*(c.order for c in entries.values()))
+    order, dens, vecs, l1 = _int_rows(rows)
+    width = kron_width(math.prod(max(1, sum(r)) for r in l1))
+    return _eliminate([[kron_pack(v, width) for v in r] for r in vecs], order,
+                      width, math.prod(dens))
+
+
+def _int_rows(rows):
+    """(N, dens, vecs, l1) of rows of Cyclotomic elements: N the lcm of
+    their orders, each row times the lcm of its denominators (dens) as
+    integer vectors at order N (vecs), and their L1 norms."""
+    order = math.lcm(*(c.order for r in rows for c in r))
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds MAX_ORDER={MAX_ORDER}")
     red = reduction_rows(order)
-    den = {i: math.lcm(*(v.denominator for v in c.coeffs.values()))
-           for i, c in entries.items()}
-    dens = [math.lcm(*(den[id(c)] for c in r)) for r in rows]
-    keys = [[(id(c), d) for c in r] for r, d in zip(rows, dens)]
-    vecs = {(i, d): int_vector(entries[i], order, d, red)
-            for i, d in set().union(*keys)}
-    l1 = {k: sum(map(abs, v)) for k, v in vecs.items()}
-    width = kron_width(math.prod(max(1, sum(map(l1.get, ks))) for ks in keys))
-    packed = {k: kron_pack(v, width) for k, v in vecs.items()}
-    m = [list(map(packed.get, ks)) for ks in keys]
+    dens = [math.lcm(*(v.denominator for c in r for v in c.coeffs.values()))
+            for r in rows]
+    vecs = [[int_vector(c, order, d, red) for c in r]
+            for r, d in zip(rows, dens)]
+    return order, dens, vecs, [[sum(map(abs, v)) for v in r] for r in vecs]
+
+
+def _eliminate(m, order, width, den, lc=1):
+    """det(m) / (lc den) in Q(zeta_order), m square over Z[zeta_order] in
+    slots of `width` bytes, lc packed and dividing det(m): Bareiss with row
+    pivoting in place, 0 (order 1) if a column has no pivot nonzero in
+    Z[zeta_order], a pivot unpacked only at a multiple of Phi(2^(8 width))."""
+    red = reduction_rows(order)
+    cert = kron_pack(cyclotomic_polynomial(order), width)
 
     def nonzero(x):
-        return x != 0 and any(reduce_poly(kron_unpack(x, width), red))
+        return x % cert != 0 or (
+            x != 0 and any(reduce_poly(kron_unpack(x, width), red)))
 
-    sign, prev = 1, 1
+    n, sign, prev = len(m), 1, 1
     for k in range(n - 1):
         if not nonzero(m[k][k]):
             for i in range(k + 1, n):
@@ -111,13 +114,30 @@ def _bareiss_det(rows):
             for j in range(k + 1, n):
                 row[j] = (row[j] * pivot - lead * top[j]) // prev
         prev = pivot
-    det = reduce_poly(kron_unpack(m[n - 1][n - 1], width), red)
-    return Cyclotomic(order, {i: Fraction(c, sign * math.prod(dens))
+    det = reduce_poly(kron_unpack(m[n - 1][n - 1] // lc, width), red)
+    return Cyclotomic(order, {i: Fraction(c, sign * den)
                               for i, c in enumerate(det)})
 
 
+def _bezout(size, pair):
+    """The size x size Bezout matrix: pair(p, q) added at [p + t][q - 1 - t]
+    for every p < q <= size and t < q - p."""
+    b = [[0] * size for _ in range(size)]
+    for q in range(1, size + 1):
+        for p in range(q):
+            c = pair(p, q)
+            for t in range(q - p):
+                b[p + t][q - 1 - t] += c
+    return b
+
+
 def resultant(f, g):
-    """Res(f, g) = det of the Sylvester matrix, exactly."""
+    """Res(f, g) = det of the Sylvester matrix, exactly.  For m, n >= 1,
+    det B = s lc^|m-n| Res(d_f f, d_g g) (module docstring), lc the longer
+    polynomial's leading coefficient, s = (-1)^(N(N-1)/2), times
+    (-1)^(N+mn) if m < n: divided by lc^|m-n| packed, then by s d_f^n
+    d_g^m.  Slots hold B's minors (the product of its row L1 sums) and the
+    quotient (L1(f)^n L1(g)^m).  A zero resultant is Cyclotomic.zero()."""
     m, n = poly_degree(f), poly_degree(g)
     if m < 0 or n < 0:
         raise ValueError("resultant of the zero polynomial is undefined")
@@ -127,7 +147,20 @@ def resultant(f, g):
         return _as_cyclo(f[0]) ** n
     if n == 0:
         return _as_cyclo(g[0]) ** m
-    return _bareiss_det(sylvester_matrix(f, g))
+    size = max(m, n)
+    order, dens, vecs, (lf, lg) = _int_rows(    # the shorter padded with 0
+        [[_as_cyclo(c) for c in p[:d + 1]] + [Cyclotomic.zero()] * (size - d)
+         for p, d in ((f, m), (g, n))])
+    width = kron_width(max(math.prod(max(1, sum(r)) for r in _bezout(
+        size, lambda p, q: lf[q] * lg[p] + lf[p] * lg[q])),
+        sum(lf) ** n * sum(lg) ** m))
+    fp, gp = ([kron_pack(v, width) for v in r] for r in vecs)
+    sign = (-1) ** (size * (size - 1) // 2 + (size + m * n) * (m < n))
+    res = _eliminate(
+        _bezout(size, lambda p, q: fp[q] * gp[p] - fp[p] * gp[q]), order,
+        width, sign * dens[0] ** n * dens[1] ** m,
+        (fp[m] if m > n else gp[n]) ** abs(m - n))
+    return res if res.coeffs else Cyclotomic.zero()
 
 
 def resultant_2x2(a, b):

@@ -26,7 +26,7 @@ positions are decoded.  A term with no entry up to the cutoff is 0 there
 report is "inconclusive".
 An identity may claim to be sigma_m T^j of a representative up to a global
 scalar (Identity.derived_from; sigma_m: zeta -> zeta^m, T: tau -> tau + 1).
-verify_exact checks the claim exactly, in integers, on every call (_claimed):
+verify_exact checks a claim exactly, in integers, once per identity (_claimed):
 the representative's canonical form is built once (_claim_data) and mapped
 by sigma_m T^j (_orbit), and the identity's terms are read once against that
 image, by the walk that builds the form (_term_images), so a claim builds no
@@ -200,7 +200,7 @@ def verify_exact(ident, cutoff):
     t0 = time.perf_counter()
     if ident.derived_from is not None:
         rep, m, j = ident.derived_from
-        form = _claimed(ident)
+        form = ident._cached("_claimed", _claimed)
         if form is not None and (
                 (form, (cutoff.numerator, cutoff.denominator)) in _PASSES
                 or verify_exact(rep, cutoff).passed):

@@ -24,8 +24,9 @@ from theta5.numeric import (EvalConfig, MAX_NODES, PHI_WITNESS, PSI_WITNESS,
                             identity_residual, numeric_residue, residue_report,
                             sample_tau, sample_zeta, theta_deriv_eval,
                             theta_eval, zero_location_check)
+from theta5.resultant import shared_root_ratio, theta_quadratics
 from theta5.theta import Characteristic
-from theta5.verify import verify_exact, zeta_grid
+from theta5.verify import discover_relations, verify_exact, zeta_grid
 
 C = Characteristic.of
 
@@ -54,6 +55,46 @@ def test_sample_zeta_deterministic():
 def test_eval_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         theta_eval(C(0, 0), 0.0, -1j)
+
+
+NAN, INF = math.nan, math.inf
+_NONFINITE_TAUS = (complex(NAN, 1), complex(INF, 1), complex(-INF, 1))
+
+
+def _monomials():
+    z = Argument.SYMBOLIC_ZETA
+    return [[ThetaFactor(C(Fraction(1, 5), Fraction(k, 5)), 4, z)]
+            for k in (1, 3)]
+
+
+@pytest.mark.parametrize("tau", _NONFINITE_TAUS)
+@pytest.mark.parametrize("call", [
+    lambda tau: theta_eval(C(Fraction(1, 5), Fraction(1, 5)), 0.1, tau),
+    lambda tau: theta_deriv_eval(C(1, 0), 0.1, tau),
+    lambda tau: identity_residual(builtin_catalog()[0], tau, 0.1 + 0.1j),
+    lambda tau: discover_relations(_monomials(), tau, 9),
+    lambda tau: theta_quadratics(tau, 0.1 + 0.1j, 0.2 + 0.05j),
+    lambda tau: shared_root_ratio(tau),
+    lambda tau: theta_eval(C(0, 1), np.array([0.1, 0.2j]), tau)],
+    ids=["theta_eval", "theta_deriv_eval", "identity_residual",
+         "discover_relations", "theta_quadratics", "shared_root_ratio",
+         "ndarray"])
+def test_a_tau_whose_real_part_is_not_finite_is_refused(call, tau):
+    with pytest.raises(ValueError, match="upper half-plane"):
+        call(tau)
+
+
+@pytest.mark.parametrize("zeta", [complex(NAN, 0.1), complex(INF, 0),
+                                  complex(0.1, INF), complex(0.1, -INF)])
+@pytest.mark.parametrize("call", [
+    lambda z: theta_eval(C(Fraction(1, 5), Fraction(1, 5)), z, 1.1j),
+    lambda z: theta_deriv_eval(C(1, 0), z, 0.3 + 1j),
+    lambda z: theta_eval(C(0, 1), np.array([0.1, z, 0.2j]), 1.1j),
+    lambda z: theta_quadratics(0.1 + 1.2j, 0.1 + 0.1j, z)],
+    ids=["theta_eval", "theta_deriv_eval", "ndarray", "theta_quadratics"])
+def test_a_zeta_that_is_not_finite_is_named(call, zeta):
+    with pytest.raises(ValueError, match="zeta must be finite"):
+        call(zeta)
 
 
 def test_max_terms_cap_raises():
@@ -719,15 +760,16 @@ def test_eval_subcommand_mostly_hits_the_point_cache(capsys):
 def test_eval_sweep_fills_each_new_characteristic_in_one_call(monkeypatch,
                                                             capsys):
     # without fills the sweep makes 87 kernel calls for 207 points; with
-    # them 29 calls for the same 207 points, so it computes no value that
-    # it does not read
+    # them 21 calls for the same 207 points (a new characteristic at every
+    # held row, a new tau at the last tau's zeta grid), so it computes no
+    # value that it does not read
     calls, kernel = [], numeric._theta_sum
     monkeypatch.setattr(numeric, "_theta_sum", lambda a, u, *rest:
                         calls.append(len(u)) or kernel(a, u, *rest))
     numeric._POINTS.clear()
     assert main(["--seed", "0", "eval"]) == 0
     capsys.readouterr()
-    assert (len(calls), sum(calls)) == (29, 207)
+    assert (len(calls), sum(calls)) == (21, 207)
     cache = numeric._POINTS
     assert cache.misses + cache.filled == 207 and cache.filled > 0
     assert cache.hits + cache.misses == 2913
@@ -791,6 +833,99 @@ def test_a_fill_that_cannot_converge_leaves_the_lookup_good():
                                        False) is None
     with pytest.raises(ValueError, match="within 8 terms"):
         cache.lookup((), (c10,), 0j, 1.3j, cfg, False)
+
+
+@st.composite
+def grid_sweeps(draw):
+    """Characteristics at a zeta grid of 2-4 points at 2-4 taus, looked up
+    in a drawn order of all the grid's points (each lookup with 1-3
+    characteristics at zeta and 0-1 at zeta = 0), with or without the
+    derivative."""
+    chars = st.tuples(st.integers(0, 9), st.just(5), st.integers(0, 9),
+                      st.just(5))
+    at_z = tuple(draw(st.lists(chars, min_size=1, max_size=3, unique=True)))
+    zero = tuple(draw(st.lists(chars, max_size=1)))
+    zetas = draw(st.lists(st.complex_numbers(max_magnitude=0.5).filter(
+        lambda z: z != 0), min_size=2, max_size=4, unique=True))
+    taus = draw(st.lists(st.complex_numbers(max_magnitude=0.5).map(
+        lambda t: complex(t.real, 0.6 + abs(t.imag))), min_size=2,
+        max_size=4, unique=True))
+    order = draw(st.sampled_from(("tau-major", "zeta-major", "drawn")))
+    points = [(z, t) for t in taus for z in zetas]
+    if order == "zeta-major":
+        points = [(z, t) for z in zetas for t in taus]
+    elif order == "drawn":
+        points = draw(st.permutations(points))
+    return zero, at_z, points, order, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_sweeps())
+def test_a_new_tau_fills_the_zeta_grid_with_one_point_values(case):
+    # every value the cache answers or holds, grid-filled ones too, is the
+    # one-point kernel's to the bit; a tau-major sweep computes each value
+    # once, all but the first tau's in one call per tau
+    zero, at_z, points, order, deriv = case
+    cache, cfg = numeric._PointCache(1 << 12), EvalConfig()
+    for z, tau in points:
+        got = cache.lookup(zero, at_z, z, tau, cfg, deriv)
+        assert got == [_one_point(c, 0j, tau, cfg, deriv) for c in zero] + [
+            _one_point(c, z, tau, cfg, deriv) for c in at_z]
+    kind = cache.kinds[False, cfg, deriv]
+    assert len(kind.index) == len(points)
+    for (z, tau), row in kind.index.items():
+        assert kind.held(at_z, row) == [_one_point(c, z, tau, cfg, deriv)
+                                        for c in at_z]
+    taus = len({t for _, t in points})
+    if order == "tau-major":
+        zetas = len(points) // taus
+        assert cache.filled == (taus - 1) * (zetas - 1) * len(at_z)
+        assert cache.misses + cache.filled == (
+            len(points) * len(at_z) + taus * len(zero))
+
+
+def test_one_zeta_per_tau_fills_nothing():
+    # zero_location_check asks theta and its derivative at one zeta per
+    # tau (the zero moves with tau): no grid to fill, and no value computed
+    # that is not asked
+    numeric._POINTS.clear()
+    for tau in sample_tau(13, 50):
+        assert zero_location_check(C(Fraction(1, 5), Fraction(1, 5)), tau)[0]
+    cache = numeric._POINTS
+    assert (cache.filled, cache.misses, cache.hits) == (0, 100, 0)
+
+
+def test_a_grid_point_that_cannot_converge_leaves_the_lookup_good():
+    # with 8 terms theta[0;0] converges at zeta 0.1 and 0.7i at tau 3i, and
+    # at 0.1 but not at 0.7i at tau 1.4i (its peak falls between two
+    # terms): the new tau's grid fill fails, the asked point is computed
+    # alone and answers, and only asking at 0.7i raises
+    cache, cfg, c00 = numeric._PointCache(1 << 10), EvalConfig(max_terms=8), \
+        (0, 1, 0, 1)
+    for z in (0.1 + 0j, 0.7j):
+        cache.lookup((), (c00,), z, 3j, cfg, False)
+    assert cache.lookup((), (c00,), 0.1 + 0j, 1.4j, cfg, False)[0] == \
+        _one_point(c00, 0.1 + 0j, 1.4j, cfg, False)
+    assert cache.filled == 0 and cache.size == 3
+    with pytest.raises(ValueError, match="within 8 terms"):
+        cache.lookup((), (c00,), 0.7j, 1.4j, cfg, False)
+
+
+@pytest.mark.parametrize("maxsize, filled, size", [(6, 0, 6), (10, 4, 10)])
+def test_a_grid_fill_that_does_not_fit_is_skipped(maxsize, filled, size):
+    # five zetas held at one tau: a new tau's grid fill (four values) fits
+    # in a cache of ten values, not in one of six, where the asked value is
+    # computed alone; the next miss at that tau then starts the cache over
+    cache, cfg, c15 = numeric._PointCache(maxsize), EvalConfig(), \
+        (1, 5, 3, 5)
+    zetas = sample_zeta(3, 5)
+    for z in zetas:
+        cache.lookup((), (c15,), z, 1j, cfg, False)
+    assert cache.lookup((), (c15,), zetas[0], 1.2j, cfg, False)[0] == \
+        _one_point(c15, zetas[0], 1.2j, cfg, False)
+    assert (cache.filled, cache.size) == (filled, size)
+    cache.lookup((), (c15,), zetas[1], 1.2j, cfg, False)
+    assert cache.size == (1 if maxsize == 6 else 10)
 
 
 def test_a_full_cache_skips_the_fill_then_starts_over():

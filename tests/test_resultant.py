@@ -19,14 +19,18 @@ from theta5.theta import Characteristic
 DATA = Path(__file__).parent / "data"
 
 
+def _times_root(p, r):
+    """p(x) (x - r), degree-0 first."""
+    shifted = [-(c * r) for c in p] + [Cyclotomic.zero()]
+    lifted = [Cyclotomic.zero()] + p
+    return [a + b for a, b in zip(shifted, lifted)]
+
+
 def _poly_from_roots(roots):
     """Monic polynomial with the given cyclotomic roots, degree-0 first."""
     p = [Cyclotomic.one()]
     for r in roots:
-        # multiply by (x - r)
-        shifted = [-(c * r) for c in p] + [Cyclotomic.zero()]
-        lifted = [Cyclotomic.zero()] + p
-        p = [a + b for a, b in zip(shifted, lifted)]
+        p = _times_root(p, r)
     return p
 
 
@@ -356,6 +360,59 @@ def test_bareiss_order_cap_matches_oracle():
     with pytest.raises(ValueError) as got:
         _bareiss_det(rows)
     assert str(got.value) == str(want.value)
+
+
+@st.composite
+def polynomial_pairs(draw, bound=5):
+    """(f, g) of degrees 0-6 over Q(zeta_n), n in 1-20, entries of mixed
+    orders dividing n (entry), the leading coefficients over a drawn
+    denominator, and a third of the time a planted common root."""
+    n = draw(st.integers(1, 20))
+
+    def poly(degree):
+        p = [draw(entry(n, bound)) for _ in range(degree + 1)]
+        p[-1] = p[-1] * Fraction(1, draw(st.integers(1, 9)))
+        return p
+
+    m, k = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if m and k and draw(st.integers(0, 2)) == 0:
+        root = draw(entry(n, bound))
+        return (_times_root(poly(m - 1), root), _times_root(poly(k - 1), root))
+    return poly(m), poly(k)
+
+
+def _check_resultant(f, g):
+    try:
+        want = fraction_bareiss(sylvester_matrix(f, g))
+    except ValueError as exc:   # a zero polynomial
+        with pytest.raises(ValueError, match=str(exc)):
+            resultant(f, g)
+        return
+    got = resultant(f, g)
+    assert got == want
+    assert got.to_string() == want.to_string()
+    if not want.is_zero():
+        assert got.order == want.order
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_pairs())
+def test_bezout_resultant_equals_the_sylvester_determinant(pair):
+    _check_resultant(*pair)
+
+
+@settings(max_examples=25, deadline=None)
+@given(polynomial_pairs(bound=2 ** 70))
+def test_bezout_resultant_equals_sylvester_on_wide_numerators(pair):
+    _check_resultant(*pair)
+
+
+def test_a_zero_resultant_is_the_rational_zero():
+    # a common root in Q(zeta_5): the Bezout elimination's zero has order 1
+    z = cyclo_root(1, 5)
+    f, g = _poly_from_roots([z, z + 1]), _poly_from_roots([z, z * 2, -z])
+    got = resultant(f, g)
+    assert got.is_zero() and got.order == 1
 
 
 GOLDEN = json.loads((DATA / "resultant_cli.json").read_text())

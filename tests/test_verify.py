@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -789,6 +790,22 @@ def test_corpus_pass_derives_sixty_reports():
     derived = [r for r in reports if r.derived_from is not None]
     assert len(derived) == 60 and all(r.passed for r in derived)
     assert not any(r.derived_from for r in reports if not r.passed)
+
+
+def test_each_claim_is_checked_once(monkeypatch):
+    # a fresh corpus at cutoffs 8, 16 and 8 in one process: each of the 60
+    # claims maps its representative's form once (_orbit), not per call
+    monkeypatch.setattr(catalog_data, "_catalog", functools.lru_cache(
+        maxsize=1)(catalog_data._catalog.__wrapped__))
+    calls, orbit = [], v._orbit
+    monkeypatch.setattr(v, "_orbit", lambda *args: calls.append(args[2:])
+                        or orbit(*args))
+    corpus = builtin_catalog()
+    reports = [verify_all(corpus, cutoff) for cutoff in (8, 16, 8)]
+    assert len(calls) == 60
+    assert [r.to_dict() for r in reports[0]] == [r.to_dict()
+                                                 for r in reports[2]]
+    assert sum(r.derived_from is not None for r in reports[1]) == 60
 
 
 def test_wrong_claims_are_computed_directly():
