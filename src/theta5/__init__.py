@@ -17,16 +17,15 @@ from .cyclotomic import (MAX_ORDER, Cyclotomic, cyclotomic_polynomial,
 from .divisors import ArithReport, delta, sigma, verify_sigma_convolution
 from .numeric import (PHI_WITNESS, PSI_WITNESS, RESIDUE_WITNESSES, EvalConfig,
                       ResidueWitness, contour_residue, identity_residual,
-                      numeric_residue, residue_report, sample_tau,
-                      sample_zeta, theta_deriv_eval, theta_eval,
-                      zero_location_check)
+                      residue_report, sample_tau, sample_zeta,
+                      theta_deriv_eval, theta_eval, zero_location_check)
 from .resultant import (poly_degree, resultant, resultant_2x2,
                         shared_root_ratio, sylvester_matrix, theta_quadratics)
 from .series import ExponentPair, PuiseuxSeries2
 from .theta import (Characteristic, ThetaMode, reduce_char, shift_half_period,
                     shift_integer, theta_deriv_series, theta_product_series,
                     theta_series, theta_zero_point)
-from .verify import (DiscoveredRelation, VerificationReport, batch_passed,
+from .verify import (DiscoveredRelation, VerificationReport,
                      discover_relations, reports_to_json, verify_all,
                      verify_exact, zeta_grid)
 

@@ -17,17 +17,18 @@ is summed over its own window of terms: one pass at a first half-width from
 its tau, and the points whose edge terms are not small summed again at twice
 the half-width, so a value is the same to the bit in any batch; two rules
 skip a first window no point can close, and the closing test of one every
-point is certain to close (_first_window).  Scalar points go through one
-point cache (`_POINTS`), which keeps each kind of point (zeta = 0 or not,
-under one config and derivative flag) as an index from (zeta, tau) to a row
-and one complex array of values per characteristic.  An identity residual
-looks up its distinct factors there, as the two key tuples (at zeta = 0, at
-zeta) its numeric plan keeps, and sends all misses to one kernel call.  A
-characteristic the cache meets for the first time is filled in, in that
-same call, at every point of its kind the cache holds, so a sweep of
-identities over fixed sampled points (`theta5 eval`) pays one call per new
-characteristic rather than one per point, and its first identity one call
-per tau: a point at a new tau fills in its kind's last zeta grid.  Once
+point is certain to close (_first_window).  `theta_eval` and
+`theta_deriv_eval` call it directly, a scalar zeta as a one-point array.
+Identity residuals alone go through one point cache (`_POINTS`), which keeps
+each kind of point (zeta = 0 or not, under one config) as an index from
+(zeta, tau) to a row and one complex array of values per characteristic.  A
+residual looks up its distinct factors there, as the two key tuples (at
+zeta = 0, at zeta) its numeric plan keeps, and sends all misses to one
+kernel call.  A characteristic the cache meets for the first time is filled
+in, in that same call, at every point of its kind the cache holds, so a
+sweep of identities over fixed sampled points (`theta5 eval`) pays one call
+per new characteristic rather than one per point, and its first identity one
+call per tau: a point at a new tau fills in its kind's last zeta grid.  Once
 `_BATCH_ROWS` or more of a kind's points lack an identity's residual, it is
 computed at all of them in one numpy pass, in float64 real and imaginary
 parts in the scalar code's order of operations, so each equals the scalar
@@ -229,7 +230,7 @@ def _window_sum(a, u, tau, k, cfg, deriv, center=None):
 
 
 class _Kind:
-    """The rows of one kind (zeta == 0, cfg, deriv) in a _PointCache: an
+    """The rows of one kind (zeta == 0, cfg) in a _PointCache: an
     index from (zeta, tau) to a row number, one complex array per
     characteristic with room for `room` rows (NaN where a value is not held:
     a theta value is finite), per numeric plan a list of residuals at the
@@ -260,11 +261,13 @@ class _Kind:
         complex numbers, None where not held."""
         if row is None:
             return [None] * len(chars)
-        cols = self.cols
-        vals = [cols[c].item(row) if c in cols else None for c in chars]
-        if [v for v in vals if v != v]:   # NaN: a hole
-            vals = [None if v != v else v for v in vals]
-        return vals
+        cols = self.cols   # a NaN (v != v) is a hole
+        try:   # the usual case: every column is there
+            return [v if (v := cols[c].item(row)) == v else None
+                    for c in chars]
+        except KeyError:
+            return [v if c in cols and (v := cols[c].item(row)) == v else None
+                    for c in chars]
 
     def column(self, c, rows):
         """c's values at rows (a slice, or row numbers with -1 for none),
@@ -277,12 +280,6 @@ class _Kind:
         return np.where(rows < 0, np.nan, col[rows])
 
 
-def _places(maxsize):
-    """The places a _PointCache of maxsize values may take in its columns
-    before it starts over."""
-    return 2 * maxsize + 1024
-
-
 def _holes(n):
     """n places of a column that hold no value."""
     return np.full(n, np.nan, complex)
@@ -292,10 +289,10 @@ _NO_KIND = _Kind()   # a kind the cache does not hold
 
 
 class _PointCache:
-    """theta values at scalar points, in rows of kinds (zeta == 0, cfg,
-    deriv) (_Kind): a row is a point (zeta, tau), a characteristic [p/q;
-    r/s] a column keyed by its own ints (p, q, r, s), so a lookup runs no
-    Fraction hash.
+    """theta values at the points identity residuals ask, in rows of kinds
+    (zeta == 0, cfg) (_Kind): a row is a point (zeta, tau), a characteristic
+    [p/q; r/s] a column keyed by its own ints (p, q, r, s), so a lookup runs
+    no Fraction hash.
 
     Fill rule: a characteristic is new to a kind of row until a lookup
     misses it at a row of that kind.  That lookup also computes it at every
@@ -310,33 +307,30 @@ class _PointCache:
     at the last tau's zetas, if two or more, at its tau, as rows, in one
     call at one tau (retried as above): a sweep over one grid finds them.
 
-    Holds at most `maxsize` values (when full, it starts over, residual
-    columns and all), and its columns at most _places(maxsize) places, held
-    or not (past them, it starts over after the lookup); `hits` and
-    `misses` count the points looked up, and the values a sweep reads (as
-    hits), `filled` the values computed for no lookup."""
+    Bound: its columns take at most `places` places, held or not; a lookup
+    that passes them still answers, and the cache then starts over, residual
+    columns and all.  `hits` and `misses` count the values looked up, and
+    the values a sweep reads (as hits), `filled` the values computed for no
+    lookup."""
 
-    def __init__(self, maxsize):
-        self.maxsize = maxsize
+    def __init__(self, places):
+        self.places = places
         self.clear()
 
     def clear(self):
-        self._empty()
+        self.kinds = collections.defaultdict(_Kind)
         self.hits = self.misses = self.filled = 0
 
-    def _empty(self):
-        self.kinds, self.size = collections.defaultdict(_Kind), 0
-
-    def lookup(self, zero, at_z, z, tau, cfg, deriv):
+    def lookup(self, zero, at_z, z, tau, cfg):
         """theta[p/q; r/s] at zeta = 0 for each (p, q, r, s) of the tuple
         zero, then at zeta = z for each of the tuple at_z, at one tau, as
         Python complex numbers; the misses and any fill in one kernel
         call."""
         kinds, point_0, point_z = self.kinds, (0j, tau), (z, tau)
-        kind = kinds.get((True, cfg, deriv), _NO_KIND)
+        kind = kinds.get((True, cfg), _NO_KIND)
         vals = kind.held(zero, kind.index.get(point_0))
         if at_z:   # a constant identity has none
-            kind = kinds.get((z == 0, cfg, deriv), _NO_KIND)
+            kind = kinds.get((z == 0, cfg), _NO_KIND)
             vals += kind.held(at_z, kind.index.get(point_z))
         missed = vals.count(None)
         self.hits += len(vals) - missed
@@ -345,37 +339,32 @@ class _PointCache:
         self.misses += missed
         keys = [*((c, point_0) for c in zero), *((c, point_z) for c in at_z)]
         asked = dict.fromkeys(cp for cp, v in zip(keys, vals) if v is None)
-        if self.size + len(asked) > self.maxsize:
-            self._empty()
-        kinds, fill, blocks = self.kinds, [], []
+        fill, blocks = [], []
         for c, point in asked:
-            kind = kinds[point[0] == 0, cfg, deriv]
+            kind = kinds[point[0] == 0, cfg]
             if c not in kind.cols:
                 rows = [(p, r) for p, r in kind.index.items()
                         if (c, p) not in asked]
                 if rows:
                     fill += [(c, p) for p, _ in rows]
                     blocks.append((kind, c, [r for _, r in rows]))
-        kind = kinds.get((z == 0, cfg, deriv), _NO_KIND)
+        kind = kinds.get((z == 0, cfg), _NO_KIND)
         if (not fill and tau != kind.tau and len(kind.zetas) > 1
                 and point_z not in kind.index):   # the last tau's grid
             fill = [(c, (w, tau)) for w in kind.zetas
                     if w != z and (w, tau) not in kind.index for c in at_z]
-        if self.size + len(asked) + len(fill) > self.maxsize:
-            fill = blocks = []
         todo = [*asked, *fill]
         try:
-            got = _point_sums(todo, None if blocks else tau, cfg, deriv)
+            got = _point_sums(todo, None if blocks else tau, cfg)
         except ValueError:
             if not fill:
                 raise
             todo, fill, blocks = list(asked), [], []
-            got = _point_sums(todo, tau, cfg, deriv)
+            got = _point_sums(todo, tau, cfg)
         self.filled += len(fill)
-        self.size += len(todo)
         new = dict(zip(todo, got[:len(asked) if blocks else None].tolist()))
         for c, point in new:   # asked first; blocks are stored below
-            kind = kinds[point[0] == 0, cfg, deriv]
+            kind = kinds[point[0] == 0, cfg]
             row = kind.row(point)
             col = kind.cols.get(c)
             if col is None:
@@ -385,12 +374,8 @@ class _PointCache:
         for kind, c, rows in blocks:   # each column's fill in one store
             kind.cols[c][rows] = got[at:at + len(rows)]
             at += len(rows)
-        # a column is as long as its kind's rows, held or not, so columns
-        # whose fill did not fit can take far more places than `size`
-        # counts: those are bounded as well
-        if sum(k.room * len(k.cols) for k in kinds.values()) > _places(
-                self.maxsize):
-            self._empty()
+        if sum(k.room * len(k.cols) for k in kinds.values()) > self.places:
+            self.kinds = collections.defaultdict(_Kind)
         # the hits come from vals: a cache that started over holds no more
         return [new[key] if v is None else v for v, key in zip(vals, keys)]
 
@@ -404,20 +389,20 @@ class _PointCache:
         them, and the values it reads count as hits (the point's own are
         counted once); a row it leaves NaN, and every point when fewer rows
         are pending, takes the scalar code (_scalar_residual)."""
-        key, point = (z == 0, cfg, False), (z, tau)
+        key, point = (z == 0, cfg), (z, tau)
         kind = self.kinds.get(key, _NO_KIND)
         row = kind.index.get(point, -1)
         done = kind.residuals.get(plan, ())
         if 0 <= row < len(done) and done[row] == done[row]:   # NaN: not held
             return done[row]
         zero, at_z, powers, terms = plan
-        theta = self._read(zero, at_z, kind, row, z, tau, cfg)
-        if theta is None:   # the lookup computes what is not held
-            theta = self.lookup(zero, at_z, z, tau, cfg, False)
-            kind = self.kinds.get(key, _NO_KIND)   # it may start over
+        misses = self.misses
+        theta = self.lookup(zero, at_z, z, tau, cfg)
+        if self.misses != misses:   # it may add the row, or start over
+            kind = self.kinds.get(key, _NO_KIND)
             row = kind.index.get(point, -1)
-            if row < 0:   # no factor, or the lookup started over after
-                return _scalar_residual(ident, tau, theta, powers, terms)
+        if row < 0:   # no factor, or the lookup started over after
+            return _scalar_residual(ident, tau, theta, powers, terms)
         done = kind.residuals.setdefault(plan, [])
         start = len(done)
         if (len(kind.index) - start >= _BATCH_ROWS
@@ -435,29 +420,6 @@ class _PointCache:
             done += [math.nan] * (row - start) + [r]
         return r
 
-    def _read(self, zero, at_z, kind, row, z, tau, cfg):
-        """What lookup(zero, at_z, z, tau, cfg, False) returns, read at the
-        row of kind just found and counted as hits, when every value is
-        held there (the usual case), else None."""
-        if row < 0:
-            return None
-        try:
-            if z == 0:   # one row holds every value
-                cols = kind.cols
-                theta = [cols[c].item(row) for c in zero + at_z]
-            else:
-                base = self.kinds.get((True, cfg, False), _NO_KIND)
-                at, cols = base.index[0j, tau] if zero else 0, base.cols
-                theta = [cols[c].item(at) for c in zero]
-                cols = kind.cols
-                theta += [cols[c].item(row) for c in at_z]
-        except KeyError:
-            return None
-        if [v for v in theta if v != v]:   # NaN: a hole
-            return None
-        self.hits += len(theta)
-        return theta
-
     def _columns(self, plan, kind, start, cfg):
         """The plan's factor values at the kind's rows from start on, one
         complex array per factor in the lookup's order; a factor at zeta = 0
@@ -465,14 +427,14 @@ class _PointCache:
         zero, at_z = plan[0], plan[1]
         rows = slice(start, len(kind.index))
         here = [kind.column(c, rows) for c in at_z]
-        base = self.kinds.get((True, cfg, False), _NO_KIND)
+        base = self.kinds.get((True, cfg), _NO_KIND)
         if kind is not base:
             rows = np.array([base.index.get((0j, tau), -1)
                              for _, tau in list(kind.index)[start:]], int)
         return [base.column(c, rows) for c in zero] + here
 
 
-def _point_sums(todo, tau, cfg, deriv):
+def _point_sums(todo, tau, cfg):
     """_theta_sum at the (char, point) pairs of todo, at one tau, or with
     tau None at each point's own tau."""
     return _sums(
@@ -480,27 +442,23 @@ def _point_sums(todo, tau, cfg, deriv):
         np.array([point[0] for _, point in todo])
         + np.array([c[2] / c[3] for c, _ in todo]) / 2.0,
         np.array([point[1] for _, point in todo]) if tau is None else tau,
-        cfg, deriv)
+        cfg, False)
 
 
-_POINTS = _PointCache(1 << 18)
+_POINTS = _PointCache(1 << 19)
 
 
 def _theta(c, zeta, tau, cfg, deriv):
-    cfg = cfg or _DEFAULT_CFG
-    if isinstance(zeta, np.ndarray):
-        return _sums(float(c.eps) / 2.0,
-                     zeta.astype(complex).ravel() + float(c.epsp) / 2.0,
-                     complex(tau), cfg, deriv).reshape(zeta.shape)
-    eps, epsp = c
-    return _POINTS.lookup((), ((eps.numerator, eps.denominator,
-                                epsp.numerator, epsp.denominator),),
-                          complex(zeta), complex(tau), cfg, deriv)[0]
+    z = np.asarray(zeta, complex)
+    out = _sums(float(c.eps) / 2.0, z.ravel() + float(c.epsp) / 2.0,
+                complex(tau), cfg or _DEFAULT_CFG, deriv).reshape(z.shape)
+    return out if isinstance(zeta, np.ndarray) else out.item()
 
 
 def theta_eval(c, zeta, tau, cfg=None):
     """theta[c](zeta, tau) as a complex double; for an ndarray zeta, a complex
-    array of its shape (computed in one pass, bypassing the point cache)."""
+    array of its shape.  Either way one kernel call: a scalar zeta is a
+    one-point array (the point cache serves identity residuals alone)."""
     return _theta(c, zeta, tau, cfg, False)
 
 
@@ -710,11 +668,13 @@ def identity_residual(ident, tau, zeta=None, cfg=None):
     ValueError when a power, a term, a modulus or the residual is past a
     double.
 
-    The distinct theta factors come from the point cache, the misses in one
-    kernel call.  Once _BATCH_ROWS or more of the point's kind of row lack
-    this identity's residual, it is computed at all of them in one numpy
-    pass, equal to the point-by-point code's to the bit, and kept for later
-    calls (_PointCache.residual)."""
+    The distinct theta factors come from the point cache, which serves
+    these residuals alone (_PointCache): the values it holds are read, the
+    misses computed in one kernel call with any fill.  Once _BATCH_ROWS or
+    more of the point's kind of row lack this identity's residual, it is
+    computed at all of them in one numpy pass, equal to the point-by-point
+    code's to the bit, and kept for later calls until the cache starts over
+    (_PointCache.residual)."""
     if zeta is None and ident.kind is IdentityKind.FUNCTION:
         raise ValueError(f"{ident.id}: function identity needs a zeta")
     plan = ident._cached("_numeric_plan", _numeric_plan)
@@ -761,11 +721,6 @@ def contour_residue(f, pole, radius, samples=None):
         change = abs(total / n - last)
         if change <= RESIDUE_RTOL * size / n or n >= MAX_NODES:
             return total / n, n, change
-
-
-def numeric_residue(f, pole, radius, samples=None):
-    """The residue of contour_residue(f, pole, radius, samples) alone."""
-    return contour_residue(f, pole, radius, samples)[0]
 
 
 def zero_location_check(c, tau, cfg=None, tol=1e-9):

@@ -136,8 +136,11 @@ def resultant(f, g):
     det B = s lc^|m-n| Res(d_f f, d_g g) (module docstring), lc the longer
     polynomial's leading coefficient, s = (-1)^(N(N-1)/2), times
     (-1)^(N+mn) if m < n: divided by lc^|m-n| packed, then by s d_f^n
-    d_g^m.  Slots hold B's minors (the product of its row L1 sums) and the
-    quotient (L1(f)^n L1(g)^m).  A zero resultant is Cyclotomic.zero()."""
+    d_g^m.  Slots hold B's minors (the product of its row L1 sums), and so
+    the quotient: with each coefficient's L1 norm put for it, that product
+    bounds det B's expansion in the coefficients term by term, which is
+    lc^|m-n| Res's with no two terms merged.  A zero resultant is
+    Cyclotomic.zero()."""
     m, n = poly_degree(f), poly_degree(g)
     if m < 0 or n < 0:
         raise ValueError("resultant of the zero polynomial is undefined")
@@ -151,9 +154,8 @@ def resultant(f, g):
     order, dens, vecs, (lf, lg) = _int_rows(    # the shorter padded with 0
         [[_as_cyclo(c) for c in p[:d + 1]] + [Cyclotomic.zero()] * (size - d)
          for p, d in ((f, m), (g, n))])
-    width = kron_width(max(math.prod(max(1, sum(r)) for r in _bezout(
-        size, lambda p, q: lf[q] * lg[p] + lf[p] * lg[q])),
-        sum(lf) ** n * sum(lg) ** m))
+    width = kron_width(math.prod(max(1, sum(r)) for r in _bezout(
+        size, lambda p, q: lf[q] * lg[p] + lf[p] * lg[q])))
     fp, gp = ([kron_pack(v, width) for v in r] for r in vecs)
     sign = (-1) ** (size * (size - 1) // 2 + (size + m * n) * (m < n))
     res = _eliminate(

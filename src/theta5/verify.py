@@ -636,10 +636,6 @@ def batch_status(catalog, reports):
     return next((s for s in ("fail", "inconclusive") if s in counted), "pass")
 
 
-def batch_passed(catalog, reports):
-    return batch_status(catalog, reports) == "pass"
-
-
 def zeta_grid(z_samples):
     """Deterministic zeta sampling grid, documented for reproducibility."""
     return [complex((j + 0.37) / (z_samples + 1), 0.21)

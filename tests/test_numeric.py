@@ -21,7 +21,7 @@ from theta5.cyclotomic import Cyclotomic
 from theta5 import numeric
 from theta5.numeric import (EvalConfig, MAX_NODES, PHI_WITNESS, PSI_WITNESS,
                             RESIDUE_RTOL, TWO_PI_I, contour_residue,
-                            identity_residual, numeric_residue, residue_report,
+                            identity_residual, residue_report,
                             sample_tau, sample_zeta, theta_deriv_eval,
                             theta_eval, zero_location_check)
 from theta5.resultant import shared_root_ratio, theta_quadratics
@@ -138,11 +138,11 @@ def test_residuals_small_for_holds_and_large_for_corrupt():
 def test_numeric_residue_on_simple_pole():
     # f(z) = 3/(z - 0.5) + cos(z): residue 3 at 0.5; f gets the node array
     f = lambda z: 3.0 / (z - 0.5) + np.cos(z)
-    r = numeric_residue(f, 0.5, 0.05)
+    r = contour_residue(f, 0.5, 0.05)[0]
     assert abs(r - 3.0) < 1e-12
     for radius in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            numeric_residue(f, 0.5, radius)
+            contour_residue(f, 0.5, radius)
 
 
 @pytest.mark.parametrize("witness", [PHI_WITNESS, PSI_WITNESS])
@@ -238,17 +238,21 @@ def test_kernel_matches_shell_sum(eps, epsp, deriv, tau, points):
         assert abs(g - want) <= 1e-13 * max(scale, 1.0), (z, g, want)
 
 
-def test_scalar_calls_use_the_cache_and_arrays_bypass_it():
-    c, tau, zeta = C(Fraction(1, 5), Fraction(3, 5)), 0.1 + 0.9j, 0.2 + 0.1j
+def test_scalar_theta_calls_bypass_the_point_cache():
+    # a scalar zeta is a one-point array: its value is the array call's to
+    # the bit, and the point cache is neither read nor filled
+    c, tau = C(Fraction(1, 5), Fraction(3, 5)), 0.1 + 0.9j
     numeric._POINTS.clear()
-    v = theta_eval(c, zeta, tau)
-    assert type(v) is complex
-    assert theta_eval(c, zeta, tau) == v
-    assert (numeric._POINTS.hits, numeric._POINTS.misses) == (1, 1)
-    arr = theta_eval(c, np.array([[zeta, 0.0]]), tau)
-    assert arr.shape == (1, 2)
-    assert abs(arr[0, 0] - v) <= 1e-15 * abs(v)
-    assert (numeric._POINTS.hits, numeric._POINTS.misses) == (1, 1)
+    for fn in (theta_eval, theta_deriv_eval):
+        for zeta in (0.2 + 0.1j, 0.0, 0):
+            v = fn(c, zeta, tau)
+            assert type(v) is complex
+            assert fn(c, zeta, tau) == v == fn(c, np.array([zeta]), tau)[0]
+            arr = fn(c, np.array([[zeta, 0.3j]]), tau)
+            assert arr.shape == (1, 2) and arr[0, 0] == v
+    cache = numeric._POINTS
+    assert (cache.hits, cache.misses, cache.filled) == (0, 0, 0)
+    assert not cache.kinds
 
 
 @settings(max_examples=100, deadline=None)
@@ -674,7 +678,6 @@ def test_identity_residual_equals_the_factor_loop():
             for zeta in points:
                 # each side computes its own theta values: the loop in
                 # one-point kernel calls, identity_residual in one batch
-                numeric._POINTS.clear()
                 want = loop_residual(ident, tau, zeta)
                 numeric._POINTS.clear()
                 assert identity_residual(ident, tau, zeta) == want, ident.id
@@ -687,7 +690,6 @@ def test_overflow_is_reported(monkeypatch, evaluate):
     # of an array and a derivative (whose window never closes) all raise,
     # with no numpy warning, after one pass: no wider window can help
     c, zeta, tau = C(1, 0), 0.3537 + 98.5j, 0.2259 + 37.7j
-    numeric._POINTS.clear()
     shapes, exp = [], np.exp
     monkeypatch.setattr(np, "exp", lambda x: shapes.append(x.shape) or exp(x))
     for z in (zeta, np.array([0.1j, zeta])):
@@ -696,7 +698,7 @@ def test_overflow_is_reported(monkeypatch, evaluate):
             evaluate(c, z, tau)
         assert len(shapes) == 1
     monkeypatch.undo()
-    assert cmath.isfinite(evaluate(c, 0.1j, tau))   # the cache still works
+    assert cmath.isfinite(evaluate(c, 0.1j, tau))   # a finite value answers
 
 
 def _with_term(ident, i, **changes):
@@ -775,47 +777,50 @@ def test_eval_sweep_fills_each_new_characteristic_in_one_call(monkeypatch,
     assert cache.hits + cache.misses == 2913
 
 
-def _one_point(char, zeta, tau, cfg, deriv):
+def _one_point(char, zeta, tau, cfg):
     p, q, r, s = char
     return numeric._theta_sum(p / q / 2.0, np.array([zeta]) + r / s / 2.0, tau,
-                              cfg, deriv)[0]
+                              cfg, False)[0]
 
 
-def _held(cache, char, zeta, tau, cfg, deriv):
-    """The cache's value of char at the row (zeta, tau, cfg, deriv), or
-    None: the row's number in its kind's index, read in char's column."""
-    kind = cache.kinds[zeta == 0, cfg, deriv]
+def _held(cache, char, zeta, tau, cfg):
+    """The cache's value of char at the row (zeta, tau, cfg), or None: the
+    row's number in its kind's index, read in char's column."""
+    kind = cache.kinds[zeta == 0, cfg]
     return kind.held((char,), kind.index[zeta, tau])[0]
 
 
 def _row_keys(cache):
-    """The rows the cache holds, as keys (zeta, tau, cfg, deriv)."""
-    return [(*point, cfg, deriv) for (_, cfg, deriv), kind
-            in cache.kinds.items() for point in kind.index]
+    """The rows the cache holds, as keys (zeta, tau, cfg)."""
+    return [(*point, cfg) for (_, cfg), kind in cache.kinds.items()
+            for point in kind.index]
+
+
+def _places(cache):
+    """The places the cache's columns take, held or not: its one bound."""
+    return sum(kind.room * len(kind.cols) for kind in cache.kinds.values())
 
 
 def test_a_fill_answers_only_its_own_kind():
-    # rows of four kinds hold theta[0;0]; theta[1/5;3/5] is new to the kind
-    # (zeta == 0, cfg, no derivative) alone, so it is filled at that row
-    # alone, and a lookup of it at each other row is a miss of its own
+    # rows of three kinds hold theta[0;0]; theta[1/5;3/5] is new to the kind
+    # (zeta == 0, cfg) alone, so it is filled at that row alone, and a
+    # lookup of it at each other row is a miss of its own
     cache = numeric._PointCache(1 << 10)
     a, b = (0, 1, 0, 1), (1, 5, 3, 5)
     cfg, other = EvalConfig(), EvalConfig()
     tau, z = 0.1 + 0.9j, 0.2 + 0.1j
-    held = [(0j, cfg, False), (z, cfg, False), (0j, cfg, True),
-            (0j, other, False)]
-    for zeta, c, deriv in held:
-        cache.lookup((), (a,), zeta, tau, c, deriv)
-    assert cache.lookup((), (b,), 0j, -0.2 + 1.3j, cfg, False)[0] == \
-        _one_point(b, 0j, -0.2 + 1.3j, cfg, False)
+    held = [(0j, cfg), (z, cfg), (0j, other)]
+    for zeta, c in held:
+        cache.lookup((), (a,), zeta, tau, c)
+    assert cache.lookup((), (b,), 0j, -0.2 + 1.3j, cfg)[0] == \
+        _one_point(b, 0j, -0.2 + 1.3j, cfg)
     assert cache.filled == 1
-    assert _held(cache, b, 0j, tau, cfg, False) == _one_point(b, 0j, tau, cfg,
-                                                              False)
-    for zeta, c, deriv in held[1:]:
-        assert _held(cache, b, zeta, tau, c, deriv) is None
+    assert _held(cache, b, 0j, tau, cfg) == _one_point(b, 0j, tau, cfg)
+    for zeta, c in held[1:]:
+        assert _held(cache, b, zeta, tau, c) is None
         hits = cache.hits
-        assert cache.lookup((), (b,), zeta, tau, c, deriv)[0] == \
-            _one_point(b, zeta, tau, c, deriv)
+        assert cache.lookup((), (b,), zeta, tau, c)[0] == \
+            _one_point(b, zeta, tau, c)
         assert cache.hits == hits
     assert cache.filled == 1
 
@@ -826,21 +831,19 @@ def test_a_fill_that_cannot_converge_leaves_the_lookup_good():
     # 3i is computed alone and answers, and only asking at 1.3i raises
     cache, cfg = numeric._PointCache(1 << 10), EvalConfig(max_terms=8)
     c00, c10 = (0, 1, 0, 1), (1, 1, 0, 1)
-    cache.lookup((), (c00,), 0j, 1.3j, cfg, False)
-    assert cache.lookup((), (c10,), 0j, 3j, cfg, False)[0] == \
-        _one_point(c10, 0j, 3j, cfg, False)
-    assert cache.filled == 0 and _held(cache, c10, 0j, 1.3j, cfg,
-                                       False) is None
+    cache.lookup((), (c00,), 0j, 1.3j, cfg)
+    assert cache.lookup((), (c10,), 0j, 3j, cfg)[0] == \
+        _one_point(c10, 0j, 3j, cfg)
+    assert cache.filled == 0 and _held(cache, c10, 0j, 1.3j, cfg) is None
     with pytest.raises(ValueError, match="within 8 terms"):
-        cache.lookup((), (c10,), 0j, 1.3j, cfg, False)
+        cache.lookup((), (c10,), 0j, 1.3j, cfg)
 
 
 @st.composite
 def grid_sweeps(draw):
     """Characteristics at a zeta grid of 2-4 points at 2-4 taus, looked up
     in a drawn order of all the grid's points (each lookup with 1-3
-    characteristics at zeta and 0-1 at zeta = 0), with or without the
-    derivative."""
+    characteristics at zeta and 0-1 at zeta = 0)."""
     chars = st.tuples(st.integers(0, 9), st.just(5), st.integers(0, 9),
                       st.just(5))
     at_z = tuple(draw(st.lists(chars, min_size=1, max_size=3, unique=True)))
@@ -856,7 +859,7 @@ def grid_sweeps(draw):
         points = [(z, t) for z in zetas for t in taus]
     elif order == "drawn":
         points = draw(st.permutations(points))
-    return zero, at_z, points, order, draw(st.booleans())
+    return zero, at_z, points, order
 
 
 @settings(max_examples=60, deadline=None)
@@ -865,16 +868,16 @@ def test_a_new_tau_fills_the_zeta_grid_with_one_point_values(case):
     # every value the cache answers or holds, grid-filled ones too, is the
     # one-point kernel's to the bit; a tau-major sweep computes each value
     # once, all but the first tau's in one call per tau
-    zero, at_z, points, order, deriv = case
+    zero, at_z, points, order = case
     cache, cfg = numeric._PointCache(1 << 12), EvalConfig()
     for z, tau in points:
-        got = cache.lookup(zero, at_z, z, tau, cfg, deriv)
-        assert got == [_one_point(c, 0j, tau, cfg, deriv) for c in zero] + [
-            _one_point(c, z, tau, cfg, deriv) for c in at_z]
-    kind = cache.kinds[False, cfg, deriv]
+        got = cache.lookup(zero, at_z, z, tau, cfg)
+        assert got == [_one_point(c, 0j, tau, cfg) for c in zero] + [
+            _one_point(c, z, tau, cfg) for c in at_z]
+    kind = cache.kinds[False, cfg]
     assert len(kind.index) == len(points)
     for (z, tau), row in kind.index.items():
-        assert kind.held(at_z, row) == [_one_point(c, z, tau, cfg, deriv)
+        assert kind.held(at_z, row) == [_one_point(c, z, tau, cfg)
                                         for c in at_z]
     taus = len({t for _, t in points})
     if order == "tau-major":
@@ -885,14 +888,17 @@ def test_a_new_tau_fills_the_zeta_grid_with_one_point_values(case):
 
 
 def test_one_zeta_per_tau_fills_nothing():
-    # zero_location_check asks theta and its derivative at one zeta per
-    # tau (the zero moves with tau): no grid to fill, and no value computed
-    # that is not asked
+    # a function identity's residual at one zeta per tau (the zeta moves
+    # with tau): no grid to fill, and no value computed that is not asked
+    ident = next(i for i in builtin_catalog()
+                 if i.kind is IdentityKind.FUNCTION)
+    zero, at_z = numeric._numeric_plan(ident)[:2]
     numeric._POINTS.clear()
     for tau in sample_tau(13, 50):
-        assert zero_location_check(C(Fraction(1, 5), Fraction(1, 5)), tau)[0]
+        assert identity_residual(ident, tau, 0.3 * tau + 0.1) < 1e-9
     cache = numeric._POINTS
-    assert (cache.filled, cache.misses, cache.hits) == (0, 100, 0)
+    assert (cache.filled, cache.misses, cache.hits) == (
+        0, 50 * (len(zero) + len(at_z)), 0)
 
 
 def test_a_grid_point_that_cannot_converge_leaves_the_lookup_good():
@@ -903,84 +909,84 @@ def test_a_grid_point_that_cannot_converge_leaves_the_lookup_good():
     cache, cfg, c00 = numeric._PointCache(1 << 10), EvalConfig(max_terms=8), \
         (0, 1, 0, 1)
     for z in (0.1 + 0j, 0.7j):
-        cache.lookup((), (c00,), z, 3j, cfg, False)
-    assert cache.lookup((), (c00,), 0.1 + 0j, 1.4j, cfg, False)[0] == \
-        _one_point(c00, 0.1 + 0j, 1.4j, cfg, False)
-    assert cache.filled == 0 and cache.size == 3
+        cache.lookup((), (c00,), z, 3j, cfg)
+    assert cache.lookup((), (c00,), 0.1 + 0j, 1.4j, cfg)[0] == \
+        _one_point(c00, 0.1 + 0j, 1.4j, cfg)
+    assert cache.filled == 0 and len(_row_keys(cache)) == 3
     with pytest.raises(ValueError, match="within 8 terms"):
-        cache.lookup((), (c00,), 0.7j, 1.4j, cfg, False)
+        cache.lookup((), (c00,), 0.7j, 1.4j, cfg)
 
 
-@pytest.mark.parametrize("maxsize, filled, size", [(6, 0, 6), (10, 4, 10)])
-def test_a_grid_fill_that_does_not_fit_is_skipped(maxsize, filled, size):
-    # five zetas held at one tau: a new tau's grid fill (four values) fits
-    # in a cache of ten values, not in one of six, where the asked value is
-    # computed alone; the next miss at that tau then starts the cache over
-    cache, cfg, c15 = numeric._PointCache(maxsize), EvalConfig(), \
+@pytest.mark.parametrize("places, rows", [(17, 0), (18, 10)])
+def test_a_grid_fill_past_the_bound_starts_the_cache_over(places, rows):
+    # five zetas held at one tau take 8 places; a new tau's grid fill (four
+    # values) and the asked value make 10 rows, 18 places: a bound of 18
+    # keeps them, and past a bound of 17 the lookup still answers and the
+    # cache starts over
+    cache, cfg, c15 = numeric._PointCache(places), EvalConfig(), \
         (1, 5, 3, 5)
     zetas = sample_zeta(3, 5)
     for z in zetas:
-        cache.lookup((), (c15,), z, 1j, cfg, False)
-    assert cache.lookup((), (c15,), zetas[0], 1.2j, cfg, False)[0] == \
-        _one_point(c15, zetas[0], 1.2j, cfg, False)
-    assert (cache.filled, cache.size) == (filled, size)
-    cache.lookup((), (c15,), zetas[1], 1.2j, cfg, False)
-    assert cache.size == (1 if maxsize == 6 else 10)
+        cache.lookup((), (c15,), z, 1j, cfg)
+    assert _places(cache) == 8
+    assert cache.lookup((), (c15,), zetas[0], 1.2j, cfg)[0] == \
+        _one_point(c15, zetas[0], 1.2j, cfg)
+    assert cache.filled == 4 and len(_row_keys(cache)) == rows
+    assert _places(cache) == (18 if rows else 0)
 
 
-def test_a_full_cache_skips_the_fill_then_starts_over():
-    # three rows held in a cache of four values: a new characteristic fits
-    # alone but not with its fill at the three rows, so it is not filled;
-    # the next miss does not fit and the cache starts over
-    cache, cfg, c00, c15 = numeric._PointCache(4), EvalConfig(), \
+def test_a_fill_past_the_bound_answers_then_starts_over():
+    # three rows hold theta[0;0] in 8 places; a new characteristic with its
+    # fill at those rows takes 8 more, past a bound of 15: the lookup
+    # answers, and the cache starts over; the next miss is held alone
+    cache, cfg, c00, c15 = numeric._PointCache(15), EvalConfig(), \
         (0, 1, 0, 1), (1, 5, 3, 5)
     for tau in (1j, 1.1j, 1.2j):
-        cache.lookup((), (c00,), 0j, tau, cfg, False)
-    assert cache.lookup((), (c15,), 0j, 1.3j, cfg, False)[0] == \
-        _one_point(c15, 0j, 1.3j, cfg, False)
-    assert (cache.size, cache.filled) == (4, 0)
-    assert cache.lookup((), (c15,), 0j, 1j, cfg, False)[0] == \
-        _one_point(c15, 0j, 1j, cfg, False)
-    assert cache.size == 1 and _row_keys(cache) == [(0j, 1j, cfg, False)]
+        cache.lookup((), (c00,), 0j, tau, cfg)
+    assert cache.lookup((), (c15,), 0j, 1.3j, cfg)[0] == \
+        _one_point(c15, 0j, 1.3j, cfg)
+    assert cache.filled == 3 and _places(cache) == 0
+    assert cache.lookup((), (c15,), 0j, 1j, cfg)[0] == \
+        _one_point(c15, 0j, 1j, cfg)
+    assert _row_keys(cache) == [(0j, 1j, cfg)] and _places(cache) == 8
 
 
 def test_a_lookup_that_starts_the_cache_over_keeps_its_hits():
-    # two values held in a cache of two: a lookup of one of them (at zeta =
-    # 0) and of a new one (at zeta) does not fit, so the cache starts over,
-    # and the value that was a hit still answers
-    cache, cfg, c00, c15 = numeric._PointCache(2), EvalConfig(), \
+    # theta[0;0] held at two rows at zeta = 0 takes 8 places: a lookup of it
+    # (a hit) and of a new value at zeta (8 places of a new kind) passes a
+    # bound of 15, so the cache starts over after it, and the value that
+    # was a hit still answers
+    cache, cfg, c00, c15 = numeric._PointCache(15), EvalConfig(), \
         (0, 1, 0, 1), (1, 5, 3, 5)
     for tau in (1j, 1.1j):
-        cache.lookup((c00,), (), 0.3j, tau, cfg, False)
-    assert cache.lookup((c00,), (c15,), 0.3j, 1j, cfg,
-                        False) == [_one_point(c00, 0j, 1j, cfg, False),
-                                   _one_point(c15, 0.3j, 1j, cfg, False)]
-    assert (cache.hits, cache.misses, cache.size) == (1, 3, 1)
-    assert _row_keys(cache) == [(0.3j, 1j, cfg, False)]
+        cache.lookup((c00,), (), 0.3j, tau, cfg)
+    assert cache.lookup((c00,), (c15,), 0.3j, 1j, cfg) == [
+        _one_point(c00, 0j, 1j, cfg), _one_point(c15, 0.3j, 1j, cfg)]
+    assert (cache.hits, cache.misses) == (1, 3)
+    assert _row_keys(cache) == [] and _places(cache) == 0
 
 
 def test_columns_with_holes_are_bounded_too():
-    # a cache of 256 values holds theta[0;0] at 128 points; each new
-    # characteristic asked at one new point fits, but its fill at those
-    # rows does not, so its column holds one value among holes.  Their
-    # places are bounded as well: past 2 * 256 + 1024 the cache starts over
-    cache, cfg, c00 = numeric._PointCache(256), EvalConfig(), (0, 1, 0, 1)
-    for k in range(128):
-        cache.lookup((), (c00,), 0j, complex(0.001 * k, 1.1), cfg, False)
+    # a cache of 256 places holds eight characteristics at one point (64
+    # places); theta[0;0] asked at one new point after another adds rows
+    # with holes in the seven other columns.  Their places are bounded as
+    # well: no lookup leaves more than 256, and the cache starts over
+    cache, cfg = numeric._PointCache(256), EvalConfig()
+    chars = tuple((k, 5, 0, 1) for k in range(8))
+    cache.lookup((), chars, 0j, 1.1j, cfg)
     places = []
     for k in range(1, 100):
-        c, tau = (k, 97, 0, 1), complex(0.5 + 0.001 * k, 1.1)
-        assert cache.lookup((), (c,), 0j, tau, cfg, False)[0] == \
-            _one_point(c, 0j, tau, cfg, False)
-        places.append(sum(kind.room * len(kind.cols)
-                          for kind in cache.kinds.values()))
-    # 227 values never fill the cache: it started over for the places
-    assert 0 in places and max(places) <= 2 * 256 + 1024
+        tau = complex(0.001 * k, 1.1)
+        assert cache.lookup((), chars[:1], 0j, tau, cfg)[0] == \
+            _one_point(chars[0], 0j, tau, cfg)
+        places.append(_places(cache))
+    assert max(places) <= 256 and 240 in places and 0 in places
+    assert cache.filled == 0
 
 
 def _sweep_kind(z):
     """The point cache's kind of row for identity residuals at zeta = z."""
-    return numeric._POINTS.kinds[z == 0, numeric._DEFAULT_CFG, False]
+    return numeric._POINTS.kinds[z == 0, numeric._DEFAULT_CFG]
 
 
 @st.composite
@@ -1036,10 +1042,9 @@ def test_a_sweep_equals_the_scalar_code(case):
     for k, (tau, z) in enumerate(points):
         if k in holes:
             numeric._POINTS.lookup((other,), (other,), complex(z or 0), tau,
-                                   cfg, False)
+                                   cfg)
         else:
-            numeric._POINTS.lookup(zero, at_z, complex(z or 0), tau, cfg,
-                                   False)
+            numeric._POINTS.lookup(zero, at_z, complex(z or 0), tau, cfg)
     with mock.patch.object(numeric, "_BATCH_ROWS", 2):
         got = [identity_residual(ident, tau, z) for tau, z in points]
     assert got == want
@@ -1051,33 +1056,39 @@ def test_a_sweep_equals_the_scalar_code(case):
 
 def test_a_cache_that_starts_over_between_sweeps_keeps_the_residuals(
         monkeypatch):
-    # a cache of 40 values holds one identity's values at the 4 x 5 points
-    # of the function kind and the 4 at zeta = 0, but not the next
-    # identity's too: its lookups start the cache over (dropping every
+    # a cache of 150 places holds one identity's values at the 4 x 5 points
+    # of the function kind and the 4 at zeta = 0 (136 places), but not the
+    # next identity's too: its lookups start the cache over (dropping every
     # residual column), and each identity's residuals still equal the
     # scalar code's
     taus, zetas = sample_tau(3, 4), sample_zeta(3, 5)
     sweep = [i for i in sorted(builtin_catalog(), key=lambda i: i.id)
              if i.kind is IdentityKind.FUNCTION][:6]
     points = [(tau, z) for tau in taus for z in zetas]
+    starts = []
 
     def residuals():
-        return [[identity_residual(i, tau, z) for tau, z in points]
-                for i in sweep]
+        out = []
+        for i in sweep:
+            row = []
+            for tau, z in points:
+                kinds = numeric._POINTS.kinds
+                row.append(identity_residual(i, tau, z))
+                starts.append(numeric._POINTS.kinds is not kinds)
+            out.append(row)
+        return out
     numeric._POINTS.clear()
     monkeypatch.setattr(numeric, "_BATCH_ROWS", 10 ** 9)
     want = residuals()
-    starts, empty = [], numeric._PointCache._empty
-    monkeypatch.setattr(numeric._PointCache, "_empty",
-                        lambda self: starts.append(1) or empty(self))
-    monkeypatch.setattr(numeric, "_POINTS", numeric._PointCache(40))
+    assert not any(starts)
+    monkeypatch.setattr(numeric, "_POINTS", numeric._PointCache(150))
     monkeypatch.setattr(numeric, "_BATCH_ROWS", 4)
     sweeps, sweep_rows = [], numeric._sweep_rows
     monkeypatch.setattr(numeric, "_sweep_rows", lambda plan, values:
                         sweeps.append(len(values[0])) or sweep_rows(plan,
                                                                     values))
     assert residuals() == want
-    assert len(starts) > 1 and len(sweeps) > 1
+    assert sum(starts) > 1 and len(sweeps) > 1
 
 
 def test_a_power_above_100_is_never_swept(monkeypatch):
@@ -1094,7 +1105,7 @@ def test_a_power_above_100_is_never_swept(monkeypatch):
     numeric._POINTS.clear()
     zero = numeric._numeric_plan(ident)[0]
     for tau in taus:
-        numeric._POINTS.lookup(zero, (), 0j, tau, numeric._DEFAULT_CFG, False)
+        numeric._POINTS.lookup(zero, (), 0j, tau, numeric._DEFAULT_CFG)
     sweeps, sweep_rows = [], numeric._sweep_rows
     monkeypatch.setattr(numeric, "_sweep_rows", lambda plan, values:
                         sweeps.append(1) or sweep_rows(plan, values))
@@ -1119,8 +1130,7 @@ def test_a_sweep_keeps_no_overflowing_row():
     numeric._POINTS.clear()
     zero, at_z, _, _ = numeric._numeric_plan(ident)
     for z in points:
-        numeric._POINTS.lookup(zero, at_z, z, tau, numeric._DEFAULT_CFG,
-                               False)
+        numeric._POINTS.lookup(zero, at_z, z, tau, numeric._DEFAULT_CFG)
     with mock.patch.object(numeric, "_BATCH_ROWS", 2):
         assert identity_residual(ident, tau, points[0]) == want[0]
         kept = _sweep_kind(points[0]).residuals[ident._numeric_plan]
@@ -1145,7 +1155,7 @@ def test_a_sum_past_a_double_raises_at_every_row(monkeypatch):
     numeric._POINTS.clear()
     zero = numeric._numeric_plan(ident)[0]
     for tau in taus:
-        numeric._POINTS.lookup(zero, (), 0j, tau, numeric._DEFAULT_CFG, False)
+        numeric._POINTS.lookup(zero, (), 0j, tau, numeric._DEFAULT_CFG)
     monkeypatch.setattr(numeric, "_BATCH_ROWS", 2)
     for tau in taus:
         with pytest.raises(ValueError, match="sum-overflow: residual at tau="
@@ -1207,19 +1217,6 @@ def test_residual_raises_each_distinct_power_once():
             ((f.key[:4], f.key[4]), f.power) for f in term.factors]
 
 
-def test_scalar_cache_hit_runs_no_python_hash():
-    c, tau, zeta, cfg = C(Fraction(1, 5), Fraction(3, 5)), 0.1 + 0.9j, 0.2j, EvalConfig()
-    v = theta_eval(c, zeta, tau, cfg)
-    called = []
-    sys.setprofile(lambda frame, event, arg:
-                   called.append(frame.f_code.co_name) if event == "call" else None)
-    try:
-        assert theta_eval(c, zeta, tau, cfg) == v
-    finally:
-        sys.setprofile(None)
-    assert "__hash__" not in called and "_theta_sum" not in called, called
-
-
 @pytest.mark.parametrize("fn", [theta_eval, theta_deriv_eval])
 def test_array_raises_like_scalar(fn):
     def message(zeta, tau, cfg=None):
@@ -1249,7 +1246,7 @@ def test_numeric_residue_calls_f_once_on_all_nodes():
         calls.append(z.shape)
         return 1.0 / z
 
-    assert abs(numeric_residue(f, 0.0, 0.1, samples=64) - 1.0) < 1e-14
+    assert abs(contour_residue(f, 0.0, 0.1, samples=64)[0] - 1.0) < 1e-14
     assert calls == [(64,)]
 
 
@@ -1286,7 +1283,7 @@ def test_adaptive_rule_refines_for_an_off_centre_pole():
     assert 64 < used < MAX_NODES and sum(nodes) == used
     assert nodes[:3] == [32, 32, 64]      # only the new half-step nodes
     assert change <= RESIDUE_RTOL * 21.0  # |f(w) w| < 21 on the circle
-    fixed = numeric_residue(f, 0.0, 0.1, samples=4096)
+    fixed = contour_residue(f, 0.0, 0.1, samples=4096)[0]
     assert abs(got - fixed) <= 1e-13 * 2.0 and abs(got - 2.0) <= 1e-13 * 2.0
 
 
@@ -1297,8 +1294,8 @@ def test_adaptive_rule_reports_the_cap_when_it_cannot_converge():
     got, used, change = contour_residue(f, 0.0, 0.1)
     assert used == MAX_NODES == sum(nodes)
     assert change > 1e-3
-    assert got == pytest.approx(numeric_residue(f, 0.0, 0.1, samples=4096),
-                                rel=1e-12)
+    assert got == pytest.approx(
+        contour_residue(f, 0.0, 0.1, samples=4096)[0], rel=1e-12)
 
 
 def reference_residues(witness, tau, cfg, samples=4096):

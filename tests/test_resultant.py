@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -405,6 +406,21 @@ def test_bezout_resultant_equals_the_sylvester_determinant(pair):
 @given(polynomial_pairs(bound=2 ** 70))
 def test_bezout_resultant_equals_sylvester_on_wide_numerators(pair):
     _check_resultant(*pair)
+
+
+def test_a_quotient_higher_than_the_bezout_determinant():
+    # f = -1 - x + (1 - z) x^2 and g = -1 + (1 + z) x, z = zeta_5: in Z[z]
+    # unreduced, Res = -1 - 4z - z^2 (height 4) and det B = (1 - z) Res =
+    # -1 - 3z + 3z^2 + z^3 (height 3), so the division by the leading
+    # coefficient raises the height; the slots sized from B's minors
+    # (bound 30) still hold the quotient
+    z, one = cyclo_root(1, 5), Cyclotomic.one()
+    res = [-1, -4, -1]
+    assert max(map(abs, np.convolve([1, -1], res))) == 3 < 4
+    f, g = [-one, -one, one - z], [-one, one + z]
+    for pair in ((f, g), (g, f)):
+        _check_resultant(*pair)
+        assert resultant(*pair) == -one - z * 4 - z * z
 
 
 def test_a_zero_resultant_is_the_rational_zero():

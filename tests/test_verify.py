@@ -27,7 +27,7 @@ from theta5.resultant import shared_root_ratio, theta_quadratics
 from theta5.series import (ExponentPair, Packed, PuiseuxSeries2, _key,
                            on_common_grid, pack, packed_mul, packed_sum)
 from theta5.theta import Characteristic, ThetaMode, theta_series
-from theta5.verify import (batch_passed, discover_relations, reports_to_json,
+from theta5.verify import (batch_status, discover_relations, reports_to_json,
                            verify_all, verify_exact, zeta_grid)
 
 C = Characteristic.of
@@ -77,7 +77,7 @@ def test_verify_all_ordering_and_batch_policy():
     by_id = {r.id: r for r in reports}
     assert not by_id["quintic-epsp35-printed"].passed
     assert by_id["quintic-epsp35-corrected"].passed
-    assert batch_passed(cat, reports)
+    assert batch_status(cat, reports) == "pass"
 
 
 def test_deep_cutoff_verifies():
