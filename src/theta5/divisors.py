@@ -7,7 +7,8 @@ delta(n) counts divisors congruent to 1 mod 3 minus those congruent to
 
 sigma and delta are the scalar definitions (trial division);
 verify_sigma_convolution checks every n up to a bound at once, from
-tables sieved in O(sqrt(m)) numpy slice updates for m = 3 * bound + 2.
+tables sieved in O(sqrt(m)) numpy slice updates for m = 3 * bound + 2 and
+one float64 convolution, exact while its sums stay below 2^53.
 """
 
 from __future__ import annotations
@@ -88,15 +89,19 @@ def verify_sigma_convolution(n_max):
     """Checks sigma(3n+2) = 3 * sum_k delta(3k+1) delta(3(n-k)+1) for
     0 <= n <= n_max: both sides for every n at once, from sieved sigma and
     delta tables up to 3*n_max+2 (O(sqrt(n_max)) slice updates, each in C)
-    and one np.convolve of the delta(3k+1) table with itself (quadratic, in
-    C).  A convolution sum is at most (n_max+1) * d^2, d the largest divisor
-    count below 3*n_max+2, so int64 holds it too."""
+    and one np.convolve of the delta(3k+1) table with itself in float64
+    (quadratic, in C).  Its sums are integers of magnitude at most (n_max+1)
+    * max|delta|^2 (1.0e9 at n_max = 10^6), exact in float64 in any order up
+    to 2^53; a table past that bound is refused."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     sig, dlt = _sieves(3 * n_max + 2)
     lhs = sig[2::3]
-    d = dlt[1::3]
-    rhs = 3 * np.convolve(d, d)[:n_max + 1]
+    d = dlt[1::3].astype(float)
+    top = int(np.abs(d).max())
+    if (n_max + 1) * top * top > 2 ** 53:
+        raise ValueError(f"sums up to {n_max + 1} * {top}^2 are past 2^53")
+    rhs = 3 * np.convolve(d, d)[:n_max + 1].astype(np.int64)
     bad = np.flatnonzero(lhs != rhs)
     failures = list(zip(bad.tolist(), lhs[bad].tolist(), rhs[bad].tolist()))
     return ArithReport(n_max=n_max, checked=n_max + 1, failures=failures)

@@ -14,11 +14,12 @@ One batched kernel, `_theta_sum`, evaluates every theta value: paired arrays
 of (characteristic, zeta) points at one tau or at a tau per point, given as
 the only forms the sum reads, a = eps/2 and u = zeta + eps'/2.  Each point
 is summed over its own window of terms: one pass at a first half-width from
-its tau, and the points whose edge terms are not small summed again at twice
-the half-width, so a value is the same to the bit in any batch; two rules
-skip a first window no point can close, and the closing test of one every
-point is certain to close (_first_window).  `theta_eval` and
-`theta_deriv_eval` call it directly, a scalar zeta as a one-point array.
+its tau (_first_k, in one numpy pass over a tau array), and the points whose
+edge terms are not small summed again at twice the half-width, so a value is
+the same to the bit in any batch; two rules skip a first window no point can
+close, and the closing test of one every point is certain to close
+(_first_window).  `theta_eval` and `theta_deriv_eval` call it directly, a
+scalar zeta as a one-point array.
 Identity residuals alone go through one point cache (`_POINTS`), which keeps
 each kind of point (zeta = 0 or not, under one config) as an index from
 (zeta, tau) to a row and one complex array of values per characteristic.  A
@@ -85,9 +86,14 @@ _BLOCK_ROWS = 4096
 
 def _first_k(tau, cfg):
     """Half-width of the first window at tau: where the Gaussian has fallen
-    by tol/100 (with tol 0, the edge terms must underflow to 0)."""
-    return math.ceil(min((cfg.max_terms - 1) // 2, math.sqrt(
-        math.log(100.0 / max(cfg.tol, 1e-300)) / (math.pi * tau.imag))))
+    by tol/100 (with tol 0, the edge terms must underflow to 0); at a tau
+    array, an int array of the same ints."""
+    k, log = (cfg.max_terms - 1) // 2, math.log(100.0 / max(cfg.tol, 1e-300))
+    if not isinstance(tau, np.ndarray):
+        return math.ceil(min(k, math.sqrt(log / (math.pi * tau.imag))))
+    with np.errstate(over="ignore"):   # a tiny Im tau overflows to k
+        width = np.sqrt(log / (math.pi * tau.imag))
+    return np.ceil(np.minimum(k, width)).astype(int)
 
 
 def _first_window(k, d_lo, d_hi, im_lo, im_hi, cfg):
@@ -125,10 +131,11 @@ def _theta_sum(a, u, tau, cfg, deriv):
     edge terms are not both below tol/100 (relative to their largest term,
     when that exceeds 1), until they are; past cfg.max_terms terms, and for
     a value past a double, it raises (the latter with no numpy warning, once
-    its terms overflow).  With a tau per point, points are summed in groups
-    that share a first window, in blocks of at most _BLOCK_ROWS.  A point's
-    value so never depends on the other points of the call: it is the same
-    to the bit as that of a one-point call."""
+    its terms overflow).  With a tau per point, one _first_k call on the tau
+    array gives every first half-width, and points are summed in groups that
+    share one, in blocks of at most _BLOCK_ROWS.  A point's value so never
+    depends on the other points of the call: it is the same to the bit as
+    that of a one-point call."""
     per_point, im = isinstance(tau, np.ndarray), tau.imag
     if not ((np.isfinite(tau) & (im > 0)).all() if per_point
             else 0 < im < math.inf and math.isfinite(tau.real)):
@@ -141,10 +148,9 @@ def _theta_sum(a, u, tau, cfg, deriv):
         if not per_point:
             out = _window_sum(a, u, tau, _first_k(tau, cfg), cfg, deriv)
         else:
-            ks = {t: _first_k(t, cfg) for t in set(tau.tolist())}
-            first = np.array([ks[t] for t in tau.tolist()])
+            first = np.broadcast_to(_first_k(tau, cfg), len(u))
             out = np.empty(len(u), complex)
-            for k in sorted(set(ks.values())):
+            for k in sorted(set(first.tolist())):
                 rows = np.flatnonzero(first == k)
                 for at in np.split(rows, range(_BLOCK_ROWS, len(rows),
                                                _BLOCK_ROWS)):
@@ -235,12 +241,14 @@ class _Kind:
     characteristic with room for `room` rows (NaN where a value is not held:
     a theta value is finite), per numeric plan a list of residuals at the
     rows [0, len), NaN where a row is left to the scalar code
-    (_PointCache.residual), and the last new row's tau with its zetas."""
-    __slots__ = ("index", "cols", "room", "residuals", "tau", "zetas")
+    (_PointCache.residual), each row's (zeta, tau) as a row of the complex
+    array points, and the last new row's tau with its zetas."""
+    __slots__ = ("index", "cols", "room", "residuals", "points", "tau",
+                 "zetas")
 
     def __init__(self):
         self.index, self.cols, self.room, self.residuals = {}, {}, 0, {}
-        self.tau, self.zetas = None, []
+        self.points, self.tau, self.zetas = np.empty((0, 2), complex), None, []
 
     def row(self, point):
         """point's row, added if it is new; full columns grow by a quarter."""
@@ -249,11 +257,13 @@ class _Kind:
         if row == n:   # a new row joins its tau's grid
             zetas = self.zetas if point[1] == self.tau else []
             self.tau, self.zetas = point[1], [*zetas, point[0]]
-        if row == self.room:
-            self.room += self.room // 4 + 8
-            for c, col in self.cols.items():
-                self.cols[c] = np.concatenate((col, _holes(self.room
-                                                           - len(col))))
+            if row == self.room:
+                self.room += self.room // 4 + 8
+                self.points = np.resize(self.points, (self.room, 2))
+                for c, col in self.cols.items():
+                    self.cols[c] = np.concatenate((col, _holes(self.room
+                                                               - len(col))))
+            self.points[row] = point
         return row
 
     def held(self, chars, row):
@@ -342,27 +352,27 @@ class _PointCache:
         fill, blocks = [], []
         for c, point in asked:
             kind = kinds[point[0] == 0, cfg]
-            if c not in kind.cols:
-                rows = [(p, r) for p, r in kind.index.items()
-                        if (c, p) not in asked]
-                if rows:
-                    fill += [(c, p) for p, _ in rows]
-                    blocks.append((kind, c, [r for _, r in rows]))
+            if c not in kind.cols:   # every row but those asked
+                rows = np.delete(np.arange(len(kind.index)), [
+                    kind.index[p] for d, p in asked
+                    if d == c and p in kind.index])
+                if len(rows):
+                    blocks.append((kind, c, rows))
         kind = kinds.get((z == 0, cfg), _NO_KIND)
-        if (not fill and tau != kind.tau and len(kind.zetas) > 1
+        if (not blocks and tau != kind.tau and len(kind.zetas) > 1
                 and point_z not in kind.index):   # the last tau's grid
             fill = [(c, (w, tau)) for w in kind.zetas
                     if w != z and (w, tau) not in kind.index for c in at_z]
         todo = [*asked, *fill]
         try:
-            got = _point_sums(todo, None if blocks else tau, cfg)
+            got = _point_sums(todo, blocks, tau, cfg)
         except ValueError:
-            if not fill:
+            if not (fill or blocks):
                 raise
             todo, fill, blocks = list(asked), [], []
-            got = _point_sums(todo, tau, cfg)
-        self.filled += len(fill)
-        new = dict(zip(todo, got[:len(asked) if blocks else None].tolist()))
+            got = _point_sums(todo, blocks, tau, cfg)
+        self.filled += len(got) - len(asked)
+        new = dict(zip(todo, got[:len(todo)].tolist()))
         for c, point in new:   # asked first; blocks are stored below
             kind = kinds[point[0] == 0, cfg]
             row = kind.row(point)
@@ -370,7 +380,7 @@ class _PointCache:
             if col is None:
                 col = kind.cols[c] = _holes(kind.room)
             col[row] = new[c, point]
-        at = len(asked)
+        at = len(todo)
         for kind, c, rows in blocks:   # each column's fill in one store
             kind.cols[c][rows] = got[at:at + len(rows)]
             at += len(rows)
@@ -410,7 +420,8 @@ class _PointCache:
             got = _sweep_rows(plan, self._columns(plan, kind, start, cfg))
             done += got.tolist()
             r = done[row] if row >= start else math.nan
-            self.hits += (np.count_nonzero(got == got) - (r == r)) * len(theta)
+            read = int(np.count_nonzero(got == got)) - (r == r)   # not int64
+            self.hits += read * len(theta)
             if r == r:
                 return r
         r = _scalar_residual(ident, tau, theta, powers, terms)
@@ -434,15 +445,18 @@ class _PointCache:
         return [base.column(c, rows) for c in zero] + here
 
 
-def _point_sums(todo, tau, cfg):
-    """_theta_sum at the (char, point) pairs of todo, at one tau, or with
-    tau None at each point's own tau."""
-    return _sums(
-        np.array([c[0] / c[1] for c, _ in todo]) / 2.0,
-        np.array([point[0] for _, point in todo])
-        + np.array([c[2] / c[3] for c, _ in todo]) / 2.0,
-        np.array([point[1] for _, point in todo]) if tau is None else tau,
-        cfg, False)
+def _point_sums(todo, blocks, tau, cfg):
+    """_theta_sum at the (char, point) pairs of todo, then at the rows of
+    each block (kind, char, row numbers) of its kind's points: at one tau,
+    or, when there are blocks, at each point's own tau.  Each char's floats
+    p/q and r/s are Python's quotients, spread over its points."""
+    chars = [c for c, _ in todo] + [c for _, c, _ in blocks]
+    half = np.array([(c[0] / c[1], c[2] / c[3]) for c in chars]).repeat(
+        [1] * len(todo) + [len(rows) for _, _, rows in blocks], axis=0) / 2.0
+    at = np.concatenate([np.array([point for _, point in todo]),
+                         *(kind.points[rows] for kind, _, rows in blocks)])
+    return _sums(half[:, 0], at[:, 0] + half[:, 1],
+                 at[:, 1] if blocks else tau, cfg, False)
 
 
 _POINTS = _PointCache(1 << 19)

@@ -649,43 +649,52 @@ _grid = functools.lru_cache(maxsize=64)(lambda n: tuple(zeta_grid(n)))
 @functools.lru_cache(maxsize=64)
 def _sample_plan(content):
     """For monomials as their factors' (key, power): the zeta factors' float
-    pairs, the constants, the distinct (factor, power), and by position the
-    monomials (a slice if all) and their pairs (len(pairs) for none)."""
+    pairs, the constants, the zeta factors' distinct powers, the distinct
+    (constant, power), and by position the monomials (a slice if all) and
+    their factors as rows of one stacked table: every zeta factor at each
+    power, power by power, then each (constant, power), then ones for none."""
     keys = sorted(dict.fromkeys(key for mono in content for key, _ in mono),
                   key=lambda key: not key[4])   # the zeta factors first
+    n = sum(key[4] for key in keys)
+    powers = sorted({p for mono in content for key, p in mono if key[4]})
     pairs = {}
-    slots = [[pairs.setdefault((keys.index(key), power), len(pairs))
-              for key, power in mono] for mono in content]
-    ats = [[i for i, s in enumerate(slots) if len(s) > n]
-           for n in range(1, max(map(len, slots)))]
+    slots = [[powers.index(p) * n + j if j < n else len(powers) * n
+              + pairs.setdefault((j - n, p), len(pairs))
+              for j, p in ((keys.index(key), p) for key, p in mono)]
+             for mono in content]
+    ats = [[i for i, s in enumerate(slots) if len(s) > k]
+           for k in range(1, max(map(len, slots)))]
     return (tuple((p / q, r / s) for p, q, r, s, z in keys if z),
             [Characteristic(Fraction(p, q), Fraction(r, s))
              for p, q, r, s, z in keys if not z],
-            list(pairs), [s[0] if s else len(pairs) for s in slots],
+            powers, list(pairs),
+            [s[0] if s else len(powers) * n + len(pairs) for s in slots],
             [(slice(None) if len(at) == len(slots) else at,
-              [slots[i][n] for i in at]) for n, at in enumerate(ats, 1)])
+              [slots[i][k] for i in at]) for k, at in enumerate(ats, 1)])
 
 
 def discover_relations(monomials, tau, z_samples, threshold=1e-8, cfg=None):
     """Numeric nullspace of the (z_samples x k) sample matrix of the given
     theta-product monomials at fixed tau.  Returns nullity and, if >= 1, one
     nullspace vector normalized so its first significant entry is 1, all as
-    Python numbers.  The matrix is built by factor position, from a plan
-    kept per monomial content (_sample_plan)."""
+    Python numbers.  The matrix is gathered by factor position from a table
+    stacked as the plan kept per monomial content lays it out (_sample_plan):
+    the zeta rows raised once per distinct power, the constants by Python's
+    complex power (numpy's need not match it to the bit)."""
     k = len(monomials)
     if not k:
         raise ValueError("need at least one monomial")
     if z_samples < k:
         raise ValueError("need at least as many zeta samples as monomials")
-    chars, consts, pairs, first, later = _sample_plan(tuple(
+    chars, consts, powers, pairs, first, later = _sample_plan(tuple(
         [tuple([(f.key, f.power) for f in mono]) for mono in monomials]))
-    values = [*_theta_rows(chars, _grid(z_samples), tau, cfg),
-              *(theta_eval(c, 0.0, tau, cfg) for c in consts)]
-    # each distinct (factor, power) row once, a constant row at zero; the
-    # first factors gathered, then each later position multiplied in
-    table = np.ones((len(pairs) + 1, z_samples), dtype=complex)
-    for row, (j, power) in zip(table, pairs):
-        row[:] = values[j] if power == 1 else values[j] ** power
+    rows = _theta_rows(chars, _grid(z_samples), tau, cfg)
+    values = [theta_eval(c, 0.0, tau, cfg) for c in consts]
+    table = np.concatenate([
+        *(rows if p == 1 else rows ** p for p in powers),
+        np.array([values[j] if p == 1 else values[j] ** p for j, p in pairs]
+                 + [1], complex)[:, None].repeat(z_samples, axis=1)])
+    # the first factors gathered, then each later position multiplied in
     M = table.take(first, axis=0)
     for at, idx in later:
         M[at] *= table.take(idx, axis=0)

@@ -1,6 +1,7 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
 from theta5 import divisors
@@ -111,3 +112,46 @@ def test_failures_are_python_ints(monkeypatch):
     assert rep.failures == [(1, 7, 6)]
     assert all(type(x) is int for x in rep.failures[0])
     assert not rep.passed
+
+
+def _int64_report(n_max):
+    """verify_sigma_convolution as it was, with np.convolve of the int64
+    delta table, kept as the oracle."""
+    sig, dlt = divisors._sieves(3 * n_max + 2)
+    lhs, d = sig[2::3], dlt[1::3]
+    rhs = 3 * np.convolve(d, d)[:n_max + 1]
+    bad = np.flatnonzero(lhs != rhs)
+    return divisors.ArithReport(n_max, n_max + 1, list(zip(
+        bad.tolist(), lhs[bad].tolist(), rhs[bad].tolist())))
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 50, 4000, 10 ** 5])
+def test_float64_convolution_equals_the_int64_one(monkeypatch, n_max):
+    # every sigma one off, so that each n fails and both reports list
+    # every right-hand side
+    sieves = divisors._sieves
+
+    def all_off(m):
+        sig, dlt = sieves(m)
+        return sig + 1, dlt
+
+    monkeypatch.setattr(divisors, "_sieves", all_off)
+    rep = verify_sigma_convolution(n_max)
+    assert len(rep.failures) == n_max + 1
+    assert rep == _int64_report(n_max)
+
+
+def test_a_table_past_the_float64_bound_is_refused(monkeypatch):
+    # (n_max + 1) * max|delta|^2 bounds every convolution sum: at 2^53 it
+    # is still exact in float64, past it the check refuses
+    def sieves(m):
+        dlt = np.zeros(m + 1, np.int64)
+        dlt[1::3] = 1 << 26
+        return np.zeros(m + 1, np.int64), dlt
+
+    monkeypatch.setattr(divisors, "_sieves", sieves)
+    rep = verify_sigma_convolution(1)   # sums up to 2 * 2^52 = 2^53
+    assert rep == _int64_report(1)
+    assert [r for _, _, r in rep.failures] == [3 << 52, 3 << 53]
+    with pytest.raises(ValueError, match=r"3 \* 67108864\^2 are past 2\^53"):
+        verify_sigma_convolution(2)

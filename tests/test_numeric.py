@@ -2,6 +2,7 @@ import cmath
 import collections
 import dataclasses
 import functools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -379,6 +380,67 @@ def test_each_open_point_widens_until_its_edges_are_small(monkeypatch):
                            EvalConfig(max_terms=64), False)
     monkeypatch.undo()
     assert shapes == [(1, 9), (1, 17), (1, 33), (1, 63)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(5e-324, 50.0) | st.sampled_from(
+    [5e-324, 1e-310, 2.2e-308, 1e-300, 0.05]), min_size=1, max_size=30),
+       st.sampled_from([0.0, 1e-12, 1e-3, 0.5]),
+       st.sampled_from([8, 9, 17, 4000]))
+def test_first_k_on_a_tau_column_equals_the_scalar_ints(ims, tol, max_terms):
+    # one numpy pass over a tau column gives each tau's scalar half-width,
+    # a subnormal Im tau (the widest window, k_max) with no numpy warning
+    cfg = EvalConfig(tol=tol, max_terms=max_terms)
+    tau = np.array([complex(0.1, im) for im in ims])
+    got = numeric._first_k(tau, cfg)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == [numeric._first_k(t, cfg) for t in tau.tolist()]
+    assert numeric._first_k(complex(0.1, 5e-324), cfg) == (max_terms - 1) // 2
+
+
+def _comprehension_inputs(todo, tau):
+    """_point_sums's kernel inputs as four comprehensions over the (char,
+    point) pairs built them, kept as the oracle."""
+    return (np.array([c[0] / c[1] for c, _ in todo]) / 2.0,
+            np.array([point[0] for _, point in todo])
+            + np.array([c[2] / c[3] for c, _ in todo]) / 2.0,
+            np.array([point[1] for _, point in todo]) if tau is None else tau)
+
+
+_KEYS = st.tuples(st.integers(0, 19), st.integers(1, 10), st.integers(-3, 19),
+                  st.integers(1, 10))
+_POINT = st.tuples(st.sampled_from([0j, complex(-0.0, -0.0), -0.0 + 0j,
+                                    complex(0.0, -0.0), 0.3 + 0.1j,
+                                    complex(-0.2, -0.0), 0.1 - 0.25j]),
+                   st.sampled_from([0.1 + 1j, -0.3 + 0.9j, 0.25 + 1.7j]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_KEYS, _POINT), min_size=1, max_size=8),
+       st.lists(st.tuples(_KEYS, st.lists(_POINT, min_size=1, max_size=6),
+                          st.lists(st.integers(0, 5), min_size=1,
+                                   max_size=8)), max_size=3))
+def test_point_sums_builds_the_comprehensions_inputs(todo, fills):
+    # mixed kinds, zeta = -0.0 and a block per fill (a char at rows of a
+    # kind's points): the kernel gets the comprehensions' inputs for the
+    # pairs then each block's (char, point) pairs, to the bit
+    blocks, pairs = [], list(todo)
+    for c, points, picks in fills:
+        kind = numeric._Kind()
+        rows = np.array([kind.row(points[i % len(points)]) for i in picks])
+        blocks.append((kind, c, rows))
+        pairs += [(c, list(kind.index)[r]) for r in rows]
+    seen = []
+    with mock.patch.object(numeric, "_sums", lambda *args: seen.append(args)):
+        numeric._point_sums(todo, blocks, 0.1 + 1j, EvalConfig())
+    want = _comprehension_inputs(pairs, None if blocks else 0.1 + 1j)
+    (a, u, tau, _, deriv), = seen
+    assert not deriv and a.tobytes() == want[0].tobytes()
+    assert u.tobytes() == want[1].tobytes()
+    if blocks:
+        assert np.ascontiguousarray(tau).tobytes() == want[2].tobytes()
+    else:
+        assert tau == want[2] and type(tau) is complex
 
 
 def _pick(x, rows):
@@ -775,6 +837,21 @@ def test_eval_sweep_fills_each_new_characteristic_in_one_call(monkeypatch,
     cache = numeric._POINTS
     assert cache.misses + cache.filled == 207 and cache.filled > 0
     assert cache.hits + cache.misses == 2913
+
+
+def test_point_cache_counters_stay_python_ints(monkeypatch, capsys):
+    # hits counted from a sweep's numpy count were a numpy.int64, which
+    # json.dumps refuses
+    sweeps, sweep_rows = [], numeric._sweep_rows
+    monkeypatch.setattr(numeric, "_sweep_rows", lambda plan, values:
+                        sweeps.append(1) or sweep_rows(plan, values))
+    numeric._POINTS.clear()
+    assert main(["--seed", "0", "--samples", "8", "eval"]) == 0
+    capsys.readouterr()
+    cache = numeric._POINTS
+    counters = [cache.hits, cache.misses, cache.filled]
+    assert sweeps and [type(n) for n in counters] == [int] * 3
+    assert json.loads(json.dumps(counters)) == counters
 
 
 def _one_point(char, zeta, tau, cfg):

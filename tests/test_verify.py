@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -667,6 +668,81 @@ def test_discover_mixed_factors_match_a_scalar_loop(monkeypatch):
     rel = discover_relations(monos, tau, z_samples)
     assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
     assert rel.nullity == 1  # each monomial scaled by a nonzero constant
+
+
+def _per_pair_matrix(monomials, tau, z_samples):
+    """discover_relations's sample matrix as a table of one row per
+    distinct (factor, power) built it, each raised on its own, kept as the
+    oracle."""
+    content = [[(f.key, f.power) for f in mono] for mono in monomials]
+    keys = sorted(dict.fromkeys(key for mono in content for key, _ in mono),
+                  key=lambda key: not key[4])
+    pairs = {}
+    slots = [[pairs.setdefault((keys.index(key), power), len(pairs))
+              for key, power in mono] for mono in content]
+    values = [*numeric._theta_rows(
+        tuple((p / q, r / s) for p, q, r, s, z in keys if z),
+        tuple(zeta_grid(z_samples)), tau),
+        *(theta_eval(Characteristic(Fraction(p, q), Fraction(r, s)), 0.0, tau)
+          for p, q, r, s, z in keys if not z)]
+    table = np.ones((len(pairs) + 1, z_samples), dtype=complex)
+    for row, (j, power) in zip(table, pairs):
+        row[:] = values[j] if power == 1 else values[j] ** power
+    M = table.take([s[0] if s else len(pairs) for s in slots], axis=0)
+    for n in range(1, max(map(len, slots))):
+        at = [i for i, s in enumerate(slots) if len(s) > n]
+        M[at] *= table.take([slots[i][n] for i in at], axis=0)
+    return M.T
+
+
+_FIFTHS = st.sampled_from([Fraction(k, 5) for k in (1, 3, 5, 7, 9)])
+_ZETA_FACTOR = st.builds(
+    lambda eps, epsp, power: ThetaFactor(C(eps, epsp), power,
+                                         Argument.SYMBOLIC_ZETA),
+    st.sampled_from([Fraction(1, 5), Fraction(3, 5), Fraction(1)]),
+    _FIFTHS, st.integers(1, 3))
+_CONSTANT = st.builds(   # theta[1/5 or 3/5; .](0) does not vanish
+    lambda eps, epsp, power: ThetaFactor(C(eps, epsp), power,
+                                         Argument.AT_ZERO),
+    st.sampled_from([Fraction(1, 5), Fraction(3, 5)]), _FIFTHS,
+    st.integers(1, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(_ZETA_FACTOR | _CONSTANT, max_size=4).flatmap(
+    lambda mono: st.permutations(mono + mono[:1])),   # a factor repeated
+    min_size=1, max_size=5), st.integers(0, 4),
+    st.sampled_from([0.13 + 0.97j, -0.4 + 0.85j, 0.2 + 1.9j]))
+def test_discovery_equals_the_per_pair_table(monos, extra, tau):
+    # the stacked table (each zeta row raised once per distinct power,
+    # each constant by Python's complex power) gives the per-pair table's
+    # sample matrix to the bit, hence the same relation
+    z_samples = len(monos) + extra
+    seen, svd = [], np.linalg.svd
+    with mock.patch.object(np.linalg, "svd", lambda M, **kw: seen.append(
+            M.copy()) or svd(M, **kw)):
+        try:
+            discover_relations(monos, tau, z_samples)
+        except ValueError as e:   # only when every monomial is 0
+            assert str(e) == "degenerate sampling: all monomials vanish"
+    assert len(seen) == 1
+    assert seen[0].tobytes() == _per_pair_matrix(monos, tau,
+                                                 z_samples).tobytes()
+
+
+def test_a_factor_at_power_one_keeps_the_sign_of_a_zero(monkeypatch):
+    # numpy's x ** 1 and Python's complex x ** 1 both turn a -0.0 part into
+    # +0.0: a factor at power 1 is read as the kernel gave it
+    row = np.array([complex(-0.0, -1.0), complex(0.0, -0.0), 2 + 0j])
+    const = complex(-0.0, -2.0)
+    monkeypatch.setattr(v, "_theta_rows", lambda *args: row[None, :])
+    monkeypatch.setattr(v, "theta_eval", lambda *args: const)
+    seen, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda M, **kw: seen.append(
+        M.copy()) or svd(M, **kw))
+    discover_relations([[ThetaFactor(C(0, 0), 1, Argument.SYMBOLIC_ZETA)],
+                        [ThetaFactor(C(0, 0), 1)]], 0.1 + 1j, 3)
+    assert seen[0].tobytes() == np.array([row, [const] * 3]).T.tobytes()
 
 
 def test_discovery_and_quadratics_construct_no_fraction(monkeypatch):
